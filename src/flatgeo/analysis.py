@@ -1,9 +1,8 @@
 """Self-intersection detection, density estimation, and angle audits.
 
-Intersections are found per chart: chords of the trace living in the
-same triangle are tested pairwise, with a uniform spatial hash over the
-chart once a chart holds enough segments.  All pair tests are vectorized
-with numpy; this module is the package's performance core.
+Intersections are found per chart: every pair of trace chords living in
+the same triangle is tested at once with numpy.  This module is the
+package's performance core.
 """
 from __future__ import annotations
 
@@ -33,8 +32,6 @@ PROPER_ANGLE_TOL = 1e-6
 # Two parameter pairs closer than this are the same event seen from both
 # sides of a chart edge.
 EVENT_MERGE_TOL = 1e-7
-
-_HASH_THRESHOLD = 192  # chart segment count above which the spatial hash kicks in
 
 
 @dataclass(frozen=True)
@@ -112,40 +109,6 @@ def _chart_arrays(trace_: GeodesicTrace):
     return out
 
 
-def _candidate_pairs(P: np.ndarray, D: np.ndarray, L: np.ndarray, cell: float):
-    """Index pairs of segments whose bounding boxes share a hash cell."""
-    n = len(P)
-    Q = P + D * L[:, None]
-    lo = np.minimum(P, Q)
-    hi = np.maximum(P, Q)
-    cells: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        x0, y0 = int(math.floor(lo[i, 0] / cell)), int(math.floor(lo[i, 1] / cell))
-        x1, y1 = int(math.floor(hi[i, 0] / cell)), int(math.floor(hi[i, 1] / cell))
-        for cx in range(x0, x1 + 1):
-            for cy in range(y0, y1 + 1):
-                cells.setdefault((cx, cy), []).append(i)
-    pairs: set[tuple[int, int]] = set()
-    for members in cells.values():
-        m = len(members)
-        if m < 2:
-            continue
-        for a in range(m):
-            ia = members[a]
-            for b in range(a + 1, m):
-                ib = members[b]
-                pairs.add((ia, ib) if ia < ib else (ib, ia))
-    if not pairs:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
-    arr = np.array(sorted(pairs), dtype=int)
-    return arr[:, 0], arr[:, 1]
-
-
-def _all_pairs(n: int):
-    ii, jj = np.triu_indices(n, k=1)
-    return ii, jj
-
-
 def self_intersections(
     surface: FlatSurface,
     trace_: GeodesicTrace,
@@ -156,21 +119,14 @@ def self_intersections(
     Pairs meeting at the same point with the same line direction (within
     ``angle_tol``, projectively) are periodic retracing and are excluded.
     Events seen in two charts (crossings on a gluing edge) are merged.
+    ``surface`` is not read: the chords carry their chart coordinates.
     """
-    diam = surface._trace_tables().scale
-    events: list[tuple[float, float, int, float, float]] = []
+    events: list[tuple[float, float, int, float, float, float]] = []
     for tri, (P, D, L, T0, _idx) in _chart_arrays(trace_).items():
         n = len(P)
         if n < 2:
             continue
-        if n <= _HASH_THRESHOLD:
-            ii, jj = _all_pairs(n)
-        else:
-            med = float(np.median(L))
-            cell = min(max(med, diam / 200.0), diam / 10.0)
-            ii, jj = _candidate_pairs(P, D, L, cell)
-            if len(ii) == 0:
-                continue
+        ii, jj = np.triu_indices(n, k=1)
         Pi, Pj = P[ii], P[jj]
         Di, Dj = D[ii], D[jj]
         Li, Lj = L[ii], L[jj]
@@ -254,8 +210,8 @@ def density_estimate(
     two or more transitions are undercounted, so the estimate is
     conservative.
     """
-    if epsilon <= 0 or samples <= 0:
-        raise ValueError("epsilon and samples must be positive")
+    if not 0.0 < epsilon < math.inf or samples <= 0:
+        raise ValueError("epsilon must be positive and finite, samples positive")
     charts = _chart_arrays(trace_)
     pts = _sample_points(surface, samples, seed)
     covered = 0

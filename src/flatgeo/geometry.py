@@ -208,11 +208,3 @@ class PlaneIsometry:
             and abs(self.tx) <= tol
             and abs(self.ty) <= tol
         )
-
-    def approx_equal(self, other: "PlaneIsometry", tol: float = 1e-9) -> bool:
-        return (
-            self.reflect == other.reflect
-            and angle_distance_mod(self.angle, other.angle, TWO_PI) <= tol
-            and abs(self.tx - other.tx) <= tol
-            and abs(self.ty - other.ty) <= tol
-        )

@@ -109,7 +109,7 @@ def render_surface(surface: FlatSurface, spec: RenderSpec | None = None) -> str:
         canvas.polygon(pts, spec.face_fills[i % len(spec.face_fills)], spec.edge_color, stroke)
         for k, pt in enumerate(pts):
             v = surface.vertex_of(t.id, k)
-            color = spec.cone_color if v.is_cone() else spec.flat_vertex_color
+            color = spec.cone_color if v.is_cone(surface.tolerance) else spec.flat_vertex_color
             canvas.circle(pt, 2.2 * stroke, color)
     return canvas.to_svg()
 

@@ -177,20 +177,15 @@ class FlatSurface:
     def area(self) -> float:
         return sum(t.signed_area() for t in self.triangles)
 
-    def cone_points(self, tol: float | None = None) -> list[VertexClass]:
-        tol = self.tolerance if tol is None else tol
-        return [v for v in self.vertex_classes if v.is_cone(tol)]
-
-    def curvatures(self, cone_only: bool = False) -> list[float]:
-        vs = self.cone_points() if cone_only else self.vertex_classes
-        return sorted(v.curvature for v in vs)
+    def cone_points(self) -> list[VertexClass]:
+        return [v for v in self.vertex_classes if v.is_cone(self.tolerance)]
 
     def _trace_tables(self):
         # Built lazily; see tracer.py for the layout.
         if self._trace_tables_cache is None:
-            from .tracer import _build_trace_tables
+            from .tracer import _TraceTables
 
-            self._trace_tables_cache = _build_trace_tables(self)
+            self._trace_tables_cache = _TraceTables(self)
         return self._trace_tables_cache
 
 
@@ -200,6 +195,8 @@ def _validate_triangles(triangles, tol: float) -> None:
         if t.id in seen:
             raise DegenerateTriangle(f"duplicate triangle id {t.id}")
         seen.add(t.id)
+        if not all(math.isfinite(x) for c in t.corners for x in c):
+            raise DegenerateTriangle(f"triangle {t.id} has a non-finite corner")
         area = t.signed_area()
         if area <= tol:
             raise DegenerateTriangle(

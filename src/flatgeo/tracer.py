@@ -101,17 +101,13 @@ class _TraceTables:
             for k in range(3):
                 ci = surface.corner_class[(t.id, k)]
                 cls_idx.append(ci)
-                cone_flags.append(surface.vertex_classes[ci].is_cone())
+                cone_flags.append(surface.vertex_classes[ci].is_cone(surface.tolerance))
             self.cone.append(tuple(cone_flags))
             self.cls.append(tuple(cls_idx))
         self.scale = scale
         self.min_height = min(
             2.0 * t.signed_area() / max(t.edge_length(k) for k in range(3)) for t in tris
         )
-
-
-def _build_trace_tables(surface: FlatSurface) -> _TraceTables:
-    return _TraceTables(surface)
 
 
 def trace(
@@ -121,10 +117,12 @@ def trace(
     vertex_clearance: float = DEFAULT_VERTEX_CLEARANCE,
 ) -> GeodesicTrace:
     """Trace the maximal strict geodesic from ``start`` up to ``max_length``."""
-    if max_length <= 0.0:
-        raise ValueError("max_length must be positive")
-    if vertex_clearance < surface.tolerance:
-        raise ValueError("vertex_clearance must be at least the surface tolerance")
+    if not 0.0 < max_length < math.inf:
+        raise ValueError("max_length must be positive and finite")
+    if not surface.tolerance <= vertex_clearance < math.inf:
+        raise ValueError("vertex_clearance must be finite and at least the surface tolerance")
+    if not all(math.isfinite(x) for x in (*start.at.xy, *start.unit)):
+        raise ValueError("start point and direction must be finite")
     tab = surface._trace_tables()
     if start.at.tri not in tab.id2dense:
         raise PointOutsideTriangle(f"no triangle with id {start.at.tri}")

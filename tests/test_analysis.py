@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ import pytest
 from conftest import edge_midpoint_tangent, incenter_point
 
 from flatgeo.analysis import (
+    EVENT_MERGE_TOL,
+    PROPER_ANGLE_TOL,
     SegmentPair,
     closed_geodesic_detect,
     coface_angle_spectrum,
@@ -24,7 +28,7 @@ from flatgeo.builders import (
     isosceles_tetrahedron,
 )
 from flatgeo.errors import CoincidentMidpoints, NotConvex
-from flatgeo.geometry import cross, segments_intersect
+from flatgeo.geometry import cross, segments_intersect, unsigned_angle
 from flatgeo.tracer import SurfacePoint, TangentDirection, locate, tangent_representatives, trace, truncate
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -161,22 +165,38 @@ def test_events_locate_consistently():
             assert match < 1e-7
 
 
-def test_spatial_hash_agrees_with_all_pairs():
-    import flatgeo.analysis as analysis
+def _pairwise_oracle(tr):
+    """Proper crossings (t1, t2), one segments_intersect call per same-chart chord pair."""
+    found = []
+    for a, b in combinations(tr.segments, 2):
+        ang = unsigned_angle(a.direction, b.direction)
+        if a.tri != b.tri or not PROPER_ANGLE_TOL < ang < math.pi - PROPER_ANGLE_TOL:
+            continue
+        if not segments_intersect(a.entry, a.exit, b.entry, b.exit, tol=1e-12):
+            continue
+        wx, wy = b.entry[0] - a.entry[0], b.entry[1] - a.entry[1]
+        denom = cross(*a.direction, *b.direction)
+        ta = a.t0 + cross(wx, wy, *b.direction) / denom
+        tb = b.t0 + cross(wx, wy, *a.direction) / denom
+        if abs(tb - ta) > EVENT_MERGE_TOL:
+            found.append((min(ta, tb), max(ta, tb)))
+    merged = []
+    for t1, t2 in sorted(found):
+        if not merged or max(abs(merged[-1][0] - t1), abs(merged[-1][1] - t2)) > EVENT_MERGE_TOL:
+            merged.append((t1, t2))
+    return merged
 
-    s = cube_surface()
-    tr = trace(s, TangentDirection(SurfacePoint(0, (0.5, 0.3)), (math.cos(0.3), math.sin(0.3))), 120.0)
-    events_auto = analysis.self_intersections(s, tr)
-    old = analysis._HASH_THRESHOLD
-    try:
-        analysis._HASH_THRESHOLD = 0  # force the hash path
-        events_hash = analysis.self_intersections(s, tr)
-    finally:
-        analysis._HASH_THRESHOLD = old
-    assert len(events_auto) == len(events_hash)
-    for a, b in zip(events_auto, events_hash):
-        assert a.t1 == pytest.approx(b.t1, abs=1e-12)
-        assert a.t2 == pytest.approx(b.t2, abs=1e-12)
+
+def test_self_intersections_match_pairwise_oracle_on_large_charts(catalog_surfaces):
+    # About 400 diameters puts more than 192 chords in one chart, the size
+    # above which a spatial hash used to stand in for the all-pairs kernel.
+    s = catalog_surfaces["klein-bottle"]
+    start = TangentDirection(incenter_point(s), (math.cos(0.3), math.sin(0.3)))
+    tr = trace(s, start, 283.0)
+    assert tr.termination.kind == "LengthReached"
+    assert max(Counter(seg.tri for seg in tr.segments).values()) > 192
+    events = [(e.t1, e.t2) for e in self_intersections(s, tr)]
+    assert events and events == _pairwise_oracle(tr)
 
 
 # --- density --------------------------------------------------------------------

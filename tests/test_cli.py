@@ -233,3 +233,26 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
     finally:
         set_metric_tolerance(1e-9)
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ("trace {torus} --angle 0.3 --length inf", "ValueError"),
+        ("scan {torus} --n 2 --length inf", "ValueError"),
+        ("trace {torus} --angle nan --length 2", "ValueError"),
+        ("scan {torus} --n 2 --length 5 --epsilon nan", "ValueError"),
+        ("trace {torus} --angle 0.3 --length 2 --clearance nan", "ValueError"),
+        ("trace {torus} --tri 0 --x nan --y 0.5 --angle 0.3 --length 2", "ValueError"),
+        ("validate {nan_torus}", "DegenerateTriangle"),
+    ],
+    ids=["trace-length-inf", "scan-length-inf", "trace-angle-nan", "scan-epsilon-nan",
+         "trace-clearance-nan", "trace-x-nan", "validate-nan-corner"],
+)
+def test_non_finite_input_exit_2(catalog_dir, tmp_path, capsys, args, error):
+    data = json.loads((catalog_dir / "unit-torus.json").read_text())
+    data["triangles"][0]["corners"][0][0] = math.nan
+    (tmp_path / "nan-torus.json").write_text(json.dumps(data))
+    argv = args.format(torus=catalog_dir / "unit-torus.json", nan_torus=tmp_path / "nan-torus.json")
+    assert main(argv.split()) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == error

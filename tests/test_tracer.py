@@ -5,9 +5,10 @@ import pytest
 
 from conftest import edge_midpoint_tangent, incenter_point
 
-from flatgeo.builders import flat_torus, isosceles_tetrahedron
+from flatgeo.builders import PolygonSpec, double_of_polygon, flat_torus, isosceles_tetrahedron
 from flatgeo.errors import ParameterOutOfRange, PointOutsideTriangle, TraceIncomplete
 from flatgeo.geometry import PlaneIsometry
+from flatgeo.render import RenderSpec, render_surface
 from flatgeo.surface import Triangle, build_surface
 from flatgeo.tracer import (
     LENGTH_REACHED,
@@ -239,3 +240,13 @@ def test_trace_requires_positive_budget(torus):
         trace(torus, TangentDirection(SurfacePoint(0, (0.5, 0.5)), (1.0, 0.0)), 0.0)
     with pytest.raises(ValueError):
         trace(torus, TangentDirection(SurfacePoint(0, (0.5, 0.5)), (1.0, 0.0)), 1.0, vertex_clearance=0.0)
+
+
+def test_tracer_and_render_use_the_surface_cone_predicate():
+    # The reflex corner doubles to a vertex of curvature ~-1e-7: flat at tolerance 1e-6.
+    s = double_of_polygon(PolygonSpec([(0, 0), (1, 0), (1, 1), (0.5, 1 - 1.25e-8), (0, 1)]), tol=1e-6)
+    cones = {v.index for v in s.cone_points()}
+    assert len(cones) == len(s.vertex_classes) - 1
+    expected = [tuple(s.corner_class[(t.id, k)] in cones for k in range(3)) for t in s.triangles]
+    assert s._trace_tables().cone == expected
+    assert render_surface(s).count(RenderSpec().cone_color) == sum(map(sum, expected))
