@@ -5,7 +5,7 @@ package traces strict geodesics, computes holonomy, classifies parallel
 surfaces, detects proper self-intersections and estimates ray density.
 """
 
-from .geometry import PlaneIsometry, metric_tolerance, set_metric_tolerance
+from .geometry import PlaneIsometry
 from .surface import (
     EdgeRef,
     FlatSurface,

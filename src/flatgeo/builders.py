@@ -21,9 +21,9 @@ from .errors import (
     UnsupportedCut,
 )
 from .geometry import (
+    METRIC_TOL,
     Vec,
     cross,
-    metric_tolerance,
     norm,
     normalize,
     point_segment_distance,
@@ -113,7 +113,7 @@ def _ear_clip(pts: tuple[Vec, ...]) -> list[tuple[int, int, int]]:
 
 
 def _double_from_triangulation(
-    pts: tuple[Vec, ...], tris: list[tuple[int, int, int]], tol: float | None = None
+    pts: tuple[Vec, ...], tris: list[tuple[int, int, int]], tol: float = METRIC_TOL
 ) -> FlatSurface:
     """Two mirror copies of a triangulated domain glued along the boundary.
 
@@ -153,7 +153,7 @@ def _double_from_triangulation(
     return build_surface(triangles, gluings, tol)
 
 
-def double_of_polygon(spec: PolygonSpec, tol: float | None = None) -> FlatSurface:
+def double_of_polygon(spec: PolygonSpec, tol: float = METRIC_TOL) -> FlatSurface:
     """Glue two mirror copies of a simple polygon along their boundary.
 
     A corner with interior angle beta becomes a vertex of curvature
@@ -163,12 +163,12 @@ def double_of_polygon(spec: PolygonSpec, tol: float | None = None) -> FlatSurfac
     return _double_from_triangulation(spec.vertices, _ear_clip(spec.vertices), tol)
 
 
-def flat_torus(u: Vec, v: Vec, tol: float | None = None) -> FlatSurface:
+def flat_torus(u: Vec, v: Vec, tol: float = METRIC_TOL) -> FlatSurface:
     """Fundamental parallelogram of the lattice (u, v), opposite sides glued."""
     u = (float(u[0]), float(u[1]))
     v = (float(v[0]), float(v[1]))
     area = cross(u[0], u[1], v[0], v[1])
-    if abs(area) <= (metric_tolerance() if tol is None else tol):
+    if abs(area) <= tol:
         raise DegenerateLattice("spanning vectors are collinear")
     if area < 0:
         u, v = v, u
@@ -184,7 +184,7 @@ def flat_torus(u: Vec, v: Vec, tol: float | None = None) -> FlatSurface:
     return build_surface([t0, t1], gl, tol)
 
 
-def isosceles_tetrahedron(sides: tuple[float, float, float], tol: float | None = None) -> FlatSurface:
+def isosceles_tetrahedron(sides: tuple[float, float, float], tol: float = METRIC_TOL) -> FlatSurface:
     """Four congruent faces glued via the standard one-big-triangle net.
 
     ``sides`` are the face's edge lengths.  Raises NotAcute when they
@@ -237,7 +237,7 @@ def _face_chart(quad3d: list[tuple[float, float, float]]) -> list[Vec]:
     return [(float((p - q[0]) @ u), float((p - q[0]) @ w)) for p in q]
 
 
-def cube_surface(tol: float | None = None) -> FlatSurface:
+def cube_surface(tol: float = METRIC_TOL) -> FlatSurface:
     """Unit cube boundary, two triangles per face.
 
     Face k owns triangles (2k, 2k+1); all eight vertices have curvature
@@ -282,7 +282,7 @@ def cube_face_partition() -> list[list[int]]:
     return [[2 * f, 2 * f + 1] for f in range(6)]
 
 
-def ring_double(tol: float | None = None) -> FlatSurface:
+def ring_double(tol: float = METRIC_TOL) -> FlatSurface:
     """Double of a square ring whose hole is a 45-degree-rotated square.
 
     All eight vertices have curvature +pi (outer corners) or -pi (hole
@@ -315,7 +315,7 @@ def ring_double(tol: float | None = None) -> FlatSurface:
 
 def square_identification_surface(
     pairings: list[tuple[tuple[float, float], tuple[float, float], bool]],
-    tol: float | None = None,
+    tol: float = METRIC_TOL,
 ) -> FlatSurface:
     """Quotient of the unit square by identified boundary arcs.
 
@@ -327,7 +327,6 @@ def square_identification_surface(
     convention).  Arcs must not contain a corner in their interior and
     must partition the whole boundary.
     """
-    tol = metric_tolerance() if tol is None else tol
 
     def boundary_point(s: float) -> Vec:
         s = s % 4.0
@@ -389,7 +388,7 @@ def square_identification_surface(
     return build_surface(tris, gluings, tol)
 
 
-def klein_bottle(tol: float | None = None) -> FlatSurface:
+def klein_bottle(tol: float = METRIC_TOL) -> FlatSurface:
     """Unit square with one straight and one orientation-flipped side pair."""
     return square_identification_surface(
         [

@@ -3,7 +3,8 @@
 Commands: validate, classify, trace, scan, catalog, render.
 Exit codes: 0 success (or parallel verdict), 1 negative verdict,
 2 input/validation error, 3 I/O error.  The environment variable
-FLATGEO_TOLERANCE overrides the global metric tolerance.
+FLATGEO_TOLERANCE sets the metric tolerance of the surfaces a command
+loads (default 1e-9); it must be positive and finite.
 
 Chart convention: points are given as a triangle id plus (x, y) in that
 triangle's own chart; there are no global coordinates.
@@ -19,7 +20,7 @@ import sys
 from . import builders
 from .analysis import closed_geodesic_detect, direction_scan
 from .errors import FlatgeoError
-from .geometry import set_metric_tolerance
+from .geometry import METRIC_TOL
 from .holonomy import curvature_test, is_parallel
 from .jsonio import manifest_entry, manifest_to_json, surface_from_json, surface_to_json, trace_to_json
 from .render import RenderSpec, render_surface, render_unfolded
@@ -32,14 +33,14 @@ EXIT_INPUT = 2
 EXIT_IO = 3
 
 
-def _load_surface(path: str) -> FlatSurface:
+def _load_surface(args) -> FlatSurface:
     try:
-        with open(path) as fh:
+        with open(args.surface) as fh:
             text = fh.read()
     except OSError as e:
         raise _IOFailure(str(e)) from e
     try:
-        return surface_from_json(text)
+        return surface_from_json(text, args.tolerance)
     except (KeyError, TypeError, IndexError) as e:
         raise FlatgeoError(f"malformed surface JSON: {e!r}") from e
 
@@ -54,7 +55,7 @@ def _error_json(err: Exception) -> str:
 
 
 def cmd_validate(args) -> int:
-    surface = _load_surface(args.surface)
+    surface = _load_surface(args)
     report = {
         "valid": True,
         "triangles": len(surface.triangles),
@@ -71,7 +72,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    surface = _load_surface(args.surface)
+    surface = _load_surface(args)
     verdict = is_parallel(surface)
     out = verdict.to_json_dict()
     passed, offending = curvature_test(surface)
@@ -117,7 +118,7 @@ def _incenter(surface: FlatSurface, tri_id: int):
 
 
 def cmd_trace(args) -> int:
-    surface = _load_surface(args.surface)
+    surface = _load_surface(args)
     start = _start_tangent(surface, args)
     tr = trace(surface, start, args.length, args.clearance)
     period = closed_geodesic_detect(surface, tr, tol=1e-6)
@@ -132,7 +133,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    surface = _load_surface(args.surface)
+    surface = _load_surface(args)
     start = _start_tangent(surface, args)
     result = direction_scan(
         surface,
@@ -181,7 +182,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_render(args) -> int:
-    surface = _load_surface(args.surface)
+    surface = _load_surface(args)
     svg = render_surface(surface, RenderSpec())
     try:
         with open(args.out, "w") as fh:
@@ -242,13 +243,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     env_tol = os.environ.get("FLATGEO_TOLERANCE")
-    if env_tol:
-        try:
-            set_metric_tolerance(float(env_tol))
-        except ValueError:
-            print(_error_json(ValueError(f"bad FLATGEO_TOLERANCE {env_tol!r}")), file=sys.stderr, end="")
-            return EXIT_INPUT
+    try:
+        tolerance = float(env_tol) if env_tol else METRIC_TOL
+    except ValueError:
+        tolerance = math.nan
+    if not 0.0 < tolerance < math.inf:
+        print(_error_json(ValueError(f"bad FLATGEO_TOLERANCE {env_tol!r}")), file=sys.stderr, end="")
+        return EXIT_INPUT
     args = _build_parser().parse_args(argv)
+    args.tolerance = tolerance
     try:
         return args.func(args)
     except _IOFailure as e:

@@ -1,9 +1,9 @@
 """Planar primitives and rigid isometries.
 
-All charts use ordinary double precision. A single metric tolerance
-(default 1e-9, overridable via :func:`set_metric_tolerance`) governs
-validation throughout the package; exact arithmetic is deliberately not
-used so tracing stays fast.
+All charts use ordinary double precision. Each surface carries one
+metric tolerance (``METRIC_TOL`` unless its builder is given another)
+that governs its validation; exact arithmetic is deliberately not used
+so tracing stays fast.
 """
 from __future__ import annotations
 
@@ -14,18 +14,7 @@ Vec = tuple[float, float]
 
 TWO_PI = 2.0 * math.pi
 
-_METRIC_TOL = 1e-9
-
-
-def metric_tolerance() -> float:
-    return _METRIC_TOL
-
-
-def set_metric_tolerance(tol: float) -> None:
-    global _METRIC_TOL
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    _METRIC_TOL = float(tol)
+METRIC_TOL = 1e-9
 
 
 def cross(ax: float, ay: float, bx: float, by: float) -> float:

@@ -3,8 +3,10 @@
 The punctured surface deformation-retracts onto the dual 1-skeleton
 (each triangle minus its corners retracts to a central tripod), so the
 loops defined by a dual spanning tree plus one non-tree gluing generate
-the holonomy group.  A surface is *parallel* when every generator's
-linear part is a rotation by a multiple of pi.
+the holonomy group.  The tree and each chart's isometry into the root
+chart are built once with the surface (``FlatSurface.tree_gluing`` and
+``FlatSurface.chart_to_root``).  A surface is *parallel* when every
+generator's linear part is a rotation by a multiple of pi.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .geometry import (
     point_segment_distance,
     wrap_angle,
 )
-from .surface import FlatSurface, VertexClass, _other_germ
+from .surface import FlatSurface, VertexClass
 from .tracer import SurfacePoint, TangentDirection
 
 # Resolution of the classifier: surfaces built from doubles cannot encode
@@ -118,50 +120,21 @@ def transport_across(
     raise PointNotOnEdge(f"base point {pt} is not on either side of gluing {gluing}")
 
 
-def _dual_spanning_tree(surface: FlatSurface):
-    """BFS tree from the lowest triangle id, neighbors in gluing-index order.
-
-    Returns (chart-to-root isometry per triangle, tree path to root as
-    gluing ids per triangle, list of non-tree gluing indices).
-    """
-    adj: dict[int, list[tuple[int, int]]] = {t.id: [] for t in surface.triangles}
-    for gi, g in enumerate(surface.gluings):
-        adj[g.a.tri].append((gi, g.b.tri))
-        adj[g.b.tri].append((gi, g.a.tri))
-    root = min(adj)
-    to_root: dict[int, PlaneIsometry] = {root: PlaneIsometry.identity()}
-    path: dict[int, list[int]] = {root: []}
-    tree_edges: set[int] = set()
-    queue = [root]
-    while queue:
-        cur = queue.pop(0)
-        for gi, other in sorted(adj[cur]):
-            if other in to_root:
-                continue
-            g = surface.gluings[gi]
-            step = surface.transitions[gi] if g.a.tri == cur else surface.transitions[gi].inverse()
-            # step maps chart(cur) -> chart(other); invert to go back.
-            to_root[other] = to_root[cur].compose(step.inverse())
-            path[other] = path[cur] + [gi]
-            tree_edges.add(gi)
-            queue.append(other)
-    non_tree = [gi for gi in range(len(surface.gluings)) if gi not in tree_edges]
-    return to_root, path, non_tree
-
-
 def holonomy_generators(
     surface: FlatSurface,
 ) -> list[tuple[tuple[int, ...], HolonomyElement]]:
     """One generator per non-tree gluing: (dual loop as gluing ids, element)."""
-    to_root, path, non_tree = _dual_spanning_tree(surface)
+    to_root = surface.chart_to_root
+    tree = set(surface.tree_gluing.values())
     out = []
-    for gi in non_tree:
-        g = surface.gluings[gi]
+    for gi, g in enumerate(surface.gluings):
+        if gi in tree:
+            continue
         # Loop based at the root: tree to a-side, cross gi, tree back.
         hol = to_root[g.b.tri].compose(surface.transitions[gi]).compose(
             to_root[g.a.tri].inverse()
         )
-        loop = tuple(path[g.a.tri] + [gi] + list(reversed(path[g.b.tri])))
+        loop = tuple(surface.tree_path(g.a.tri) + [gi] + surface.tree_path(g.b.tri)[::-1])
         out.append((loop, HolonomyElement.from_isometry(hol)))
     return out
 
@@ -195,21 +168,7 @@ def vertex_holonomy(surface: FlatSurface, v: VertexClass) -> HolonomyElement:
     Equals the rotation by minus the vertex curvature (mod 2*pi), which the
     consistency tests assert against the cone angle.
     """
-    tri_id, corner = v.corners[0]
-    germ = (tri_id, corner, 0)
-    iso = PlaneIsometry.identity()
-    cur = germ
-    while True:
-        t_id, e, end = cur
-        gi, side = surface.edge_gluing[(t_id, e)]
-        g = surface.gluings[gi]
-        step = surface.transitions[gi] if side == 0 else surface.transitions[gi].inverse()
-        iso = step.compose(iso)
-        new_end = end if g.reversed else 1 - end
-        other = g.b if side == 0 else g.a
-        cur = _other_germ((other.tri, other.edge, new_end))
-        if cur == germ:
-            break
+    *_, (_tri, _corner, iso) = surface.corner_fan(*v.corners[0])
     return HolonomyElement.from_isometry(iso)
 
 
@@ -226,9 +185,9 @@ def is_parallel(surface: FlatSurface, tol: float = ANGLE_TOL) -> ParallelVerdict
     for loop, elem in gens:
         if not elem.is_half_turn_multiple(tol):
             return ParallelVerdict(False, witness_loop=loop, witness=elem)
-    to_root, _path, _non_tree = _dual_spanning_tree(surface)
     angles = {
-        tri_id: iso.inverse().apply_line_angle(0.0) for tri_id, iso in to_root.items()
+        tri_id: iso.inverse().apply_line_angle(0.0)
+        for tri_id, iso in surface.chart_to_root.items()
     }
     return ParallelVerdict(True, field=LineField(angles))
 

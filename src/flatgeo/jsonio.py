@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 
+from .geometry import METRIC_TOL
 from .surface import EdgeRef, FlatSurface, Gluing, Triangle, build_surface
 from .tracer import (
     LEFT_DOMAIN,
@@ -50,7 +51,7 @@ def surface_to_json(surface: FlatSurface) -> str:
     return "".join(parts) + "\n"
 
 
-def surface_from_json(text: str, tol: float | None = None) -> FlatSurface:
+def surface_from_json(text: str, tol: float = METRIC_TOL) -> FlatSurface:
     data = json.loads(text)
     triangles = [
         Triangle(int(t["id"]), tuple((float(x), float(y)) for x, y in t["corners"]))

@@ -13,6 +13,7 @@ start to start.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,11 +24,11 @@ from .errors import (
     UnmatchedEdge,
 )
 from .geometry import (
+    METRIC_TOL,
     TWO_PI,
     PlaneIsometry,
     Vec,
     cross,
-    metric_tolerance,
     norm,
 )
 
@@ -110,52 +111,131 @@ class VertexClass:
         return abs(self.curvature) > tol
 
 
-# A germ is one end of one edge: (triangle id, edge index, end in {0,1}).
-# End 0 sits at the edge's start corner, end 1 at its end corner.
-
-
-def _germ_corner(germ: tuple[int, int, int]) -> tuple[int, int]:
-    t, e, end = germ
-    return (t, (e + end) % 3)
-
-
-def _other_germ(germ: tuple[int, int, int]) -> tuple[int, int, int]:
-    t, e, end = germ
-    k = (e + end) % 3
-    if end == 0:
-        return (t, (k - 1) % 3, 1)
-    return (t, k, 0)
-
-
 class FlatSurface:
-    """A validated closed flat surface. Construct via :func:`build_surface`."""
+    """A validated closed flat surface. Construct via :func:`build_surface`.
+
+    Construction walks the gluings twice.  A breadth-first search of the
+    dual graph (root = lowest triangle id, neighbours in gluing order)
+    gives connectivity, the dual spanning tree (``tree_gluing``: the
+    gluing to each non-root triangle's parent) and each chart's isometry
+    into the root chart (``chart_to_root``).  A triangle's orientation
+    sign is the ``reflect`` bit of its chart-to-root isometry, because
+    every reversed gluing's transition is a reflection.  The corner fans
+    (:meth:`corner_fan`) then give the vertex classes.
+    """
 
     def __init__(
         self,
         triangles: tuple[Triangle, ...],
         gluings: tuple[Gluing, ...],
         transitions: tuple[PlaneIsometry, ...],
-        vertex_classes: tuple[VertexClass, ...],
-        corner_class: dict[tuple[int, int], int],
         edge_gluing: dict[tuple[int, int], tuple[int, int]],
-        euler_characteristic: int,
-        orientable: bool,
-        orientation_witness: list[int] | None,
         tolerance: float,
     ):
         self.triangles = triangles
         self.gluings = gluings
         self.transitions = transitions
-        self.vertex_classes = vertex_classes
-        self.corner_class = corner_class
         self.edge_gluing = edge_gluing
-        self.euler_characteristic = euler_characteristic
-        self.orientable = orientable
-        self.orientation_witness = orientation_witness
         self.tolerance = tolerance
         self.patch_triangle_ids: tuple[int, ...] = ()  # set by cut-and-glue builders
         self._by_id = {t.id: t for t in triangles}
         self._trace_tables_cache = None
+        self._grow_dual_tree()
+        self._walk_vertex_classes()
+        self.euler_characteristic = len(self.vertex_classes) - len(gluings) + len(triangles)
+
+    def _grow_dual_tree(self) -> None:
+        adj: dict[int, list[tuple[int, int]]] = {t.id: [] for t in self.triangles}
+        for gi, g in enumerate(self.gluings):
+            adj[g.a.tri].append((gi, g.b.tri))
+            adj[g.b.tri].append((gi, g.a.tri))
+        root = min(adj)
+        to_root: dict[int, PlaneIsometry] = {root: PlaneIsometry.identity()}
+        self.tree_gluing: dict[int, int] = {}
+        self.orientation_witness: list[int] | None = None
+        queue = deque([root])
+        while queue:
+            cur = queue.popleft()
+            for gi, other in sorted(adj[cur]):
+                g = self.gluings[gi]
+                if other not in to_root:
+                    step = self.transitions[gi] if g.a.tri == cur else self.transitions[gi].inverse()
+                    # step maps chart(cur) -> chart(other); invert to go back.
+                    to_root[other] = to_root[cur].compose(step.inverse())
+                    self.tree_gluing[other] = gi
+                    queue.append(other)
+                elif self.orientation_witness is None and (
+                    to_root[other].reflect != (to_root[cur].reflect != g.reversed)
+                ):
+                    # Orientation-reversing dual loop: tree paths to root plus gi.
+                    self.orientation_witness = (
+                        self.tree_path(cur) + [gi] + self.tree_path(other)[::-1]
+                    )
+        if len(to_root) != len(adj):
+            missing = sorted(set(adj) - set(to_root))
+            raise Disconnected(f"triangles {missing} are not connected to triangle {root}")
+        self.chart_to_root = to_root
+        self.orientable = self.orientation_witness is None
+
+    def tree_path(self, tri_id: int) -> list[int]:
+        """Gluing ids along the dual spanning tree from the root triangle to ``tri_id``."""
+        path = []
+        while tri_id in self.tree_gluing:
+            gi = self.tree_gluing[tri_id]
+            path.append(gi)
+            g = self.gluings[gi]
+            tri_id = g.b.tri if g.a.tri == tri_id else g.a.tri
+        return path[::-1]
+
+    def corner_fan(self, tri_id: int, corner: int):
+        """Walk once around the vertex at a triangle corner, one gluing per step.
+
+        Yields ``(tri_id, corner, iso)`` for each corner reached, with
+        ``iso`` mapping the start chart to that corner's chart.  The walk
+        ends at the start corner, so the last ``iso`` is the holonomy of
+        the loop around the vertex.
+        """
+        # A germ is one end of one edge: (triangle id, edge index, end in {0,1}).
+        # End 0 sits at the edge's start corner, end 1 at its end corner.
+        start = (tri_id, corner, 0)
+        germ = start
+        iso = PlaneIsometry.identity()
+        while True:
+            t, e, end = germ
+            gi, side = self.edge_gluing[(t, e)]
+            g = self.gluings[gi]
+            step = self.transitions[gi] if side == 0 else self.transitions[gi].inverse()
+            iso = step.compose(iso)
+            other = g.b if side == 0 else g.a
+            end = end if g.reversed else 1 - end
+            # Arrived at one end of other.edge; leave by the corner's other edge.
+            k = (other.edge + end) % 3
+            germ = (other.tri, (k - 1) % 3, 1) if end == 0 else (other.tri, k, 0)
+            yield other.tri, k, iso
+            if germ == start:
+                return
+
+    def _walk_vertex_classes(self) -> None:
+        classes: list[VertexClass] = []
+        corner_class: dict[tuple[int, int], int] = {}
+        for t in self.triangles:
+            for k in range(3):
+                if (t.id, k) in corner_class:
+                    continue
+                fan = [(tri_id, c) for tri_id, c, _iso in self.corner_fan(t.id, k)]
+                cycle = [fan[-1]] + fan[:-1]
+                angle = 0.0
+                for tri_id, c in cycle:
+                    angle += self._by_id[tri_id].angle_at(c)
+                idx = len(classes)
+                classes.append(VertexClass(idx, tuple(cycle), angle))
+                for c in cycle:
+                    corner_class[c] = idx
+        total_corners = sum(len(v.corners) for v in classes)
+        if total_corners != 3 * len(self.triangles):
+            raise UnmatchedEdge("corner cycles do not partition the corners")
+        self.vertex_classes = tuple(classes)
+        self.corner_class = corner_class
 
     def triangle(self, tri_id: int) -> Triangle:
         return self._by_id[tri_id]
@@ -233,97 +313,16 @@ def _transition_for(surface_tris: dict[int, Triangle], g: Gluing) -> PlaneIsomet
     return PlaneIsometry.from_point_pairs(a0, a1, b1, b0, reflect=False)
 
 
-def _walk_vertex_classes(triangles, gluings, edge_gluing):
-    classes: list[VertexClass] = []
-    corner_class: dict[tuple[int, int], int] = {}
-    by_id = {t.id: t for t in triangles}
-    visited: set[tuple[int, int, int]] = set()
-
-    def cross_germ(germ):
-        t, e, end = germ
-        gi, side = edge_gluing[(t, e)]
-        g = gluings[gi]
-        other = g.b if side == 0 else g.a
-        new_end = end if g.reversed else 1 - end
-        return (other.tri, other.edge, new_end)
-
-    for t in triangles:
-        for k in range(3):
-            g0 = (t.id, k, 0)
-            if g0 in visited:
-                continue
-            cycle: list[tuple[int, int]] = []
-            angle = 0.0
-            g = g0
-            while True:
-                visited.add(g)
-                tri_id, corner = _germ_corner(g)
-                cycle.append((tri_id, corner))
-                angle += by_id[tri_id].angle_at(corner)
-                h = cross_germ(g)
-                visited.add(h)
-                g = _other_germ(h)
-                if g == g0:
-                    break
-            idx = len(classes)
-            classes.append(VertexClass(idx, tuple(cycle), angle))
-            for c in cycle:
-                corner_class[c] = idx
-
-    total_corners = sum(len(v.corners) for v in classes)
-    if total_corners != 3 * len(triangles):
-        raise UnmatchedEdge("corner cycles do not partition the corners")
-    return tuple(classes), corner_class
-
-
-def _orient_and_connect(triangles, gluings):
-    """BFS the dual graph: connectivity, orientability, witness loop."""
-    adj: dict[int, list[tuple[int, int]]] = {t.id: [] for t in triangles}
-    for gi, g in enumerate(gluings):
-        adj[g.a.tri].append((gi, g.b.tri))
-        adj[g.b.tri].append((gi, g.a.tri))
-
-    root = min(adj)
-    sign = {root: 1}
-    parent_edge: dict[int, int] = {}
-    order = [root]
-    queue = [root]
-    witness: list[int] | None = None
-    while queue:
-        cur = queue.pop(0)
-        for gi, other in sorted(adj[cur]):
-            flip = -1 if gluings[gi].reversed else 1
-            if other not in sign:
-                sign[other] = sign[cur] * flip
-                parent_edge[other] = gi
-                order.append(other)
-                queue.append(other)
-            elif witness is None and sign[other] != sign[cur] * flip:
-                # Orientation-reversing dual loop: tree paths to root plus gi.
-                def path_up(t):
-                    out = []
-                    while t != root:
-                        gi2 = parent_edge[t]
-                        out.append(gi2)
-                        g2 = gluings[gi2]
-                        t = g2.b.tri if g2.a.tri == t else g2.a.tri
-                    return out
-
-                witness = list(reversed(path_up(cur))) + [gi] + path_up(other)
-    if len(sign) != len(adj):
-        missing = sorted(set(adj) - set(sign))
-        raise Disconnected(f"triangles {missing} are not connected to triangle {root}")
-    return witness is None, witness
-
-
-def build_surface(triangles, gluings, tol: float | None = None) -> FlatSurface:
+def build_surface(triangles, gluings, tol: float = METRIC_TOL) -> FlatSurface:
     """Validate triangles and gluings and derive all global structure.
 
     Raises DegenerateTriangle, UnmatchedEdge, LengthMismatch or
-    Disconnected on invalid input.  The result carries transition
-    isometries, vertex classes, Euler characteristic and orientability.
+    Disconnected on invalid input, and ValueError unless ``tol`` is
+    positive and finite.  The result carries transition isometries,
+    vertex classes, Euler characteristic and orientability.
     """
-    tol = metric_tolerance() if tol is None else tol
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     if not triangles or not gluings:
         raise UnmatchedEdge("need at least one triangle and one gluing")
     triangles = tuple(
@@ -362,26 +361,11 @@ def build_surface(triangles, gluings, tol: float | None = None) -> FlatSurface:
             if norm(img[0] - dst[0], img[1] - dst[1]) > 1e-9 + tol:
                 raise LengthMismatch(f"gluing {gi}: transition fails endpoint audit")
 
-    orientable, witness = _orient_and_connect(triangles, gluings)
-    vertex_classes, corner_class = _walk_vertex_classes(triangles, gluings, edge_gluing)
-
-    euler = len(vertex_classes) - len(gluings) + len(triangles)
-    residual = abs(sum(v.curvature for v in vertex_classes) - TWO_PI * euler)
+    surface = FlatSurface(triangles, gluings, transitions, edge_gluing, tol)
+    residual = gauss_bonnet_check(surface)
     if residual > max(tol, 1e-9):
         raise LengthMismatch(f"curvature audit failed: residual {residual:.3e}")
-
-    return FlatSurface(
-        triangles,
-        gluings,
-        transitions,
-        vertex_classes,
-        corner_class,
-        edge_gluing,
-        euler,
-        orientable,
-        witness,
-        tol,
-    )
+    return surface
 
 
 def curvature(surface: FlatSurface, v: VertexClass) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ParameterOutOfRange, PointOutsideTriangle, TraceIncomplete
 from .geometry import PlaneIsometry, Vec, normalize, point_segment_distance
-from .surface import FlatSurface, _other_germ
+from .surface import FlatSurface
 
 DEFAULT_VERTEX_CLEARANCE = 1e-7
 
@@ -141,7 +141,10 @@ def trace(
     clearance2 = vertex_clearance * vertex_clearance
     t_eps = 1e-13 * (1.0 + tab.scale)
     segments: list[TraceSegment] = []
-    max_steps = int(50.0 * max_length / max(tab.min_height, 1e-9)) + 10000
+    step_budget = 50.0 * max_length / max(tab.min_height, 1e-9)
+    if step_budget == math.inf:
+        raise ValueError("max_length is too long for the step budget")
+    max_steps = int(step_budget) + 10000
 
     corners = tab.corners
     edges = tab.edges
@@ -367,23 +370,9 @@ def tangent_representatives(
     for k in range(3):
         c = tri.corner(k)
         if math.hypot(point.xy[0] - c[0], point.xy[1] - c[1]) <= tol:
-            # Walk the corner fan, composing transitions chart to chart.
-            germ = (point.tri, k, 0)
-            iso = PlaneIsometry.identity()
-            cur = germ
-            while True:
-                t_id, e, end = cur
-                gi, side = surface.edge_gluing[(t_id, e)]
-                g = surface.gluings[gi]
-                step = surface.transitions[gi] if side == 0 else surface.transitions[gi].inverse()
-                other = g.b if side == 0 else g.a
-                iso = step.compose(iso)
-                new_end = end if g.reversed else 1 - end
-                arrived = (other.tri, other.edge, new_end)
-                cur = _other_germ(arrived)
-                if cur == germ:
-                    break
-                add(cur[0], iso.apply(point.xy), iso.apply_vector(vector))
+            # The fan's last chart is the start chart again, already listed.
+            for tri_id, _corner, iso in list(surface.corner_fan(point.tri, k))[:-1]:
+                add(tri_id, iso.apply(point.xy), iso.apply_vector(vector))
     return reps
 
 

@@ -212,7 +212,7 @@ def test_trace_svg_output(catalog_dir, tmp_path, capsys):
     assert "<line" in out.read_text()
 
 
-def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
+def test_tolerance_env_override(catalog_dir, tmp_path, capsys, monkeypatch):
     # a 1e-8 length mismatch passes once the tolerance is loosened
     bad = tmp_path / "near.json"
     eps = 1e-8
@@ -223,16 +223,23 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
         ' {"a": [0,1], "b": [1,2], "reversed": false},'
         ' {"a": [0,2], "b": [1,0], "reversed": false}]}'
     )
-    from flatgeo.geometry import set_metric_tolerance
-
-    try:
-        assert main(["validate", str(bad)]) == 2
-        capsys.readouterr()
-        monkeypatch.setenv("FLATGEO_TOLERANCE", "1e-6")
-        assert main(["validate", str(bad)]) == 0
-        capsys.readouterr()
-    finally:
-        set_metric_tolerance(1e-9)
+    assert main(["validate", str(bad)]) == 2
+    capsys.readouterr()
+    monkeypatch.setenv("FLATGEO_TOLERANCE", "1e-6")
+    assert main(["validate", str(bad)]) == 0
+    capsys.readouterr()
+    # the override applies to that call only
+    monkeypatch.delenv("FLATGEO_TOLERANCE")
+    assert main(["validate", str(bad)]) == 2
+    capsys.readouterr()
+    # a NaN tolerance would switch off every check (the cube would pass with
+    # no cone points); NaN and inf are rejected before anything is loaded
+    for value in ("nan", "inf"):
+        monkeypatch.setenv("FLATGEO_TOLERANCE", value)
+        assert main(["validate", str(catalog_dir / "cube.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ValueError"
 
 
 @pytest.mark.parametrize(
@@ -240,13 +247,16 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     [
         ("trace {torus} --angle 0.3 --length inf", "ValueError"),
         ("scan {torus} --n 2 --length inf", "ValueError"),
+        ("trace {torus} --angle 0.3 --length 1e308", "ValueError"),
+        ("scan {torus} --n 2 --length 1e308", "ValueError"),
         ("trace {torus} --angle nan --length 2", "ValueError"),
         ("scan {torus} --n 2 --length 5 --epsilon nan", "ValueError"),
         ("trace {torus} --angle 0.3 --length 2 --clearance nan", "ValueError"),
         ("trace {torus} --tri 0 --x nan --y 0.5 --angle 0.3 --length 2", "ValueError"),
         ("validate {nan_torus}", "DegenerateTriangle"),
     ],
-    ids=["trace-length-inf", "scan-length-inf", "trace-angle-nan", "scan-epsilon-nan",
+    ids=["trace-length-inf", "scan-length-inf", "trace-length-1e308", "scan-length-1e308",
+         "trace-angle-nan", "scan-epsilon-nan",
          "trace-clearance-nan", "trace-x-nan", "validate-nan-corner"],
 )
 def test_non_finite_input_exit_2(catalog_dir, tmp_path, capsys, args, error):
