@@ -1,12 +1,16 @@
 """Self-intersection detection, density estimation, and angle audits.
 
 Intersections are found per chart: every pair of trace chords living in
-the same triangle is tested at once with numpy.  This module is the
-package's performance core.
+the same triangle is tested at once with numpy.  The events of all charts
+are sorted and merged as numpy columns and returned as an
+``IntersectionEvents`` sequence, which builds an ``IntersectionEvent``
+only when one is read; ``earliest()`` picks the first crossing without
+building the others.  This module is the package's performance core.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +90,57 @@ class IntersectionEvent:
     angle: float  # between the two passes, folded to (0, pi)
 
 
+class IntersectionEvents(Sequence):
+    """Read-only sequence of IntersectionEvent backed by numpy columns.
+
+    The columns ``t1``, ``t2``, ``tri``, ``px``, ``py`` and ``angle`` are
+    ordered by (t1, t2); an event object is built only when one is read.
+    Equality is element-wise with any sequence, so ``events == []`` holds
+    for a trace without crossings.
+    """
+
+    __slots__ = ("t1", "t2", "tri", "px", "py", "angle")
+
+    def __init__(self, t1, t2, tri, px, py, angle):
+        for name, col in zip(self.__slots__, (t1, t2, tri, px, py, angle)):
+            col = np.asarray(col).view()
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IntersectionEvents is read-only")
+
+    def __len__(self) -> int:
+        return len(self.t1)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return IntersectionEvents(*(getattr(self, c)[index] for c in self.__slots__))
+        k = range(len(self))[index]
+        return IntersectionEvent(
+            float(self.t1[k]),
+            float(self.t2[k]),
+            SurfacePoint(int(self.tri[k]), (float(self.px[k]), float(self.py[k]))),
+            float(self.angle[k]),
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"<IntersectionEvents: {len(self)} events>"
+
+    def earliest(self) -> IntersectionEvent:
+        """The event with the smallest (t2, t1); the first one on ties."""
+        if not len(self):
+            raise ValueError("no events")
+        return self[int(np.lexsort((self.t1, self.t2))[0])]
+
+
 @dataclass(frozen=True)
 class DensityReport:
     epsilon: float
@@ -94,74 +149,99 @@ class DensityReport:
 
 
 def _chart_arrays(trace_: GeodesicTrace):
-    """Group trace chords by chart: tri -> (P, D, L, T0, index)."""
-    by_tri: dict[int, list[int]] = {}
-    for i, seg in enumerate(trace_.segments):
-        by_tri.setdefault(seg.tri, []).append(i)
-    out = {}
-    segs = trace_.segments
-    for tri, idxs in by_tri.items():
-        P = np.array([segs[i].entry for i in idxs], dtype=float)
-        D = np.array([segs[i].direction for i in idxs], dtype=float)
-        L = np.array([segs[i].length for i in idxs], dtype=float)
-        T0 = np.array([segs[i].t0 for i in idxs], dtype=float)
-        out[tri] = (P, D, L, T0, np.array(idxs))
-    return out
+    """Group trace chords by chart: tri -> (P, D, L, T0).
+
+    Charts come in order of first appearance, chords in trace order.
+    """
+    if not trace_.segments:
+        return {}
+    cols = np.array([(s.tri, *s.entry, *s.direction, s.length, s.t0) for s in trace_.segments])
+    _ids, first, inverse = np.unique(cols[:, 0], return_index=True, return_inverse=True)
+    chart_first = first[inverse]
+    order = np.argsort(chart_first, kind="stable")
+    starts = np.flatnonzero(np.diff(chart_first[order])) + 1
+    return {
+        int(c[0, 0]): (c[:, 1:3], c[:, 3:5], c[:, 5], c[:, 6])
+        for c in np.split(cols[order], starts)
+    }
+
+
+def _merge_mask(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """Events to keep, in (t1, t2) order: one dropped when both parameters
+    lie within EVENT_MERGE_TOL of the last event kept.
+
+    An event more than the tolerance past its predecessor in t1 is always
+    kept, so only runs of close t1 values are walked one by one.
+    """
+    keep = np.ones(len(t1), dtype=bool)
+    close = np.flatnonzero(np.diff(t1) <= EVENT_MERGE_TOL) + 1
+    t1l, t2l = t1.tolist(), t2.tolist()
+    last = prev = -1
+    for k in close.tolist():
+        if k - 1 != prev:
+            last = k - 1  # starts a run: its predecessor was kept
+        if abs(t1l[last] - t1l[k]) <= EVENT_MERGE_TOL and abs(t2l[last] - t2l[k]) <= EVENT_MERGE_TOL:
+            keep[k] = False
+        else:
+            last = k
+        prev = k
+    return keep
 
 
 def self_intersections(
     surface: FlatSurface,
     trace_: GeodesicTrace,
     angle_tol: float = PROPER_ANGLE_TOL,
-) -> list[IntersectionEvent]:
-    """All proper self-intersections of a trace.
+) -> IntersectionEvents:
+    """All proper self-intersections of a trace, ordered by (t1, t2).
 
     Pairs meeting at the same point with the same line direction (within
     ``angle_tol``, projectively) are periodic retracing and are excluded.
-    Events seen in two charts (crossings on a gluing edge) are merged.
+    Events seen in two charts (crossings on a gluing edge) are merged:
+    walking in (t1, t2) order, an event within EVENT_MERGE_TOL in both
+    parameters of the last event kept is dropped.  The result is columnar;
     ``surface`` is not read: the chords carry their chart coordinates.
     """
-    events: list[tuple[float, float, int, float, float, float]] = []
-    for tri, (P, D, L, T0, _idx) in _chart_arrays(trace_).items():
+    found = []
+    for tri, (P, D, L, T0) in _chart_arrays(trace_).items():
         n = len(P)
         if n < 2:
             continue
         ii, jj = np.triu_indices(n, k=1)
-        Pi, Pj = P[ii], P[jj]
-        Di, Dj = D[ii], D[jj]
-        Li, Lj = L[ii], L[jj]
-        denom = Di[:, 0] * Dj[:, 1] - Di[:, 1] * Dj[:, 0]
-        W = Pj - Pi
-        ok = np.abs(denom) > 1e-12
-        denom_safe = np.where(ok, denom, 1.0)
-        u = (W[:, 0] * Dj[:, 1] - W[:, 1] * Dj[:, 0]) / denom_safe
-        v = (W[:, 0] * Di[:, 1] - W[:, 1] * Di[:, 0]) / denom_safe
+        denom = D[ii, 0] * D[jj, 1] - D[ii, 1] * D[jj, 0]
+        # Parallel chords, all of them on a parallel surface, stop here.
+        k = np.flatnonzero(np.abs(denom) > 1e-12)
+        if not len(k):
+            continue
+        ii, jj, denom = ii[k], jj[k], denom[k]
+        ang = np.arccos(np.clip(D[ii, 0] * D[jj, 0] + D[ii, 1] * D[jj, 1], -1.0, 1.0))
+        k = np.flatnonzero((ang > angle_tol) & (ang < math.pi - angle_tol))
+        ii, jj, denom, ang = ii[k], jj[k], denom[k], ang[k]
+        dxi, dyi, dxj, dyj = D[ii, 0], D[ii, 1], D[jj, 0], D[jj, 1]
+        pxi, pyi = P[ii, 0], P[ii, 1]
+        wx, wy = P[jj, 0] - pxi, P[jj, 1] - pyi
+        u = (wx * dyj - wy * dxj) / denom
+        v = (wx * dyi - wy * dxi) / denom
         slack = 1e-12
-        ok &= (u >= -slack) & (u <= Li + slack) & (v >= -slack) & (v <= Lj + slack)
-        if not np.any(ok):
+        ok = (u >= -slack) & (u <= L[ii] + slack) & (v >= -slack) & (v <= L[jj] + slack)
+        ta = T0[ii] + u
+        tb = T0[jj] + v
+        t1, t2 = np.minimum(ta, tb), np.maximum(ta, tb)
+        k = np.flatnonzero(ok & (t2 - t1 > EVENT_MERGE_TOL))
+        if not len(k):
             continue
-        dotd = np.clip(np.sum(Di * Dj, axis=1), -1.0, 1.0)
-        ang = np.arccos(dotd)
-        ok &= (ang > angle_tol) & (ang < math.pi - angle_tol)
-        for k in np.nonzero(ok)[0]:
-            ta = float(T0[ii[k]] + u[k])
-            tb = float(T0[jj[k]] + v[k])
-            t1, t2 = (ta, tb) if ta <= tb else (tb, ta)
-            if t2 - t1 <= EVENT_MERGE_TOL:
-                continue
-            px = float(Pi[k, 0] + u[k] * Di[k, 0])
-            py = float(Pi[k, 1] + u[k] * Di[k, 1])
-            events.append((t1, t2, tri, px, py, float(ang[k])))
-
-    events.sort(key=lambda e: (e[0], e[1]))
-    merged: list[IntersectionEvent] = []
-    for t1, t2, tri, px, py, ang in events:
-        if merged and abs(merged[-1].t1 - t1) <= EVENT_MERGE_TOL and abs(
-            merged[-1].t2 - t2
-        ) <= EVENT_MERGE_TOL:
-            continue
-        merged.append(IntersectionEvent(t1, t2, SurfacePoint(tri, (px, py)), ang))
-    return merged
+        u = u[k]
+        px = pxi[k] + u * dxi[k]
+        py = pyi[k] + u * dyi[k]
+        found.append((t1[k], t2[k], np.full(len(k), tri), px, py, ang[k]))
+    if not found:
+        empty = np.empty(0)
+        return IntersectionEvents(empty, empty, empty.astype(np.int64), empty, empty, empty)
+    cols = [np.concatenate(c) for c in zip(*found)]
+    order = np.lexsort((cols[1], cols[0]))
+    cols = [c[order] for c in cols]
+    keep = _merge_mask(cols[0], cols[1])
+    return IntersectionEvents(*(c[keep] for c in cols))
 
 
 def _sample_points(surface: FlatSurface, samples: int, seed: int):
@@ -218,7 +298,7 @@ def density_estimate(
     for tri_id, P in pts.items():
         hit = np.zeros(len(P), dtype=bool)
         if tri_id in charts:
-            cP, cD, cL, _t, _i = charts[tri_id]
+            cP, cD, cL, _t = charts[tri_id]
             hit |= _min_dist_to_chords(P, cP, cD, cL) < epsilon
         for e in range(3):
             if np.all(hit):
@@ -230,7 +310,7 @@ def density_estimate(
             Q = np.empty_like(P)
             Q[:, 0] = m[0] * P[:, 0] + m[1] * P[:, 1] + m[4]
             Q[:, 1] = m[2] * P[:, 0] + m[3] * P[:, 1] + m[5]
-            cP, cD, cL, _t, _i = charts[ref.tri]
+            cP, cD, cL, _t = charts[ref.tri]
             todo = ~hit
             hit[todo] = _min_dist_to_chords(Q[todo], cP, cD, cL) < epsilon
         covered += int(np.count_nonzero(hit))
@@ -316,7 +396,7 @@ def coface_angle_spectrum(
         for tri_id in group:
             if tri_id not in charts:
                 continue
-            _P, D, _L, _T0, _i = charts[tri_id]
+            _P, D, _L, _T0 = charts[tri_id]
             m = placement[tri_id].matrix()
             for d in D:
                 dirs.append((m[0] * d[0] + m[1] * d[1], m[2] * d[0] + m[3] * d[1]))
@@ -393,8 +473,9 @@ def direction_scan(
     """Trace ``n`` seeded random directions from one point and classify each.
 
     Every direction is traced to ``length``; the verdict is VertexHit,
-    SelfIntersecting (with the earliest event) or Simple (with a density
-    report at ``epsilon``).  Deterministic given the seed.
+    SelfIntersecting (with the earliest event, the one with the smallest
+    (t2, t1) from ``IntersectionEvents.earliest``) or Simple (with a
+    density report at ``epsilon``).  Deterministic given the seed.
     """
     if n < 1:
         raise ValueError("need at least one direction")
@@ -414,7 +495,7 @@ def direction_scan(
             continue
         events = self_intersections(surface, tr)
         if events:
-            first = min(events, key=lambda e: (e.t2, e.t1))
+            first = events.earliest()
             rows.append(DirectionVerdict(i, float(ang), "self_intersecting", first_event=first))
         else:
             rep = density_estimate(surface, tr, epsilon, density_samples, seed + 1)

@@ -10,6 +10,7 @@ from conftest import edge_midpoint_tangent, incenter_point
 from flatgeo.analysis import (
     EVENT_MERGE_TOL,
     PROPER_ANGLE_TOL,
+    IntersectionEvent,
     SegmentPair,
     closed_geodesic_detect,
     coface_angle_spectrum,
@@ -165,12 +166,40 @@ def test_events_locate_consistently():
             assert match < 1e-7
 
 
+def test_intersection_events_sequence_contract():
+    s = cube_surface()
+    tr = trace(s, TangentDirection(SurfacePoint(0, (0.5, 0.3)), (math.cos(0.3), math.sin(0.3))), 50.0)
+    events = self_intersections(s, tr)
+    listed = list(events)
+    assert len(events) == len(listed) == 101 and events
+    assert all(isinstance(e, IntersectionEvent) for e in listed)
+    assert events[0] == listed[0] and events[-1] == listed[-1]
+    assert events[10:20] == listed[10:20] and len(events[10:20]) == 10
+    assert events == listed and listed == events and events != listed[:-1]
+    assert [(e.t1, e.t2) for e in listed] == sorted((e.t1, e.t2) for e in listed)
+    with pytest.raises(IndexError):
+        events[101]
+    assert not events.t1.flags.writeable
+    first = events.earliest()
+    assert first == min(listed, key=lambda e: (e.t2, e.t1))
+    assert (first.t1, first.t2, first.angle) == pytest.approx(CUBE_FIRST_EVENT, abs=1e-9)
+
+    torus = flat_torus((1.0, 0.0), (0.0, 1.0))
+    d = (1.0 / math.hypot(1, GOLDEN), GOLDEN / math.hypot(1, GOLDEN))
+    none = self_intersections(torus, trace(torus, TangentDirection(SurfacePoint(0, (0.5, 0.25)), d), 60.0))
+    assert none == [] and not none and len(none) == 0
+    with pytest.raises(ValueError):
+        none.earliest()
+
+
 def _pairwise_oracle(tr):
     """Proper crossings (t1, t2), one segments_intersect call per same-chart chord pair."""
     found = []
     for a, b in combinations(tr.segments, 2):
+        if a.tri != b.tri:
+            continue
         ang = unsigned_angle(a.direction, b.direction)
-        if a.tri != b.tri or not PROPER_ANGLE_TOL < ang < math.pi - PROPER_ANGLE_TOL:
+        if not PROPER_ANGLE_TOL < ang < math.pi - PROPER_ANGLE_TOL:
             continue
         if not segments_intersect(a.entry, a.exit, b.entry, b.exit, tol=1e-12):
             continue
@@ -187,16 +216,21 @@ def _pairwise_oracle(tr):
     return merged
 
 
-def test_self_intersections_match_pairwise_oracle_on_large_charts(catalog_surfaces):
-    # About 400 diameters puts more than 192 chords in one chart, the size
-    # above which a spatial hash used to stand in for the all-pairs kernel.
-    s = catalog_surfaces["klein-bottle"]
+# The non-parallel catalog surfaces: quarter-turn or reflection holonomy
+# gives their chords two direction classes, so crossings number in the
+# thousands.  Each length puts 900-1800 chords in the trace.
+ORACLE_LENGTHS = {"klein-bottle": 283.0, "cube": 800.0, "ring-double": 1300.0, "example1": 400.0}
+
+
+@pytest.mark.parametrize("name", ORACLE_LENGTHS)
+def test_self_intersections_match_pairwise_oracle_on_large_charts(catalog_surfaces, name):
+    s = catalog_surfaces[name]
     start = TangentDirection(incenter_point(s), (math.cos(0.3), math.sin(0.3)))
-    tr = trace(s, start, 283.0)
+    tr = trace(s, start, ORACLE_LENGTHS[name])
     assert tr.termination.kind == "LengthReached"
-    assert max(Counter(seg.tri for seg in tr.segments).values()) > 192
+    assert max(Counter(seg.tri for seg in tr.segments).values()) > 100
     events = [(e.t1, e.t2) for e in self_intersections(s, tr)]
-    assert events and events == _pairwise_oracle(tr)
+    assert len(events) > 1000 and events == _pairwise_oracle(tr)
 
 
 # --- density --------------------------------------------------------------------

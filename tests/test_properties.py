@@ -1,14 +1,21 @@
-"""Property tests of the gluing walks over random surfaces.
+"""Property tests of the gluing walks and of self-intersection events.
 
-Surfaces are doubles of random star-shaped and rectilinear polygons
-(drawn from a hypothesis-chosen seed) and the square identifications of
-``example2_candidates``, which include non-orientable surfaces.  The
-runs are derandomized, so the suite sees the same examples every time.
+Surfaces for the walks are doubles of random star-shaped and rectilinear
+polygons (drawn from a hypothesis-chosen seed) and the square
+identifications of ``example2_candidates``, which include non-orientable
+surfaces.  Events are drawn from random directions on the catalog's
+two-direction-class surfaces.  The runs are derandomized, so the suite
+sees the same examples every time.
 """
+import math
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import incenter_point
+
+from flatgeo.analysis import EVENT_MERGE_TOL, _merge_mask, self_intersections
 from flatgeo.builders import (
     double_of_polygon,
     example2_candidates,
@@ -20,6 +27,7 @@ from flatgeo.geometry import TWO_PI, angle_distance_mod
 from flatgeo.holonomy import holonomy_generators, loop_holonomy, vertex_holonomy
 from flatgeo.jsonio import surface_from_json, surface_to_json
 from flatgeo.surface import gauss_bonnet_check
+from flatgeo.tracer import TangentDirection, trace
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 surfaces = st.one_of(
@@ -66,3 +74,28 @@ def test_generators_and_witness_replay(s):
         assert s.orientation_witness is None
     else:
         assert loop_holonomy(s, s.orientation_witness, root).reflect
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(st.sampled_from(["cube", "ring-double"]), st.floats(0.0, TWO_PI, exclude_max=True))
+def test_earliest_event_is_min_of_materialized_list(catalog_surfaces, name, angle):
+    s = catalog_surfaces[name]
+    tr = trace(s, TangentDirection(incenter_point(s), (math.cos(angle), math.sin(angle))), 80.0)
+    assume(tr.termination.kind == "LengthReached")
+    events = self_intersections(s, tr)
+    assume(events)
+    assert events.earliest() == min(list(events), key=lambda e: (e.t2, e.t1))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=40))
+def test_merge_mask_matches_sequential_walk(steps):
+    # Parameters on a grid of 0.6 tolerances chain into runs of close events.
+    step = 0.6 * EVENT_MERGE_TOL
+    events = sorted((1.0 + a * step, 2.0 + b * step) for a, b in steps)
+    kept = []
+    for t1, t2 in events:
+        if not kept or max(abs(kept[-1][0] - t1), abs(kept[-1][1] - t2)) > EVENT_MERGE_TOL:
+            kept.append((t1, t2))
+    keep = _merge_mask(np.array([e[0] for e in events]), np.array([e[1] for e in events]))
+    assert [e for e, k in zip(events, keep) if k] == kept
