@@ -1,11 +1,12 @@
 """Self-intersection detection, density estimation, and angle audits.
 
 Intersections are found per chart: every pair of trace chords living in
-the same triangle is tested at once with numpy.  The events of all charts
-are sorted and merged as numpy columns and returned as an
-``IntersectionEvents`` sequence, which builds an ``IntersectionEvent``
-only when one is read; ``earliest()`` picks the first crossing without
-building the others.  This module is the package's performance core.
+the same triangle (``GeodesicTrace.charts``, grouped once per trace and
+shared with the density estimate) is tested at once with numpy.  The
+events of all charts are sorted and merged as numpy columns and returned
+as an ``IntersectionEvents`` sequence, which builds an
+``IntersectionEvent`` only when one is read; ``earliest()`` picks the
+first crossing without building the others.  This module is the package's performance core.
 """
 from __future__ import annotations
 
@@ -36,6 +37,9 @@ PROPER_ANGLE_TOL = 1e-6
 # Two parameter pairs closer than this are the same event seen from both
 # sides of a chart edge.
 EVENT_MERGE_TOL = 1e-7
+
+# Most directions one scan may draw; its angle array is sized by n.
+MAX_DIRECTIONS = 10**6
 
 
 @dataclass(frozen=True)
@@ -148,24 +152,6 @@ class DensityReport:
     covered_fraction: float
 
 
-def _chart_arrays(trace_: GeodesicTrace):
-    """Group trace chords by chart: tri -> (P, D, L, T0).
-
-    Charts come in order of first appearance, chords in trace order.
-    """
-    if not trace_.segments:
-        return {}
-    cols = np.array([(s.tri, *s.entry, *s.direction, s.length, s.t0) for s in trace_.segments])
-    _ids, first, inverse = np.unique(cols[:, 0], return_index=True, return_inverse=True)
-    chart_first = first[inverse]
-    order = np.argsort(chart_first, kind="stable")
-    starts = np.flatnonzero(np.diff(chart_first[order])) + 1
-    return {
-        int(c[0, 0]): (c[:, 1:3], c[:, 3:5], c[:, 5], c[:, 6])
-        for c in np.split(cols[order], starts)
-    }
-
-
 def _merge_mask(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """Events to keep, in (t1, t2) order: one dropped when both parameters
     lie within EVENT_MERGE_TOL of the last event kept.
@@ -203,7 +189,7 @@ def self_intersections(
     ``surface`` is not read: the chords carry their chart coordinates.
     """
     found = []
-    for tri, (P, D, L, T0) in _chart_arrays(trace_).items():
+    for tri, (P, D, L, T0) in trace_.charts.items():
         n = len(P)
         if n < 2:
             continue
@@ -292,7 +278,7 @@ def density_estimate(
     """
     if not 0.0 < epsilon < math.inf or samples <= 0:
         raise ValueError("epsilon must be positive and finite, samples positive")
-    charts = _chart_arrays(trace_)
+    charts = trace_.charts
     pts = _sample_points(surface, samples, seed)
     covered = 0
     for tri_id, P in pts.items():
@@ -330,20 +316,20 @@ def closed_geodesic_detect(
     for tri, xy, v in reps:
         by_tri.setdefault(tri, []).append((xy, v))
     best: float | None = None
-    for seg in trace_.segments:
-        if best is not None and seg.t0 > best:
+    for tri, ex, ey, _ox, _oy, dx, dy, t0, ln, _edge in trace_.chords.tolist():
+        if best is not None and t0 > best:
             break
-        for xy, v in by_tri.get(seg.tri, ()):
-            if unsigned_angle(seg.direction, v) > tol:
+        for xy, v in by_tri.get(int(tri), ()):
+            if unsigned_angle((dx, dy), v) > tol:
                 continue
-            wx, wy = xy[0] - seg.entry[0], xy[1] - seg.entry[1]
-            r = wx * seg.direction[0] + wy * seg.direction[1]
-            if r < -tol or r > seg.length + tol:
+            wx, wy = xy[0] - ex, xy[1] - ey
+            r = wx * dx + wy * dy
+            if r < -tol or r > ln + tol:
                 continue
-            perp = math.hypot(wx - r * seg.direction[0], wy - r * seg.direction[1])
+            perp = math.hypot(wx - r * dx, wy - r * dy)
             if perp > tol:
                 continue
-            t = seg.t0 + r
+            t = t0 + r
             if t > tol and (best is None or t < best):
                 best = t
     return best
@@ -379,7 +365,7 @@ def coface_angle_spectrum(
     if any(v.curvature <= 0 for v in cones):
         raise NotConvex("angle spectrum needs strictly positive curvatures")
 
-    charts = _chart_arrays(trace_)
+    charts = trace_.charts
     observed: list[float] = []
     for group in face_partition:
         group_set = set(group)
@@ -476,9 +462,10 @@ def direction_scan(
     SelfIntersecting (with the earliest event, the one with the smallest
     (t2, t1) from ``IntersectionEvents.earliest``) or Simple (with a
     density report at ``epsilon``).  Deterministic given the seed.
+    ``n`` above MAX_DIRECTIONS is rejected before any angle is drawn.
     """
-    if n < 1:
-        raise ValueError("need at least one direction")
+    if not 1 <= n <= MAX_DIRECTIONS:
+        raise ValueError(f"n must be between 1 and {MAX_DIRECTIONS}, got {n}")
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, n)
     rows: list[DirectionVerdict] = []

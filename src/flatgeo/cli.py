@@ -23,7 +23,7 @@ from .errors import FlatgeoError
 from .geometry import METRIC_TOL
 from .holonomy import curvature_test, is_parallel
 from .jsonio import manifest_entry, manifest_to_json, surface_from_json, surface_to_json, trace_to_json
-from .render import RenderSpec, render_surface, render_unfolded
+from .render import render_surface, render_unfolded
 from .surface import FlatSurface, gauss_bonnet_check
 from .tracer import SurfacePoint, TangentDirection, trace
 
@@ -39,10 +39,7 @@ def _load_surface(args) -> FlatSurface:
             text = fh.read()
     except OSError as e:
         raise _IOFailure(str(e)) from e
-    try:
-        return surface_from_json(text, args.tolerance)
-    except (KeyError, TypeError, IndexError) as e:
-        raise FlatgeoError(f"malformed surface JSON: {e!r}") from e
+    return surface_from_json(text, args.tolerance)
 
 
 class _IOFailure(Exception):
@@ -126,7 +123,7 @@ def cmd_trace(args) -> int:
     if args.svg:
         try:
             with open(args.svg, "w") as fh:
-                fh.write(render_unfolded(surface, tr, RenderSpec(mode="unfolded")))
+                fh.write(render_unfolded(surface, tr))
         except OSError as e:
             raise _IOFailure(str(e)) from e
     return EXIT_OK
@@ -183,7 +180,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_render(args) -> int:
     surface = _load_surface(args)
-    svg = render_surface(surface, RenderSpec())
+    svg = render_surface(surface)
     try:
         with open(args.out, "w") as fh:
             fh.write(svg)

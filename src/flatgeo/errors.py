@@ -5,6 +5,10 @@ class FlatgeoError(Exception):
     """Base class for all flatgeo errors."""
 
 
+class MalformedSurface(FlatgeoError):
+    """Surface input is not of the surface shape: keys, types or ids."""
+
+
 class DegenerateTriangle(FlatgeoError):
     """Triangle corners are collinear, coincident, or clockwise."""
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 
+from .errors import MalformedSurface
 from .geometry import METRIC_TOL
 from .surface import EdgeRef, FlatSurface, Gluing, Triangle, build_surface
 from .tracer import (
@@ -20,7 +21,6 @@ from .tracer import (
     SurfacePoint,
     TangentDirection,
     Termination,
-    TraceSegment,
 )
 
 
@@ -51,20 +51,44 @@ def surface_to_json(surface: FlatSurface) -> str:
     return "".join(parts) + "\n"
 
 
+def _typed(value, kind: type, what: str):
+    # bool is an int subclass; a JSON true is not an id and 1 is not a flag.
+    if type(value) is not kind:
+        raise MalformedSurface(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
+def _edge_ref(ref) -> EdgeRef:
+    tri, edge = ref
+    return EdgeRef(_typed(tri, int, "gluing triangle"), _typed(edge, int, "gluing edge"))
+
+
 def surface_from_json(text: str, tol: float = METRIC_TOL) -> FlatSurface:
-    data = json.loads(text)
-    triangles = [
-        Triangle(int(t["id"]), tuple((float(x), float(y)) for x, y in t["corners"]))
-        for t in data["triangles"]
-    ]
-    gluings = [
-        Gluing(
-            EdgeRef(int(g["a"][0]), int(g["a"][1])),
-            EdgeRef(int(g["b"][0]), int(g["b"][1])),
-            bool(g.get("reversed", False)),
-        )
-        for g in data["gluings"]
-    ]
+    """Parse a surface file and build it.
+
+    Raises MalformedSurface when the text is not JSON of the surface
+    shape: missing keys, wrong types, a triangle without exactly three
+    corners, ids or edges that are not integers, a ``reversed`` flag that
+    is not a boolean, or nesting too deep to parse.  Geometric faults
+    raise the errors of ``build_surface``.
+    """
+    try:
+        data = json.loads(text)
+        triangles = []
+        for t in data["triangles"]:
+            a, b, c = t["corners"]
+            corners = tuple((float(x), float(y)) for x, y in (a, b, c))
+            triangles.append(Triangle(_typed(t["id"], int, "triangle id"), corners))
+        gluings = [
+            Gluing(
+                _edge_ref(g["a"]),
+                _edge_ref(g["b"]),
+                _typed(g.get("reversed", False), bool, "reversed"),
+            )
+            for g in data["gluings"]
+        ]
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError) as e:
+        raise MalformedSurface(f"malformed surface JSON: {e!r}") from e
     return build_surface(triangles, gluings, tol)
 
 
@@ -89,10 +113,10 @@ def _termination_parse(s: str) -> Termination:
 
 def trace_to_json(trace_: GeodesicTrace, extra: dict | None = None) -> str:
     segs = []
-    for s in trace_.segments:
+    for tri, ex, ey, ox, oy, *_rest in trace_.chords.tolist():
         segs.append(
-            f'{{"tri": {s.tri}, "in": [{_num(s.entry[0])}, {_num(s.entry[1])}], '
-            f'"out": [{_num(s.exit[0])}, {_num(s.exit[1])}]}}'
+            f'{{"tri": {int(tri)}, "in": [{_num(ex)}, {_num(ey)}], '
+            f'"out": [{_num(ox)}, {_num(oy)}]}}'
         )
     body = (
         '{"segments": ['
@@ -121,24 +145,24 @@ def trace_from_json(text: str) -> GeodesicTrace:
     endpoints; zero-length segments reuse the previous direction.
     """
     data = json.loads(text)
-    segs: list[TraceSegment] = []
+    rows: list[float] = []
     t0 = 0.0
-    prev_dir = (1.0, 0.0)
+    d = (1.0, 0.0)
     for s in data["segments"]:
-        entry = (float(s["in"][0]), float(s["in"][1]))
-        exit_ = (float(s["out"][0]), float(s["out"][1]))
-        dx, dy = exit_[0] - entry[0], exit_[1] - entry[1]
+        ex, ey = float(s["in"][0]), float(s["in"][1])
+        ox, oy = float(s["out"][0]), float(s["out"][1])
+        dx, dy = ox - ex, oy - ey
         ln = math.hypot(dx, dy)
-        d = (dx / ln, dy / ln) if ln > 0 else prev_dir
-        prev_dir = d
-        segs.append(TraceSegment(int(s["tri"]), entry, exit_, d, t0, ln, None))
+        if ln > 0:
+            d = (dx / ln, dy / ln)
+        rows += (int(s["tri"]), ex, ey, ox, oy, *d, t0, ln, -1)
         t0 += ln
     term = _termination_parse(data["termination"])
     length = float(data["length"])
-    if not segs:
+    if not rows:
         raise ValueError("trace JSON has no segments")
-    start = TangentDirection(SurfacePoint(segs[0].tri, segs[0].entry), segs[0].direction)
-    return GeodesicTrace(start, tuple(segs), length, term)
+    start = TangentDirection(SurfacePoint(rows[0], (rows[1], rows[2])), (rows[5], rows[6]))
+    return GeodesicTrace._from_rows(start, rows, length, term)
 
 
 def manifest_entry(surface: FlatSurface, name: str, filename: str, parallel: bool) -> dict:

@@ -6,30 +6,20 @@ same input compare equal byte-for-byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .surface import FlatSurface
 from .tracer import GeodesicTrace, unfold
 
-_FACE_FILLS = ("#dce8f5", "#f5e8dc", "#e2f0dc", "#f3e0ee", "#e9e3f7", "#f7f3d9")
-
-
-@dataclass(frozen=True)
-class RenderSpec:
-    width: int = 800
-    height: int = 600
-    stroke_width: float = 1.0
-    trace_stroke_width: float = 1.5
-    edge_color: str = "#555555"
-    trace_color: str = "#c0392b"
-    cone_color: str = "#8e44ad"
-    flat_vertex_color: str = "#95a5a6"
-    face_fills: tuple[str, ...] = field(default=_FACE_FILLS)
-    mode: str = "per-chart"  # or "unfolded"
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("render dimensions must be positive")
+WIDTH = 800
+HEIGHT = 600
+# Stroke widths are in percent of the drawing's scale.
+STROKE_WIDTH = 1.0
+TRACE_STROKE_WIDTH = 1.5
+EDGE_COLOR = "#555555"
+TRACE_COLOR = "#c0392b"
+CONE_COLOR = "#8e44ad"
+FLAT_VERTEX_COLOR = "#95a5a6"
+FACE_FILLS = ("#dce8f5", "#f5e8dc", "#e2f0dc", "#f3e0ee", "#e9e3f7", "#f7f3d9")
 
 
 def _fmt(x: float) -> str:
@@ -37,8 +27,7 @@ def _fmt(x: float) -> str:
 
 
 class _Canvas:
-    def __init__(self, spec: RenderSpec):
-        self.spec = spec
+    def __init__(self):
         self.items: list[str] = []
         self.min_x = math.inf
         self.min_y = math.inf
@@ -80,16 +69,15 @@ class _Canvas:
         w = (self.max_x - self.min_x) + 2 * pad
         h = (self.max_y - self.min_y) + 2 * pad
         head = (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.spec.width}" '
-            f'height="{self.spec.height}" viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}">'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}" viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}">'
         )
         return head + "\n" + "\n".join(self.items) + "\n</svg>\n"
 
 
-def render_surface(surface: FlatSurface, spec: RenderSpec | None = None) -> str:
+def render_surface(surface: FlatSurface) -> str:
     """Draw every chart, laid out on a grid, with cone points marked."""
-    spec = spec or RenderSpec()
-    canvas = _Canvas(spec)
+    canvas = _Canvas()
     n = len(surface.triangles)
     cols = max(1, int(math.ceil(math.sqrt(n))))
     cell = 0.0
@@ -98,7 +86,7 @@ def render_surface(surface: FlatSurface, spec: RenderSpec | None = None) -> str:
         ys = [c[1] for c in t.corners]
         cell = max(cell, max(xs) - min(xs), max(ys) - min(ys))
     cell *= 1.3
-    stroke = spec.stroke_width * cell / 100.0
+    stroke = STROKE_WIDTH * cell / 100.0
     for i, t in enumerate(surface.triangles):
         ox = (i % cols) * cell
         oy = -(i // cols) * cell
@@ -106,27 +94,24 @@ def render_surface(surface: FlatSurface, spec: RenderSpec | None = None) -> str:
         ys = [c[1] for c in t.corners]
         shift = (ox - min(xs), oy - min(ys))
         pts = [(c[0] + shift[0], c[1] + shift[1]) for c in t.corners]
-        canvas.polygon(pts, spec.face_fills[i % len(spec.face_fills)], spec.edge_color, stroke)
+        canvas.polygon(pts, FACE_FILLS[i % len(FACE_FILLS)], EDGE_COLOR, stroke)
         for k, pt in enumerate(pts):
             v = surface.vertex_of(t.id, k)
-            color = spec.cone_color if v.is_cone(surface.tolerance) else spec.flat_vertex_color
+            color = CONE_COLOR if v.is_cone(surface.tolerance) else FLAT_VERTEX_COLOR
             canvas.circle(pt, 2.2 * stroke, color)
     return canvas.to_svg()
 
 
-def render_unfolded(
-    surface: FlatSurface, trace_: GeodesicTrace, spec: RenderSpec | None = None
-) -> str:
+def render_unfolded(surface: FlatSurface, trace_: GeodesicTrace) -> str:
     """Draw the developed triangle chain with the trace as one straight segment."""
-    spec = spec or RenderSpec()
-    canvas = _Canvas(spec)
+    canvas = _Canvas()
     placements, start, end = unfold(surface, trace_)
     scale = surface._trace_tables().scale
-    stroke = spec.stroke_width * scale / 100.0
+    stroke = STROKE_WIDTH * scale / 100.0
     for i, (tri_id, iso) in enumerate(placements):
         t = surface.triangle(tri_id)
         pts = [iso.apply(c) for c in t.corners]
-        canvas.polygon(pts, spec.face_fills[i % len(spec.face_fills)], spec.edge_color, stroke)
-    canvas.line(start, end, spec.trace_color, spec.trace_stroke_width * scale / 100.0)
-    canvas.circle(start, 2.5 * stroke, spec.trace_color)
+        canvas.polygon(pts, FACE_FILLS[i % len(FACE_FILLS)], EDGE_COLOR, stroke)
+    canvas.line(start, end, TRACE_COLOR, TRACE_STROKE_WIDTH * scale / 100.0)
+    canvas.circle(start, 2.5 * stroke, TRACE_COLOR)
     return canvas.to_svg()

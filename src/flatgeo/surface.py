@@ -21,6 +21,7 @@ from .errors import (
     DegenerateTriangle,
     Disconnected,
     LengthMismatch,
+    MalformedSurface,
     UnmatchedEdge,
 )
 from .geometry import (
@@ -275,6 +276,9 @@ def _validate_triangles(triangles, tol: float) -> None:
         if t.id in seen:
             raise DegenerateTriangle(f"duplicate triangle id {t.id}")
         seen.add(t.id)
+        # Trace chords hold triangle ids as float64, exact up to 2**53.
+        if not abs(t.id) <= 2**53:
+            raise MalformedSurface(f"triangle id {t.id} is beyond 2**53")
         if not all(math.isfinite(x) for c in t.corners for x in c):
             raise DegenerateTriangle(f"triangle {t.id} has a non-finite corner")
         area = t.signed_area()
@@ -316,9 +320,9 @@ def _transition_for(surface_tris: dict[int, Triangle], g: Gluing) -> PlaneIsomet
 def build_surface(triangles, gluings, tol: float = METRIC_TOL) -> FlatSurface:
     """Validate triangles and gluings and derive all global structure.
 
-    Raises DegenerateTriangle, UnmatchedEdge, LengthMismatch or
-    Disconnected on invalid input, and ValueError unless ``tol`` is
-    positive and finite.  The result carries transition isometries,
+    Raises DegenerateTriangle, UnmatchedEdge, LengthMismatch,
+    Disconnected or MalformedSurface (a triangle id beyond 2**53) on
+    invalid input, and ValueError unless ``tol`` is positive and finite.  The result carries transition isometries,
     vertex classes, Euler characteristic and orientability.
     """
     if not 0.0 < tol < math.inf:

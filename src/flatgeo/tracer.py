@@ -11,14 +11,21 @@ is ill-conditioned.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import ParameterOutOfRange, PointOutsideTriangle, TraceIncomplete
 from .geometry import PlaneIsometry, Vec, normalize, point_segment_distance
 from .surface import FlatSurface
 
 DEFAULT_VERTEX_CLEARANCE = 1e-7
+
+# A trace's step budget is 50 steps per shortest triangle height of
+# length; a length whose budget exceeds this could not finish in
+# reasonable time and is rejected.
+MAX_STEPS = 10**7
 
 LENGTH_REACHED = "LengthReached"
 VERTEX_HIT = "VertexHit"
@@ -56,15 +63,54 @@ class Termination:
     message: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeodesicTrace:
+    """A traced geodesic, stored as one read-only ``(n, 10)`` float64 array.
+
+    Row k of ``chords`` is the k-th chord: triangle id, entry x/y, exit
+    x/y, unit direction x/y, arc parameter t0 at entry, length, and the
+    edge crossed at the exit (-1 where the trace stops).  ``segments`` and
+    ``charts`` are views of the rows, built on first read.
+    """
+
     start: TangentDirection
-    segments: tuple[TraceSegment, ...]
+    chords: np.ndarray
     length: float
     termination: Termination
 
-    def entry_params(self) -> list[float]:
-        return [s.t0 for s in self.segments]
+    @classmethod
+    def _from_rows(cls, start, rows, length: float, termination: Termination) -> GeodesicTrace:
+        """A trace over ``rows``: a flat list of chord values or an array of rows."""
+        chords = np.array(rows, dtype=np.float64).reshape(-1, 10)
+        chords.flags.writeable = False
+        return cls(start, chords, length, termination)
+
+    @cached_property
+    def segments(self) -> tuple[TraceSegment, ...]:
+        return tuple(
+            TraceSegment(
+                int(tri), (ex, ey), (ox, oy), (dx, dy), t0, ln, None if edge < 0 else int(edge)
+            )
+            for tri, ex, ey, ox, oy, dx, dy, t0, ln, edge in self.chords.tolist()
+        )
+
+    @cached_property
+    def charts(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """tri -> (entry points, directions, lengths, t0) of its chords.
+
+        Charts come in order of first appearance, chords in trace order.
+        """
+        c = self.chords
+        if not len(c):
+            return {}
+        _ids, first, inverse = np.unique(c[:, 0], return_index=True, return_inverse=True)
+        chart_first = first[inverse]
+        order = np.argsort(chart_first, kind="stable")
+        starts = np.flatnonzero(np.diff(chart_first[order])) + 1
+        return {
+            int(g[0, 0]): (g[:, 1:3], g[:, 5:7], g[:, 8], g[:, 7])
+            for g in np.split(c[order], starts)
+        }
 
 
 class _TraceTables:
@@ -116,7 +162,11 @@ def trace(
     max_length: float,
     vertex_clearance: float = DEFAULT_VERTEX_CLEARANCE,
 ) -> GeodesicTrace:
-    """Trace the maximal strict geodesic from ``start`` up to ``max_length``."""
+    """Trace the maximal strict geodesic from ``start`` up to ``max_length``.
+
+    Raises ValueError for non-finite input and for a ``max_length`` whose
+    step budget exceeds MAX_STEPS.
+    """
     if not 0.0 < max_length < math.inf:
         raise ValueError("max_length must be positive and finite")
     if not surface.tolerance <= vertex_clearance < math.inf:
@@ -140,10 +190,10 @@ def trace(
     remaining = float(max_length)
     clearance2 = vertex_clearance * vertex_clearance
     t_eps = 1e-13 * (1.0 + tab.scale)
-    segments: list[TraceSegment] = []
+    rows: list[float] = []  # chord rows, flattened; see GeodesicTrace
     step_budget = 50.0 * max_length / max(tab.min_height, 1e-9)
-    if step_budget == math.inf:
-        raise ValueError("max_length is too long for the step budget")
+    if not step_budget <= MAX_STEPS:
+        raise ValueError(f"max_length {max_length!r} needs more than {MAX_STEPS} steps")
     max_steps = int(step_budget) + 10000
 
     corners = tab.corners
@@ -176,12 +226,8 @@ def trace(
                 best_t = t
                 best_edge = e
         if best_edge < 0:
-            return GeodesicTrace(
-                norm_start,
-                tuple(segments),
-                acc,
-                Termination(LEFT_DOMAIN, message="no forward edge crossing found"),
-            )
+            term = Termination(LEFT_DOMAIN, message="no forward edge crossing found")
+            break
 
         eff = best_t if best_t < remaining else remaining
         # Cone-point clearance along the chord actually travelled.
@@ -204,44 +250,33 @@ def trace(
                 hit_tau = tau
                 hit_class = cls[dense][k]
         if hit_tau is not None:
-            q = (px + hit_tau * dx, py + hit_tau * dy)
-            segments.append(TraceSegment(tri_id, (px, py), q, (dx, dy), acc, hit_tau, None))
-            return GeodesicTrace(
-                norm_start,
-                tuple(segments),
-                acc + hit_tau,
-                Termination(VERTEX_HIT, vertex=hit_class, parameter=acc + hit_tau),
-            )
+            rows += (tri_id, px, py, px + hit_tau * dx, py + hit_tau * dy, dx, dy, acc, hit_tau, -1)
+            acc += hit_tau
+            term = Termination(VERTEX_HIT, vertex=hit_class, parameter=acc)
+            break
         if remaining <= best_t:
-            q = (px + remaining * dx, py + remaining * dy)
-            segments.append(TraceSegment(tri_id, (px, py), q, (dx, dy), acc, remaining, None))
-            return GeodesicTrace(
-                norm_start, tuple(segments), max_length, Termination(LENGTH_REACHED)
-            )
+            rows += (tri_id, px, py, px + remaining * dx, py + remaining * dy, dx, dy, acc, remaining, -1)
+            acc = max_length
+            term = Termination(LENGTH_REACHED)
+            break
 
         qx = px + best_t * dx
         qy = py + best_t * dy
         # Corner ties resolve as VertexHit regardless of curvature: the
         # transition choice at an exact corner is ambiguous.
+        exit_edge = best_edge
         for k in (best_edge, (best_edge + 1) % 3):
             cxr, cyr = trc[k]
             ex2 = qx - cxr
             ey2 = qy - cyr
             if ex2 * ex2 + ey2 * ey2 < clearance2:
-                segments.append(
-                    TraceSegment(tri_id, (px, py), (qx, qy), (dx, dy), acc, best_t, None)
-                )
-                return GeodesicTrace(
-                    norm_start,
-                    tuple(segments),
-                    acc + best_t,
-                    Termination(VERTEX_HIT, vertex=cls[dense][k], parameter=acc + best_t),
-                )
-
-        segments.append(
-            TraceSegment(tri_id, (px, py), (qx, qy), (dx, dy), acc, best_t, best_edge)
-        )
+                exit_edge = -1
+                break
+        rows += (tri_id, px, py, qx, qy, dx, dy, acc, best_t, exit_edge)
         acc += best_t
+        if exit_edge < 0:
+            term = Termination(VERTEX_HIT, vertex=cls[dense][k], parameter=acc)
+            break
         remaining -= best_t
 
         tgt, tedge, m00, m01, m10, m11, tx, ty = trans[dense][best_edge]
@@ -262,13 +297,9 @@ def trace(
         py = ay + s * uy
         dense = tgt
         entry_edge = tedge
-
-    return GeodesicTrace(
-        norm_start,
-        tuple(segments),
-        acc,
-        Termination(LEFT_DOMAIN, message="step budget exceeded"),
-    )
+    else:
+        term = Termination(LEFT_DOMAIN, message="step budget exceeded")
+    return GeodesicTrace._from_rows(norm_start, rows, acc, term)
 
 
 def locate(trace_: GeodesicTrace, t: float) -> SurfacePoint:
@@ -276,17 +307,14 @@ def locate(trace_: GeodesicTrace, t: float) -> SurfacePoint:
     slack = 1e-9 * (1.0 + trace_.length)
     if t < -slack or t > trace_.length + slack:
         raise ParameterOutOfRange(f"t={t!r} outside [0, {trace_.length!r}]")
-    if not trace_.segments:
+    n = len(trace_.chords)
+    if not n:
         raise ParameterOutOfRange("empty trace")
     t = min(max(t, 0.0), trace_.length)
-    t0s = trace_.entry_params()
-    i = bisect_right(t0s, t) - 1
-    i = max(0, min(i, len(trace_.segments) - 1))
-    seg = trace_.segments[i]
-    tau = min(max(t - seg.t0, 0.0), seg.length)
-    return SurfacePoint(
-        seg.tri, (seg.entry[0] + tau * seg.direction[0], seg.entry[1] + tau * seg.direction[1])
-    )
+    i = int(np.searchsorted(trace_.chords[:, 7], t, side="right")) - 1
+    tri, ex, ey, _ox, _oy, dx, dy, t0, ln, _edge = trace_.chords[max(0, min(i, n - 1))].tolist()
+    tau = min(max(t - t0, 0.0), ln)
+    return SurfacePoint(int(tri), (ex + tau * dx, ey + tau * dy))
 
 
 def truncate(trace_: GeodesicTrace, length: float) -> GeodesicTrace:
@@ -295,22 +323,16 @@ def truncate(trace_: GeodesicTrace, length: float) -> GeodesicTrace:
         return trace_
     if length < 0:
         raise ParameterOutOfRange("negative length")
-    segs: list[TraceSegment] = []
-    for seg in trace_.segments:
-        if seg.t0 >= length:
-            break
-        ln = min(seg.length, length - seg.t0)
-        if ln < seg.length:
-            exit_pt = (
-                seg.entry[0] + ln * seg.direction[0],
-                seg.entry[1] + ln * seg.direction[1],
-            )
-            segs.append(
-                TraceSegment(seg.tri, seg.entry, exit_pt, seg.direction, seg.t0, ln, None)
-            )
-            break
-        segs.append(seg)
-    return GeodesicTrace(trace_.start, tuple(segs), length, Termination(LENGTH_REACHED))
+    # The chords entered before ``length``; only the last can be cut short.
+    rows = trace_.chords[: int(np.searchsorted(trace_.chords[:, 7], length, side="left"))]
+    if len(rows):
+        _tri, ex, ey, _ox, _oy, dx, dy, t0, seg_len, _edge = rows[-1].tolist()
+        ln = min(seg_len, length - t0)
+        if ln < seg_len:
+            rows = rows.copy()
+            rows[-1, 3:5] = (ex + ln * dx, ey + ln * dy)
+            rows[-1, 8:] = (ln, -1)
+    return GeodesicTrace._from_rows(trace_.start, rows, length, Termination(LENGTH_REACHED))
 
 
 def unfold(
@@ -324,17 +346,18 @@ def unfold(
     """
     placements: list[tuple[int, PlaneIsometry]] = []
     iso = PlaneIsometry.identity()
-    for seg in trace_.segments:
-        placements.append((seg.tri, iso))
-        if seg.exit_edge is not None:
-            _, step = surface.edge_transition(seg.tri, seg.exit_edge)
+    rows = trace_.chords.tolist()
+    for row in rows:
+        tri, edge = int(row[0]), int(row[9])
+        placements.append((tri, iso))
+        if edge >= 0:
+            _, step = surface.edge_transition(tri, edge)
             iso = iso.compose(step.inverse())
-    if not trace_.segments:
+    if not rows:
         p = trace_.start.at.xy
         return placements, p, p
-    first = trace_.segments[0]
-    last = trace_.segments[-1]
-    return placements, first.entry, placements[-1][1].apply(last.exit)
+    first, last = rows[0], rows[-1]
+    return placements, (first[1], first[2]), placements[-1][1].apply((last[3], last[4]))
 
 
 def tangent_representatives(
@@ -389,19 +412,15 @@ def reverse_check(
     fwd = trace(surface, start, length, vertex_clearance)
     if fwd.termination.kind != LENGTH_REACHED:
         raise TraceIncomplete(f"forward trace ended with {fwd.termination.kind}")
-    if not fwd.segments:
+    if not len(fwd.chords):
         return 0.0
-    last = fwd.segments[-1]
-    back_start = TangentDirection(
-        SurfacePoint(last.tri, last.exit), (-last.direction[0], -last.direction[1])
-    )
+    tri, _ex, _ey, ox, oy, dx, dy, _t0, _ln, _edge = fwd.chords[-1].tolist()
+    back_start = TangentDirection(SurfacePoint(int(tri), (ox, oy)), (-dx, -dy))
     bwd = trace(surface, back_start, length, vertex_clearance)
     if bwd.termination.kind != LENGTH_REACHED:
         raise TraceIncomplete(f"backward trace ended with {bwd.termination.kind}")
-    end = bwd.segments[-1]
-    reps = tangent_representatives(
-        surface, SurfacePoint(end.tri, end.exit), end.direction, tol=1e-6
-    )
+    tri, _ex, _ey, ox, oy, dx, dy, _t0, _ln, _edge = bwd.chords[-1].tolist()
+    reps = tangent_representatives(surface, SurfacePoint(int(tri), (ox, oy)), (dx, dy), tol=1e-6)
     sx, sy = start.at.xy
     best = math.inf
     for tri_id, xy, _v in reps:

@@ -7,8 +7,10 @@ import pytest
 
 from conftest import edge_midpoint_tangent, incenter_point
 
+import flatgeo.analysis as analysis
 from flatgeo.analysis import (
     EVENT_MERGE_TOL,
+    MAX_DIRECTIONS,
     PROPER_ANGLE_TOL,
     IntersectionEvent,
     SegmentPair,
@@ -358,6 +360,18 @@ def test_scan_deterministic():
     r2 = direction_scan(s, p, 12, 30.0, 0.05, seed=5)
     assert r1 == r2
     assert r1.to_csv() == r2.to_csv()
+
+
+def test_scan_rejects_n_out_of_range_before_tracing(monkeypatch):
+    s = flat_torus((1.0, 0.0), (0.0, 1.0))
+
+    def no_trace(*args):
+        raise AssertionError("traced a direction")
+
+    monkeypatch.setattr(analysis, "trace", no_trace)
+    for n in (0, MAX_DIRECTIONS + 1):
+        with pytest.raises(ValueError):
+            direction_scan(s, SurfacePoint(0, (0.4, 0.25)), n, 1.0, 0.05, seed=0)
 
 
 def test_scan_cube_majority_self_intersecting():

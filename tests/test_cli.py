@@ -1,13 +1,14 @@
 import json
 import math
 import os
+import time
 
 import pytest
 
 from flatgeo.builders import isosceles_tetrahedron
 from flatgeo.cli import main
 from flatgeo.jsonio import trace_from_json
-from flatgeo.render import RenderSpec, render_surface, render_unfolded
+from flatgeo.render import render_surface, render_unfolded
 from flatgeo.tracer import SurfacePoint, TangentDirection, trace
 
 
@@ -178,8 +179,8 @@ def test_scan_json_rows(catalog_dir, tmp_path, capsys):
 
 def test_render_deterministic(tmp_path):
     s = isosceles_tetrahedron((1.0, 1.0, 1.0))
-    svg1 = render_surface(s, RenderSpec())
-    svg2 = render_surface(s, RenderSpec())
+    svg1 = render_surface(s)
+    svg2 = render_surface(s)
     assert svg1 == svg2
     assert svg1.startswith("<svg")
     tr = trace(s, TangentDirection(SurfacePoint(0, (1.0, 0.5)), (math.cos(0.2), math.sin(0.2))), 5.0)
@@ -266,3 +267,39 @@ def test_non_finite_input_exit_2(catalog_dir, tmp_path, capsys, args, error):
     argv = args.format(torus=catalog_dir / "unit-torus.json", nan_torus=tmp_path / "nan-torus.json")
     assert main(argv.split()) == 2
     assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ("trace {torus} --angle 0.3 --length 1e12", "ValueError"),
+        ("scan {torus} --n 100000000000 --length 1", "ValueError"),
+        ("validate {nested}", "MalformedSurface"),
+        ("validate {fractional_id}", "MalformedSurface"),
+        ("validate {string_reversed}", "MalformedSurface"),
+        ("validate {huge_id}", "MalformedSurface"),
+    ],
+    ids=["trace-length-1e12", "scan-n-1e11", "nested-brackets", "fractional-id",
+         "string-reversed", "id-beyond-2**53"],
+)
+def test_out_of_range_input_exit_2_within_1s(catalog_dir, tmp_path, capsys, args, error):
+    torus = catalog_dir / "unit-torus.json"
+    files = {"nested": "[" * 100_000}
+    for name, path, value in (
+        ("fractional_id", ("triangles", 0, "id"), 0.5),
+        ("string_reversed", ("gluings", 0, "reversed"), "yes"),
+        ("huge_id", ("triangles", 0, "id"), 2**60),
+    ):
+        data = json.loads(torus.read_text())
+        data[path[0]][path[1]][path[2]] = value
+        files[name] = json.dumps(data)
+    paths = {"torus": torus}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    t0 = time.perf_counter()
+    code = main(args.format(**paths).split())
+    elapsed = time.perf_counter() - t0
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == error
+    assert elapsed < 1.0

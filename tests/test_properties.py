@@ -1,13 +1,16 @@
-"""Property tests of the gluing walks and of self-intersection events.
+"""Property tests of the gluing walks, self-intersection events, the
+trace helpers and surface JSON parsing.
 
 Surfaces for the walks are doubles of random star-shaped and rectilinear
 polygons (drawn from a hypothesis-chosen seed) and the square
 identifications of ``example2_candidates``, which include non-orientable
-surfaces.  Events are drawn from random directions on the catalog's
-two-direction-class surfaces.  The runs are derandomized, so the suite
-sees the same examples every time.
+surfaces.  Events and traces are drawn from random directions on the
+catalog's two-direction-class surfaces.  The runs are derandomized, so
+the suite sees the same examples every time.
 """
+import json
 import math
+from bisect import bisect_right
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -25,9 +28,10 @@ from flatgeo.builders import (
 )
 from flatgeo.geometry import TWO_PI, angle_distance_mod
 from flatgeo.holonomy import holonomy_generators, loop_holonomy, vertex_holonomy
+from flatgeo.errors import FlatgeoError
 from flatgeo.jsonio import surface_from_json, surface_to_json
 from flatgeo.surface import gauss_bonnet_check
-from flatgeo.tracer import TangentDirection, trace
+from flatgeo.tracer import SurfacePoint, TangentDirection, TraceSegment, locate, trace, truncate
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 surfaces = st.one_of(
@@ -99,3 +103,87 @@ def test_merge_mask_matches_sequential_walk(steps):
             kept.append((t1, t2))
     keep = _merge_mask(np.array([e[0] for e in events]), np.array([e[1] for e in events]))
     assert [e for e, k in zip(events, keep) if k] == kept
+
+
+def _locate_oracle(tr, t):
+    """The point at arc length t, found by bisecting the segments' t0."""
+    t = min(max(t, 0.0), tr.length)
+    i = bisect_right([seg.t0 for seg in tr.segments], t) - 1
+    seg = tr.segments[max(0, min(i, len(tr.segments) - 1))]
+    tau = min(max(t - seg.t0, 0.0), seg.length)
+    return SurfacePoint(
+        seg.tri, (seg.entry[0] + tau * seg.direction[0], seg.entry[1] + tau * seg.direction[1])
+    )
+
+
+def _truncate_oracle(tr, length):
+    """The segments of the prefix up to ``length``, one segment at a time."""
+    segs = []
+    for seg in tr.segments:
+        if seg.t0 >= length:
+            break
+        ln = min(seg.length, length - seg.t0)
+        if ln < seg.length:
+            exit_pt = (seg.entry[0] + ln * seg.direction[0], seg.entry[1] + ln * seg.direction[1])
+            segs.append(TraceSegment(seg.tri, seg.entry, exit_pt, seg.direction, seg.t0, ln, None))
+            break
+        segs.append(seg)
+    return tuple(segs)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["cube", "klein-bottle"]),
+    st.floats(0.0, TWO_PI, exclude_max=True),
+    st.floats(0.5, 40.0),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    st.integers(0, 10**6),
+)
+def test_truncate_and_locate_match_segment_oracle(catalog_surfaces, name, angle, length, fractions, k):
+    s = catalog_surfaces[name]
+    tr = trace(s, TangentDirection(incenter_point(s), (math.cos(angle), math.sin(angle))), length)
+    seg = tr.segments[k % len(tr.segments)]
+    # Random parameters, plus both ends of one chord, where the search side matters.
+    for t in [f * tr.length for f in fractions] + [seg.t0, seg.t0 + seg.length]:
+        assert locate(tr, t) == _locate_oracle(tr, t)
+        short = truncate(tr, t)
+        if t < tr.length:
+            assert short.segments == _truncate_oracle(tr, t)
+            assert (short.length, short.termination.kind) == (t, "LengthReached")
+        else:
+            assert short is tr
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_surface_json_raises_only_typed_errors(catalog_surfaces, data):
+    # One value anywhere in a torus file replaced (or its key deleted):
+    # the parser either builds a surface or raises a FlatgeoError, which
+    # the CLI reports with exit 2, never a traceback.
+    doc = json.loads(surface_to_json(catalog_surfaces["unit-torus"]))
+    path, node = [], doc
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        path.append(data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node)))))
+        node = node[path[-1]]
+    value = data.draw(json_values)
+    if not path:
+        doc = value
+    else:
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        if data.draw(st.booleans()):
+            owner[path[-1]] = value
+        else:
+            del owner[path[-1]]
+    try:
+        surface_from_json(json.dumps(doc))
+    except FlatgeoError:
+        pass

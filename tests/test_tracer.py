@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from conftest import edge_midpoint_tangent, incenter_point
 from flatgeo.builders import PolygonSpec, double_of_polygon, flat_torus, isosceles_tetrahedron
 from flatgeo.errors import ParameterOutOfRange, PointOutsideTriangle, TraceIncomplete
 from flatgeo.geometry import PlaneIsometry
-from flatgeo.render import RenderSpec, render_surface
+from flatgeo.render import CONE_COLOR, render_surface
 from flatgeo.surface import Triangle, build_surface
 from flatgeo.tracer import (
     LENGTH_REACHED,
@@ -235,6 +236,39 @@ def test_truncate(torus):
     assert locate(short, 1.25).xy == pytest.approx((0.75, 0.5), abs=1e-12)
 
 
+def test_geodesic_trace_contract(torus):
+    tr = trace(torus, TangentDirection(incenter_point(torus, 1), (math.cos(0.3), math.sin(0.3))), 6.0)
+    assert tr.chords.dtype == np.float64
+    assert tr.chords.shape == (len(tr.segments), 10)
+    with pytest.raises(ValueError):
+        tr.chords[0, 1] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tr.length = 1.0
+    # segments is a view of the rows, built once; -1 marks the last chord's exit edge
+    assert tr.segments is tr.segments
+    rows = [
+        (s.tri, *s.entry, *s.exit, *s.direction, s.t0, s.length, -1 if s.exit_edge is None else s.exit_edge)
+        for s in tr.segments
+    ]
+    assert np.array_equal(np.array(rows), tr.chords)
+    assert all(type(x) in (int, float) for r in rows for x in r)
+    assert [s.exit_edge is None for s in tr.segments] == [False] * (len(rows) - 1) + [True]
+
+
+def test_charts_group_chords_in_first_appearance_order(torus):
+    # Starting in triangle 1 puts chart 1 first, which id order would not.
+    tr = trace(torus, TangentDirection(incenter_point(torus, 1), (math.cos(0.3), math.sin(0.3))), 6.0)
+    tris = tr.chords[:, 0].astype(int).tolist()
+    assert list(tr.charts) == list(dict.fromkeys(tris)) == [1, 0]
+    for tri, (P, D, L, T0) in tr.charts.items():
+        mine = tr.chords[tr.chords[:, 0] == tri]  # this chart's chords in trace order
+        assert np.array_equal(P, mine[:, 1:3])
+        assert np.array_equal(D, mine[:, 5:7])
+        assert np.array_equal(L, mine[:, 8])
+        assert np.array_equal(T0, mine[:, 7])
+    assert tr.charts is tr.charts
+
+
 def test_trace_requires_positive_budget(torus):
     with pytest.raises(ValueError):
         trace(torus, TangentDirection(SurfacePoint(0, (0.5, 0.5)), (1.0, 0.0)), 0.0)
@@ -249,4 +283,4 @@ def test_tracer_and_render_use_the_surface_cone_predicate():
     assert len(cones) == len(s.vertex_classes) - 1
     expected = [tuple(s.corner_class[(t.id, k)] in cones for k in range(3)) for t in s.triangles]
     assert s._trace_tables().cone == expected
-    assert render_surface(s).count(RenderSpec().cone_color) == sum(map(sum, expected))
+    assert render_surface(s).count(CONE_COLOR) == sum(map(sum, expected))
