@@ -1,12 +1,12 @@
 """Self-intersection detection, density estimation, and angle audits.
 
-Intersections are found per chart: every pair of trace chords living in
-the same triangle (``GeodesicTrace.charts``, grouped once per trace and
-shared with the density estimate) is tested at once with numpy.  The
-events of all charts are sorted and merged as numpy columns and returned
-as an ``IntersectionEvents`` sequence, which builds an
-``IntersectionEvent`` only when one is read; ``earliest()`` picks the
-first crossing without building the others.  This module is the package's performance core.
+Both scans read one index per trace, its chords grouped by chart and then
+by projective direction class (``GeodesicTrace.classes``).  Only pairs of
+different classes, or in a wide class, can cross; they are tested at once
+with numpy and the events sorted and merged as the columns of an
+``IntersectionEvents`` sequence, which builds an ``IntersectionEvent``
+only when one is read.  A density sample is measured only against the
+chords in its band of each class.  This module is the performance core.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from .errors import CoincidentMidpoints, NotConvex
 from .geometry import PlaneIsometry, Vec, fold_to_half_turn, unsigned_angle
 from .surface import FlatSurface
 from .tracer import (
+    PROPER_ANGLE_TOL,
     GeodesicTrace,
     SurfacePoint,
     TangentDirection,
@@ -27,12 +28,6 @@ from .tracer import (
     tangent_representatives,
     trace,
 )
-
-# Direction-equality threshold separating periodic retracing from genuine
-# crossings; crossings are proper when the chord lines differ by more
-# than this (angles are compared projectively, so both 0 and pi count as
-# retracing).
-PROPER_ANGLE_TOL = 1e-6
 
 # Two parameter pairs closer than this are the same event seen from both
 # sides of a chart edge.
@@ -174,34 +169,31 @@ def _merge_mask(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return keep
 
 
-def self_intersections(
-    surface: FlatSurface,
-    trace_: GeodesicTrace,
-    angle_tol: float = PROPER_ANGLE_TOL,
-) -> IntersectionEvents:
+def self_intersections(surface: FlatSurface, trace_: GeodesicTrace) -> IntersectionEvents:
     """All proper self-intersections of a trace, ordered by (t1, t2).
 
     Pairs meeting at the same point with the same line direction (within
-    ``angle_tol``, projectively) are periodic retracing and are excluded.
-    Events seen in two charts (crossings on a gluing edge) are merged:
-    walking in (t1, t2) order, an event within EVENT_MERGE_TOL in both
-    parameters of the last event kept is dropped.  The result is columnar;
-    ``surface`` is not read: the chords carry their chart coordinates.
+    PROPER_ANGLE_TOL, projectively) are periodic retracing and are
+    excluded, so pairs in one direction class (``GeodesicTrace.classes``),
+    unless it is wide, are never tested.  Events seen in two charts are
+    merged: walking in (t1, t2) order, an event within EVENT_MERGE_TOL in
+    both parameters of the last event kept is dropped.  ``surface`` is not
+    read: the chords carry their chart coordinates.
     """
     found = []
     for tri, (P, D, L, T0) in trace_.charts.items():
-        n = len(P)
-        if n < 2:
+        label, _normals, spreads = trace_.classes[tri][:3]
+        wide = spreads[0] == 1.0  # directions do not cluster: every pair
+        if len(spreads) == 1 and not wide:
             continue
-        ii, jj = np.triu_indices(n, k=1)
+        ii, jj = np.nonzero(np.triu((label[:, None] != label) | wide, 1))
         denom = D[ii, 0] * D[jj, 1] - D[ii, 1] * D[jj, 0]
-        # Parallel chords, all of them on a parallel surface, stop here.
         k = np.flatnonzero(np.abs(denom) > 1e-12)
         if not len(k):
             continue
         ii, jj, denom = ii[k], jj[k], denom[k]
         ang = np.arccos(np.clip(D[ii, 0] * D[jj, 0] + D[ii, 1] * D[jj, 1], -1.0, 1.0))
-        k = np.flatnonzero((ang > angle_tol) & (ang < math.pi - angle_tol))
+        k = np.flatnonzero((ang > PROPER_ANGLE_TOL) & (ang < math.pi - PROPER_ANGLE_TOL))
         ii, jj, denom, ang = ii[k], jj[k], denom[k], ang[k]
         dxi, dyi, dxj, dyj = D[ii, 0], D[ii, 1], D[jj, 0], D[jj, 1]
         pxi, pyi = P[ii, 0], P[ii, 1]
@@ -235,31 +227,34 @@ def _sample_points(surface: FlatSurface, samples: int, seed: int):
     rng = np.random.default_rng(seed)
     tris = surface.triangles
     areas = np.array([t.signed_area() for t in tris])
-    probs = areas / areas.sum()
-    choice = rng.choice(len(tris), size=samples, p=probs)
-    r1 = np.sqrt(rng.uniform(size=samples))
-    r2 = rng.uniform(size=samples)
-    out: dict[int, np.ndarray] = {}
-    for ti in range(len(tris)):
-        mask = choice == ti
-        if not np.any(mask):
-            continue
-        a, b, c = (np.array(p) for p in tris[ti].corners)
-        u = r1[mask][:, None]
-        v = r2[mask][:, None]
-        pts = a * (1 - u) + b * (u * (1 - v)) + c * (u * v)
-        out[tris[ti].id] = pts
-    return out
+    choice = rng.choice(len(tris), size=samples, p=areas / areas.sum())
+    u = np.sqrt(rng.uniform(size=samples))[:, None]
+    v = rng.uniform(size=samples)[:, None]
+    a, b, c = np.array([t.corners for t in tris])[choice].transpose(1, 0, 2)
+    pts = a * (1 - u) + b * (u * (1 - v)) + c * (u * v)
+    order = np.argsort(choice, kind="stable")
+    starts = np.flatnonzero(np.diff(choice[order])) + 1
+    return {tris[choice[g[0]]].id: pts[g] for g in np.split(order, starts)}
 
 
-def _min_dist_to_chords(points: np.ndarray, P: np.ndarray, D: np.ndarray, L: np.ndarray):
-    """Min distance from each point to a set of chords (vectorized)."""
-    W = points[:, None, :] - P[None, :, :]
-    proj = W[:, :, 0] * D[None, :, 0] + W[:, :, 1] * D[None, :, 1]
-    proj = np.clip(proj, 0.0, L[None, :])
-    dx = W[:, :, 0] - proj * D[None, :, 0]
-    dy = W[:, :, 1] - proj * D[None, :, 1]
-    return np.sqrt(np.min(dx * dx + dy * dy, axis=1))
+def _near_chords(Q: np.ndarray, trace_: GeodesicTrace, tri: int, epsilon: float) -> np.ndarray:
+    """Which points Q lie within epsilon of chart ``tri``'s chords, by band."""
+    P, D, L, _t0 = trace_.charts[tri]
+    _label, normals, spreads, keys, order = trace_.classes[tri]
+    R = math.sqrt(2.0) * (np.abs(Q).max() + np.abs(P).max())
+    width = epsilon + (math.pi / 2) * spreads * R + 1e-9 * (1.0 + R)
+    off = Q[:, :1] * normals[:, 0] + Q[:, 1:] * normals[:, 1]
+    cls = np.arange(len(normals))
+    lo = np.searchsorted(keys, cls + 1j * (off - width)).ravel()
+    count = np.searchsorted(keys, cls + 1j * (off + width), "right").ravel() - lo
+    # One (sample, chord) pair per band member; columns are gathered 1-D.
+    si = np.repeat(np.arange(len(lo)) // len(normals), count)
+    ci = order[np.arange(count.sum()) + np.repeat(lo + count - np.cumsum(count), count)]
+    ux, uy = D[:, 0][ci], D[:, 1][ci]
+    wx, wy = Q[:, 0][si] - P[:, 0][ci], Q[:, 1][si] - P[:, 1][ci]
+    proj = np.clip(wx * ux + wy * uy, 0.0, L[ci])
+    dx, dy = wx - proj * ux, wy - proj * uy
+    return np.bincount(si[np.sqrt(dx * dx + dy * dy) < epsilon], minlength=len(Q)) > 0
 
 
 def density_estimate(
@@ -274,7 +269,11 @@ def density_estimate(
     Distances are measured in the sample's own chart and, through each of
     its gluings, one transition deep; points near the trace only across
     two or more transitions are undercounted, so the estimate is
-    conservative.
+    conservative.  A point q is measured against the chords of a direction
+    class (normal n, spread s) only in its band ``|n.q - n.P| <= epsilon +
+    (pi/2) s R + 1e-9 (1 + R)``, where ``R >= |q| + |P| >= |q - P|``: the
+    distance to a chord is at least ``|n_k.(q - P)|`` and ``|n -+ n_k| <=
+    (pi/2) s``, so the verdicts equal those of measuring every chord.
     """
     if not 0.0 < epsilon < math.inf or samples <= 0:
         raise ValueError("epsilon must be positive and finite, samples positive")
@@ -284,8 +283,7 @@ def density_estimate(
     for tri_id, P in pts.items():
         hit = np.zeros(len(P), dtype=bool)
         if tri_id in charts:
-            cP, cD, cL, _t = charts[tri_id]
-            hit |= _min_dist_to_chords(P, cP, cD, cL) < epsilon
+            hit |= _near_chords(P, trace_, tri_id, epsilon)
         for e in range(3):
             if np.all(hit):
                 break
@@ -296,9 +294,8 @@ def density_estimate(
             Q = np.empty_like(P)
             Q[:, 0] = m[0] * P[:, 0] + m[1] * P[:, 1] + m[4]
             Q[:, 1] = m[2] * P[:, 0] + m[3] * P[:, 1] + m[5]
-            cP, cD, cL, _t = charts[ref.tri]
             todo = ~hit
-            hit[todo] = _min_dist_to_chords(Q[todo], cP, cD, cL) < epsilon
+            hit[todo] = _near_chords(Q[todo], trace_, ref.tri, epsilon)
         covered += int(np.count_nonzero(hit))
     return DensityReport(epsilon, samples, covered / samples)
 

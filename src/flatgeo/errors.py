@@ -9,6 +9,10 @@ class MalformedSurface(FlatgeoError):
     """Surface input is not of the surface shape: keys, types or ids."""
 
 
+class MalformedTrace(FlatgeoError):
+    """Trace input is not of the trace shape: keys, types or values."""
+
+
 class DegenerateTriangle(FlatgeoError):
     """Triangle corners are collinear, coincident, or clockwise."""
 

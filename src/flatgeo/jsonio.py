@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 
-from .errors import MalformedSurface
+from .errors import MalformedSurface, MalformedTrace
 from .geometry import METRIC_TOL
 from .surface import EdgeRef, FlatSurface, Gluing, Triangle, build_surface
 from .tracer import (
@@ -52,10 +52,10 @@ def surface_to_json(surface: FlatSurface) -> str:
 
 
 def _typed(value, kind: type, what: str):
-    # bool is an int subclass; a JSON true is not an id and 1 is not a flag.
-    if type(value) is not kind:
-        raise MalformedSurface(f"{what} must be a JSON {kind.__name__}, got {value!r}")
-    return value
+    # bool is an int subclass, but true is no id or number, and 1 no flag.
+    if type(value) is not kind and (kind, type(value)) != (float, int):
+        raise TypeError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def _edge_ref(ref) -> EdgeRef:
@@ -67,9 +67,9 @@ def surface_from_json(text: str, tol: float = METRIC_TOL) -> FlatSurface:
     """Parse a surface file and build it.
 
     Raises MalformedSurface when the text is not JSON of the surface
-    shape: missing keys, wrong types, a triangle without exactly three
-    corners, ids or edges that are not integers, a ``reversed`` flag that
-    is not a boolean, or nesting too deep to parse.  Geometric faults
+    shape: missing keys, wrong types, a triangle without three corners of
+    two numbers, ids or edges that are not integers, a ``reversed`` flag
+    that is not a boolean, or nesting too deep to parse.  Geometric faults
     raise the errors of ``build_surface``.
     """
     try:
@@ -77,7 +77,7 @@ def surface_from_json(text: str, tol: float = METRIC_TOL) -> FlatSurface:
         triangles = []
         for t in data["triangles"]:
             a, b, c = t["corners"]
-            corners = tuple((float(x), float(y)) for x, y in (a, b, c))
+            corners = tuple((_typed(x, float, "corner"), _typed(y, float, "corner")) for x, y in (a, b, c))
             triangles.append(Triangle(_typed(t["id"], int, "triangle id"), corners))
         gluings = [
             Gluing(
@@ -142,27 +142,31 @@ def trace_from_json(text: str) -> GeodesicTrace:
     """Rebuild a trace from its JSON form.
 
     Directions and arc parameters are recomputed from the segment
-    endpoints; zero-length segments reuse the previous direction.
+    endpoints; zero-length segments reuse the previous direction.  Raises
+    MalformedTrace for text that is not JSON of this shape.
     """
-    data = json.loads(text)
-    rows: list[float] = []
-    t0 = 0.0
-    d = (1.0, 0.0)
-    for s in data["segments"]:
-        ex, ey = float(s["in"][0]), float(s["in"][1])
-        ox, oy = float(s["out"][0]), float(s["out"][1])
-        dx, dy = ox - ex, oy - ey
-        ln = math.hypot(dx, dy)
-        if ln > 0:
-            d = (dx / ln, dy / ln)
-        rows += (int(s["tri"]), ex, ey, ox, oy, *d, t0, ln, -1)
-        t0 += ln
-    term = _termination_parse(data["termination"])
-    length = float(data["length"])
-    if not rows:
-        raise ValueError("trace JSON has no segments")
-    start = TangentDirection(SurfacePoint(rows[0], (rows[1], rows[2])), (rows[5], rows[6]))
-    return GeodesicTrace._from_rows(start, rows, length, term)
+    try:
+        data = json.loads(text)
+        rows: list[float] = []
+        t0 = 0.0
+        d = (1.0, 0.0)
+        for s in data["segments"]:
+            ex, ey = (_typed(v, float, "segment entry") for v in s["in"])
+            ox, oy = (_typed(v, float, "segment exit") for v in s["out"])
+            dx, dy = ox - ex, oy - ey
+            ln = math.hypot(dx, dy)
+            if ln > 0:
+                d = (dx / ln, dy / ln)
+            rows += (_typed(s["tri"], int, "segment triangle"), ex, ey, ox, oy, *d, t0, ln, -1)
+            t0 += ln
+        term = _termination_parse(data["termination"])
+        length = _typed(data["length"], float, "length")
+        if not rows:
+            raise ValueError("trace JSON has no segments")
+        start = TangentDirection(SurfacePoint(rows[0], (rows[1], rows[2])), (rows[5], rows[6]))
+        return GeodesicTrace._from_rows(start, rows, length, term)
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError) as e:
+        raise MalformedTrace(f"malformed trace JSON: {e!r}") from e
 
 
 def manifest_entry(surface: FlatSurface, name: str, filename: str, parallel: bool) -> dict:

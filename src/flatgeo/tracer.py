@@ -27,6 +27,12 @@ DEFAULT_VERTEX_CLEARANCE = 1e-7
 # reasonable time and is rejected.
 MAX_STEPS = 10**7
 
+# Lines whose directions differ by more than this, projectively, cross
+# properly; closer ones retrace.  A chart's direction classes are four
+# times tighter, and more than MAX_CLASSES of them make one wide class.
+PROPER_ANGLE_TOL = 1e-6
+MAX_CLASSES = 8
+
 LENGTH_REACHED = "LengthReached"
 VERTEX_HIT = "VertexHit"
 LEFT_DOMAIN = "LeftDomain"
@@ -69,8 +75,8 @@ class GeodesicTrace:
 
     Row k of ``chords`` is the k-th chord: triangle id, entry x/y, exit
     x/y, unit direction x/y, arc parameter t0 at entry, length, and the
-    edge crossed at the exit (-1 where the trace stops).  ``segments`` and
-    ``charts`` are views of the rows, built on first read.
+    edge crossed at the exit (-1 where the trace stops).  ``segments``,
+    ``charts`` and ``classes`` are views of the rows, built on first read.
     """
 
     start: TangentDirection
@@ -111,6 +117,35 @@ class GeodesicTrace:
             int(g[0, 0]): (g[:, 1:3], g[:, 5:7], g[:, 8], g[:, 7])
             for g in np.split(c[order], starts)
         }
+
+    @cached_property
+    def classes(self) -> dict[int, tuple[np.ndarray, ...]]:
+        """tri -> (label, normals, spreads, keys, order): its direction classes.
+
+        A class is the chords with ``|D_k x d| <= PROPER_ANGLE_TOL / 4``, d
+        its first chord in trace order, with normal ``perp(d)`` and spread
+        the largest such cross product; a chart of more than MAX_CLASSES
+        is one wide class of spread 1.  ``keys[i] = label + 1j * normal.P``
+        of chord ``order[i]``, sorted by class, then offset (numpy orders
+        complex numbers lexicographically)."""
+        out = {}
+        for tri, (P, D, _L, _T0) in self.charts.items():
+            label = np.full(len(P), -1)
+            normals, spreads = [], []
+            while len(free := np.flatnonzero(label < 0)):
+                if len(normals) == MAX_CLASSES:
+                    label[:], normals, spreads = 0, normals[:1], [1.0]
+                    break
+                dx, dy = D[free[0]]
+                cross = np.abs(D[free, 0] * dy - D[free, 1] * dx)
+                mine = cross <= PROPER_ANGLE_TOL / 4
+                label[free[mine]] = len(normals)
+                normals.append((-dy, dx))
+                spreads.append(cross[mine].max())
+            n = np.array(normals)
+            keys = label + 1j * (n[label, 0] * P[:, 0] + n[label, 1] * P[:, 1])
+            out[tri] = (label, n, np.array(spreads), np.sort(keys), np.argsort(keys, kind="stable"))
+        return out
 
 
 class _TraceTables:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from flatgeo.builders import catalog
@@ -36,3 +37,14 @@ def edge_midpoint_tangent(surface, tri_id, edge, angle_to_edge):
     ex, ey = ex / ln, ey / ln
     c, s = math.cos(angle_to_edge), math.sin(angle_to_edge)
     return mid, (ex * c - ey * s, ex * s + ey * c)
+
+
+def dense_near_chords(Q, P, D, L, epsilon):
+    """Which points Q lie within epsilon of chords (P, D, L): every point
+    against every chord, in the expressions density_estimate uses."""
+    W = Q[:, None, :] - P[None, :, :]
+    proj = W[:, :, 0] * D[None, :, 0] + W[:, :, 1] * D[None, :, 1]
+    proj = np.clip(proj, 0.0, L[None, :])
+    dx = W[:, :, 0] - proj * D[None, :, 0]
+    dy = W[:, :, 1] - proj * D[None, :, 1]
+    return np.sqrt(np.min(dx * dx + dy * dy, axis=1)) < epsilon

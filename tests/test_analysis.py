@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from itertools import combinations
@@ -5,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import edge_midpoint_tangent, incenter_point
+from conftest import dense_near_chords, edge_midpoint_tangent, incenter_point
 
 import flatgeo.analysis as analysis
 from flatgeo.analysis import (
@@ -23,15 +24,19 @@ from flatgeo.analysis import (
     self_intersections,
 )
 from flatgeo.builders import (
+    CATALOG_PARALLEL,
     L_SHAPE,
+    catalog,
     cube_face_partition,
     cube_surface,
     double_of_polygon,
     flat_torus,
     isosceles_tetrahedron,
+    random_star_polygon,
 )
 from flatgeo.errors import CoincidentMidpoints, NotConvex
 from flatgeo.geometry import cross, segments_intersect, unsigned_angle
+from flatgeo.surface import diameter_estimate
 from flatgeo.tracer import SurfacePoint, TangentDirection, locate, tangent_representatives, trace, truncate
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -218,15 +223,26 @@ def _pairwise_oracle(tr):
     return merged
 
 
+def _surface(catalog_surfaces, name):
+    """A catalog surface, or ``star-double-<seed>``: the double of a random star polygon."""
+    if name.startswith("star-double-"):
+        return double_of_polygon(random_star_polygon(np.random.default_rng(int(name.rsplit("-", 1)[1]))))
+    return catalog_surfaces[name]
+
+
 # The non-parallel catalog surfaces: quarter-turn or reflection holonomy
 # gives their chords two direction classes, so crossings number in the
-# thousands.  Each length puts 900-1800 chords in the trace.
-ORACLE_LENGTHS = {"klein-bottle": 283.0, "cube": 800.0, "ring-double": 1300.0, "example1": 400.0}
+# thousands.  Each length puts 900-1800 chords in the trace.  A random
+# star double has infinite holonomy: its charts do not cluster, so each
+# is one wide class whose pairs are all tested.
+ORACLE_LENGTHS = {
+    "klein-bottle": 283.0, "cube": 800.0, "ring-double": 1300.0, "example1": 400.0, "star-double-11": 263.0,
+}
 
 
 @pytest.mark.parametrize("name", ORACLE_LENGTHS)
 def test_self_intersections_match_pairwise_oracle_on_large_charts(catalog_surfaces, name):
-    s = catalog_surfaces[name]
+    s = _surface(catalog_surfaces, name)
     start = TangentDirection(incenter_point(s), (math.cos(0.3), math.sin(0.3)))
     tr = trace(s, start, ORACLE_LENGTHS[name])
     assert tr.termination.kind == "LengthReached"
@@ -271,6 +287,48 @@ def test_density_monotone_in_length():
         for L in (5.0, 15.0, 40.0, 120.0)
     ]
     assert fracs == sorted(fracs)
+
+
+def assert_band_matches_dense(s, tr, epsilon, samples, seed=1):
+    """Per-sample verdicts of the banded test equal the dense ones, in the
+    sample's own chart and in each neighbour's, as density_estimate
+    measures them; returns (samples within epsilon, samples tested)."""
+    near = tested = 0
+    for tri, P in analysis._sample_points(s, samples, seed).items():
+        frames = [(tri, P)]
+        for e in range(3):
+            ref, iso = s.edge_transition(tri, e)
+            m = iso.matrix()
+            Q = np.column_stack((m[0] * P[:, 0] + m[1] * P[:, 1] + m[4], m[2] * P[:, 0] + m[3] * P[:, 1] + m[5]))
+            frames.append((ref.tri, Q))
+        for chart, Q in frames:
+            if chart not in tr.charts:
+                continue
+            cP, cD, cL, _t0 = tr.charts[chart]
+            band = analysis._near_chords(Q, tr, chart, epsilon)
+            assert np.array_equal(band, dense_near_chords(Q, cP, cD, cL, epsilon))
+            near += int(np.count_nonzero(band))
+            tested += len(Q)
+    return near, tested
+
+
+# Six one-class (parallel) catalog surfaces, four two-class ones and two
+# random star doubles, whose charts do not cluster and are one wide class.
+BAND_SURFACES = [name for name, _s in catalog()] + ["star-double-3", "star-double-11"]
+
+
+@pytest.mark.parametrize("name", BAND_SURFACES)
+def test_density_band_matches_dense_oracle(catalog_surfaces, name):
+    s = _surface(catalog_surfaces, name)
+    tr = trace(s, TangentDirection(incenter_point(s), (math.cos(0.3), math.sin(0.3))), 50.0 * diameter_estimate(s))
+    spreads = [c[2] for c in tr.classes.values()]
+    if name.startswith("star"):
+        assert any(sp[0] == 1.0 for sp in spreads)  # a wide class: every chord in the band
+    else:
+        assert max(map(len, spreads)) == 1 + (not CATALOG_PARALLEL[name]) and max(map(max, spreads)) < 1e-12
+    for epsilon in (0.01, 0.05):
+        near, tested = assert_band_matches_dense(s, tr, epsilon, samples=2000)
+        assert 0 < near < tested
 
 
 # --- closed geodesics -----------------------------------------------------------
@@ -400,3 +458,29 @@ def test_scan_ring_double_mostly_self_intersecting():
     counts = res.counts()
     assert counts.get("self_intersecting", 0) == 96  # frozen census, seed 77
     assert counts.get("self_intersecting", 0) > 50
+
+
+# sha256 of `direction_scan(...).to_csv()` from the incenter of each
+# surface's first triangle, seed 424242, epsilon 0.05: 20 directions at
+# 100 x diameter on the parallel surfaces (every row simple, so the
+# digest covers covered_fraction) and 10 at 400 x diameter on cube and
+# klein-bottle (every row self-intersecting, so it covers the first
+# events).  A speedup must leave scan CSVs byte-identical.
+GOLDEN_SCAN_DIGESTS = {
+    "regular-tetrahedron": (20, 100.0, "4f4e1251ae63f7f9160937718dfc3d407a23bb20f19d0e822783f4a6788432ba"),
+    "isosceles-tetrahedron": (20, 100.0, "3f042fe3630069dc5e3ecaa3a930c9ff0ef4926f1359e1350ed18130eb55dc31"),
+    "unit-torus": (20, 100.0, "9215a92fda4dc35d390c956fbb5359143621728f9101b31c7b008c05622e2d8a"),
+    "sheared-torus": (20, 100.0, "6bc2f39d824749a7da59e3e4c1042fcd651e73fba716d684f3833df37b169c1e"),
+    "square-double": (20, 100.0, "9215a92fda4dc35d390c956fbb5359143621728f9101b31c7b008c05622e2d8a"),
+    "l-double": (20, 100.0, "ef659d9286d6b07d69879c88285bb384a2e9221e40a71db2813df39d47f07bc6"),
+    "cube": (10, 400.0, "0da7479530a84da42c6d73567357a1bb6f23009230f1977ea246a67195c4d08e"),
+    "klein-bottle": (10, 400.0, "88812fbf58160852fd069fd9ad50731b7b1b892eda5ad7c79b704b02a197669b"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_SCAN_DIGESTS)
+def test_scan_csv_matches_golden_digest(catalog_surfaces, name):
+    s = catalog_surfaces[name]
+    n, diameters, digest = GOLDEN_SCAN_DIGESTS[name]
+    res = direction_scan(s, incenter_point(s), n, diameters * diameter_estimate(s), 0.05, seed=424242)
+    assert hashlib.sha256(res.to_csv().encode()).hexdigest() == digest

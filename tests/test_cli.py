@@ -7,7 +7,8 @@ import pytest
 
 from flatgeo.builders import isosceles_tetrahedron
 from flatgeo.cli import main
-from flatgeo.jsonio import trace_from_json
+from flatgeo.errors import MalformedSurface, MalformedTrace
+from flatgeo.jsonio import surface_from_json, surface_to_json, trace_from_json
 from flatgeo.render import render_surface, render_unfolded
 from flatgeo.tracer import SurfacePoint, TangentDirection, trace
 
@@ -81,6 +82,52 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     bad.write_text('{"bad": true}')
     assert main(["validate", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("corner", [[False, "0"], [0.0, "0"], [True, 0.0], [None, 0.0], [0.0]])
+def test_corner_not_two_json_numbers_exit_2(catalog_dir, tmp_path, capsys, corner):
+    data = json.loads((catalog_dir / "unit-torus.json").read_text())
+    data["triangles"][0]["corners"][0] = corner
+    bad = tmp_path / "bad-corner.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(MalformedSurface):
+        surface_from_json(bad.read_text())
+    assert main(["validate", str(bad)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "MalformedSurface"
+
+
+def test_integer_corners_load_as_numbers(catalog_dir):
+    text = (catalog_dir / "unit-torus.json").read_text()
+    data = json.loads(text)
+    data["triangles"] = [
+        {**t, "corners": [[int(x), int(y)] for x, y in t["corners"]]} for t in data["triangles"]
+    ]
+    assert all(x == int(x) for t in json.loads(text)["triangles"] for c in t["corners"] for x in c)
+    assert surface_to_json(surface_from_json(json.dumps(data))) == text
+
+
+GOOD_SEGMENT = {"tri": 0, "in": [0.5, 0.25], "out": [0.75, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"segments": [{"tri": 0}]},
+        [1],
+        {"segments": [{**GOOD_SEGMENT, "in": ["0.5", 0.25]}], "length": 1.0, "termination": "length_reached"},
+        {"segments": [GOOD_SEGMENT], "length": 1.0, "termination": "stopped"},
+        {"segments": [{**GOOD_SEGMENT, "tri": 0.5}], "length": 1.0, "termination": "length_reached"},
+        {"segments": [GOOD_SEGMENT], "length": True, "termination": "length_reached"},
+        {"segments": [], "length": 1.0, "termination": "length_reached"},
+    ],
+    ids=["missing-key", "not-an-object", "string-coordinate", "unknown-termination",
+         "fractional-tri", "boolean-length", "no-segments"],
+)
+def test_malformed_trace_json_raises_malformed_trace(doc):
+    with pytest.raises(MalformedTrace):
+        trace_from_json(json.dumps(doc))
+    good = {"segments": [GOOD_SEGMENT], "length": 1.0, "termination": "length_reached"}
+    assert trace_from_json(json.dumps(good)).chords[0, :5].tolist() == [0.0, 0.5, 0.25, 0.75, 0.5]
 
 
 def test_trace_reports_closed_period(catalog_dir, capsys):

@@ -1,11 +1,12 @@
 """Property tests of the gluing walks, self-intersection events, the
-trace helpers and surface JSON parsing.
+density band, the trace helpers and surface and trace JSON parsing.
 
 Surfaces for the walks are doubles of random star-shaped and rectilinear
 polygons (drawn from a hypothesis-chosen seed) and the square
 identifications of ``example2_candidates``, which include non-orientable
 surfaces.  Events and traces are drawn from random directions on the
-catalog's two-direction-class surfaces.  The runs are derandomized, so
+catalog's two-direction-class surfaces; the density band is checked on
+random chords against the dense test.  The runs are derandomized, so
 the suite sees the same examples every time.
 """
 import json
@@ -16,9 +17,9 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import incenter_point
+from conftest import dense_near_chords, incenter_point
 
-from flatgeo.analysis import EVENT_MERGE_TOL, _merge_mask, self_intersections
+from flatgeo.analysis import EVENT_MERGE_TOL, _merge_mask, _near_chords, self_intersections
 from flatgeo.builders import (
     double_of_polygon,
     example2_candidates,
@@ -29,9 +30,19 @@ from flatgeo.builders import (
 from flatgeo.geometry import TWO_PI, angle_distance_mod
 from flatgeo.holonomy import holonomy_generators, loop_holonomy, vertex_holonomy
 from flatgeo.errors import FlatgeoError
-from flatgeo.jsonio import surface_from_json, surface_to_json
+from flatgeo.jsonio import surface_from_json, surface_to_json, trace_from_json, trace_to_json
 from flatgeo.surface import gauss_bonnet_check
-from flatgeo.tracer import SurfacePoint, TangentDirection, TraceSegment, locate, trace, truncate
+from flatgeo.tracer import (
+    LENGTH_REACHED,
+    GeodesicTrace,
+    SurfacePoint,
+    TangentDirection,
+    Termination,
+    TraceSegment,
+    locate,
+    trace,
+    truncate,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 surfaces = st.one_of(
@@ -161,6 +172,25 @@ json_values = st.recursive(
 )
 
 
+def _mutate(doc, data):
+    """Replace one value anywhere in a JSON document by random JSON, or delete its key."""
+    path, node = [], doc
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        path.append(data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node)))))
+        node = node[path[-1]]
+    value = data.draw(json_values)
+    if not path:
+        return value
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    if data.draw(st.booleans()):
+        owner[path[-1]] = value
+    else:
+        del owner[path[-1]]
+    return doc
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(st.data())
 def test_mutated_surface_json_raises_only_typed_errors(catalog_surfaces, data):
@@ -168,22 +198,57 @@ def test_mutated_surface_json_raises_only_typed_errors(catalog_surfaces, data):
     # the parser either builds a surface or raises a FlatgeoError, which
     # the CLI reports with exit 2, never a traceback.
     doc = json.loads(surface_to_json(catalog_surfaces["unit-torus"]))
-    path, node = [], doc
-    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
-        path.append(data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node)))))
-        node = node[path[-1]]
-    value = data.draw(json_values)
-    if not path:
-        doc = value
-    else:
-        owner = doc
-        for key in path[:-1]:
-            owner = owner[key]
-        if data.draw(st.booleans()):
-            owner[path[-1]] = value
-        else:
-            del owner[path[-1]]
     try:
-        surface_from_json(json.dumps(doc))
+        surface_from_json(json.dumps(_mutate(doc, data)))
     except FlatgeoError:
         pass
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_trace_json_raises_only_typed_errors(catalog_surfaces, data):
+    # The same for a trace file: a trace or a FlatgeoError (MalformedTrace).
+    start = TangentDirection(SurfacePoint(0, (0.5, 0.25)), (0.6, 0.8))
+    doc = json.loads(trace_to_json(trace(catalog_surfaces["unit-torus"], start, 3.0)))
+    try:
+        trace_from_json(json.dumps(_mutate(doc, data)))
+    except FlatgeoError:
+        pass
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    seeds,
+    st.integers(1, 40),
+    st.integers(1, 4),
+    st.booleans(),
+    st.sampled_from([1.0, 1e3, 1e5]),
+    st.floats(-3.0, 0.5),
+)
+def test_density_band_matches_dense_on_random_chords(seed, n, bases, clustered, size, log_epsilon):
+    # One chart of n chords in a box of the given size: directions either
+    # within 1.2e-7 of a few base lines (classes with a spread, either
+    # orientation) or all random (one wide class past MAX_CLASSES);
+    # epsilon from 1e-3 to three times the box.  Points are random, or
+    # within 1e-9 of epsilon of a chord anywhere along it, where the class
+    # spread matters most.
+    rng = np.random.default_rng(seed)
+    if clustered:
+        ang = rng.uniform(0.0, math.pi, bases)[rng.integers(0, bases, n)]
+        ang += rng.uniform(-1.2e-7, 1.2e-7, n) + math.pi * rng.integers(0, 2, n)
+    else:
+        ang = rng.uniform(0.0, TWO_PI, n)
+    D = np.column_stack((np.cos(ang), np.sin(ang)))
+    P = rng.uniform(0.0, size, (n, 2))
+    L = rng.uniform(0.0, size, n)
+    rows = np.column_stack((np.zeros(n), P, P + L[:, None] * D, D, np.cumsum(L) - L, L, np.full(n, -1.0)))
+    tr = GeodesicTrace._from_rows(
+        TangentDirection(SurfacePoint(0, (0.0, 0.0)), (1.0, 0.0)), rows, L.sum(), Termination(LENGTH_REACHED)
+    )
+    epsilon = size * 10.0**log_epsilon
+    k = rng.integers(0, n, 200)
+    off = epsilon * rng.choice([1 - 1e-9, 1 + 1e-9, 0.5, -(1 - 1e-9), -(1 + 1e-9)], 200)
+    normal = D[k, ::-1] * (-1.0, 1.0)
+    near = P[k] + rng.uniform(0.0, 1.0, (200, 1)) * L[k, None] * D[k] + off[:, None] * normal
+    Q = np.vstack((rng.uniform(-size, 2.0 * size, (200, 2)), near))
+    assert np.array_equal(_near_chords(Q, tr, 0, epsilon), dense_near_chords(Q, P, D, L, epsilon))
