@@ -10,6 +10,7 @@ chords in its band of each class.  This module is the performance core.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .errors import CoincidentMidpoints, NotConvex
 from .geometry import PlaneIsometry, Vec, fold_to_half_turn, unsigned_angle
 from .surface import FlatSurface
 from .tracer import (
+    DEFAULT_VERTEX_CLEARANCE,
     PROPER_ANGLE_TOL,
     GeodesicTrace,
     SurfacePoint,
@@ -222,8 +224,11 @@ def self_intersections(surface: FlatSurface, trace_: GeodesicTrace) -> Intersect
     return IntersectionEvents(*(c[keep] for c in cols))
 
 
+@functools.lru_cache(maxsize=1)
 def _sample_points(surface: FlatSurface, samples: int, seed: int):
-    """Area-uniform points: tri id -> (k, 2) array, deterministic in seed."""
+    """Area-uniform points: tri id -> read-only (k, 2) array, deterministic
+    in seed.  A scan measures every simple direction against the same set,
+    so the last one is kept."""
     rng = np.random.default_rng(seed)
     tris = surface.triangles
     areas = np.array([t.signed_area() for t in tris])
@@ -234,7 +239,10 @@ def _sample_points(surface: FlatSurface, samples: int, seed: int):
     pts = a * (1 - u) + b * (u * (1 - v)) + c * (u * v)
     order = np.argsort(choice, kind="stable")
     starts = np.flatnonzero(np.diff(choice[order])) + 1
-    return {tris[choice[g[0]]].id: pts[g] for g in np.split(order, starts)}
+    out = {tris[choice[g[0]]].id: pts[g] for g in np.split(order, starts)}
+    for P in out.values():
+        P.flags.writeable = False
+    return out
 
 
 def _near_chords(Q: np.ndarray, trace_: GeodesicTrace, tri: int, epsilon: float) -> np.ndarray:
@@ -450,7 +458,7 @@ def direction_scan(
     length: float,
     epsilon: float,
     seed: int,
-    vertex_clearance: float = 1e-7,
+    vertex_clearance: float = DEFAULT_VERTEX_CLEARANCE,
     density_samples: int = 2000,
 ) -> ScanResult:
     """Trace ``n`` seeded random directions from one point and classify each.

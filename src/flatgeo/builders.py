@@ -6,6 +6,7 @@ surfaces, so catalog files and fixtures reproduce byte-for-byte.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,18 @@ def _ear_clip(pts: tuple[Vec, ...]) -> list[tuple[int, int, int]]:
     return tris
 
 
+def _edge_pairs(edges: dict) -> Iterator[tuple]:
+    """Each unordered edge of ``edges`` (oriented edge (u, v) -> (triangle
+    id, edge)) once, in first-seen order: (u, v), its (triangle id, edge),
+    and that of the reverse edge (v, u), or None on a boundary."""
+    seen = set()
+    for (u, v), ref in edges.items():
+        if (v, u) in seen:
+            continue
+        seen.add((u, v))
+        yield (u, v), ref, edges.get((v, u))
+
+
 def _double_from_triangulation(
     pts: tuple[Vec, ...], tris: list[tuple[int, int, int]], tol: float = METRIC_TOL
 ) -> FlatSurface:
@@ -135,21 +148,12 @@ def _double_from_triangulation(
             bot_edges[pair] = (T + t, e)
 
     gluings: list[Gluing] = []
-    seen: set[frozenset[int]] = set()
-    for (i, j), (t, e) in top_edges.items():
-        key = frozenset((i, j))
-        if key in seen:
-            continue
-        seen.add(key)
-        if (j, i) in top_edges:
-            t2, e2 = top_edges[(j, i)]
-            gluings.append(Gluing(EdgeRef(t, e), EdgeRef(t2, e2)))
-            bt, be = bot_edges[(i, j)]
-            bt2, be2 = bot_edges[(j, i)]
-            gluings.append(Gluing(EdgeRef(bt, be), EdgeRef(bt2, be2)))
+    for (i, j), top, rev in _edge_pairs(top_edges):
+        if rev is not None:
+            gluings.append(Gluing(EdgeRef(*top), EdgeRef(*rev)))
+            gluings.append(Gluing(EdgeRef(*bot_edges[(i, j)]), EdgeRef(*bot_edges[(j, i)])))
         else:
-            bt, be = bot_edges[(j, i)]
-            gluings.append(Gluing(EdgeRef(t, e), EdgeRef(bt, be)))
+            gluings.append(Gluing(EdgeRef(*top), EdgeRef(*bot_edges[(j, i)])))
     return build_surface(triangles, gluings, tol)
 
 
@@ -268,13 +272,8 @@ def cube_surface(tol: float = METRIC_TOL) -> FlatSurface:
         ]
         for a3, b3, t, e in boundary:
             owner[(a3, b3)] = (t, e)
-    seen = set()
-    for (a3, b3), (t, e) in owner.items():
-        if frozenset((a3, b3)) in seen:
-            continue
-        seen.add(frozenset((a3, b3)))
-        t2, e2 = owner[(b3, a3)]
-        gluings.append(Gluing(EdgeRef(t, e), EdgeRef(t2, e2)))
+    for _edge, ref, rev in _edge_pairs(owner):
+        gluings.append(Gluing(EdgeRef(*ref), EdgeRef(*rev)))
     return build_surface(tris, gluings, tol)
 
 
@@ -470,24 +469,15 @@ def _find_edge(
     raise UnsupportedCut(f"internal error: edge {a}->{b} not found after surgery")
 
 
-def _split_triangle_chain(
-    corners: tuple[Vec, Vec, Vec], edge: int, points: list[Vec], first_id: int
-) -> tuple[list[tuple[int, tuple[Vec, Vec, Vec]]], list[Gluing]]:
-    """Split one triangle at interior points of one edge, fanning from the
-    opposite corner.  Returns the sub-triangles and their internal spokes."""
-    u0 = corners[edge]
-    u1 = corners[(edge + 1) % 3]
-    opp = corners[(edge + 2) % 3]
-    chain = [u0] + points + [u1]
-    tris = []
-    gl = []
-    for i in range(len(chain) - 1):
-        tid = first_id + i
-        tris.append((tid, (chain[i], chain[i + 1], opp)))
-        if i > 0:
-            # spoke between consecutive pieces: (opp -> chain[i]) vs (chain[i] -> opp)
-            gl.append(Gluing(EdgeRef(first_id + i - 1, 1), EdgeRef(tid, 2)))
-    return tris, gl
+def _split_triangle(
+    corners: tuple[Vec, Vec, Vec], edge: int, point: Vec, first_id: int
+) -> tuple[list[tuple[int, tuple[Vec, Vec, Vec]]], Gluing]:
+    """Split a triangle at a point of one edge into triangles ``first_id``
+    (edge start, point, opposite corner) and ``first_id + 1`` (point, edge
+    end, opposite corner), and glue their shared spoke."""
+    u0, u1, opp = corners[edge], corners[(edge + 1) % 3], corners[(edge + 2) % 3]
+    subs = [(first_id, (u0, point, opp)), (first_id + 1, (point, u1, opp))]
+    return subs, Gluing(EdgeRef(first_id, 1), EdgeRef(first_id + 1, 2))
 
 
 def cut_and_glue(
@@ -590,35 +580,19 @@ def cut_and_glue(
         r = s - ell
         return (q[0] - r * w[0], q[1] - r * w[1])
 
-    right_breaks = sorted(s for s in positions[1:-1] if snap < s < ell - snap)
-    left_breaks = sorted((s for s in positions[1:-1] if ell + snap < s < 2 * ell - snap))
+    right_breaks = sorted((s for s in positions[1:-1] if snap < s < ell - snap), reverse=True)
+    left_breaks = sorted((s for s in positions[1:-1] if ell + snap < s < 2 * ell - snap), reverse=True)
 
-    # Host replacement: walk the boundary stations counterclockwise.
-    stations: list[tuple[str, int]] = []
-    for e in range(3):
-        stations.append(("corner", e))
-        if e == eP:
-            stations.append(("P", e))
-        if e == eQ:
-            stations.append(("Q", e))
-    qi = stations.index(("Q", eQ))
-    left_corners: list[int] = []
-    right_corners: list[int] = []
-    bucket = left_corners
-    for off in range(1, len(stations)):
-        kind, val = stations[(qi + off) % len(stations)]
-        if kind == "corner":
-            bucket.append(val)
-        elif kind == "P":
-            bucket = right_corners
-    if not left_corners or not right_corners:
-        raise UnsupportedCut("cut line fails to separate the triangle corners")
+    # Host replacement: counterclockwise, the corners after Q0 up to P0 lie
+    # left of the cut and those after P0 up to Q0 right of it.
+    left_corners = [(eQ + i) % 3 for i in range(1, (eP - eQ) % 3 + 1)]
+    right_corners = [(eP + i) % 3 for i in range(1, (eQ - eP) % 3 + 1)]
     for k in left_corners:
         if not side_of[k]:
             raise UnsupportedCut("internal error: corner side bookkeeping")
 
-    left_nodes = [P0, p] + [bank_point(s) for s in sorted(left_breaks, reverse=True)] + [q, Q0]
-    right_chord = [Q0, q] + [bank_point(s) for s in sorted(right_breaks, reverse=True)] + [p]
+    left_nodes = [P0, p] + [bank_point(s) for s in left_breaks] + [q, Q0]
+    right_chord = [Q0, q] + [bank_point(s) for s in right_breaks] + [p]
 
     left_poly = left_nodes + [host.corner(k) for k in left_corners]
     right_poly = [P0] + [host.corner(k) for k in right_corners] + right_chord
@@ -639,7 +613,6 @@ def cut_and_glue(
         # consecutive fan triangles share a spoke: (apex, v_{i+1})
         for a, b in zip(ids, ids[1:]):
             new_gluings.append(Gluing(EdgeRef(a, 2), EdgeRef(b, 0)))
-        return ids
 
     add_fan(left_poly, len(left_nodes))  # apex = first left corner
     add_fan(right_poly, 1)  # apex = first right corner
@@ -650,8 +623,9 @@ def cut_and_glue(
     new_gluings.append(Gluing(EdgeRef(*find(P0, p)), EdgeRef(*find(p, P0))))
     new_gluings.append(Gluing(EdgeRef(*find(q, Q0)), EdgeRef(*find(Q0, q))))
 
-    # Pieces of the host's original edges, for regluing to the neighbors.
-    piece_map: dict[tuple[int, int], list[tuple[tuple[int, int], Vec, Vec]]] = {}
+    # Pieces of the host's original edges, from edge start to edge end, for
+    # regluing to the neighbors.
+    piece_map: dict[EdgeRef, list[EdgeRef]] = {}
     for e in range(3):
         chain = [host.edge_start(e)]
         if e == eP:
@@ -659,10 +633,7 @@ def cut_and_glue(
         if e == eQ:
             chain.append(Q0)
         chain.append(host.edge_end(e))
-        pieces = []
-        for aa, bb in zip(chain, chain[1:]):
-            pieces.append((find(aa, bb), aa, bb))
-        piece_map[(host_id, e)] = pieces
+        piece_map[EdgeRef(host_id, e)] = [EdgeRef(*find(aa, bb)) for aa, bb in zip(chain, chain[1:])]
 
     # Split the neighbors across eP and eQ at the crossing images.
     neighbor_tris: list[tuple[int, tuple[Vec, Vec, Vec]]] = []
@@ -675,60 +646,44 @@ def cut_and_glue(
             )
         split_ids.add(ref.tri)
         ntri = surface.triangle(ref.tri)
-        img = iso.apply(X)
-        subs, spokes = _split_triangle_chain(ntri.corners, ref.edge, [img], next_id)
-        next_id += len(subs)
+        subs, spoke = _split_triangle(ntri.corners, ref.edge, iso.apply(X), next_id)
         neighbor_tris.extend(subs)
-        new_gluings.extend(spokes)
-        chain = [ntri.edge_start(ref.edge), img, ntri.edge_end(ref.edge)]
-        pieces = []
-        for aa, bb in zip(chain, chain[1:]):
-            pieces.append((_find_edge(subs, aa, bb, margin), aa, bb))
-        piece_map[(ref.tri, ref.edge)] = pieces
-        for other_e in range(3):
-            if other_e == ref.edge:
-                continue
-            aa, bb = ntri.edge_start(other_e), ntri.edge_end(other_e)
-            piece_map[(ref.tri, other_e)] = [(_find_edge(subs, aa, bb, margin), aa, bb)]
+        new_gluings.append(spoke)
+        piece_map[ref] = [EdgeRef(next_id, 0), EdgeRef(next_id + 1, 0)]
+        piece_map[EdgeRef(ref.tri, (ref.edge + 1) % 3)] = [EdgeRef(next_id + 1, 1)]
+        piece_map[EdgeRef(ref.tri, (ref.edge + 2) % 3)] = [EdgeRef(next_id, 2)]
+        next_id += 2
 
     # Patch triangulation in its own chart, split where the walk passes q.
-    patch_tris_idx = _ear_clip(pverts)
     patch_tris: list[tuple[int, tuple[Vec, Vec, Vec]]] = []
     patch_ids = []
-    for (i, j, k) in patch_tris_idx:
+    patch_edges: dict[tuple[int, int], tuple[int, int]] = {}
+    for (i, j, k) in _ear_clip(pverts):
         patch_tris.append((next_id, (pverts[i], pverts[j], pverts[k])))
         patch_ids.append(next_id)
+        for e, pair in enumerate(((i, j), (j, k), (k, i))):
+            patch_edges[pair] = (next_id, e)
         next_id += 1
-    for i in range(len(patch_tris_idx)):
-        for e in range(3):
-            ii, jj = patch_tris_idx[i][e], patch_tris_idx[i][(e + 1) % 3]
-            for i2 in range(i + 1, len(patch_tris_idx)):
-                for e2 in range(3):
-                    if (
-                        patch_tris_idx[i2][e2] == jj
-                        and patch_tris_idx[i2][(e2 + 1) % 3] == ii
-                    ):
-                        new_gluings.append(
-                            Gluing(EdgeRef(patch_ids[i], e), EdgeRef(patch_ids[i2], e2))
-                        )
-    breakpoints = sorted({0.0, ell} | set(positions[:-1]))
+    for _edge, ref, rev in _edge_pairs(patch_edges):
+        if rev is not None:
+            new_gluings.append(Gluing(EdgeRef(*ref), EdgeRef(*rev)))
     if not any(abs(s - ell) <= snap for s in positions):
         # The bank transition at q falls inside a patch edge: split that
         # patch triangle at the corresponding boundary point.
         j = max(jj for jj, s in enumerate(positions) if s < ell)
-        a = pverts[(anchor + j) % np_]
-        b = pverts[(anchor + j + 1) % np_]
+        edge = ((anchor + j) % np_, (anchor + j + 1) % np_)
+        a, b = pverts[edge[0]], pverts[edge[1]]
         f = (ell - positions[j]) / (positions[j + 1] - positions[j])
         mid = (a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]))
-        owner, oedge = _find_edge(patch_tris, a, b, margin)
+        owner, oedge = patch_edges[edge]
         corners = next(c for tid, c in patch_tris if tid == owner)
         patch_tris = [(tid, c) for tid, c in patch_tris if tid != owner]
         patch_ids.remove(owner)
-        subs, spokes = _split_triangle_chain(corners, oedge, [mid], next_id)
+        subs, spoke = _split_triangle(corners, oedge, mid, next_id)
         next_id += len(subs)
         patch_tris.extend(subs)
         patch_ids.extend(tid for tid, _c in subs)
-        new_gluings.extend(spokes)
+        new_gluings.append(spoke)
         # Internal patch gluings that referenced the split triangle's intact
         # edges move to the sub-triangle that now owns them.
         remap = {
@@ -770,43 +725,20 @@ def cut_and_glue(
     ]
     final_tris += [Triangle(tid, c) for tid, c in new_host + neighbor_tris + patch_tris]
     final_gluings: list[Gluing] = []
-    for gi, g in enumerate(surface.gluings):
-        ka, kb = (g.a.tri, g.a.edge), (g.b.tri, g.b.edge)
-        if ka not in piece_map and kb not in piece_map:
-            final_gluings.append(g)
-            continue
-        tri_a = surface.triangle(g.a.tri)
-        tri_b = surface.triangle(g.b.tri)
-        pieces_a = piece_map.get(
-            ka, [((g.a.tri, g.a.edge), tri_a.edge_start(g.a.edge), tri_a.edge_end(g.a.edge))]
-        )
-        pieces_b = piece_map.get(
-            kb, [((g.b.tri, g.b.edge), tri_b.edge_start(g.b.edge), tri_b.edge_end(g.b.edge))]
-        )
-        iso = surface.transitions[gi]
-        for ref_a, ua, va in pieces_a:
-            ia, ib = iso.apply(ua), iso.apply(va)
-            matched = None
-            for ref_b, ub, vb in pieces_b:
-                if g.reversed:
-                    hit = _close(ia, ub, margin) and _close(ib, vb, margin)
-                else:
-                    hit = _close(ia, vb, margin) and _close(ib, ub, margin)
-                if hit:
-                    matched = ref_b
-                    break
-            if matched is None:
-                raise UnsupportedCut("internal error: piece matching failed")
-            final_gluings.append(Gluing(EdgeRef(*ref_a), EdgeRef(*matched), g.reversed))
+    # A reversed gluing maps edge start to edge start, so its pieces pair in
+    # order; any other gluing maps edge start to edge end.
+    for g in surface.gluings:
+        pieces_a = piece_map.get(g.a, [g.a])
+        pieces_b = piece_map.get(g.b, [g.b])
+        if len(pieces_a) != len(pieces_b):
+            raise UnsupportedCut("internal error: a gluing's two sides split into different pieces")
+        for ref_a, ref_b in zip(pieces_a, pieces_b if g.reversed else pieces_b[::-1]):
+            final_gluings.append(Gluing(ref_a, ref_b, g.reversed))
 
     final_gluings.extend(new_gluings)
     out = build_surface(final_tris, final_gluings, tol)
     out.patch_triangle_ids = tuple(sorted(patch_ids))
     return out
-
-
-def _close(a: Vec, b: Vec, tol: float) -> bool:
-    return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
 
 
 def _dedupe_sorted(vals: list[float], tol: float) -> list[float]:

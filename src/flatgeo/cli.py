@@ -25,7 +25,7 @@ from .holonomy import curvature_test, is_parallel
 from .jsonio import manifest_entry, manifest_to_json, surface_from_json, surface_to_json, trace_to_json
 from .render import render_surface, render_unfolded
 from .surface import FlatSurface, gauss_bonnet_check
-from .tracer import SurfacePoint, TangentDirection, trace
+from .tracer import DEFAULT_VERTEX_CLEARANCE, SurfacePoint, TangentDirection, trace
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -209,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--y", type=float, default=None)
     t.add_argument("--angle", type=float, required=True, help="direction angle in the chart")
     t.add_argument("--length", type=float, required=True)
-    t.add_argument("--clearance", type=float, default=1e-7)
+    t.add_argument("--clearance", type=float, default=DEFAULT_VERTEX_CLEARANCE)
     t.add_argument("--svg", default=None, help="write the unfolded development as SVG")
     t.set_defaults(func=cmd_trace)
 
@@ -222,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tri", type=int, default=None)
     s.add_argument("--x", type=float, default=None)
     s.add_argument("--y", type=float, default=None)
-    s.add_argument("--clearance", type=float, default=1e-7)
+    s.add_argument("--clearance", type=float, default=DEFAULT_VERTEX_CLEARANCE)
     s.add_argument("--csv", default=None)
     s.add_argument("--rows", default=None, help="write the scan table as JSON")
     s.set_defaults(func=cmd_scan, angle=0.0)

@@ -105,7 +105,10 @@ def _termination_parse(s: str) -> Termination:
         return Termination(LENGTH_REACHED)
     if s.startswith("vertex_hit:"):
         _, vc, par = s.split(":", 2)
-        return Termination(VERTEX_HIT, vertex=int(vc), parameter=float(par))
+        parameter = float(par)
+        if not math.isfinite(parameter):
+            raise ValueError(f"non-finite hit parameter {par!r}")
+        return Termination(VERTEX_HIT, vertex=int(vc), parameter=parameter)
     if s.startswith("left_domain:"):
         return Termination(LEFT_DOMAIN, message=s.split(":", 1)[1])
     raise ValueError(f"unknown termination {s!r}")
@@ -143,7 +146,9 @@ def trace_from_json(text: str) -> GeodesicTrace:
 
     Directions and arc parameters are recomputed from the segment
     endpoints; zero-length segments reuse the previous direction.  Raises
-    MalformedTrace for text that is not JSON of this shape.
+    MalformedTrace for text that is not JSON of this shape, a triangle id
+    beyond 2**53 (chords hold ids as float64), a chord value that is not
+    finite, a negative or non-finite length, or a non-finite hit parameter.
     """
     try:
         data = json.loads(text)
@@ -157,12 +162,19 @@ def trace_from_json(text: str) -> GeodesicTrace:
             ln = math.hypot(dx, dy)
             if ln > 0:
                 d = (dx / ln, dy / ln)
-            rows += (_typed(s["tri"], int, "segment triangle"), ex, ey, ox, oy, *d, t0, ln, -1)
+            tri = _typed(s["tri"], int, "segment triangle")
+            if not abs(tri) <= 2**53:
+                raise ValueError(f"segment triangle {tri} is beyond 2**53")
+            rows += (tri, ex, ey, ox, oy, *d, t0, ln, -1)
             t0 += ln
         term = _termination_parse(data["termination"])
         length = _typed(data["length"], float, "length")
         if not rows:
             raise ValueError("trace JSON has no segments")
+        if not all(map(math.isfinite, rows)):
+            raise ValueError("trace JSON has a chord value that is not finite")
+        if not 0.0 <= length < math.inf:
+            raise ValueError(f"trace length {length!r} is negative or not finite")
         start = TangentDirection(SurfacePoint(rows[0], (rows[1], rows[2])), (rows[5], rows[6]))
         return GeodesicTrace._from_rows(start, rows, length, term)
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError) as e:

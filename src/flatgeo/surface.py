@@ -107,7 +107,7 @@ class VertexClass:
     def curvature(self) -> float:
         return TWO_PI - self.cone_angle
 
-    def is_cone(self, tol: float = 1e-9) -> bool:
+    def is_cone(self, tol: float) -> bool:
         """False for removable marked points whose total angle is 2*pi."""
         return abs(self.curvature) > tol
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -32,11 +33,13 @@ from flatgeo.errors import (
     PerimeterMismatch,
     UncoveredBoundary,
 )
+from flatgeo.geometry import polygon_area
 from flatgeo.holonomy import curvature_test, is_parallel
 from flatgeo.jsonio import surface_to_json
 from flatgeo.surface import gauss_bonnet_check
 from flatgeo.tracer import SurfacePoint, TangentDirection, trace
 from flatgeo.analysis import closed_geodesic_detect
+from flatgeo.cli import main
 
 
 def curvatures_as_pi(surface):
@@ -184,12 +187,23 @@ def test_example1_closed_geodesics_avoid_patch():
         assert period == pytest.approx(2 * n * math.sqrt(1 + 1 / n**2), abs=1e-9)
 
 
-def test_cut_and_glue_preserves_area_and_adds_patch():
+SMALL_SQUARE = PolygonSpec([(0.0, 0.0), (0.1, 0.0), (0.1, 0.1), (0.0, 0.1)])
+EQUILATERAL_SIDE = 2.0 / 9.0
+EQUILATERAL = PolygonSpec(
+    [(0.0, 0.0), (EQUILATERAL_SIDE, 0.0), (EQUILATERAL_SIDE / 2, EQUILATERAL_SIDE * math.sqrt(3) / 2)]
+)
+
+
+def square_double_cut(x, y0, y1, patch, anchor=0):
+    """The square double slit along {x} x [y0, y1], with ``patch`` sewn in."""
     base = double_of_polygon(SQUARE)
-    host = find_triangle_with_germ(base, (0.75, 0.35), (1.0, 0.0))
-    patch = PolygonSpec([(0.0, 0.0), (0.1, 0.0), (0.1, 0.1), (0.0, 0.1)])
-    s = cut_and_glue(base, (host, (0.75, 0.3), (0.75, 0.5)), patch)
-    assert s.area() == pytest.approx(base.area() + 0.01, abs=1e-12)
+    host = find_triangle_with_germ(base, (x, (y0 + y1) / 2), (1.0, 0.0))
+    return cut_and_glue(base, (host, (x, y0), (x, y1)), patch, anchor)
+
+
+def test_cut_and_glue_preserves_area_and_adds_patch():
+    s = square_double_cut(0.75, 0.3, 0.5, SMALL_SQUARE)
+    assert s.area() == pytest.approx(2.0 + 0.01, abs=1e-12)
     assert s.euler_characteristic == 2
     assert gauss_bonnet_check(s) < 1e-9
 
@@ -197,16 +211,10 @@ def test_cut_and_glue_preserves_area_and_adds_patch():
 def test_cut_and_glue_triangle_patch_splits_patch_edge():
     # equilateral patch: no patch vertex lands at the bank transition, so
     # one patch triangle must be split at an interior boundary point
-    base = double_of_polygon(SQUARE)
-    a = EXAMPLE1_PARAM
-    host = find_triangle_with_germ(base, (a, 0.5), (1.0, 0.0))
-    side = 2.0 / 9.0
-    h = side * math.sqrt(3) / 2
-    patch = PolygonSpec([(0.0, 0.0), (side, 0.0), (side / 2, h)])
-    s = cut_and_glue(base, (host, (a, 1.0 / 3.0), (a, 2.0 / 3.0)), patch)
+    s = square_double_cut(EXAMPLE1_PARAM, 1.0 / 3.0, 2.0 / 3.0, EQUILATERAL)
     assert s.euler_characteristic == 2
     assert gauss_bonnet_check(s) < 1e-9
-    assert s.area() == pytest.approx(2.0 + side * h / 2, abs=1e-12)
+    assert s.area() == pytest.approx(2.0 + polygon_area(list(EQUILATERAL.vertices)), abs=1e-12)
     assert len(s.patch_triangle_ids) == 2  # one patch triangle was split in two
 
 
@@ -227,6 +235,65 @@ def test_cut_through_vertex():
     patch = PolygonSpec([(0.0, 0.0), (0.1, 0.0), (0.1, 0.1), (0.0, 0.1)])
     with pytest.raises(CutThroughVertex):
         cut_and_glue(base, (host, corner, inside), patch)
+
+
+# sha256 of every file `flatgeo catalog` writes, and of `surface_to_json`
+# (with the patch triangle ids) of cuts of the square double: a square
+# patch and a triangle patch that must be split, each at anchor 0 and at
+# another anchor.  A refactor of the builders must leave them
+# byte-identical.
+GOLDEN_CATALOG_DIGESTS = {
+    "MANIFEST.json": "403132083d7c64f6ec9d767c78eba5a0b552ddc67918e7b3734548e0d58c55c9",
+    "cube.json": "27fea9ae4409bd10f06e4152b02ca5c48509b7debf60d420e6974ce98dc210a9",
+    "example1.json": "c98ede293f8aca1055524846e1d869055729a7564d300ff11dc169bf8d6d372c",
+    "isosceles-tetrahedron.json": "de30c9d1441974b4e5dfc22f71131f8ddf03a47f6798c3448fc5091b80f4ed60",
+    "klein-bottle.json": "ecadd2a76c7aa0e9e3632517b1da1dacca84ee65dc4f63c8e1f3b550d7a94cc7",
+    "l-double.json": "2068cbe745ffe8c674cf3c7386389920a1620c70abd76ad3a299d95b790e51ba",
+    "regular-tetrahedron.json": "1086ff0514817fe4225bc677e0b7c187e02503c87b06f760603b31d658f281ff",
+    "ring-double.json": "80207f495880ca70912417c013cde33cdc7274c0853200850a99784eb70adb9c",
+    "sheared-torus.json": "cfdbc09841fd7e27b98d3212401540caff0e5a74a22a5777b8a0ea456422d43c",
+    "square-double.json": "f4efcfa554b927a797fedeb1bedbd89861df766128a28cdf26da04fff3fef343",
+    "unit-torus.json": "46bd1f2e475be5326b384eab4958d49b40e4925ce3b93f00318793c970ecac38",
+}
+GOLDEN_CUT_DIGESTS = {
+    "square-patch": (
+        (0.75, 0.3, 0.5, SMALL_SQUARE, 0),
+        "da4086fcdea5c1365eb5df6c17c875e04618c0c4978942b63dc77fe8abb126d7",
+        (17, 18),
+    ),
+    "square-patch-anchor-3": (
+        (0.75, 0.3, 0.5, SMALL_SQUARE, 3),
+        "eb19f8cbdc1a1f16d067ed519adc3590e12d652fdeb38140a156f8c14bbb915f",
+        (17, 18),
+    ),
+    "equilateral-split": (
+        (EXAMPLE1_PARAM, 1.0 / 3.0, 2.0 / 3.0, EQUILATERAL, 0),
+        "766ac716b9ef3ac48fa4e0ab82cd03544d8133b69478e73d486efc32be97774f",
+        (18, 19),
+    ),
+    "equilateral-split-anchor-1": (
+        (EXAMPLE1_PARAM, 1.0 / 3.0, 2.0 / 3.0, EQUILATERAL, 1),
+        "99ad779760bc2cfc5c289fa7abe5fa7e0f5c58c1705b7c2db4a7e10a678c93d4",
+        (18, 19),
+    ),
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_catalog_files_match_golden_digests(tmp_path, capsys):
+    assert main(["catalog", str(tmp_path)]) == 0
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert got == GOLDEN_CATALOG_DIGESTS
+
+
+@pytest.mark.parametrize("name", GOLDEN_CUT_DIGESTS)
+def test_cut_and_glue_matches_golden_digest(name):
+    args, digest, patch_ids = GOLDEN_CUT_DIGESTS[name]
+    s = square_double_cut(*args)
+    assert (sha256(surface_to_json(s)), s.patch_triangle_ids) == (digest, patch_ids)
 
 
 # --- square identifications ------------------------------------------------------

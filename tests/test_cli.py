@@ -119,13 +119,24 @@ GOOD_SEGMENT = {"tri": 0, "in": [0.5, 0.25], "out": [0.75, 0.5]}
         {"segments": [{**GOOD_SEGMENT, "tri": 0.5}], "length": 1.0, "termination": "length_reached"},
         {"segments": [GOOD_SEGMENT], "length": True, "termination": "length_reached"},
         {"segments": [], "length": 1.0, "termination": "length_reached"},
+        {"segments": [{**GOOD_SEGMENT, "tri": 2**53 + 1}], "length": 1.0, "termination": "length_reached"},
+        '{"segments": [{"tri": 0, "in": [1e400, 0.25], "out": [0.75, 0.5]}], "length": 1.0, '
+        '"termination": "length_reached"}',
+        '{"segments": [{"tri": 0, "in": [0.5, 0.25], "out": [0.75, 0.5]}], "length": 1e400, '
+        '"termination": "length_reached"}',
+        {"segments": [GOOD_SEGMENT], "length": -1.0, "termination": "length_reached"},
+        {"segments": [GOOD_SEGMENT], "length": 1.0, "termination": "vertex_hit:0:nan"},
+        {"segments": [{"tri": 0, "in": [1e308, 0.0], "out": [-1e308, 0.0]}], "length": 1.0,
+         "termination": "length_reached"},
     ],
     ids=["missing-key", "not-an-object", "string-coordinate", "unknown-termination",
-         "fractional-tri", "boolean-length", "no-segments"],
+         "fractional-tri", "boolean-length", "no-segments", "tri-beyond-2**53",
+         "infinite-coordinate", "infinite-length", "negative-length", "nan-hit-parameter",
+         "overflowing-chord-length"],
 )
 def test_malformed_trace_json_raises_malformed_trace(doc):
     with pytest.raises(MalformedTrace):
-        trace_from_json(json.dumps(doc))
+        trace_from_json(doc if isinstance(doc, str) else json.dumps(doc))
     good = {"segments": [GOOD_SEGMENT], "length": 1.0, "termination": "length_reached"}
     assert trace_from_json(json.dumps(good)).chords[0, :5].tolist() == [0.0, 0.5, 0.25, 0.75, 0.5]
 

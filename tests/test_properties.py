@@ -1,12 +1,15 @@
-"""Property tests of the gluing walks, self-intersection events, the
-density band, the trace helpers and surface and trace JSON parsing.
+"""Property tests of the gluing walks, cut-and-glue surgery,
+self-intersection events, the density band, the trace helpers and
+surface and trace JSON parsing.
 
 Surfaces for the walks are doubles of random star-shaped and rectilinear
 polygons (drawn from a hypothesis-chosen seed) and the square
 identifications of ``example2_candidates``, which include non-orientable
-surfaces.  Events and traces are drawn from random directions on the
-catalog's two-direction-class surfaces; the density band is checked on
-random chords against the dense test.  The runs are derandomized, so
+surfaces.  Cuts are random segments inside one triangle of the square
+double or of a star double, patched with regular polygons.  Events and
+traces are drawn from random directions on the catalog's
+two-direction-class surfaces; the density band is checked on random
+chords against the dense test.  The runs are derandomized, so
 the suite sees the same examples every time.
 """
 import json
@@ -21,13 +24,16 @@ from conftest import dense_near_chords, incenter_point
 
 from flatgeo.analysis import EVENT_MERGE_TOL, _merge_mask, _near_chords, self_intersections
 from flatgeo.builders import (
+    SQUARE,
+    PolygonSpec,
+    cut_and_glue,
     double_of_polygon,
     example2_candidates,
     random_rectilinear_polygon,
     random_star_polygon,
     square_identification_surface,
 )
-from flatgeo.geometry import TWO_PI, angle_distance_mod
+from flatgeo.geometry import TWO_PI, angle_distance_mod, polygon_area
 from flatgeo.holonomy import holonomy_generators, loop_holonomy, vertex_holonomy
 from flatgeo.errors import FlatgeoError
 from flatgeo.jsonio import surface_from_json, surface_to_json, trace_from_json, trace_to_json
@@ -89,6 +95,39 @@ def test_generators_and_witness_replay(s):
         assert s.orientation_witness is None
     else:
         assert loop_holonomy(s, s.orientation_witness, root).reflect
+
+
+@walk_settings
+@given(
+    st.one_of(st.just(SQUARE), seeds.map(lambda s: random_star_polygon(np.random.default_rng(s)))),
+    seeds,
+    st.integers(3, 6),
+    st.integers(0, 5),
+)
+def test_cut_and_glue_adds_the_patch_or_raises_typed(polygon, seed, k, anchor):
+    # A cut between two random points of a random triangle, patched with a
+    # regular k-gon of perimeter twice the cut; odd k puts no patch vertex
+    # at the far end of the cut, so a patch triangle is split there.
+    base = double_of_polygon(polygon)
+    rng = np.random.default_rng(seed)
+    t = base.triangles[rng.integers(len(base.triangles))]
+    p, q = (tuple(w @ np.array(t.corners)) for w in rng.dirichlet((1.0, 1.0, 1.0), 2))
+    radius = math.dist(p, q) / (k * math.sin(math.pi / k))
+    phase = rng.uniform(0.0, TWO_PI)
+    patch = PolygonSpec(
+        [(radius * math.cos(phase + TWO_PI * j / k), radius * math.sin(phase + TWO_PI * j / k)) for j in range(k)]
+    )
+    try:
+        s = cut_and_glue(base, (t.id, p, q), patch, anchor % k)
+    except FlatgeoError:
+        return
+    patch_area = polygon_area(list(patch.vertices))
+    assert s.euler_characteristic == 2
+    assert math.isclose(s.area(), base.area() + patch_area, rel_tol=1e-12)
+    assert gauss_bonnet_check(s) < 1e-9
+    patch_tris = [tri for tri in s.triangles if tri.id in s.patch_triangle_ids]
+    assert len(patch_tris) == len(s.patch_triangle_ids)
+    assert math.isclose(sum(tri.signed_area() for tri in patch_tris), patch_area, rel_tol=1e-12)
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
