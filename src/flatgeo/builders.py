@@ -46,23 +46,34 @@ class PolygonSpec:
         )
 
     def validate(self) -> None:
+        """Raise NonSimplePolygon unless the polygon is finite, simple and
+        counterclockwise."""
         pts = self.vertices
         n = len(pts)
         if n < 3:
             raise NonSimplePolygon("polygon needs at least 3 vertices")
-        if polygon_area(list(pts)) <= 0:
+        xy = np.array(pts)
+        area = polygon_area(list(pts))
+        if not (np.isfinite(xy).all() and math.isfinite(area)):
+            raise NonSimplePolygon("polygon has a non-finite coordinate or area")
+        if area <= 0:
             raise NonSimplePolygon("polygon must be counterclockwise with positive area")
         for i in range(n):
             a, b = pts[i], pts[(i + 1) % n]
             if norm(b[0] - a[0], b[1] - a[1]) == 0.0:
                 raise NonSimplePolygon("zero-length polygon edge")
-        for i in range(n):
-            a1, b1 = pts[i], pts[(i + 1) % n]
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue
-                a2, b2 = pts[j], pts[(j + 1) % n]
-                if segments_intersect(a1, b1, a2, b2):
+        # Only edge pairs whose padded bounding boxes overlap can pass the
+        # exact test: the pad is far above its rounding.  Testing those in
+        # (i, j) order finds the first failing pair of the all-pairs loop.
+        ends = np.roll(xy, -1, axis=0)
+        pad = 1e-9 * (1.0 + np.abs(xy).max())
+        (x0, y0), (x1, y1) = (np.minimum(xy, ends) - pad).T, (np.maximum(xy, ends) + pad).T
+        # Whole rows keep every temporary one size, so numpy's cache of
+        # small blocks keeps a few of them, not a few of every length.
+        for i in range(n - 2):
+            near = (x0 <= x1[i]) & (x1 >= x0[i]) & (y0 <= y1[i]) & (y1 >= y0[i])
+            for j in (np.flatnonzero(near[i + 2 : n - 1 if i == 0 else n]) + i + 2).tolist():
+                if segments_intersect(pts[i], pts[i + 1], pts[j], pts[(j + 1) % n]):
                     raise NonSimplePolygon(f"boundary edges {i} and {j} intersect")
 
     def perimeter(self) -> float:
@@ -439,11 +450,12 @@ def _fan(polygon: list[Vec], apex: int) -> list[tuple[Vec, Vec, Vec]]:
     """Fan triangulation of a convex polygon from one vertex.
 
     Consecutive collinear vertices are fine as long as the apex is off
-    their line.
+    their line.  Triangles are listed from the corner after the apex, so
+    consecutive ones share a spoke.
     """
     n = len(polygon)
     out = []
-    for i in range(n):
+    for i in ((apex + 1 + r) % n for r in range(n)):
         j = (i + 1) % n
         if i == apex or j == apex:
             continue

@@ -1,9 +1,12 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
 
 from flatgeo.builders import catalog
+from flatgeo.errors import NonSimplePolygon
+from flatgeo.geometry import norm, polygon_area, segments_intersect
 from flatgeo.tracer import SurfacePoint
 
 
@@ -48,3 +51,68 @@ def dense_near_chords(Q, P, D, L, epsilon):
     dx = W[:, :, 0] - proj * D[None, :, 0]
     dy = W[:, :, 1] - proj * D[None, :, 1]
     return np.sqrt(np.min(dx * dx + dy * dy, axis=1)) < epsilon
+
+
+def all_sources_diameter(surface) -> float:
+    """Reference for ``diameter_estimate``: the same skeleton graph, with
+    Dijkstra run from every node."""
+    nodes: dict[object, int] = {}
+    for i, _v in enumerate(surface.vertex_classes):
+        nodes[("v", i)] = len(nodes)
+    for t in surface.triangles:
+        nodes[("c", t.id)] = len(nodes)
+
+    edges: dict[int, list[tuple[int, float]]] = {i: [] for i in nodes.values()}
+
+    def connect(u, w, d):
+        edges[nodes[u]].append((nodes[w], d))
+        edges[nodes[w]].append((nodes[u], d))
+
+    for t in surface.triangles:
+        cx = sum(c[0] for c in t.corners) / 3.0
+        cy = sum(c[1] for c in t.corners) / 3.0
+        for k in range(3):
+            vk = surface.corner_class[(t.id, k)]
+            connect(("c", t.id), ("v", vk), norm(t.corners[k][0] - cx, t.corners[k][1] - cy))
+            vk1 = surface.corner_class[(t.id, (k + 1) % 3)]
+            connect(("v", vk), ("v", vk1), t.edge_length(k))
+
+    best = 0.0
+    n = len(nodes)
+    for src in range(n):
+        dist = [math.inf] * n
+        dist[src] = 0.0
+        heap = [(0.0, src)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for w, dw in edges[u]:
+                nd = d + dw
+                if nd < dist[w]:
+                    dist[w] = nd
+                    heapq.heappush(heap, (nd, w))
+        best = max(best, max(x for x in dist if x < math.inf))
+    return best
+
+
+def pairwise_validate(pts) -> None:
+    """Reference for ``PolygonSpec.validate`` on finite input: every pair
+    of non-adjacent boundary edges goes to ``segments_intersect``."""
+    n = len(pts)
+    if n < 3:
+        raise NonSimplePolygon("polygon needs at least 3 vertices")
+    if polygon_area(list(pts)) <= 0:
+        raise NonSimplePolygon("polygon must be counterclockwise with positive area")
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        if norm(b[0] - a[0], b[1] - a[1]) == 0.0:
+            raise NonSimplePolygon("zero-length polygon edge")
+    for i in range(n):
+        a1, b1 = pts[i], pts[(i + 1) % n]
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            a2, b2 = pts[j], pts[(j + 1) % n]
+            if segments_intersect(a1, b1, a2, b2):
+                raise NonSimplePolygon(f"boundary edges {i} and {j} intersect")

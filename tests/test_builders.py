@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import pairwise_validate
+
 from flatgeo.builders import (
     CATALOG_PARALLEL,
     EXAMPLE1_PARAM,
@@ -158,6 +160,71 @@ def test_non_simple_polygon_rejected():
         double_of_polygon(PolygonSpec([(0, 0), (0, 1), (1, 1), (1, 0)]))  # clockwise
 
 
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        [(0.0, 0.0), (1.0, 0.0), (1.0, math.nan), (0.0, 1.0)],
+        [(0.0, 0.0), (1.0, 0.0), (1.0, math.inf), (0.0, 1.0)],
+        [(0.0, 0.0), (1e308, 0.0), (1e308, 1e308), (0.0, 1e308)],  # area overflows
+    ],
+    ids=["nan-vertex", "inf-vertex", "area-overflow"],
+)
+def test_non_finite_polygon_rejected(vertices):
+    with pytest.raises(NonSimplePolygon, match="non-finite"):
+        double_of_polygon(PolygonSpec(vertices))
+
+
+def non_simple_variants(pts, rng):
+    """(kind, vertices) for the polygon with two non-adjacent vertices
+    swapped, a vertex moved onto the midpoint of a non-adjacent edge, an
+    edge run back over itself, and a vertex repeated."""
+    n = len(pts)
+    i = int(rng.integers(n))
+    j = (i + int(rng.integers(2, n - 1))) % n  # neither i nor next to it
+    swapped = list(pts)
+    swapped[i], swapped[j] = pts[j], pts[i]
+    (ax, ay), (bx, by) = pts[j], pts[(j + 1) % n]
+    touch = list(pts)
+    touch[i] = ((ax + bx) / 2, (ay + by) / 2)
+    # a -> 3/4 -> bump -> 1/2 -> b: the first and last pieces overlap
+    (ax, ay), (bx, by) = pts[i], pts[(i + 1) % n]
+    along = [(ax + t * (bx - ax), ay + t * (by - ay)) for t in (0.75, 0.6, 0.5)]
+    along[1] = (along[1][0] - 0.1 * (by - ay), along[1][1] + 0.1 * (bx - ax))
+    overlap = list(pts[: i + 1]) + along + list(pts[i + 1 :])
+    repeated = list(pts[: j + 1]) + [pts[i]] + list(pts[j + 1 :])
+    return [("swap", swapped), ("touch", touch), ("overlap", overlap), ("repeat", repeated)]
+
+
+def validate_outcome(check, vertices):
+    try:
+        check(vertices)
+    except NonSimplePolygon as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize(
+    "family,seeds",
+    [
+        (random_star_polygon, 40),
+        (random_rectilinear_polygon, 40),
+        (lambda rng: random_star_polygon(rng, 120, 120), 6),
+    ],
+    ids=["star", "rectilinear", "star-120"],
+)
+def test_validate_matches_all_pairs_oracle(family, seeds):
+    rejected = dict.fromkeys(["swap", "touch", "overlap", "repeat"], 0)
+    for seed in range(seeds):
+        rng = np.random.default_rng(seed)
+        pts = family(rng).vertices
+        assert validate_outcome(lambda v: PolygonSpec(v).validate(), pts) is None
+        for kind, vertices in non_simple_variants(pts, rng):
+            got = validate_outcome(lambda v: PolygonSpec(v).validate(), vertices)
+            assert got == validate_outcome(pairwise_validate, vertices), (seed, kind)
+            rejected[kind] += got is not None
+    assert all(rejected.values()), rejected
+
+
 # --- cut and glue ---------------------------------------------------------------
 
 
@@ -216,6 +283,18 @@ def test_cut_and_glue_triangle_patch_splits_patch_edge():
     assert gauss_bonnet_check(s) < 1e-9
     assert s.area() == pytest.approx(2.0 + polygon_area(list(EQUILATERAL.vertices)), abs=1e-12)
     assert len(s.patch_triangle_ids) == 2  # one patch triangle was split in two
+
+
+@pytest.mark.parametrize(
+    "args", [(0.75, 0.5, 0.3, SMALL_SQUARE), (EXAMPLE1_PARAM, 2.0 / 3.0, 1.0 / 3.0, EQUILATERAL)]
+)
+def test_cut_with_two_host_corners_on_its_left(args):
+    # Cutting downwards leaves the host's two right-hand corners on the
+    # left of the cut; the left fan then wraps past the end of its polygon.
+    s = square_double_cut(*args)
+    assert s.euler_characteristic == 2
+    assert s.area() == pytest.approx(2.0 + polygon_area(list(args[3].vertices)), abs=1e-12)
+    assert gauss_bonnet_check(s) < 1e-9
 
 
 def test_cut_perimeter_mismatch():

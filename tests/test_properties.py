@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_near_chords, incenter_point
+from conftest import all_sources_diameter, dense_near_chords, incenter_point
 
 from flatgeo.analysis import EVENT_MERGE_TOL, _merge_mask, _near_chords, self_intersections
 from flatgeo.builders import (
@@ -35,9 +35,9 @@ from flatgeo.builders import (
 )
 from flatgeo.geometry import TWO_PI, angle_distance_mod, polygon_area
 from flatgeo.holonomy import holonomy_generators, loop_holonomy, vertex_holonomy
-from flatgeo.errors import FlatgeoError
+from flatgeo.errors import FlatgeoError, UnmatchedEdge
 from flatgeo.jsonio import surface_from_json, surface_to_json, trace_from_json, trace_to_json
-from flatgeo.surface import gauss_bonnet_check
+from flatgeo.surface import diameter_estimate, gauss_bonnet_check
 from flatgeo.tracer import (
     LENGTH_REACHED,
     GeodesicTrace,
@@ -98,6 +98,12 @@ def test_generators_and_witness_replay(s):
 
 
 @walk_settings
+@given(surfaces)
+def test_pruned_diameter_is_the_all_sources_diameter(s):
+    assert diameter_estimate(s) == all_sources_diameter(s)
+
+
+@walk_settings
 @given(
     st.one_of(st.just(SQUARE), seeds.map(lambda s: random_star_polygon(np.random.default_rng(s)))),
     seeds,
@@ -119,7 +125,8 @@ def test_cut_and_glue_adds_the_patch_or_raises_typed(polygon, seed, k, anchor):
     )
     try:
         s = cut_and_glue(base, (t.id, p, q), patch, anchor % k)
-    except FlatgeoError:
+    except FlatgeoError as e:
+        assert not isinstance(e, UnmatchedEdge)  # the construction glues every edge once
         return
     patch_area = polygon_area(list(patch.vertices))
     assert s.euler_characteristic == 2

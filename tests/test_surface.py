@@ -1,15 +1,21 @@
 import math
 
+import numpy as np
 import pytest
+
+from conftest import all_sources_diameter
 
 from flatgeo.builders import (
     L_SHAPE,
     SQUARE,
     cube_surface,
     double_of_polygon,
+    example2_candidates,
     flat_torus,
     isosceles_tetrahedron,
     klein_bottle,
+    random_star_polygon,
+    square_identification_surface,
 )
 from flatgeo.errors import (
     DegenerateTriangle,
@@ -24,6 +30,7 @@ from flatgeo.surface import (
     Triangle,
     build_surface,
     curvature,
+    diameter_estimate,
     gauss_bonnet_check,
     orientability,
 )
@@ -195,3 +202,22 @@ def test_marked_points_excluded_from_cone_set():
     s = flat_torus((1.0, 0.0), (0.0, 1.0))
     assert len(s.vertex_classes) == 1
     assert s.cone_points() == []
+
+
+# The pruned diameter must be the all-sources maximum bit for bit: scan
+# lengths are multiples of it, so one ulp would change every scan CSV.
+def test_diameter_matches_all_sources_on_catalog(catalog_surfaces):
+    for name, s in catalog_surfaces.items():
+        assert diameter_estimate(s) == all_sources_diameter(s), name
+
+
+def test_diameter_matches_all_sources_on_square_identifications():
+    for name, pairing in example2_candidates():
+        s = square_identification_surface(pairing)
+        assert diameter_estimate(s) == all_sources_diameter(s), name
+
+
+def test_diameter_matches_all_sources_on_400_triangle_star_double():
+    s = double_of_polygon(random_star_polygon(np.random.default_rng(2024), 202, 202))
+    assert len(s.triangles) == 400
+    assert diameter_estimate(s) == all_sources_diameter(s)
