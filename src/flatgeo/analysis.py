@@ -22,6 +22,7 @@ from .geometry import PlaneIsometry, Vec, fold_to_half_turn, unsigned_angle
 from .surface import FlatSurface
 from .tracer import (
     DEFAULT_VERTEX_CLEARANCE,
+    LENGTH_REACHED,
     PROPER_ANGLE_TOL,
     GeodesicTrace,
     SurfacePoint,
@@ -482,7 +483,7 @@ def direction_scan(
                 DirectionVerdict(i, float(ang), "vertex_hit", hit_parameter=tr.termination.parameter)
             )
             continue
-        if tr.termination.kind != "LengthReached":
+        if tr.termination.kind != LENGTH_REACHED:
             rows.append(DirectionVerdict(i, float(ang), "left_domain"))
             continue
         events = self_intersections(surface, tr)

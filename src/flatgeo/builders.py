@@ -385,15 +385,10 @@ def square_identification_surface(
         tris.append(Triangle(i, (center, a, b)))
     gluings = [Gluing(EdgeRef(i, 2), EdgeRef((i + 1) % n, 0)) for i in range(n)]
 
-    def arc_edge(s0: float) -> int:
-        for i, sp in enumerate(node_pos):
-            if abs(sp - s0) <= tol:
-                return i
-        raise UncoveredBoundary(f"no boundary node at s={s0}")
-
+    # Each arc start is a boundary node, so its fan edge is found by index.
     for a, b, aligned in pairings:
-        ta = arc_edge(a[0])
-        tb = arc_edge(b[0])
+        ta = node_pos.index(a[0])
+        tb = node_pos.index(b[0])
         gluings.append(Gluing(EdgeRef(ta, 1), EdgeRef(tb, 1), reversed=aligned))
     return build_surface(tris, gluings, tol)
 
@@ -446,8 +441,9 @@ def example2_candidates() -> list[tuple[str, list[tuple[tuple[float, float], tup
 # Cut-and-glue surgery
 
 
-def _fan(polygon: list[Vec], apex: int) -> list[tuple[Vec, Vec, Vec]]:
-    """Fan triangulation of a convex polygon from one vertex.
+def _fan(polygon: list, apex: int) -> list[tuple]:
+    """Fan triangulation of a convex polygon from one vertex; the polygon
+    and the triangles list vertex names.
 
     Consecutive collinear vertices are fine as long as the apex is off
     their line.  Triangles are listed from the corner after the apex, so
@@ -461,24 +457,6 @@ def _fan(polygon: list[Vec], apex: int) -> list[tuple[Vec, Vec, Vec]]:
             continue
         out.append((polygon[apex], polygon[i], polygon[j]))
     return out
-
-
-def _find_edge(
-    tris: list[tuple[int, tuple[Vec, Vec, Vec]]], a: Vec, b: Vec, tol: float
-) -> tuple[int, int]:
-    """Locate the (triangle id, edge) whose oriented edge runs a -> b."""
-    for tid, corners in tris:
-        for e in range(3):
-            u = corners[e]
-            v = corners[(e + 1) % 3]
-            if (
-                abs(u[0] - a[0]) <= tol
-                and abs(u[1] - a[1]) <= tol
-                and abs(v[0] - b[0]) <= tol
-                and abs(v[1] - b[1]) <= tol
-            ):
-                return (tid, e)
-    raise UnsupportedCut(f"internal error: edge {a}->{b} not found after surgery")
 
 
 def _split_triangle(
@@ -497,7 +475,6 @@ def cut_and_glue(
     cut: tuple[int, Vec, Vec],
     patch: PolygonSpec,
     anchor: int = 0,
-    tol: float | None = None,
 ) -> FlatSurface:
     """Slit the surface along a chart segment and sew a polygon into the slit.
 
@@ -506,13 +483,16 @@ def cut_and_glue(
     cut, which must equal the patch perimeter.  ``anchor`` names the patch
     vertex identified with the cut start.  The cut endpoints become cone
     points.  Patch triangles receive the highest triangle ids, and the
-    result records them in ``patch_triangle_ids``.
+    result records them in ``patch_triangle_ids``.  The surface's own
+    tolerance decides which cuts are too close to a corner.
 
     Cuts spanning several triangles are not supported; pick a chart in
     which the cut is a single segment.
     """
-    tol = surface.tolerance if tol is None else tol
+    tol = surface.tolerance
     host_id, p, q = cut[0], (float(cut[1][0]), float(cut[1][1])), (float(cut[2][0]), float(cut[2][1]))
+    if not all(math.isfinite(x) for x in (*p, *q)):
+        raise UnsupportedCut(f"cut endpoints {p} and {q} must be finite")
     if not surface.has_triangle(host_id):
         raise UnsupportedCut(f"no triangle with id {host_id}")
     host = surface.triangle(host_id)
@@ -592,8 +572,26 @@ def cut_and_glue(
         r = s - ell
         return (q[0] - r * w[0], q[1] - r * w[1])
 
-    right_breaks = sorted((s for s in positions[1:-1] if snap < s < ell - snap), reverse=True)
-    left_breaks = sorted((s for s in positions[1:-1] if ell + snap < s < 2 * ell - snap), reverse=True)
+    # Every corner the surgery makes has a name, and every edge is found by
+    # the names of its two ends.  Host side: corner k, the crossings "P0"
+    # and "Q0", the cut ends "p" and "q", and the bank node ("bank", j)
+    # facing patch vertex anchor + j.  Patch side: vertex i, and "mid"
+    # where the bank turns at q inside a patch edge.  The walk pairs each
+    # patch stop with its bank node, from p round to p again.
+    xy = {"P0": P0, "Q0": Q0, "p": p, "q": q, **dict(enumerate(host.corners))}
+    walk = []
+    split_at = None  # the stop j whose patch edge holds "mid"
+    for j, s in enumerate(positions[:-1]):
+        bank = "p" if j == 0 else "q" if s == ell else ("bank", j)
+        xy.setdefault(bank, bank_point(s))  # p and q keep their own points
+        walk.append(((anchor + j) % np_, bank))
+        if s < ell < positions[j + 1]:
+            split_at = j
+            walk.append(("mid", "q"))
+    walk.append((anchor, "p"))
+    banks = [bank for _v, bank in walk]
+    iq = banks.index("q")
+    right_bank, left_bank = banks[1:iq], banks[iq + 1 : -1]
 
     # Host replacement: counterclockwise, the corners after Q0 up to P0 lie
     # left of the cut and those after P0 up to Q0 right of it.
@@ -602,53 +600,41 @@ def cut_and_glue(
     for k in left_corners:
         if not side_of[k]:
             raise UnsupportedCut("internal error: corner side bookkeeping")
+    left_nodes = ["P0", "p", *left_bank[::-1], "q", "Q0"]
+    left_poly = left_nodes + left_corners
+    right_poly = ["P0", *right_corners, "Q0", "q", *right_bank[::-1], "p"]
 
-    left_nodes = [P0, p] + [bank_point(s) for s in left_breaks] + [q, Q0]
-    right_chord = [Q0, q] + [bank_point(s) for s in right_breaks] + [p]
-
-    left_poly = left_nodes + [host.corner(k) for k in left_corners]
-    right_poly = [P0] + [host.corner(k) for k in right_corners] + right_chord
-
-    max_id = max(t.id for t in surface.triangles)
-    next_id = max_id + 1
-    new_host: list[tuple[int, tuple[Vec, Vec, Vec]]] = []
+    next_id = max(t.id for t in surface.triangles) + 1
+    new_tris: dict[int, tuple[Vec, Vec, Vec]] = {}
+    host_edges: dict[tuple, EdgeRef] = {}  # (start name, end name) -> edge
     new_gluings: list[Gluing] = []
 
-    def add_fan(poly: list[Vec], apex: int):
+    def add_fan(poly: list, apex: int):
         nonlocal next_id
-        tris = _fan(poly, apex)
-        ids = []
-        for c3 in tris:
-            new_host.append((next_id, c3))
-            ids.append(next_id)
+        for n, names in enumerate(_fan(poly, apex)):
+            new_tris[next_id] = tuple(xy[v] for v in names)
+            for e in range(3):
+                host_edges[names[e], names[(e + 1) % 3]] = EdgeRef(next_id, e)
+            if n:  # consecutive fan triangles share a spoke
+                new_gluings.append(Gluing(EdgeRef(next_id - 1, 2), EdgeRef(next_id, 0)))
             next_id += 1
-        # consecutive fan triangles share a spoke: (apex, v_{i+1})
-        for a, b in zip(ids, ids[1:]):
-            new_gluings.append(Gluing(EdgeRef(a, 2), EdgeRef(b, 0)))
 
     add_fan(left_poly, len(left_nodes))  # apex = first left corner
     add_fan(right_poly, 1)  # apex = first right corner
 
-    find = lambda a, b: _find_edge(new_host, a, b, margin)
-
     # Chord pieces outside the slit are resealed left-to-right.
-    new_gluings.append(Gluing(EdgeRef(*find(P0, p)), EdgeRef(*find(p, P0))))
-    new_gluings.append(Gluing(EdgeRef(*find(q, Q0)), EdgeRef(*find(Q0, q))))
+    new_gluings.append(Gluing(host_edges["P0", "p"], host_edges["p", "P0"]))
+    new_gluings.append(Gluing(host_edges["q", "Q0"], host_edges["Q0", "q"]))
 
     # Pieces of the host's original edges, from edge start to edge end, for
     # regluing to the neighbors.
     piece_map: dict[EdgeRef, list[EdgeRef]] = {}
+    crossing = {eP: ["P0"], eQ: ["Q0"]}
     for e in range(3):
-        chain = [host.edge_start(e)]
-        if e == eP:
-            chain.append(P0)
-        if e == eQ:
-            chain.append(Q0)
-        chain.append(host.edge_end(e))
-        piece_map[EdgeRef(host_id, e)] = [EdgeRef(*find(aa, bb)) for aa, bb in zip(chain, chain[1:])]
+        chain = [e, *crossing.get(e, []), (e + 1) % 3]
+        piece_map[EdgeRef(host_id, e)] = [host_edges[ab] for ab in zip(chain, chain[1:])]
 
     # Split the neighbors across eP and eQ at the crossing images.
-    neighbor_tris: list[tuple[int, tuple[Vec, Vec, Vec]]] = []
     split_ids = {host_id}
     for e_host, X in ((eP, P0), (eQ, Q0)):
         ref, iso = surface.edge_transition(host_id, e_host)
@@ -659,7 +645,7 @@ def cut_and_glue(
         split_ids.add(ref.tri)
         ntri = surface.triangle(ref.tri)
         subs, spoke = _split_triangle(ntri.corners, ref.edge, iso.apply(X), next_id)
-        neighbor_tris.extend(subs)
+        new_tris.update(subs)
         new_gluings.append(spoke)
         piece_map[ref] = [EdgeRef(next_id, 0), EdgeRef(next_id + 1, 0)]
         piece_map[EdgeRef(ref.tri, (ref.edge + 1) % 3)] = [EdgeRef(next_id + 1, 1)]
@@ -667,75 +653,46 @@ def cut_and_glue(
         next_id += 2
 
     # Patch triangulation in its own chart, split where the walk passes q.
-    patch_tris: list[tuple[int, tuple[Vec, Vec, Vec]]] = []
-    patch_ids = []
-    patch_edges: dict[tuple[int, int], tuple[int, int]] = {}
-    for (i, j, k) in _ear_clip(pverts):
-        patch_tris.append((next_id, (pverts[i], pverts[j], pverts[k])))
-        patch_ids.append(next_id)
+    first_patch_id = next_id
+    clipped = _ear_clip(pverts)
+    patch_edges: dict[tuple, EdgeRef] = {}
+    for (i, j, k) in clipped:
+        new_tris[next_id] = (pverts[i], pverts[j], pverts[k])
         for e, pair in enumerate(((i, j), (j, k), (k, i))):
-            patch_edges[pair] = (next_id, e)
+            patch_edges[pair] = EdgeRef(next_id, e)
         next_id += 1
+    split_spoke: list[Gluing] = []  # glued after the internal edges
+    if split_at is not None:
+        # The sub-triangles take over the split triangle's two intact edges
+        # in place, so the internal gluings keep their order.
+        u, v = walk[split_at][0], walk[split_at + 2][0]
+        a, b = pverts[u], pverts[v]
+        f = (ell - positions[split_at]) / (positions[split_at + 1] - positions[split_at])
+        mid = (a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]))
+        owner = patch_edges.pop((u, v))
+        opp = clipped[owner.tri - first_patch_id][(owner.edge + 2) % 3]
+        subs, spoke = _split_triangle(new_tris.pop(owner.tri), owner.edge, mid, next_id)
+        new_tris.update(subs)
+        patch_edges[v, opp] = EdgeRef(next_id + 1, 1)
+        patch_edges[opp, u] = EdgeRef(next_id, 2)
+        patch_edges[u, "mid"] = EdgeRef(next_id, 0)
+        patch_edges["mid", v] = EdgeRef(next_id + 1, 0)
+        split_spoke.append(spoke)
+        next_id += 2
     for _edge, ref, rev in _edge_pairs(patch_edges):
         if rev is not None:
-            new_gluings.append(Gluing(EdgeRef(*ref), EdgeRef(*rev)))
-    if not any(abs(s - ell) <= snap for s in positions):
-        # The bank transition at q falls inside a patch edge: split that
-        # patch triangle at the corresponding boundary point.
-        j = max(jj for jj, s in enumerate(positions) if s < ell)
-        edge = ((anchor + j) % np_, (anchor + j + 1) % np_)
-        a, b = pverts[edge[0]], pverts[edge[1]]
-        f = (ell - positions[j]) / (positions[j + 1] - positions[j])
-        mid = (a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]))
-        owner, oedge = patch_edges[edge]
-        corners = next(c for tid, c in patch_tris if tid == owner)
-        patch_tris = [(tid, c) for tid, c in patch_tris if tid != owner]
-        patch_ids.remove(owner)
-        subs, spoke = _split_triangle(corners, oedge, mid, next_id)
-        next_id += len(subs)
-        patch_tris.extend(subs)
-        patch_ids.extend(tid for tid, _c in subs)
-        new_gluings.append(spoke)
-        # Internal patch gluings that referenced the split triangle's intact
-        # edges move to the sub-triangle that now owns them.
-        remap = {
-            (owner, (oedge + 1) % 3): (subs[1][0], 1),
-            (owner, (oedge + 2) % 3): (subs[0][0], 2),
-        }
-        new_gluings = [
-            Gluing(
-                EdgeRef(*remap.get((g.a.tri, g.a.edge), (g.a.tri, g.a.edge))),
-                EdgeRef(*remap.get((g.b.tri, g.b.edge), (g.b.tri, g.b.edge))),
-                g.reversed,
-            )
-            for g in new_gluings
-        ]
+            new_gluings.append(Gluing(ref, rev))
+    new_gluings += split_spoke
 
     # Glue patch boundary arcs onto the slit banks.
-    def patch_boundary_point(s: float) -> Vec:
-        j = 0
-        while j + 1 < len(positions) and positions[j + 1] < s - snap:
-            j += 1
-        a = pverts[(anchor + j) % np_]
-        b = pverts[(anchor + j + 1) % np_]
-        seg = positions[j + 1] - positions[j]
-        f = 0.0 if seg == 0 else (s - positions[j]) / seg
-        return (a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]))
-
-    arc_stops = sorted({0.0, ell, 2.0 * ell} | {s for s in positions if 0.0 <= s <= 2 * ell})
-    arc_stops = _dedupe_sorted(arc_stops, snap)
-    for s0, s1 in zip(arc_stops, arc_stops[1:]):
-        pa = patch_boundary_point(s0)
-        pb = patch_boundary_point(s1)
-        patch_ref = _find_edge(patch_tris, pa, pb, margin)
-        bank_ref = find(bank_point(s1), bank_point(s0))
-        new_gluings.append(Gluing(EdgeRef(*patch_ref), EdgeRef(*bank_ref)))
+    for (pa, ba), (pb, bb) in zip(walk, walk[1:]):
+        new_gluings.append(Gluing(patch_edges[pa, pb], host_edges[bb, ba]))
 
     # Reattach the original gluings over the pieces.
     final_tris: list[Triangle] = [
         t for t in surface.triangles if t.id not in split_ids
     ]
-    final_tris += [Triangle(tid, c) for tid, c in new_host + neighbor_tris + patch_tris]
+    final_tris += [Triangle(tid, c) for tid, c in new_tris.items()]
     final_gluings: list[Gluing] = []
     # A reversed gluing maps edge start to edge start, so its pieces pair in
     # order; any other gluing maps edge start to edge end.
@@ -749,15 +706,7 @@ def cut_and_glue(
 
     final_gluings.extend(new_gluings)
     out = build_surface(final_tris, final_gluings, tol)
-    out.patch_triangle_ids = tuple(sorted(patch_ids))
-    return out
-
-
-def _dedupe_sorted(vals: list[float], tol: float) -> list[float]:
-    out = [vals[0]]
-    for v in vals[1:]:
-        if v - out[-1] > tol:
-            out.append(v)
+    out.patch_triangle_ids = tuple(sorted(t for t in new_tris if t >= first_patch_id))
     return out
 
 

@@ -193,7 +193,14 @@ def is_parallel(surface: FlatSurface, tol: float = ANGLE_TOL) -> ParallelVerdict
 
 
 def line_field_residual(surface: FlatSurface, field: LineField) -> float:
-    """Worst gluing-compatibility error of a line field, in radians mod pi."""
+    """Worst gluing-compatibility error of a line field, in radians mod pi.
+
+    Raises ValueError if the field misses a triangle or has a non-finite
+    angle, since such a field cannot be checked.
+    """
+    for t in surface.triangles:
+        if not math.isfinite(field.angles.get(t.id, math.nan)):
+            raise ValueError(f"line field has no finite angle in triangle {t.id}")
     worst = 0.0
     for gi, g in enumerate(surface.gluings):
         mapped = surface.transitions[gi].apply_line_angle(field.angle_in(g.a.tri))

@@ -106,7 +106,7 @@ def render_unfolded(surface: FlatSurface, trace_: GeodesicTrace) -> str:
     """Draw the developed triangle chain with the trace as one straight segment."""
     canvas = _Canvas()
     placements, start, end = unfold(surface, trace_)
-    scale = surface._trace_tables().scale
+    scale = max(t.edge_length(k) for t in surface.triangles for k in range(3))
     stroke = STROKE_WIDTH * scale / 100.0
     for i, (tri_id, iso) in enumerate(placements):
         t = surface.triangle(tri_id)

@@ -143,7 +143,6 @@ class FlatSurface:
         self.tolerance = tolerance
         self.patch_triangle_ids: tuple[int, ...] = ()  # set by cut-and-glue builders
         self._by_id = {t.id: t for t in triangles}
-        self._trace_tables_cache = None
         self._grow_dual_tree()
         self._walk_vertex_classes()
         self.euler_characteristic = len(self.vertex_classes) - len(gluings) + len(triangles)
@@ -264,14 +263,6 @@ class FlatSurface:
     def cone_points(self) -> list[VertexClass]:
         return [v for v in self.vertex_classes if v.is_cone(self.tolerance)]
 
-    def _trace_tables(self):
-        # Built lazily; see tracer.py for the layout.
-        if self._trace_tables_cache is None:
-            from .tracer import _TraceTables
-
-            self._trace_tables_cache = _TraceTables(self)
-        return self._trace_tables_cache
-
 
 def _validate_triangles(triangles, tol: float) -> None:
     seen = set()
@@ -285,6 +276,8 @@ def _validate_triangles(triangles, tol: float) -> None:
         if not all(math.isfinite(x) for c in t.corners for x in c):
             raise DegenerateTriangle(f"triangle {t.id} has a non-finite corner")
         area = t.signed_area()
+        if not math.isfinite(area):
+            raise DegenerateTriangle(f"triangle {t.id} has non-finite signed area {area}")
         if area <= tol:
             raise DegenerateTriangle(
                 f"triangle {t.id} has signed area {area:.3e}; corners must be "

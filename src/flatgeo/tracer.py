@@ -11,6 +11,7 @@ is ill-conditioned.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -191,6 +192,17 @@ class _TraceTables:
         )
 
 
+_TABLES: weakref.WeakKeyDictionary[FlatSurface, _TraceTables] = weakref.WeakKeyDictionary()
+
+
+def _trace_tables(surface: FlatSurface) -> _TraceTables:
+    """The surface's trace tables, built on first use and kept while it lives."""
+    tab = _TABLES.get(surface)
+    if tab is None:
+        tab = _TABLES[surface] = _TraceTables(surface)
+    return tab
+
+
 def trace(
     surface: FlatSurface,
     start: TangentDirection,
@@ -208,7 +220,7 @@ def trace(
         raise ValueError("vertex_clearance must be finite and at least the surface tolerance")
     if not all(math.isfinite(x) for x in (*start.at.xy, *start.unit)):
         raise ValueError("start point and direction must be finite")
-    tab = surface._trace_tables()
+    tab = _trace_tables(surface)
     if start.at.tri not in tab.id2dense:
         raise PointOutsideTriangle(f"no triangle with id {start.at.tri}")
     tol_pt = surface.tolerance * (1.0 + tab.scale)

@@ -30,10 +30,12 @@ from flatgeo.errors import (
     ArcLengthMismatch,
     CutThroughVertex,
     DegenerateLattice,
+    DegenerateTriangle,
     NonSimplePolygon,
     NotAcute,
     PerimeterMismatch,
     UncoveredBoundary,
+    UnsupportedCut,
 )
 from flatgeo.geometry import polygon_area
 from flatgeo.holonomy import curvature_test, is_parallel
@@ -103,6 +105,11 @@ def test_area_two_torus():
 def test_degenerate_lattice():
     with pytest.raises(DegenerateLattice):
         flat_torus((1.0, 0.0), (2.0, 0.0))
+
+
+def test_lattice_of_infinite_area_rejected():
+    with pytest.raises(DegenerateTriangle, match="non-finite signed area"):
+        flat_torus((1e200, 0.0), (0.0, 1e200))
 
 
 # --- doubles --------------------------------------------------------------------
@@ -297,6 +304,14 @@ def test_cut_with_two_host_corners_on_its_left(args):
     assert gauss_bonnet_check(s) < 1e-9
 
 
+@pytest.mark.parametrize("end", [(0.75, math.nan), (math.inf, 0.5)], ids=["nan", "inf"])
+def test_non_finite_cut_endpoint_rejected(end):
+    base = double_of_polygon(SQUARE)
+    host = find_triangle_with_germ(base, (0.75, 0.4), (1.0, 0.0))
+    with pytest.raises(UnsupportedCut, match="must be finite"):
+        cut_and_glue(base, (host, (0.75, 0.3), end), SMALL_SQUARE)
+
+
 def test_cut_perimeter_mismatch():
     base = double_of_polygon(SQUARE)
     host = find_triangle_with_germ(base, (0.75, 0.35), (1.0, 0.0))
@@ -318,8 +333,9 @@ def test_cut_through_vertex():
 
 # sha256 of every file `flatgeo catalog` writes, and of `surface_to_json`
 # (with the patch triangle ids) of cuts of the square double: a square
-# patch and a triangle patch that must be split, each at anchor 0 and at
-# another anchor.  A refactor of the builders must leave them
+# patch and a triangle patch that must be split, each at anchor 0, at
+# another anchor, and cut downwards so that two host corners lie on the
+# left of the cut.  A refactor of the builders must leave them
 # byte-identical.
 GOLDEN_CATALOG_DIGESTS = {
     "MANIFEST.json": "403132083d7c64f6ec9d767c78eba5a0b552ddc67918e7b3734548e0d58c55c9",
@@ -353,6 +369,16 @@ GOLDEN_CUT_DIGESTS = {
     "equilateral-split-anchor-1": (
         (EXAMPLE1_PARAM, 1.0 / 3.0, 2.0 / 3.0, EQUILATERAL, 1),
         "99ad779760bc2cfc5c289fa7abe5fa7e0f5c58c1705b7c2db4a7e10a678c93d4",
+        (18, 19),
+    ),
+    "square-patch-downward": (
+        (0.75, 0.5, 0.3, SMALL_SQUARE, 0),
+        "502717cb13328a595917493574cc6226caeaf9bd0352cefb70c623e355107be8",
+        (17, 18),
+    ),
+    "equilateral-split-downward": (
+        (EXAMPLE1_PARAM, 2.0 / 3.0, 1.0 / 3.0, EQUILATERAL, 0),
+        "3bc4be1b328d9329a5e22691f05efc56df93310cb1ae8fccb36a22ca2da5bfa2",
         (18, 19),
     ),
 }

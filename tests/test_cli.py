@@ -313,16 +313,29 @@ def test_tolerance_env_override(catalog_dir, tmp_path, capsys, monkeypatch):
         ("trace {torus} --angle 0.3 --length 2 --clearance nan", "ValueError"),
         ("trace {torus} --tri 0 --x nan --y 0.5 --angle 0.3 --length 2", "ValueError"),
         ("validate {nan_torus}", "DegenerateTriangle"),
+        ("validate {huge_torus}", "DegenerateTriangle"),
+        ("scan {huge_torus} --n 2 --length 5", "DegenerateTriangle"),
+        ("trace {huge_torus} --angle 0.3 --length 2", "DegenerateTriangle"),
     ],
     ids=["trace-length-inf", "scan-length-inf", "trace-length-1e308", "scan-length-1e308",
          "trace-angle-nan", "scan-epsilon-nan",
-         "trace-clearance-nan", "trace-x-nan", "validate-nan-corner"],
+         "trace-clearance-nan", "trace-x-nan", "validate-nan-corner",
+         "validate-inf-area", "scan-inf-area", "trace-inf-area"],
 )
 def test_non_finite_input_exit_2(catalog_dir, tmp_path, capsys, args, error):
     data = json.loads((catalog_dir / "unit-torus.json").read_text())
     data["triangles"][0]["corners"][0][0] = math.nan
     (tmp_path / "nan-torus.json").write_text(json.dumps(data))
-    argv = args.format(torus=catalog_dir / "unit-torus.json", nan_torus=tmp_path / "nan-torus.json")
+    # The unit torus scaled by 1e200: every corner is finite, the area is not.
+    data = json.loads((catalog_dir / "unit-torus.json").read_text())
+    for t in data["triangles"]:
+        t["corners"] = [[1e200 * x for x in c] for c in t["corners"]]
+    (tmp_path / "huge-torus.json").write_text(json.dumps(data))
+    argv = args.format(
+        torus=catalog_dir / "unit-torus.json",
+        nan_torus=tmp_path / "nan-torus.json",
+        huge_torus=tmp_path / "huge-torus.json",
+    )
     assert main(argv.split()) == 2
     assert json.loads(capsys.readouterr().err)["error"] == error
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flatgeo.builders import (
+    L_SHAPE,
     cube_surface,
     double_of_polygon,
     flat_torus,
@@ -16,6 +17,7 @@ from flatgeo.errors import PointNotOnEdge
 from flatgeo.geometry import TWO_PI, angle_distance_mod, angle_of
 from flatgeo.holonomy import (
     HolonomyElement,
+    LineField,
     curvature_test,
     holonomy_generators,
     is_parallel,
@@ -231,3 +233,14 @@ def test_loop_composition_group_laws():
     assert e1.reflect == h1.reflect
     assert angle_distance_mod(e1.angle, h1.angle, TWO_PI) < 1e-9
     assert angle_distance_mod(e2.angle, h2.angle, TWO_PI) < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["nan-angle", "missing-triangle"])
+def test_line_field_residual_rejects_uncheckable_field(kind):
+    s = double_of_polygon(L_SHAPE)
+    if kind == "nan-angle":
+        field = LineField({t.id: math.nan for t in s.triangles})
+    else:
+        field = LineField({t.id: 0.0 for t in s.triangles[1:]})
+    with pytest.raises(ValueError, match="no finite angle"):
+        line_field_residual(s, field)

@@ -102,6 +102,14 @@ def test_degenerate_triangle_raises():
     clockwise = [Triangle(0, ((0.0, 0.0), (1.0, 1.0), (1.0, 0.0)))] + TORUS_TRIS[1:]
     with pytest.raises(DegenerateTriangle):
         build_surface(clockwise, TORUS_GL)
+    # Finite corners whose area overflows to inf, or whose edge vectors
+    # overflow so that the area is nan.
+    for corners in (
+        ((0.0, 0.0), (1e200, 0.0), (1e200, 1e200)),
+        ((-1e308, -1e308), (1e308, -1e308), (1e308, 1e308)),
+    ):
+        with pytest.raises(DegenerateTriangle, match="non-finite signed area"):
+            build_surface([Triangle(0, corners)] + TORUS_TRIS[1:], TORUS_GL)
 
 
 def test_disconnected_raises():

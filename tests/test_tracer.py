@@ -16,6 +16,7 @@ from flatgeo.tracer import (
     VERTEX_HIT,
     SurfacePoint,
     TangentDirection,
+    _trace_tables,
     check_trace,
     locate,
     reverse_check,
@@ -282,5 +283,5 @@ def test_tracer_and_render_use_the_surface_cone_predicate():
     cones = {v.index for v in s.cone_points()}
     assert len(cones) == len(s.vertex_classes) - 1
     expected = [tuple(s.corner_class[(t.id, k)] in cones for k in range(3)) for t in s.triangles]
-    assert s._trace_tables().cone == expected
+    assert _trace_tables(s).cone == expected
     assert render_surface(s).count(CONE_COLOR) == sum(map(sum, expected))
