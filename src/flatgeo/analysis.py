@@ -5,8 +5,10 @@ by projective direction class (``GeodesicTrace.classes``).  Only pairs of
 different classes, or in a wide class, can cross; they are tested at once
 with numpy and the events sorted and merged as the columns of an
 ``IntersectionEvents`` sequence, which builds an ``IntersectionEvent``
-only when one is read.  A density sample is measured only against the
-chords in its band of each class.  This module is the performance core.
+only when one is read.  A scan needs only the earliest crossing, found in
+time-ordered windows of the chords.  A density sample is measured only
+against the chords in its band of each class.  This module is the
+performance core.
 """
 from __future__ import annotations
 
@@ -35,6 +37,12 @@ from .tracer import (
 # Two parameter pairs closer than this are the same event seen from both
 # sides of a chart edge.
 EVENT_MERGE_TOL = 1e-7
+
+# An earliest-only search first pairs the chords entering before this
+# fraction of the trace length, then doubles the window; events are certain
+# below its end less this relative margin, far above the kernel's slack.
+FIRST_WINDOW = 1 / 64
+WINDOW_MARGIN = 1e-9
 
 # Most directions one scan may draw; its angle array is sized by n.
 MAX_DIRECTIONS = 10**6
@@ -140,7 +148,12 @@ class IntersectionEvents(Sequence):
         """The event with the smallest (t2, t1); the first one on ties."""
         if not len(self):
             raise ValueError("no events")
-        return self[int(np.lexsort((self.t1, self.t2))[0])]
+        return self[_earliest_index(self.t1, self.t2)]
+
+
+def _earliest_index(t1: np.ndarray, t2: np.ndarray) -> int:
+    """Index of the smallest (t2, t1); the first one on ties."""
+    return int(np.lexsort((t1, t2))[0])
 
 
 @dataclass(frozen=True)
@@ -172,7 +185,39 @@ def _merge_mask(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return keep
 
 
-def self_intersections(surface: FlatSurface, trace_: GeodesicTrace) -> IntersectionEvents:
+def _row_events(tri, P, D, L, T0, label, wide, lo, hi):
+    """Event columns from rows lo:hi of one chart, in (i, j) order: chord i
+    paired with every later chord j of another class, or of the chart if
+    ``wide``.  Chords run in trace order, so each t1 is at least T0[i] less
+    the 1e-12 slack."""
+    ii, jj = np.nonzero(np.triu((label[lo:hi, None] != label) | wide, lo + 1))
+    ii += lo
+    denom = D[ii, 0] * D[jj, 1] - D[ii, 1] * D[jj, 0]
+    k = np.flatnonzero(np.abs(denom) > 1e-12)
+    ii, jj, denom = ii[k], jj[k], denom[k]
+    ang = np.arccos(np.clip(D[ii, 0] * D[jj, 0] + D[ii, 1] * D[jj, 1], -1.0, 1.0))
+    k = np.flatnonzero((ang > PROPER_ANGLE_TOL) & (ang < math.pi - PROPER_ANGLE_TOL))
+    ii, jj, denom, ang = ii[k], jj[k], denom[k], ang[k]
+    dxi, dyi, dxj, dyj = D[ii, 0], D[ii, 1], D[jj, 0], D[jj, 1]
+    pxi, pyi = P[ii, 0], P[ii, 1]
+    wx, wy = P[jj, 0] - pxi, P[jj, 1] - pyi
+    u = (wx * dyj - wy * dxj) / denom
+    v = (wx * dyi - wy * dxi) / denom
+    slack = 1e-12
+    ok = (u >= -slack) & (u <= L[ii] + slack) & (v >= -slack) & (v <= L[jj] + slack)
+    ta = T0[ii] + u
+    tb = T0[jj] + v
+    t1, t2 = np.minimum(ta, tb), np.maximum(ta, tb)
+    k = np.flatnonzero(ok & (t2 - t1 > EVENT_MERGE_TOL))
+    u = u[k]
+    px = pxi[k] + u * dxi[k]
+    py = pyi[k] + u * dyi[k]
+    return t1[k], t2[k], np.full(len(k), tri), px, py, ang[k]
+
+
+def self_intersections(
+    surface: FlatSurface, trace_: GeodesicTrace, *, earliest_only: bool = False
+) -> IntersectionEvents:
     """All proper self-intersections of a trace, ordered by (t1, t2).
 
     Pairs meeting at the same point with the same line direction (within
@@ -182,47 +227,54 @@ def self_intersections(surface: FlatSurface, trace_: GeodesicTrace) -> Intersect
     merged: walking in (t1, t2) order, an event within EVENT_MERGE_TOL in
     both parameters of the last event kept is dropped.  ``surface`` is not
     read: the chords carry their chart coordinates.
+
+    With ``earliest_only`` the result is ``[earliest()]`` of the full
+    result, or empty.  The rows (chords) ``T0 < tau`` of each chart are
+    then paired first, tau doubling from FIRST_WINDOW of the trace length;
+    the full call is one window over all rows.  Row i yields only events
+    with ``t1 >= T0[i] - 1e-12``, so once the rows below tau are paired,
+    the events with ``t1 < c = tau - WINDOW_MARGIN (1 + tau)`` are an exact
+    prefix of the full (t1, t2)-sorted list, ties in chart, i, j order as
+    in one window.  The merge decides each event only from those before
+    it, so the prefix keeps what the full list keeps.  Every event past
+    the prefix has ``t2 > t1 >= c``.  Hence if the kept prefix event with
+    the smallest (t2, t1) has ``t2 <= c``, it is the full ``earliest()``,
+    bit for bit; otherwise tau doubles.
     """
-    found = []
+    charts = []
     for tri, (P, D, L, T0) in trace_.charts.items():
         label, _normals, spreads = trace_.classes[tri][:3]
         wide = spreads[0] == 1.0  # directions do not cluster: every pair
-        if len(spreads) == 1 and not wide:
-            continue
-        ii, jj = np.nonzero(np.triu((label[:, None] != label) | wide, 1))
-        denom = D[ii, 0] * D[jj, 1] - D[ii, 1] * D[jj, 0]
-        k = np.flatnonzero(np.abs(denom) > 1e-12)
-        if not len(k):
-            continue
-        ii, jj, denom = ii[k], jj[k], denom[k]
-        ang = np.arccos(np.clip(D[ii, 0] * D[jj, 0] + D[ii, 1] * D[jj, 1], -1.0, 1.0))
-        k = np.flatnonzero((ang > PROPER_ANGLE_TOL) & (ang < math.pi - PROPER_ANGLE_TOL))
-        ii, jj, denom, ang = ii[k], jj[k], denom[k], ang[k]
-        dxi, dyi, dxj, dyj = D[ii, 0], D[ii, 1], D[jj, 0], D[jj, 1]
-        pxi, pyi = P[ii, 0], P[ii, 1]
-        wx, wy = P[jj, 0] - pxi, P[jj, 1] - pyi
-        u = (wx * dyj - wy * dxj) / denom
-        v = (wx * dyi - wy * dxi) / denom
-        slack = 1e-12
-        ok = (u >= -slack) & (u <= L[ii] + slack) & (v >= -slack) & (v <= L[jj] + slack)
-        ta = T0[ii] + u
-        tb = T0[jj] + v
-        t1, t2 = np.minimum(ta, tb), np.maximum(ta, tb)
-        k = np.flatnonzero(ok & (t2 - t1 > EVENT_MERGE_TOL))
-        if not len(k):
-            continue
-        u = u[k]
-        px = pxi[k] + u * dxi[k]
-        py = pyi[k] + u * dyi[k]
-        found.append((t1[k], t2[k], np.full(len(k), tri), px, py, ang[k]))
-    if not found:
+        if len(spreads) > 1 or wide:
+            charts.append((tri, P, D, L, T0, label, wide))
+    if not charts:
         empty = np.empty(0)
         return IntersectionEvents(empty, empty, empty.astype(np.int64), empty, empty, empty)
-    cols = [np.concatenate(c) for c in zip(*found)]
-    order = np.lexsort((cols[1], cols[0]))
-    cols = [c[order] for c in cols]
-    keep = _merge_mask(cols[0], cols[1])
-    return IntersectionEvents(*(c[keep] for c in cols))
+    rows = [0] * len(charts)  # rows paired so far, per chart
+    found = [[] for _ in charts]  # per chart, its windows' columns in row order
+    tau = FIRST_WINDOW * trace_.length if earliest_only and trace_.length > 0 else math.inf
+    while True:
+        for k, chart in enumerate(charts):
+            hi = int(np.searchsorted(chart[4], tau))
+            if hi > rows[k]:
+                found[k].append(_row_events(*chart, rows[k], hi))
+                rows[k] = hi
+        done = all(r == len(chart[4]) for r, chart in zip(rows, charts))
+        if any(found):
+            cols = [np.concatenate(c) for c in zip(*(w for ws in found for w in ws))]
+            order = np.lexsort((cols[1], cols[0]))
+            cols = [c[order] for c in cols]
+            t1, t2 = cols[:2]
+            cut = math.inf if done else tau - WINDOW_MARGIN * (1.0 + tau)
+            m = int(np.searchsorted(t1, cut))
+            keep = np.flatnonzero(_merge_mask(t1[:m], t2[:m]))
+            if earliest_only and len(keep):
+                best = keep[_earliest_index(t1[keep], t2[keep])]
+                if t2[best] <= cut:
+                    return IntersectionEvents(*(c[best : best + 1] for c in cols))
+            if done:
+                return IntersectionEvents(*(c[keep] for c in cols))
+        tau *= 2.0
 
 
 @functools.lru_cache(maxsize=1)
@@ -466,8 +518,9 @@ def direction_scan(
 
     Every direction is traced to ``length``; the verdict is VertexHit,
     SelfIntersecting (with the earliest event, the one with the smallest
-    (t2, t1) from ``IntersectionEvents.earliest``) or Simple (with a
-    density report at ``epsilon``).  Deterministic given the seed.
+    (t2, t1), from ``self_intersections(..., earliest_only=True)``) or
+    Simple (with a density report at ``epsilon``).  Deterministic given
+    the seed.
     ``n`` above MAX_DIRECTIONS is rejected before any angle is drawn.
     """
     if not 1 <= n <= MAX_DIRECTIONS:
@@ -486,7 +539,7 @@ def direction_scan(
         if tr.termination.kind != LENGTH_REACHED:
             rows.append(DirectionVerdict(i, float(ang), "left_domain"))
             continue
-        events = self_intersections(surface, tr)
+        events = self_intersections(surface, tr, earliest_only=True)
         if events:
             first = events.earliest()
             rows.append(DirectionVerdict(i, float(ang), "self_intersecting", first_event=first))

@@ -6,6 +6,7 @@ surfaces, so catalog files and fixtures reproduce byte-for-byte.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -509,10 +510,12 @@ def cut_and_glue(
             raise CutThroughVertex(f"cut passes through corner {k} of triangle {host_id}")
 
     patch.validate()
-    if abs(patch.perimeter() - 2.0 * ell) > max(tol, 1e-9) * (1.0 + 2.0 * ell):
+    if abs(patch.perimeter() - 2.0 * ell) > tol * (1.0 + 2.0 * ell):
         raise PerimeterMismatch(
             f"patch perimeter {patch.perimeter()!r} != twice cut length {2 * ell!r}"
         )
+    if isinstance(anchor, bool) or not isinstance(anchor, numbers.Integral):
+        raise UnsupportedCut(f"anchor {anchor!r} is not an integer")
     if not 0 <= anchor < len(patch.vertices):
         raise UnsupportedCut(f"anchor {anchor} out of range")
 

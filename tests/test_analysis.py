@@ -251,6 +251,61 @@ def test_self_intersections_match_pairwise_oracle_on_large_charts(catalog_surfac
     assert len(events) > 1000 and events == _pairwise_oracle(tr)
 
 
+# sha256 of the six event columns (t1, t2, tri, px, py, angle) on the traces
+# above, as the one-pass kernel gave them before the windowed search; a
+# call without ``earliest_only`` must stay element-wise identical.
+GOLDEN_EVENT_DIGESTS = {
+    "klein-bottle": "657a88f6a1cde6567e5dfa6e1d780c8936fe136ac40af4d208cc6c11355f5732",
+    "cube": "739dc5ded4add211c550cc849573d4f16cce3d634f02e4eb650eaac033d6c714",
+    "ring-double": "c6b578841ba4742ef8ed5be37bea697caac4200b779e9f0760e5074d02263eb3",
+    "example1": "e5cf0c89300a34ffd07caf6c0df4739f9822ed1abdce485a3590088577f07249",
+    "star-double-11": "47ccc60d9551df24b13a2f01bbd319d392db80e3e5851672cc43a9235dd2b038",
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_LENGTHS)
+def test_all_events_match_golden_digest(catalog_surfaces, name):
+    s = _surface(catalog_surfaces, name)
+    tr = trace(s, TangentDirection(incenter_point(s), (math.cos(0.3), math.sin(0.3))), ORACLE_LENGTHS[name])
+    events = self_intersections(s, tr)
+    h = hashlib.sha256()
+    for col in (events.t1, events.t2, events.tri, events.px, events.py, events.angle):
+        h.update(np.ascontiguousarray(col).tobytes())
+    assert events.tri.dtype == np.int64
+    assert h.hexdigest() == GOLDEN_EVENT_DIGESTS[name]
+    first = self_intersections(s, tr, earliest_only=True)
+    assert first == [events.earliest()]
+    k = int(np.flatnonzero((events.t1 == first.t1[0]) & (events.t2 == first.t2[0]))[0])
+    assert all(getattr(first, c)[0] == getattr(events, c)[k] for c in events.__slots__)
+
+
+def test_earliest_only_without_crossings_pairs_every_row_in_windows(catalog_surfaces, monkeypatch):
+    # Two charts of this short ring-double trace hold two direction
+    # classes, but the trace never crosses itself: the doubling windows
+    # must then tile every chart's rows before answering "none".
+    s = catalog_surfaces["ring-double"]
+    tr = trace(s, TangentDirection(incenter_point(s), (math.cos(0.56), math.sin(0.56))), 12.0)
+    assert tr.termination.kind == "LengthReached"
+    multi = {tri: len(P) for tri, (P, *_rest) in tr.charts.items() if len(tr.classes[tri][2]) > 1}
+    assert len(multi) >= 2
+    windows = []
+    row_events = analysis._row_events
+
+    def record(*args):
+        windows.append((args[0], args[-2], args[-1]))
+        return row_events(*args)
+
+    monkeypatch.setattr(analysis, "_row_events", record)
+    none = self_intersections(s, tr, earliest_only=True)
+    assert none == [] and none.tri.dtype == np.int64
+    assert len(windows) > len(multi)  # more than one window ran
+    for tri, n in multi.items():
+        bounds = [(lo, hi) for t, lo, hi in windows if t == tri]
+        assert [lo for lo, _hi in bounds] == [0] + [hi for _lo, hi in bounds[:-1]]
+        assert bounds[-1][1] == n
+    assert self_intersections(s, tr) == []
+
+
 # --- density --------------------------------------------------------------------
 
 

@@ -320,6 +320,26 @@ def test_cut_perimeter_mismatch():
         cut_and_glue(base, (host, (0.75, 1.0 / 3.0), (0.75, 2.0 / 3.0)), patch)
 
 
+def test_cut_perimeter_checked_at_the_surface_tolerance():
+    # Off by 1e-11: inside the old 1e-9 floor, beyond a 1e-14 surface
+    # tolerance, so the cut must fail before any surgery.
+    base = double_of_polygon(SQUARE, tol=1e-14)
+    host = find_triangle_with_germ(base, (0.75, 0.4), (1.0, 0.0))
+    with pytest.raises(PerimeterMismatch):
+        cut_and_glue(base, (host, (0.75, 0.3), (0.75, 0.5 + 1e-11)), SMALL_SQUARE)
+
+
+@pytest.mark.parametrize("anchor", [1.5, 1.0, "1", None, True, -1, 4])
+def test_cut_anchor_must_be_an_index(anchor):
+    with pytest.raises(UnsupportedCut, match="anchor"):
+        square_double_cut(0.75, 0.3, 0.5, SMALL_SQUARE, anchor)
+
+
+def test_cut_accepts_a_numpy_integer_anchor():
+    plain = surface_to_json(square_double_cut(0.75, 0.3, 0.5, SMALL_SQUARE, 2))
+    assert surface_to_json(square_double_cut(0.75, 0.3, 0.5, SMALL_SQUARE, np.int64(2))) == plain
+
+
 def test_cut_through_vertex():
     base = double_of_polygon(SQUARE)
     host = find_triangle_with_germ(base, (0.9, 0.5), (1.0, 0.0))

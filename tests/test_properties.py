@@ -1,6 +1,6 @@
 """Property tests of the gluing walks, cut-and-glue surgery,
-self-intersection events, the density band, the trace helpers and
-surface and trace JSON parsing.
+self-intersection events, the density band, the trace helpers, the
+tracer's round trip, and surface and trace JSON parsing.
 
 Surfaces for the walks are doubles of random star-shaped and rectilinear
 polygons (drawn from a hypothesis-chosen seed) and the square
@@ -8,10 +8,12 @@ identifications of ``example2_candidates``, which include non-orientable
 surfaces.  Cuts are random segments inside one triangle of the square
 double or of a star double, patched with regular polygons.  Events and
 traces are drawn from random directions on the catalog's
-two-direction-class surfaces; the density band is checked on random
-chords against the dense test.  The runs are derandomized, so
+two-direction-class surfaces, and the earliest-only event search also
+runs on random polylines; the density band is checked on random chords
+against the dense test.  The runs are derandomized, so
 the suite sees the same examples every time.
 """
+import functools
 import json
 import math
 from bisect import bisect_right
@@ -46,6 +48,7 @@ from flatgeo.tracer import (
     Termination,
     TraceSegment,
     locate,
+    reverse_check,
     trace,
     truncate,
 )
@@ -137,6 +140,19 @@ def test_cut_and_glue_adds_the_patch_or_raises_typed(polygon, seed, k, anchor):
     assert math.isclose(sum(tri.signed_area() for tri in patch_tris), patch_area, rel_tol=1e-12)
 
 
+@walk_settings
+@given(
+    st.sampled_from([random_star_polygon, random_rectilinear_polygon]),
+    seeds,
+    st.floats(0.0, TWO_PI, exclude_max=True),
+)
+def test_reverse_check_returns_to_the_start_on_random_doubles(polygon, seed, angle):
+    s = double_of_polygon(polygon(np.random.default_rng(seed)))
+    start = TangentDirection(incenter_point(s), (math.cos(angle), math.sin(angle)))
+    assume(trace(s, start, 30.0).termination.kind == LENGTH_REACHED)  # not into a cone point
+    assert reverse_check(s, start, 30.0) < 1e-6
+
+
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(st.sampled_from(["cube", "ring-double"]), st.floats(0.0, TWO_PI, exclude_max=True))
 def test_earliest_event_is_min_of_materialized_list(catalog_surfaces, name, angle):
@@ -160,6 +176,56 @@ def test_merge_mask_matches_sequential_walk(steps):
             kept.append((t1, t2))
     keep = _merge_mask(np.array([e[0] for e in events]), np.array([e[1] for e in events]))
     assert [e for e, k in zip(events, keep) if k] == kept
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=40))
+def test_merge_mask_of_a_prefix_is_the_prefix_of_the_mask(steps):
+    # The earliest-only search merges a prefix of the sorted events: each
+    # verdict must depend only on the events before it.
+    step = 0.6 * EVENT_MERGE_TOL
+    t1, t2 = np.array(sorted((1.0 + a * step, 2.0 + b * step) for a, b in steps)).T
+    keep = _merge_mask(t1, t2)
+    for m in range(len(t1) + 1):
+        assert np.array_equal(_merge_mask(t1[:m], t2[:m]), keep[:m])
+
+
+_diameter = functools.lru_cache(maxsize=None)(diameter_estimate)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["cube", "example1", "klein-bottle", "ring-double"]),
+    st.floats(0.0, TWO_PI, exclude_max=True),
+)
+def test_earliest_only_is_the_earliest_of_all_events(catalog_surfaces, name, angle):
+    s = catalog_surfaces[name]
+    length = 400.0 * _diameter(s)
+    tr = trace(s, TangentDirection(incenter_point(s), (math.cos(angle), math.sin(angle))), length)
+    assume(tr.termination.kind == "LengthReached")
+    events = self_intersections(s, tr)
+    assert self_intersections(s, tr, earliest_only=True) == ([events.earliest()] if events else [])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(seeds, st.integers(2, 80), st.integers(2, 10), st.integers(1, 3), st.floats(0.01, 64.0))
+def test_earliest_only_on_random_polylines(seed, n, classes, charts, stretch):
+    # A random polyline read as a trace over one to three charts, its
+    # directions from a few classes (a wide class past MAX_CLASSES), so
+    # that short loops abound.  The stated length scales the first window
+    # from no row to every row.
+    rng = np.random.default_rng(seed)
+    ang = rng.uniform(0.0, math.pi, classes)[rng.integers(0, classes, n)] + math.pi * rng.integers(0, 2, n)
+    D = np.column_stack((np.cos(ang), np.sin(ang)))
+    L = rng.uniform(0.0, 1.0, n)
+    Q = np.cumsum(np.vstack(([0.0, 0.0], L[:, None] * D)), axis=0)
+    tri = rng.integers(0, charts, n).astype(float)
+    rows = np.column_stack((tri, Q[:-1], Q[1:], D, np.cumsum(L) - L, L, np.full(n, -1.0)))
+    tr = GeodesicTrace._from_rows(
+        TangentDirection(SurfacePoint(0, (0.0, 0.0)), (1.0, 0.0)), rows, stretch * L.sum(), Termination(LENGTH_REACHED)
+    )
+    events = self_intersections(None, tr)
+    assert self_intersections(None, tr, earliest_only=True) == ([events.earliest()] if events else [])
 
 
 def _locate_oracle(tr, t):

@@ -163,6 +163,27 @@ def test_reverse_check_zero_length_like(torus):
     assert r < 1e-12
 
 
+@pytest.mark.parametrize("y", [0.0, 1e-14, -1e-14])
+def test_start_on_an_edge_pointing_out_crosses_it(torus, y):
+    # On (or within 1e-14 of) the bottom edge of triangle 0, heading down:
+    # the first chord has length 0 and the trace goes on across the edge.
+    start = TangentDirection(SurfacePoint(0, (0.5, y)), (math.cos(-1.2), math.sin(-1.2)))
+    tr = trace(torus, start, 5.0)
+    assert tr.termination.kind == LENGTH_REACHED and tr.length == 5.0
+    assert tr.chords[0, 8] == 0.0 and tr.chords[1, 0] == 1.0
+    assert reverse_check(torus, start, 5.0) < 1e-12
+
+
+def test_reverse_check_from_a_trace_ending_on_an_edge():
+    # Horizontal chords of length 1/3 on this rectilinear double end the
+    # forward trace within 3e-14 of an edge; the backward trace starts
+    # there, heading out of its triangle.
+    s = double_of_polygon(PolygonSpec(
+        [(0, 0), (4, 0), (4, 3), (3, 3), (3, 5), (2, 5), (2, 3), (1, 3), (1, 4), (0, 4)]
+    ))
+    assert reverse_check(s, TangentDirection(incenter_point(s), (1.0, 0.0)), 30.0) < 1e-6
+
+
 def test_reverse_check_raises_on_vertex_hit(torus):
     d = (-1.0 / SQRT2, -1.0 / SQRT2)
     with pytest.raises(TraceIncomplete):
