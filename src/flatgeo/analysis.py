@@ -47,6 +47,12 @@ WINDOW_MARGIN = 1e-9
 # Most directions one scan may draw; its angle array is sized by n.
 MAX_DIRECTIONS = 10**6
 
+# A chord within this of the start tangent, in distance and in direction,
+# closes the geodesic.
+RECURRENCE_TOL = 1e-6
+# A co-face angle within this of a folded curvature sum is matched.
+SPECTRUM_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SegmentPair:
@@ -318,6 +324,11 @@ def _near_chords(Q: np.ndarray, trace_: GeodesicTrace, tri: int, epsilon: float)
     return np.bincount(si[np.sqrt(dx * dx + dy * dy) < epsilon], minlength=len(Q)) > 0
 
 
+def _check_density_args(epsilon: float, samples: int) -> None:
+    if not 0.0 < epsilon < math.inf or samples <= 0:
+        raise ValueError("epsilon must be positive and finite, samples positive")
+
+
 def density_estimate(
     surface: FlatSurface,
     trace_: GeodesicTrace,
@@ -336,8 +347,7 @@ def density_estimate(
     distance to a chord is at least ``|n_k.(q - P)|`` and ``|n -+ n_k| <=
     (pi/2) s``, so the verdicts equal those of measuring every chord.
     """
-    if not 0.0 < epsilon < math.inf or samples <= 0:
-        raise ValueError("epsilon must be positive and finite, samples positive")
+    _check_density_args(epsilon, samples)
     charts = trace_.charts
     pts = _sample_points(surface, samples, seed)
     covered = 0
@@ -361,15 +371,13 @@ def density_estimate(
     return DensityReport(epsilon, samples, covered / samples)
 
 
-def closed_geodesic_detect(
-    surface: FlatSurface, trace_: GeodesicTrace, tol: float = 1e-6
-) -> float | None:
+def closed_geodesic_detect(surface: FlatSurface, trace_: GeodesicTrace) -> float | None:
     """Smallest positive t at which the trace revisits its start tangent.
 
     Both the point distance and the direction angle are compared against
-    ``tol``.  Returns None when no recurrence occurs within the trace.
+    RECURRENCE_TOL.  Returns None when no recurrence occurs within the trace.
     """
-    reps = tangent_representatives(surface, trace_.start.at, trace_.start.unit, tol=max(tol, 1e-9))
+    reps = tangent_representatives(surface, trace_.start.at, trace_.start.unit, RECURRENCE_TOL)
     by_tri: dict[int, list[tuple[Vec, Vec]]] = {}
     for tri, xy, v in reps:
         by_tri.setdefault(tri, []).append((xy, v))
@@ -378,17 +386,17 @@ def closed_geodesic_detect(
         if best is not None and t0 > best:
             break
         for xy, v in by_tri.get(int(tri), ()):
-            if unsigned_angle((dx, dy), v) > tol:
+            if unsigned_angle((dx, dy), v) > RECURRENCE_TOL:
                 continue
             wx, wy = xy[0] - ex, xy[1] - ey
             r = wx * dx + wy * dy
-            if r < -tol or r > ln + tol:
+            if r < -RECURRENCE_TOL or r > ln + RECURRENCE_TOL:
                 continue
             perp = math.hypot(wx - r * dx, wy - r * dy)
-            if perp > tol:
+            if perp > RECURRENCE_TOL:
                 continue
             t = t0 + r
-            if t > tol and (best is None or t < best):
+            if t > RECURRENCE_TOL and (best is None or t < best):
                 best = t
     return best
 
@@ -408,14 +416,13 @@ def coface_angle_spectrum(
     surface: FlatSurface,
     trace_: GeodesicTrace,
     face_partition: list[list[int]],
-    tol: float = 1e-6,
 ) -> SpectrumReport:
     """Pairwise angles between trace chords crossing the same face.
 
     Each face group is developed into one plane before comparing chord
-    directions; angles are folded to [0, pi] and checked against subset
-    sums of the vertex curvatures (folded the same way).  Requires a
-    sphere with strictly positive curvatures.
+    directions; angles are folded to [0, pi] and checked, to within
+    SPECTRUM_TOL, against subset sums of the vertex curvatures (folded the
+    same way).  Requires a sphere with strictly positive curvatures.
     """
     if surface.euler_characteristic != 2:
         raise NotConvex("angle spectrum needs a topological sphere")
@@ -453,7 +460,7 @@ def coface_angle_spectrum(
         sums |= {s + v.curvature for s in sums}
     allowed = sorted({fold_to_half_turn(s) for s in sums})
     unmatched = tuple(
-        a for a in observed if min(abs(a - f) for f in allowed) > tol
+        a for a in observed if min(abs(a - f) for f in allowed) > SPECTRUM_TOL
     )
     return SpectrumReport(tuple(sorted(observed)), tuple(allowed), unmatched)
 
@@ -521,10 +528,13 @@ def direction_scan(
     (t2, t1), from ``self_intersections(..., earliest_only=True)``) or
     Simple (with a density report at ``epsilon``).  Deterministic given
     the seed.
-    ``n`` above MAX_DIRECTIONS is rejected before any angle is drawn.
+    ``n`` above MAX_DIRECTIONS, and an ``epsilon`` or ``density_samples``
+    that ``density_estimate`` would reject, are rejected before any angle is
+    drawn.
     """
     if not 1 <= n <= MAX_DIRECTIONS:
         raise ValueError(f"n must be between 1 and {MAX_DIRECTIONS}, got {n}")
+    _check_density_args(epsilon, density_samples)
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, n)
     rows: list[DirectionVerdict] = []

@@ -137,9 +137,7 @@ def _edge_pairs(edges: dict) -> Iterator[tuple]:
         yield (u, v), ref, edges.get((v, u))
 
 
-def _double_from_triangulation(
-    pts: tuple[Vec, ...], tris: list[tuple[int, int, int]], tol: float = METRIC_TOL
-) -> FlatSurface:
+def _double_from_triangulation(pts: tuple[Vec, ...], tris: list[tuple[int, int, int]]) -> FlatSurface:
     """Two mirror copies of a triangulated domain glued along the boundary.
 
     Edges appearing in exactly one triangle are boundary edges and get
@@ -166,25 +164,25 @@ def _double_from_triangulation(
             gluings.append(Gluing(EdgeRef(*bot_edges[(i, j)]), EdgeRef(*bot_edges[(j, i)])))
         else:
             gluings.append(Gluing(EdgeRef(*top), EdgeRef(*bot_edges[(j, i)])))
-    return build_surface(triangles, gluings, tol)
+    return build_surface(triangles, gluings)
 
 
-def double_of_polygon(spec: PolygonSpec, tol: float = METRIC_TOL) -> FlatSurface:
+def double_of_polygon(spec: PolygonSpec) -> FlatSurface:
     """Glue two mirror copies of a simple polygon along their boundary.
 
     A corner with interior angle beta becomes a vertex of curvature
     2*pi - 2*beta; the result is a topological sphere.
     """
     spec.validate()
-    return _double_from_triangulation(spec.vertices, _ear_clip(spec.vertices), tol)
+    return _double_from_triangulation(spec.vertices, _ear_clip(spec.vertices))
 
 
-def flat_torus(u: Vec, v: Vec, tol: float = METRIC_TOL) -> FlatSurface:
+def flat_torus(u: Vec, v: Vec) -> FlatSurface:
     """Fundamental parallelogram of the lattice (u, v), opposite sides glued."""
     u = (float(u[0]), float(u[1]))
     v = (float(v[0]), float(v[1]))
     area = cross(u[0], u[1], v[0], v[1])
-    if abs(area) <= tol:
+    if abs(area) <= METRIC_TOL:
         raise DegenerateLattice("spanning vectors are collinear")
     if area < 0:
         u, v = v, u
@@ -197,10 +195,10 @@ def flat_torus(u: Vec, v: Vec, tol: float = METRIC_TOL) -> FlatSurface:
         Gluing(EdgeRef(0, 1), EdgeRef(1, 2)),  # right to left
         Gluing(EdgeRef(0, 2), EdgeRef(1, 0)),  # shared diagonal
     ]
-    return build_surface([t0, t1], gl, tol)
+    return build_surface([t0, t1], gl)
 
 
-def isosceles_tetrahedron(sides: tuple[float, float, float], tol: float = METRIC_TOL) -> FlatSurface:
+def isosceles_tetrahedron(sides: tuple[float, float, float]) -> FlatSurface:
     """Four congruent faces glued via the standard one-big-triangle net.
 
     ``sides`` are the face's edge lengths.  Raises NotAcute when they
@@ -239,7 +237,7 @@ def isosceles_tetrahedron(sides: tuple[float, float, float], tol: float = METRIC
         Gluing(EdgeRef(2, 0), EdgeRef(3, 2)),  # p1->m0 vs m0->p2
         Gluing(EdgeRef(3, 0), EdgeRef(1, 2)),  # p2->m1 vs m1->p0
     ]
-    return build_surface(tris, gl, tol)
+    return build_surface(tris, gl)
 
 
 def _face_chart(quad3d: list[tuple[float, float, float]]) -> list[Vec]:
@@ -253,7 +251,7 @@ def _face_chart(quad3d: list[tuple[float, float, float]]) -> list[Vec]:
     return [(float((p - q[0]) @ u), float((p - q[0]) @ w)) for p in q]
 
 
-def cube_surface(tol: float = METRIC_TOL) -> FlatSurface:
+def cube_surface() -> FlatSurface:
     """Unit cube boundary, two triangles per face.
 
     Face k owns triangles (2k, 2k+1); all eight vertices have curvature
@@ -286,14 +284,14 @@ def cube_surface(tol: float = METRIC_TOL) -> FlatSurface:
             owner[(a3, b3)] = (t, e)
     for _edge, ref, rev in _edge_pairs(owner):
         gluings.append(Gluing(EdgeRef(*ref), EdgeRef(*rev)))
-    return build_surface(tris, gluings, tol)
+    return build_surface(tris, gluings)
 
 
 def cube_face_partition() -> list[list[int]]:
     return [[2 * f, 2 * f + 1] for f in range(6)]
 
 
-def ring_double(tol: float = METRIC_TOL) -> FlatSurface:
+def ring_double() -> FlatSurface:
     """Double of a square ring whose hole is a 45-degree-rotated square.
 
     All eight vertices have curvature +pi (outer corners) or -pi (hole
@@ -321,12 +319,11 @@ def ring_double(tol: float = METRIC_TOL) -> FlatSurface:
         (3, 0, 7),
         (0, 4, 7),
     ]
-    return _double_from_triangulation(pts, tris, tol)
+    return _double_from_triangulation(pts, tris)
 
 
 def square_identification_surface(
     pairings: list[tuple[tuple[float, float], tuple[float, float], bool]],
-    tol: float = METRIC_TOL,
 ) -> FlatSurface:
     """Quotient of the unit square by identified boundary arcs.
 
@@ -336,7 +333,7 @@ def square_identification_surface(
     the arcs with matching perimeter direction (an orientation-reversing
     gluing), ``aligned=False`` with opposite directions (the torus-style
     convention).  Arcs must not contain a corner in their interior and
-    must partition the whole boundary.
+    must partition the whole boundary, both up to METRIC_TOL.
     """
 
     def boundary_point(s: float) -> Vec:
@@ -357,21 +354,21 @@ def square_identification_surface(
             if not (0.0 <= s0 < s1 <= 4.0):
                 raise UncoveredBoundary(f"bad arc ({s0}, {s1})")
             for corner in range(5):
-                if s0 + tol < corner < s1 - tol:
+                if s0 + METRIC_TOL < corner < s1 - METRIC_TOL:
                     raise UncoveredBoundary(
                         f"arc ({s0}, {s1}) contains corner s={corner} in its interior"
                     )
             arcs.append((s0, s1))
     for (a, b, _flag) in pairings:
-        if abs((a[1] - a[0]) - (b[1] - b[0])) > tol:
+        if abs((a[1] - a[0]) - (b[1] - b[0])) > METRIC_TOL:
             raise ArcLengthMismatch(f"arcs {a} and {b} differ in length")
     arcs.sort()
     cover = 0.0
     for i, (s0, s1) in enumerate(arcs):
-        if abs(s0 - cover) > tol:
+        if abs(s0 - cover) > METRIC_TOL:
             raise UncoveredBoundary(f"gap or overlap near s={cover}")
         cover = s1
-    if abs(cover - 4.0) > tol:
+    if abs(cover - 4.0) > METRIC_TOL:
         raise UncoveredBoundary("arcs do not cover the boundary")
 
     # Fan triangulation from the center; boundary nodes are the corners
@@ -391,17 +388,16 @@ def square_identification_surface(
         ta = node_pos.index(a[0])
         tb = node_pos.index(b[0])
         gluings.append(Gluing(EdgeRef(ta, 1), EdgeRef(tb, 1), reversed=aligned))
-    return build_surface(tris, gluings, tol)
+    return build_surface(tris, gluings)
 
 
-def klein_bottle(tol: float = METRIC_TOL) -> FlatSurface:
+def klein_bottle() -> FlatSurface:
     """Unit square with one straight and one orientation-flipped side pair."""
     return square_identification_surface(
         [
             ((0.0, 1.0), (2.0, 3.0), False),
             ((1.0, 2.0), (3.0, 4.0), True),
-        ],
-        tol,
+        ]
     )
 
 

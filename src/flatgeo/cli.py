@@ -118,7 +118,7 @@ def cmd_trace(args) -> int:
     surface = _load_surface(args)
     start = _start_tangent(surface, args)
     tr = trace(surface, start, args.length, args.clearance)
-    period = closed_geodesic_detect(surface, tr, tol=1e-6)
+    period = closed_geodesic_detect(surface, tr)
     print(trace_to_json(tr, extra={"closed_period": period}), end="")
     if args.svg:
         try:

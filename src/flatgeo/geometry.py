@@ -1,9 +1,9 @@
 """Planar primitives and rigid isometries.
 
 All charts use ordinary double precision. Each surface carries one
-metric tolerance (``METRIC_TOL`` unless its builder is given another)
-that governs its validation; exact arithmetic is deliberately not used
-so tracing stays fast.
+metric tolerance (``METRIC_TOL`` unless ``build_surface`` is given
+another) that governs its validation and decides its cone points; exact
+arithmetic is deliberately not used so tracing stays fast.
 """
 from __future__ import annotations
 
@@ -34,10 +34,6 @@ def normalize(v: Vec) -> Vec:
     if n == 0.0:
         raise ValueError("cannot normalize zero vector")
     return (v[0] / n, v[1] / n)
-
-
-def angle_of(v: Vec) -> float:
-    return math.atan2(v[1], v[0])
 
 
 def wrap_angle(a: float) -> float:
@@ -138,10 +134,6 @@ class PlaneIsometry:
         return cls(False, 0.0, 0.0, 0.0)
 
     @classmethod
-    def rotation(cls, angle: float, tx: float = 0.0, ty: float = 0.0) -> "PlaneIsometry":
-        return cls(False, wrap_angle(angle), tx, ty)
-
-    @classmethod
     def from_point_pairs(cls, p0: Vec, p1: Vec, q0: Vec, q1: Vec, reflect: bool) -> "PlaneIsometry":
         """Unique isometry of the given kind mapping p0 -> q0 and p1 -> q1.
 
@@ -190,10 +182,10 @@ class PlaneIsometry:
         ix, iy = inv.apply_vector((self.tx, self.ty))
         return PlaneIsometry(self.reflect, wrap_angle(angle), -ix, -iy)
 
-    def is_identity(self, tol: float = 1e-9) -> bool:
+    def is_identity(self) -> bool:
         return (
             not self.reflect
-            and angle_distance_mod(self.angle, 0.0, TWO_PI) <= tol
-            and abs(self.tx) <= tol
-            and abs(self.ty) <= tol
+            and angle_distance_mod(self.angle, 0.0, TWO_PI) <= METRIC_TOL
+            and abs(self.tx) <= METRIC_TOL
+            and abs(self.ty) <= METRIC_TOL
         )

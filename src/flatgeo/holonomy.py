@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .errors import PointNotOnEdge
 from .geometry import (
-    TWO_PI,
     PlaneIsometry,
     angle_distance_mod,
     point_segment_distance,
@@ -37,26 +36,12 @@ class HolonomyElement:
     angle: float
 
     @classmethod
-    def identity(cls) -> "HolonomyElement":
-        return cls(False, 0.0)
-
-    @classmethod
     def from_isometry(cls, iso: PlaneIsometry) -> "HolonomyElement":
         return cls(iso.reflect, wrap_angle(iso.angle))
 
-    def compose(self, other: "HolonomyElement") -> "HolonomyElement":
-        angle = self.angle - other.angle if self.reflect else self.angle + other.angle
-        return HolonomyElement(self.reflect != other.reflect, wrap_angle(angle))
-
-    def inverse(self) -> "HolonomyElement":
-        return HolonomyElement(self.reflect, wrap_angle(self.angle if self.reflect else -self.angle))
-
-    def is_rotation_by(self, angle: float, tol: float = ANGLE_TOL) -> bool:
-        return not self.reflect and angle_distance_mod(self.angle, angle, TWO_PI) <= tol
-
-    def is_half_turn_multiple(self, tol: float = ANGLE_TOL) -> bool:
+    def is_half_turn_multiple(self) -> bool:
         """True for rotations by 0 or pi: membership in {id, -id}."""
-        return not self.reflect and angle_distance_mod(self.angle, 0.0, math.pi) <= tol
+        return not self.reflect and angle_distance_mod(self.angle, 0.0, math.pi) <= ANGLE_TOL
 
 
 @dataclass(frozen=True)
@@ -172,7 +157,7 @@ def vertex_holonomy(surface: FlatSurface, v: VertexClass) -> HolonomyElement:
     return HolonomyElement.from_isometry(iso)
 
 
-def is_parallel(surface: FlatSurface, tol: float = ANGLE_TOL) -> ParallelVerdict:
+def is_parallel(surface: FlatSurface) -> ParallelVerdict:
     """Classify the surface by its holonomy generators.
 
     Parallel means every generator lies in {identity, rotation by pi};
@@ -183,7 +168,7 @@ def is_parallel(surface: FlatSurface, tol: float = ANGLE_TOL) -> ParallelVerdict
     """
     gens = holonomy_generators(surface)
     for loop, elem in gens:
-        if not elem.is_half_turn_multiple(tol):
+        if not elem.is_half_turn_multiple():
             return ParallelVerdict(False, witness_loop=loop, witness=elem)
     angles = {
         tri_id: iso.inverse().apply_line_angle(0.0)
@@ -210,13 +195,11 @@ def line_field_residual(surface: FlatSurface, field: LineField) -> float:
     return worst
 
 
-def curvature_test(
-    surface: FlatSurface, tol: float = ANGLE_TOL
-) -> tuple[bool, list[VertexClass]]:
+def curvature_test(surface: FlatSurface) -> tuple[bool, list[VertexClass]]:
     """Check every vertex curvature against integer multiples of pi."""
     offending = [
         v
         for v in surface.vertex_classes
-        if angle_distance_mod(v.curvature, 0.0, math.pi) > tol
+        if angle_distance_mod(v.curvature, 0.0, math.pi) > ANGLE_TOL
     ]
     return (not offending, offending)

@@ -114,7 +114,7 @@ def _termination_parse(s: str) -> Termination:
     raise ValueError(f"unknown termination {s!r}")
 
 
-def trace_to_json(trace_: GeodesicTrace, extra: dict | None = None) -> str:
+def trace_to_json(trace_: GeodesicTrace, extra: dict[str, float | None] | None = None) -> str:
     segs = []
     for tri, ex, ey, ox, oy, *_rest in trace_.chords.tolist():
         segs.append(
@@ -126,18 +126,8 @@ def trace_to_json(trace_: GeodesicTrace, extra: dict | None = None) -> str:
         + ", ".join(segs)
         + f'], "length": {_num(trace_.length)}, "termination": "{_termination_str(trace_.termination)}"'
     )
-    if extra:
-        for k, v in extra.items():
-            if v is None:
-                body += f', "{k}": null'
-            elif isinstance(v, bool):
-                body += f', "{k}": {"true" if v else "false"}'
-            elif isinstance(v, (int,)):
-                body += f', "{k}": {v}'
-            elif isinstance(v, float):
-                body += f', "{k}": {_num(v)}'
-            else:
-                body += f', "{k}": {json.dumps(v)}'
+    for k, v in (extra or {}).items():
+        body += f', "{k}": {"null" if v is None else _num(v)}'
     return body + "}\n"
 
 

@@ -97,7 +97,7 @@ def render_surface(surface: FlatSurface) -> str:
         canvas.polygon(pts, FACE_FILLS[i % len(FACE_FILLS)], EDGE_COLOR, stroke)
         for k, pt in enumerate(pts):
             v = surface.vertex_of(t.id, k)
-            color = CONE_COLOR if v.is_cone(surface.tolerance) else FLAT_VERTEX_COLOR
+            color = CONE_COLOR if v.is_cone else FLAT_VERTEX_COLOR
             canvas.circle(pt, 2.2 * stroke, color)
     return canvas.to_svg()
 

@@ -105,14 +105,11 @@ class VertexClass:
     index: int
     corners: tuple[tuple[int, int], ...]  # (triangle id, corner index), in cycle order
     cone_angle: float
+    is_cone: bool  # |curvature| above the surface tolerance; False for flat marked points
 
     @property
     def curvature(self) -> float:
         return TWO_PI - self.cone_angle
-
-    def is_cone(self, tol: float) -> bool:
-        """False for removable marked points whose total angle is 2*pi."""
-        return abs(self.curvature) > tol
 
 
 class FlatSurface:
@@ -231,7 +228,8 @@ class FlatSurface:
                 for tri_id, c in cycle:
                     angle += self._by_id[tri_id].angle_at(c)
                 idx = len(classes)
-                classes.append(VertexClass(idx, tuple(cycle), angle))
+                cone = abs(TWO_PI - angle) > self.tolerance
+                classes.append(VertexClass(idx, tuple(cycle), angle, cone))
                 for c in cycle:
                     corner_class[c] = idx
         total_corners = sum(len(v.corners) for v in classes)
@@ -261,7 +259,7 @@ class FlatSurface:
         return sum(t.signed_area() for t in self.triangles)
 
     def cone_points(self) -> list[VertexClass]:
-        return [v for v in self.vertex_classes if v.is_cone(self.tolerance)]
+        return [v for v in self.vertex_classes if v.is_cone]
 
 
 def _validate_triangles(triangles, tol: float) -> None:

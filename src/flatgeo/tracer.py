@@ -34,6 +34,9 @@ MAX_STEPS = 10**7
 PROPER_ANGLE_TOL = 1e-6
 MAX_CLASSES = 8
 
+# check_trace's bound on chained entry points, and on lengths relative to 1 + length.
+CHECK_TOL = 1e-7
+
 LENGTH_REACHED = "LengthReached"
 VERTEX_HIT = "VertexHit"
 LEFT_DOMAIN = "LeftDomain"
@@ -183,7 +186,7 @@ class _TraceTables:
             for k in range(3):
                 ci = surface.corner_class[(t.id, k)]
                 cls_idx.append(ci)
-                cone_flags.append(surface.vertex_classes[ci].is_cone(surface.tolerance))
+                cone_flags.append(surface.vertex_classes[ci].is_cone)
             self.cone.append(tuple(cone_flags))
             self.cls.append(tuple(cls_idx))
         self.scale = scale
@@ -364,7 +367,7 @@ def trace(
 def locate(trace_: GeodesicTrace, t: float) -> SurfacePoint:
     """Point at arc length t, by linear interpolation in the owning segment."""
     slack = 1e-9 * (1.0 + trace_.length)
-    if t < -slack or t > trace_.length + slack:
+    if not -slack <= t <= trace_.length + slack:
         raise ParameterOutOfRange(f"t={t!r} outside [0, {trace_.length!r}]")
     n = len(trace_.chords)
     if not n:
@@ -378,10 +381,10 @@ def locate(trace_: GeodesicTrace, t: float) -> SurfacePoint:
 
 def truncate(trace_: GeodesicTrace, length: float) -> GeodesicTrace:
     """Prefix of a trace up to the given arc length."""
+    if not length >= 0:
+        raise ParameterOutOfRange(f"length {length!r} is negative or NaN")
     if length >= trace_.length:
         return trace_
-    if length < 0:
-        raise ParameterOutOfRange("negative length")
     # The chords entered before ``length``; only the last can be cut short.
     rows = trace_.chords[: int(np.searchsorted(trace_.chords[:, 7], length, side="left"))]
     if len(rows):
@@ -488,14 +491,15 @@ def reverse_check(
     return best
 
 
-def check_trace(surface: FlatSurface, trace_: GeodesicTrace, tol: float = 1e-7) -> None:
-    """Assert segment chaining, direction transport and length bookkeeping."""
+def check_trace(surface: FlatSurface, trace_: GeodesicTrace) -> None:
+    """Assert segment chaining, direction transport and length bookkeeping,
+    points and lengths to within CHECK_TOL and directions to within 1e-6."""
     total = 0.0
     for i, seg in enumerate(trace_.segments):
         v = (seg.exit[0] - seg.entry[0], seg.exit[1] - seg.entry[1])
         ln = math.hypot(v[0], v[1])
-        assert abs(ln - seg.length) <= tol * (1 + ln), "segment length mismatch"
-        if ln > tol:
+        assert abs(ln - seg.length) <= CHECK_TOL * (1 + ln), "segment length mismatch"
+        if ln > CHECK_TOL:
             assert (
                 math.hypot(v[0] / ln - seg.direction[0], v[1] / ln - seg.direction[1]) <= 1e-6
             ), "direction disagrees with chord"
@@ -506,10 +510,10 @@ def check_trace(surface: FlatSurface, trace_: GeodesicTrace, tol: float = 1e-7) 
             assert ref.tri == nxt.tri, "transition target mismatch"
             img = iso.apply(seg.exit)
             assert (
-                math.hypot(img[0] - nxt.entry[0], img[1] - nxt.entry[1]) <= tol
+                math.hypot(img[0] - nxt.entry[0], img[1] - nxt.entry[1]) <= CHECK_TOL
             ), "chained entry point mismatch"
             dimg = iso.apply_vector(seg.direction)
             assert (
                 math.hypot(dimg[0] - nxt.direction[0], dimg[1] - nxt.direction[1]) <= 1e-6
             ), "direction transport mismatch"
-    assert abs(total - trace_.length) <= tol * (1 + trace_.length), "length sum mismatch"
+    assert abs(total - trace_.length) <= CHECK_TOL * (1 + trace_.length), "length sum mismatch"

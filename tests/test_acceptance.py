@@ -250,7 +250,7 @@ def test_criterion_10_angle_spectrum(catalog_surfaces, capsys):
     tr = trace(
         cube, TangentDirection(SurfacePoint(0, (0.5, 0.3)), (math.cos(0.3), math.sin(0.3))), 100.0
     )
-    rep = coface_angle_spectrum(cube, tr, cube_face_partition(), tol=1e-6)
+    rep = coface_angle_spectrum(cube, tr, cube_face_partition())
     assert rep.all_matched
     for a in rep.angles:
         assert min(abs(a), abs(a - math.pi / 2), abs(a - math.pi)) <= 1e-6
@@ -258,7 +258,7 @@ def test_criterion_10_angle_spectrum(catalog_surfaces, capsys):
     tet = catalog_surfaces["regular-tetrahedron"]
     mid, d = edge_midpoint_tangent(tet, 0, 0, math.atan(1.0 / 7.0))
     trt = trace(tet, TangentDirection(SurfacePoint(0, mid), d), 100.0)
-    rept = coface_angle_spectrum(tet, trt, [[0], [1], [2], [3]], tol=1e-6)
+    rept = coface_angle_spectrum(tet, trt, [[0], [1], [2], [3]])
     assert rept.all_matched
     for a in rept.angles:
         assert min(abs(a), abs(a - math.pi)) <= 1e-6

@@ -397,24 +397,24 @@ def surface_point_matches(surface, a: SurfacePoint, b: SurfacePoint, tol=1e-7):
 def test_closed_geodesic_periods_on_torus():
     s = flat_torus((1.0, 0.0), (0.0, 1.0))
     tr = trace(s, TangentDirection(SurfacePoint(0, (0.5, 0.5)), (1.0, 0.0)), 3.5)
-    assert closed_geodesic_detect(s, tr, 1e-6) == pytest.approx(1.0, abs=1e-9)
+    assert closed_geodesic_detect(s, tr) == pytest.approx(1.0, abs=1e-9)
     d = (2.0 / math.sqrt(5), 1.0 / math.sqrt(5))
     tr = trace(s, TangentDirection(SurfacePoint(0, (0.5, 0.5)), d), 5.0)
-    assert closed_geodesic_detect(s, tr, 1e-6) == pytest.approx(math.sqrt(5), abs=1e-9)
+    assert closed_geodesic_detect(s, tr) == pytest.approx(math.sqrt(5), abs=1e-9)
 
 
 def test_closed_geodesic_none_for_irrational_slope():
     s = flat_torus((1.0, 0.0), (0.0, 1.0))
     d = (1.0 / math.hypot(1, GOLDEN), GOLDEN / math.hypot(1, GOLDEN))
     tr = trace(s, TangentDirection(SurfacePoint(0, (0.5, 0.25)), d), 40.0)
-    assert closed_geodesic_detect(s, tr, 1e-6) is None
+    assert closed_geodesic_detect(s, tr) is None
 
 
 def test_period_divides_later_recurrences():
     s = flat_torus((1.0, 0.0), (0.0, 1.0))
     d = (2.0 / math.sqrt(5), 1.0 / math.sqrt(5))
     tr = trace(s, TangentDirection(SurfacePoint(0, (0.5, 0.5)), d), 3.2 * math.sqrt(5))
-    period = closed_geodesic_detect(s, tr, 1e-6)
+    period = closed_geodesic_detect(s, tr)
     start = tr.start.at
     for k in (1, 2, 3):
         assert surface_point_matches(s, locate(tr, k * period), start)

@@ -40,7 +40,7 @@ from flatgeo.errors import (
 from flatgeo.geometry import polygon_area
 from flatgeo.holonomy import curvature_test, is_parallel
 from flatgeo.jsonio import surface_to_json
-from flatgeo.surface import gauss_bonnet_check
+from flatgeo.surface import build_surface, gauss_bonnet_check
 from flatgeo.tracer import SurfacePoint, TangentDirection, trace
 from flatgeo.analysis import closed_geodesic_detect
 from flatgeo.cli import main
@@ -257,7 +257,7 @@ def test_example1_closed_geodesics_avoid_patch():
         tr = trace(s, TangentDirection(start, (d[0] / ln, d[1] / ln)), 15.0)
         assert tr.termination.kind == "LengthReached"
         assert not any(seg.tri in info["patch_ids"] for seg in tr.segments)
-        period = closed_geodesic_detect(s, tr, 1e-6)
+        period = closed_geodesic_detect(s, tr)
         assert period == pytest.approx(2 * n * math.sqrt(1 + 1 / n**2), abs=1e-9)
 
 
@@ -323,7 +323,8 @@ def test_cut_perimeter_mismatch():
 def test_cut_perimeter_checked_at_the_surface_tolerance():
     # Off by 1e-11: inside the old 1e-9 floor, beyond a 1e-14 surface
     # tolerance, so the cut must fail before any surgery.
-    base = double_of_polygon(SQUARE, tol=1e-14)
+    d = double_of_polygon(SQUARE)
+    base = build_surface(d.triangles, d.gluings, 1e-14)
     host = find_triangle_with_germ(base, (0.75, 0.4), (1.0, 0.0))
     with pytest.raises(PerimeterMismatch):
         cut_and_glue(base, (host, (0.75, 0.3), (0.75, 0.5 + 1e-11)), SMALL_SQUARE)
@@ -436,8 +437,8 @@ def test_square_identification_torus_matches_lattice_torus():
     for d in ((1.0, 0.0), (0.0, 1.0)):
         tr_s = trace(s, TangentDirection(SurfacePoint(0, (0.3, 0.25)), d), 2.5)
         tr_t = trace(t, TangentDirection(SurfacePoint(0, (0.3, 0.25)), d), 2.5)
-        ps = closed_geodesic_detect(s, tr_s, 1e-6)
-        pt = closed_geodesic_detect(t, tr_t, 1e-6)
+        ps = closed_geodesic_detect(s, tr_s)
+        pt = closed_geodesic_detect(t, tr_t)
         assert ps == pytest.approx(1.0, abs=1e-9)
         assert pt == pytest.approx(1.0, abs=1e-9)
 

@@ -310,6 +310,7 @@ def test_tolerance_env_override(catalog_dir, tmp_path, capsys, monkeypatch):
         ("scan {torus} --n 2 --length 1e308", "ValueError"),
         ("trace {torus} --angle nan --length 2", "ValueError"),
         ("scan {torus} --n 2 --length 5 --epsilon nan", "ValueError"),
+        ("scan {cube} --n 3 --length 100 --epsilon nan", "ValueError"),
         ("trace {torus} --angle 0.3 --length 2 --clearance nan", "ValueError"),
         ("trace {torus} --tri 0 --x nan --y 0.5 --angle 0.3 --length 2", "ValueError"),
         ("validate {nan_torus}", "DegenerateTriangle"),
@@ -318,7 +319,7 @@ def test_tolerance_env_override(catalog_dir, tmp_path, capsys, monkeypatch):
         ("trace {huge_torus} --angle 0.3 --length 2", "DegenerateTriangle"),
     ],
     ids=["trace-length-inf", "scan-length-inf", "trace-length-1e308", "scan-length-1e308",
-         "trace-angle-nan", "scan-epsilon-nan",
+         "trace-angle-nan", "scan-epsilon-nan", "scan-epsilon-nan-no-simple-direction",
          "trace-clearance-nan", "trace-x-nan", "validate-nan-corner",
          "validate-inf-area", "scan-inf-area", "trace-inf-area"],
 )
@@ -333,6 +334,7 @@ def test_non_finite_input_exit_2(catalog_dir, tmp_path, capsys, args, error):
     (tmp_path / "huge-torus.json").write_text(json.dumps(data))
     argv = args.format(
         torus=catalog_dir / "unit-torus.json",
+        cube=catalog_dir / "cube.json",
         nan_torus=tmp_path / "nan-torus.json",
         huge_torus=tmp_path / "huge-torus.json",
     )

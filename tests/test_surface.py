@@ -54,7 +54,7 @@ def test_flat_torus_by_hand():
     v = s.vertex_classes[0]
     assert v.cone_angle == pytest.approx(2 * math.pi)
     assert curvature(s, v) == pytest.approx(0.0)
-    assert not v.is_cone(s.tolerance)
+    assert not v.is_cone
 
 
 def test_regular_tetrahedron_curvatures():

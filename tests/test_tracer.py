@@ -75,6 +75,14 @@ def test_locate_endpoints_and_range(torus):
         locate(tr, 2.5)
 
 
+@pytest.mark.parametrize("cut", [locate, truncate])
+def test_nan_parameter_is_out_of_range(torus, cut):
+    # Every comparison with NaN is false, so no range test may pass it.
+    tr = trace(torus, TangentDirection(SurfacePoint(0, (0.5, 0.5)), (1.0, 0.0)), 2.0)
+    with pytest.raises(ParameterOutOfRange):
+        cut(tr, math.nan)
+
+
 def test_locate_local_isometry(torus, tetra):
     from flatgeo.tracer import tangent_representatives
 
@@ -300,7 +308,8 @@ def test_trace_requires_positive_budget(torus):
 
 def test_tracer_and_render_use_the_surface_cone_predicate():
     # The reflex corner doubles to a vertex of curvature ~-1e-7: flat at tolerance 1e-6.
-    s = double_of_polygon(PolygonSpec([(0, 0), (1, 0), (1, 1), (0.5, 1 - 1.25e-8), (0, 1)]), tol=1e-6)
+    d = double_of_polygon(PolygonSpec([(0, 0), (1, 0), (1, 1), (0.5, 1 - 1.25e-8), (0, 1)]))
+    s = build_surface(d.triangles, d.gluings, 1e-6)
     cones = {v.index for v in s.cone_points()}
     assert len(cones) == len(s.vertex_classes) - 1
     expected = [tuple(s.corner_class[(t.id, k)] in cones for k in range(3)) for t in s.triangles]
