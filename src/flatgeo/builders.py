@@ -178,18 +178,25 @@ def double_of_polygon(spec: PolygonSpec) -> FlatSurface:
 
 
 def flat_torus(u: Vec, v: Vec) -> FlatSurface:
-    """Fundamental parallelogram of the lattice (u, v), opposite sides glued."""
+    """Fundamental parallelogram of the lattice (u, v), opposite sides glued.
+
+    In each coordinate the smaller of u and v moves by the rounding error
+    of u + v, which makes the sum exact (Dekker's Fast2Sum).  Opposite
+    sides are then equal float vectors, so every transition is an exact
+    translation and the torus classifies as parallel however thin it is.
+    """
     u = (float(u[0]), float(u[1]))
     v = (float(v[0]), float(v[1]))
-    area = cross(u[0], u[1], v[0], v[1])
-    if abs(area) <= METRIC_TOL:
-        raise DegenerateLattice("spanning vectors are collinear")
-    if area < 0:
+    if cross(u[0], u[1], v[0], v[1]) < 0:
         u, v = v, u
-    o = (0.0, 0.0)
     uv = (u[0] + v[0], u[1] + v[1])
+    u, v = zip(*((s - b, b) if abs(a) < abs(b) else (a, s - a) for a, b, s in zip(u, v, uv)))
+    o = (0.0, 0.0)
     t0 = Triangle(0, (o, u, uv))
     t1 = Triangle(1, (o, uv, v))
+    # build_surface would reject a triangle of area at most METRIC_TOL.
+    if min(t0.signed_area(), t1.signed_area()) <= METRIC_TOL:
+        raise DegenerateLattice("spanning vectors are collinear")
     gl = [
         Gluing(EdgeRef(0, 0), EdgeRef(1, 1)),  # bottom to top
         Gluing(EdgeRef(0, 1), EdgeRef(1, 2)),  # right to left

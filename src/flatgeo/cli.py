@@ -34,20 +34,12 @@ EXIT_IO = 3
 
 
 def _load_surface(args) -> FlatSurface:
-    try:
-        with open(args.surface) as fh:
-            text = fh.read()
-    except OSError as e:
-        raise _IOFailure(str(e)) from e
-    return surface_from_json(text, args.tolerance)
-
-
-class _IOFailure(Exception):
-    pass
+    with open(args.surface) as fh:
+        return surface_from_json(fh.read(), args.tolerance)
 
 
 def _error_json(err: Exception) -> str:
-    name = "IOError" if isinstance(err, _IOFailure) else type(err).__name__
+    name = "IOError" if isinstance(err, OSError) else type(err).__name__
     return json.dumps({"error": name, "message": str(err)}) + "\n"
 
 
@@ -121,11 +113,8 @@ def cmd_trace(args) -> int:
     period = closed_geodesic_detect(surface, tr)
     print(trace_to_json(tr, extra={"closed_period": period}), end="")
     if args.svg:
-        try:
-            with open(args.svg, "w") as fh:
-                fh.write(render_unfolded(surface, tr))
-        except OSError as e:
-            raise _IOFailure(str(e)) from e
+        with open(args.svg, "w") as fh:
+            fh.write(render_unfolded(surface, tr))
     return EXIT_OK
 
 
@@ -143,37 +132,26 @@ def cmd_scan(args) -> int:
     )
     counts = result.counts()
     print(json.dumps({"n": args.n, "length": args.length, "counts": counts}))
-    try:
-        if args.csv:
-            with open(args.csv, "w") as fh:
-                fh.write(result.to_csv())
-        if args.rows:
-            with open(args.rows, "w") as fh:
-                json.dump({"rows": result.to_json_rows()}, fh)
-                fh.write("\n")
-    except OSError as e:
-        raise _IOFailure(str(e)) from e
+    if args.csv:
+        with open(args.csv, "w") as fh:
+            fh.write(result.to_csv())
+    if args.rows:
+        with open(args.rows, "w") as fh:
+            json.dump({"rows": result.to_json_rows()}, fh)
+            fh.write("\n")
     return EXIT_OK
 
 
 def cmd_catalog(args) -> int:
-    try:
-        os.makedirs(args.outdir, exist_ok=True)
-    except OSError as e:
-        raise _IOFailure(str(e)) from e
+    os.makedirs(args.outdir, exist_ok=True)
     entries = []
-    try:
-        for name, surface in builders.catalog():
-            filename = f"{name}.json"
-            with open(os.path.join(args.outdir, filename), "w") as fh:
-                fh.write(surface_to_json(surface))
-            entries.append(
-                manifest_entry(surface, name, filename, builders.CATALOG_PARALLEL[name])
-            )
-        with open(os.path.join(args.outdir, "MANIFEST.json"), "w") as fh:
-            fh.write(manifest_to_json(entries))
-    except OSError as e:
-        raise _IOFailure(str(e)) from e
+    for name, surface in builders.catalog():
+        filename = f"{name}.json"
+        with open(os.path.join(args.outdir, filename), "w") as fh:
+            fh.write(surface_to_json(surface))
+        entries.append(manifest_entry(surface, name, filename, builders.CATALOG_PARALLEL[name]))
+    with open(os.path.join(args.outdir, "MANIFEST.json"), "w") as fh:
+        fh.write(manifest_to_json(entries))
     print(json.dumps({"written": len(entries), "outdir": args.outdir}))
     return EXIT_OK
 
@@ -181,11 +159,8 @@ def cmd_catalog(args) -> int:
 def cmd_render(args) -> int:
     surface = _load_surface(args)
     svg = render_surface(surface)
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(svg)
-    except OSError as e:
-        raise _IOFailure(str(e)) from e
+    with open(args.out, "w") as fh:
+        fh.write(svg)
     print(json.dumps({"written": args.out}))
     return EXIT_OK
 
@@ -251,7 +226,7 @@ def main(argv=None) -> int:
     args.tolerance = tolerance
     try:
         return args.func(args)
-    except _IOFailure as e:
+    except OSError as e:
         print(_error_json(e), file=sys.stderr, end="")
         return EXIT_IO
     except (FlatgeoError, ValueError) as e:

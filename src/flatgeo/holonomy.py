@@ -20,12 +20,14 @@ from .geometry import (
     point_segment_distance,
     wrap_angle,
 )
-from .surface import FlatSurface, VertexClass
+from .surface import FlatSurface, Gluing, VertexClass
 from .tracer import SurfacePoint, TangentDirection
 
 # Resolution of the classifier: surfaces built from doubles cannot encode
 # holonomy angles finer than this.
 ANGLE_TOL = 1e-9
+# How far from a glued edge transport_across still takes a base point to lie on it.
+EDGE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -75,32 +77,32 @@ class ParallelVerdict:
         }
 
 
+def _gluing(surface: FlatSurface, gi) -> Gluing:
+    """The gluing with id ``gi``; ValueError unless ``gi`` is an int id of this surface."""
+    if isinstance(gi, bool) or not isinstance(gi, int) or not 0 <= gi < len(surface.gluings):
+        raise ValueError(f"{gi!r} is not a gluing id of this surface")
+    return surface.gluings[gi]
+
+
 def transport_across(
     surface: FlatSurface, direction: TangentDirection, gluing: int
 ) -> TangentDirection:
     """Parallel-transport a tangent across one gluing.
 
     The base point must lie on the glued edge (either side decides the
-    transport direction).
+    transport direction).  Raises ValueError unless ``gluing`` is a gluing
+    id of the surface.
     """
-    g = surface.gluings[gluing]
-    tol = 1e-7
+    g = _gluing(surface, gluing)
     pt = direction.at
-    for side, ref in enumerate((g.a, g.b)):
+    for ref in (g.a, g.b):
         if ref.tri != pt.tri:
             continue
         tri = surface.triangle(ref.tri)
-        a = tri.edge_start(ref.edge)
-        b = tri.edge_end(ref.edge)
-        if point_segment_distance(pt.xy, a, b) <= tol:
-            iso = surface.transitions[gluing]
-            if side == 1:
-                iso = iso.inverse()
+        if point_segment_distance(pt.xy, tri.edge_start(ref.edge), tri.edge_end(ref.edge)) <= EDGE_TOL:
+            target, iso = surface.edge_transition(*ref)
             return TangentDirection(
-                SurfacePoint(
-                    (g.b if side == 0 else g.a).tri, iso.apply(pt.xy)
-                ),
-                iso.apply_vector(direction.unit),
+                SurfacePoint(target.tri, iso.apply(pt.xy)), iso.apply_vector(direction.unit)
             )
     raise PointNotOnEdge(f"base point {pt} is not on either side of gluing {gluing}")
 
@@ -127,20 +129,20 @@ def holonomy_generators(
 def loop_holonomy(surface: FlatSurface, loop: list[int], base_tri: int) -> HolonomyElement:
     """Replay a dual loop (gluing ids) from a base triangle.
 
-    Each gluing must touch the current triangle; the walk must return to
-    the base.  Witness loops from :func:`is_parallel` and orientability
-    witnesses replay to their offending elements this way.
+    Each gluing must be a gluing id of the surface and touch the current
+    triangle (a gluing with both sides there is crossed from side ``a``);
+    the walk must return to the base.  Witness loops from
+    :func:`is_parallel` and orientability witnesses replay to their
+    offending elements this way.
     """
     iso = PlaneIsometry.identity()
     cur = base_tri
     for gi in loop:
-        g = surface.gluings[gi]
-        if g.a.tri == cur:
-            step, cur = surface.transitions[gi], g.b.tri
-        elif g.b.tri == cur:
-            step, cur = surface.transitions[gi].inverse(), g.a.tri
-        else:
+        g = _gluing(surface, gi)
+        edge = next((ref for ref in (g.a, g.b) if ref.tri == cur), None)
+        if edge is None:
             raise ValueError(f"gluing {gi} does not touch triangle {cur}")
+        (cur, _), step = surface.edge_transition(*edge)
         iso = step.compose(iso)
     if cur != base_tri:
         raise ValueError("loop does not return to its base triangle")
@@ -151,8 +153,10 @@ def vertex_holonomy(surface: FlatSurface, v: VertexClass) -> HolonomyElement:
     """Linear part of the loop around one vertex.
 
     Equals the rotation by minus the vertex curvature (mod 2*pi), which the
-    consistency tests assert against the cone angle.
+    consistency tests assert against the cone angle.  Raises ValueError
+    if ``v`` is not a vertex class of the surface.
     """
+    surface.check_vertex(v)
     *_, (_tri, _corner, iso) = surface.corner_fan(*v.corners[0])
     return HolonomyElement.from_isometry(iso)
 

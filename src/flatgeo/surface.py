@@ -123,6 +123,11 @@ class FlatSurface:
     sign is the ``reflect`` bit of its chart-to-root isometry, because
     every reversed gluing's transition is a reflection.  The corner fans
     (:meth:`corner_fan`) then give the vertex classes.
+
+    Both walks read ``crossings``, one entry per oriented edge: the edge
+    it lands on and the isometry from its chart to that edge's chart.
+    Side ``a`` of a gluing stores the gluing's transition and side ``b``
+    its inverse.
     """
 
     def __init__(
@@ -130,14 +135,16 @@ class FlatSurface:
         triangles: tuple[Triangle, ...],
         gluings: tuple[Gluing, ...],
         transitions: tuple[PlaneIsometry, ...],
-        edge_gluing: dict[tuple[int, int], tuple[int, int]],
         tolerance: float,
     ):
         self.triangles = triangles
         self.gluings = gluings
         self.transitions = transitions
-        self.edge_gluing = edge_gluing
         self.tolerance = tolerance
+        self.crossings: dict[EdgeRef, tuple[EdgeRef, PlaneIsometry]] = {}
+        for g, iso in zip(gluings, transitions):
+            self.crossings[g.a] = (g.b, iso)
+            self.crossings[g.b] = (g.a, iso.inverse())
         self.patch_triangle_ids: tuple[int, ...] = ()  # set by cut-and-glue builders
         self._by_id = {t.id: t for t in triangles}
         self._grow_dual_tree()
@@ -145,10 +152,11 @@ class FlatSurface:
         self.euler_characteristic = len(self.vertex_classes) - len(gluings) + len(triangles)
 
     def _grow_dual_tree(self) -> None:
-        adj: dict[int, list[tuple[int, int]]] = {t.id: [] for t in self.triangles}
+        # Each triangle's glued edges, in gluing order.
+        adj: dict[int, list[tuple[int, EdgeRef]]] = {t.id: [] for t in self.triangles}
         for gi, g in enumerate(self.gluings):
-            adj[g.a.tri].append((gi, g.b.tri))
-            adj[g.b.tri].append((gi, g.a.tri))
+            adj[g.a.tri].append((gi, g.a))
+            adj[g.b.tri].append((gi, g.b))
         root = min(adj)
         to_root: dict[int, PlaneIsometry] = {root: PlaneIsometry.identity()}
         self.tree_gluing: dict[int, int] = {}
@@ -156,16 +164,15 @@ class FlatSurface:
         queue = deque([root])
         while queue:
             cur = queue.popleft()
-            for gi, other in sorted(adj[cur]):
-                g = self.gluings[gi]
+            for gi, edge in adj[cur]:
+                (other, _), step = self.crossings[edge]
                 if other not in to_root:
-                    step = self.transitions[gi] if g.a.tri == cur else self.transitions[gi].inverse()
                     # step maps chart(cur) -> chart(other); invert to go back.
                     to_root[other] = to_root[cur].compose(step.inverse())
                     self.tree_gluing[other] = gi
                     queue.append(other)
                 elif self.orientation_witness is None and (
-                    to_root[other].reflect != (to_root[cur].reflect != g.reversed)
+                    to_root[other].reflect != (to_root[cur].reflect != step.reflect)
                 ):
                     # Orientation-reversing dual loop: tree paths to root plus gi.
                     self.orientation_witness = (
@@ -202,12 +209,9 @@ class FlatSurface:
         iso = PlaneIsometry.identity()
         while True:
             t, e, end = germ
-            gi, side = self.edge_gluing[(t, e)]
-            g = self.gluings[gi]
-            step = self.transitions[gi] if side == 0 else self.transitions[gi].inverse()
+            other, step = self.crossings[(t, e)]
             iso = step.compose(iso)
-            other = g.b if side == 0 else g.a
-            end = end if g.reversed else 1 - end
+            end = end if step.reflect else 1 - end
             # Arrived at one end of other.edge; leave by the corner's other edge.
             k = (other.edge + end) % 3
             germ = (other.tri, (k - 1) % 3, 1) if end == 0 else (other.tri, k, 0)
@@ -246,11 +250,12 @@ class FlatSurface:
 
     def edge_transition(self, tri_id: int, edge: int) -> tuple[EdgeRef, PlaneIsometry]:
         """Target edge and chart-to-chart isometry for crossing an edge."""
-        gi, side = self.edge_gluing[(tri_id, edge)]
-        g = self.gluings[gi]
-        if side == 0:
-            return g.b, self.transitions[gi]
-        return g.a, self.transitions[gi].inverse()
+        return self.crossings[(tri_id, edge)]
+
+    def check_vertex(self, v: VertexClass) -> None:
+        """Raise ValueError unless ``v`` is one of this surface's vertex classes."""
+        if not (0 <= v.index < len(self.vertex_classes)) or self.vertex_classes[v.index] is not v:
+            raise ValueError("vertex class does not belong to this surface")
 
     def vertex_of(self, tri_id: int, corner: int) -> VertexClass:
         return self.vertex_classes[self.corner_class[(tri_id, corner)]]
@@ -283,32 +288,21 @@ def _validate_triangles(triangles, tol: float) -> None:
             )
 
 
-def _edge_gluing_map(triangles, gluings) -> dict[tuple[int, int], tuple[int, int]]:
+def _check_edges_glued_once(triangles, gluings) -> None:
     ids = {t.id for t in triangles}
-    edge_gluing: dict[tuple[int, int], tuple[int, int]] = {}
+    glued: set[tuple[int, int]] = set()
     for gi, g in enumerate(gluings):
-        for side, ref in enumerate((g.a, g.b)):
+        for ref in (g.a, g.b):
             if ref.tri not in ids or not 0 <= ref.edge < 3:
                 raise UnmatchedEdge(f"gluing {gi} references unknown edge {ref}")
             key = (ref.tri, ref.edge)
-            if key in edge_gluing:
+            if key in glued:
                 raise UnmatchedEdge(f"edge {key} glued more than once")
-            edge_gluing[key] = (gi, side)
+            glued.add(key)
     for t in triangles:
         for e in range(3):
-            if (t.id, e) not in edge_gluing:
+            if (t.id, e) not in glued:
                 raise UnmatchedEdge(f"edge ({t.id}, {e}) is not glued; surface must be closed")
-    return edge_gluing
-
-
-def _transition_for(surface_tris: dict[int, Triangle], g: Gluing) -> PlaneIsometry:
-    ta = surface_tris[g.a.tri]
-    tb = surface_tris[g.b.tri]
-    a0, a1 = ta.edge_start(g.a.edge), ta.edge_end(g.a.edge)
-    b0, b1 = tb.edge_start(g.b.edge), tb.edge_end(g.b.edge)
-    if g.reversed:
-        return PlaneIsometry.from_point_pairs(a0, a1, b0, b1, reflect=True)
-    return PlaneIsometry.from_point_pairs(a0, a1, b1, b0, reflect=False)
 
 
 def build_surface(triangles, gluings, tol: float = METRIC_TOL) -> FlatSurface:
@@ -334,32 +328,29 @@ def build_surface(triangles, gluings, tol: float = METRIC_TOL) -> FlatSurface:
     _validate_triangles(triangles, tol)
     by_id = {t.id: t for t in triangles}
 
-    edge_gluing = _edge_gluing_map(triangles, gluings)
+    _check_edges_glued_once(triangles, gluings)
+    transitions = []
     for gi, g in enumerate(gluings):
-        if g.a == g.b:
-            raise UnmatchedEdge(f"gluing {gi} identifies an edge with itself")
-        la = by_id[g.a.tri].edge_length(g.a.edge)
-        lb = by_id[g.b.tri].edge_length(g.b.edge)
+        ta, tb = by_id[g.a.tri], by_id[g.b.tri]
+        la, lb = ta.edge_length(g.a.edge), tb.edge_length(g.b.edge)
         if abs(la - lb) > tol:
             raise LengthMismatch(
                 f"gluing {gi}: edge lengths {la!r} and {lb!r} differ beyond tolerance"
             )
-
-    transitions = tuple(_transition_for(by_id, g) for g in gluings)
-    # Transition audit: each isometry must map edge a endpoint-to-endpoint onto b.
-    for gi, g in enumerate(gluings):
-        ta, tb = by_id[g.a.tri], by_id[g.b.tri]
         a0, a1 = ta.edge_start(g.a.edge), ta.edge_end(g.a.edge)
-        if g.reversed:
-            targets = (tb.edge_start(g.b.edge), tb.edge_end(g.b.edge))
-        else:
-            targets = (tb.edge_end(g.b.edge), tb.edge_start(g.b.edge))
-        for src, dst in zip((a0, a1), targets):
-            img = transitions[gi].apply(src)
+        # A reversed gluing maps start to start, otherwise start to end.
+        b0, b1 = tb.edge_start(g.b.edge), tb.edge_end(g.b.edge)
+        if not g.reversed:
+            b0, b1 = b1, b0
+        iso = PlaneIsometry.from_point_pairs(a0, a1, b0, b1, reflect=g.reversed)
+        # Audit: the isometry must map edge a endpoint-to-endpoint onto b.
+        for src, dst in ((a0, b0), (a1, b1)):
+            img = iso.apply(src)
             if norm(img[0] - dst[0], img[1] - dst[1]) > 1e-9 + tol:
                 raise LengthMismatch(f"gluing {gi}: transition fails endpoint audit")
+        transitions.append(iso)
 
-    surface = FlatSurface(triangles, gluings, transitions, edge_gluing, tol)
+    surface = FlatSurface(triangles, gluings, tuple(transitions), tol)
     residual = gauss_bonnet_check(surface)
     if residual > max(tol, 1e-9):
         raise LengthMismatch(f"curvature audit failed: residual {residual:.3e}")
@@ -368,8 +359,7 @@ def build_surface(triangles, gluings, tol: float = METRIC_TOL) -> FlatSurface:
 
 def curvature(surface: FlatSurface, v: VertexClass) -> float:
     """Singular curvature of a vertex: 2*pi minus its cone angle."""
-    if not (0 <= v.index < len(surface.vertex_classes)) or surface.vertex_classes[v.index] is not v:
-        raise ValueError("vertex class does not belong to this surface")
+    surface.check_vertex(v)
     return v.curvature
 
 

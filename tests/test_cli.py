@@ -77,6 +77,25 @@ def test_missing_file_exit_3(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "{torus}", "--n", "2", "--length", "3", "--csv", "{missing}/scan.csv"],
+        ["scan", "{torus}", "--n", "2", "--length", "3", "--rows", "{missing}/rows.json"],
+        ["trace", "{torus}", "--angle", "0.3", "--length", "3", "--svg", "{missing}/t.svg"],
+        ["render", "{torus}", "-o", "{missing}/r.svg"],
+        ["catalog", "{file}/catalog"],
+    ],
+    ids=["scan-csv", "scan-rows", "trace-svg", "render", "catalog-under-file"],
+)
+def test_unwritable_output_exit_3(catalog_dir, tmp_path, capsys, argv):
+    regular = tmp_path / "regular-file"
+    regular.write_text("")
+    paths = {"torus": catalog_dir / "unit-torus.json", "missing": tmp_path / "missing", "file": regular}
+    assert main([a.format(**paths) for a in argv]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "IOError"
+
+
 def test_malformed_json_exit_2(tmp_path, capsys):
     bad = tmp_path / "corrupt.json"
     bad.write_text('{"bad": true}')

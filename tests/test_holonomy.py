@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -25,7 +27,8 @@ from flatgeo.holonomy import (
     transport_across,
     vertex_holonomy,
 )
-from flatgeo.tracer import SurfacePoint, TangentDirection
+from flatgeo.surface import EdgeRef, Gluing, Triangle, build_surface
+from flatgeo.tracer import SurfacePoint, TangentDirection, reverse_check
 
 
 def edge_mid(surface, tri, edge):
@@ -235,3 +238,101 @@ def test_line_field_residual_rejects_uncheckable_field(kind):
         field = LineField({t.id: 0.0 for t in s.triangles[1:]})
     with pytest.raises(ValueError, match="no finite angle"):
         line_field_residual(s, field)
+
+
+def gluing_walks_text(s) -> str:
+    """Every value the gluing walks produce on one surface, as reprs."""
+    rows = [repr(s.edge_transition(t.id, e)) for t in s.triangles for e in range(3)]
+    rows += [repr(list(s.corner_fan(*v.corners[0]))) for v in s.vertex_classes]
+    rows += [repr(sorted(s.chart_to_root.items())), repr(s.orientation_witness)]
+    root = min(t.id for t in s.triangles)
+    rows += [repr((loop, h, loop_holonomy(s, list(loop), root))) for loop, h in holonomy_generators(s)]
+    rows += [repr(vertex_holonomy(s, v)) for v in s.vertex_classes]
+    rows.append(json.dumps(is_parallel(s).to_json_dict()))
+    for gi, g in enumerate(s.gluings):
+        p = SurfacePoint(g.a.tri, edge_mid(s, g.a.tri, g.a.edge))
+        rows.append(repr(transport_across(s, TangentDirection(p, (math.cos(0.83), math.sin(0.83))), gi)))
+    return "\n".join(rows)
+
+
+# Recorded before the crossing table replaced the per-call side decoding;
+# a refactor of the gluing walks must leave every value bit-identical.
+GOLDEN_GLUING_WALK_DIGESTS = {
+    "cube": "ce688f8de38bf827ffda5da1cb5942533f916f47da21632884b0befa321bcb2c",
+    "example1": "c8b5960548b02cfa806a8094b0770ca799e796c3b0849ba9edfe6e12bc4c6e9c",
+    "isosceles-tetrahedron": "778df9e85dd5f4e1298d223fa57603b487b776d75449c6d6a79720b48d7be459",
+    "klein-bottle": "2c91b1c50c07bb21587962843733c68ee9de2266b00cf4ecfbe38acbba698a7e",
+    "l-double": "9085dbc161681aeb1ef97c96592f0c03cab198be36f0780b952faed36ae9b0b5",
+    "regular-tetrahedron": "4fb0d85fb0082cc4f9e4d7958f015c665db931077c3e0741d7161819b1d4335d",
+    "ring-double": "96a9d92bdea6deb0f667ddc0ac27c61fb18579fa07146f6b6196bc338a892222",
+    "sheared-torus": "5c01e4151b386258b3d4a01b036b853dffd29b727785aacc272979eb955a4513",
+    "square-double": "aab95827b4848c0689d90d9d29be8bcc6f1edb2961d43294cd6641488a93a3fc",
+    "unit-torus": "716077f1f2cbb2ec2a2a38fb3d388b7cde27f61a329a980fb34e1baa189fc0ae",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GLUING_WALK_DIGESTS))
+def test_gluing_walks_match_golden_digest(catalog_surfaces, name):
+    text = gluing_walks_text(catalog_surfaces[name])
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_GLUING_WALK_DIGESTS[name]
+
+
+def self_glued_sphere(reversed_fold: bool):
+    """Two triangles; triangle 0 folds its edge 1 onto its own edge 2, so
+    both sides of that gluing, and of (1, 1)~(1, 2), are one triangle."""
+    tris = [
+        Triangle(0, ((0.0, 0.0), (2.0, 0.0), (1.0, 1.0))),
+        Triangle(1, ((2.0, 0.0), (0.0, 0.0), (1.0, -1.0))),
+    ]
+    gluings = [
+        Gluing(EdgeRef(0, 1), EdgeRef(0, 2), reversed_fold),
+        Gluing(EdgeRef(0, 0), EdgeRef(1, 0)),
+        Gluing(EdgeRef(1, 1), EdgeRef(1, 2)),
+    ]
+    return build_surface(tris, gluings)
+
+
+def test_gluing_with_both_sides_in_one_triangle():
+    s = self_glued_sphere(False)
+    assert (s.euler_characteristic, s.orientable) == (2, True)
+    assert sorted(v.cone_angle for v in s.vertex_classes) == pytest.approx(
+        [math.pi / 2, math.pi / 2, math.pi]
+    )
+    verdict = is_parallel(s)
+    assert not verdict.parallel and not verdict.witness.reflect
+    assert angle_distance_mod(verdict.witness.angle, 3 * math.pi / 2, TWO_PI) < 1e-12
+    for loop, h in holonomy_generators(s):
+        assert loop_holonomy(s, list(loop), 0) == h
+    for v in s.vertex_classes:
+        h = vertex_holonomy(s, v)
+        assert not h.reflect and angle_distance_mod(h.angle, -v.curvature, TWO_PI) < 1e-9
+    start = TangentDirection(SurfacePoint(0, (1.0, 0.6)), (math.cos(0.3), math.sin(0.3)))
+    assert reverse_check(s, start, 20.0) < 1e-9
+
+
+def test_reversed_gluing_within_one_triangle_is_a_cross_cap():
+    s = self_glued_sphere(True)
+    assert (s.euler_characteristic, s.orientable) == (1, False)
+    assert loop_holonomy(s, s.orientation_witness, 0).reflect
+
+
+GLUING_ID_CASES = {
+    "transport-negative-id": lambda t, c: transport_across(t, _torus_tangent(t), -3),
+    "transport-id-past-end": lambda t, c: transport_across(t, _torus_tangent(t), 3),
+    "transport-bool-id": lambda t, c: transport_across(t, _torus_tangent(t), True),
+    "loop-negative-id": lambda t, c: loop_holonomy(t, [0, -3], 0),
+    "loop-float-id": lambda t, c: loop_holonomy(t, [0.0], 0),
+    "foreign-vertex": lambda t, c: vertex_holonomy(t, c.vertex_classes[5]),
+}
+
+
+def _torus_tangent(torus):
+    g = torus.gluings[0]
+    return TangentDirection(SurfacePoint(g.a.tri, edge_mid(torus, g.a.tri, g.a.edge)), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("case", GLUING_ID_CASES)
+def test_ids_not_of_the_surface_raise_value_error(catalog_surfaces, case):
+    torus, cube = catalog_surfaces["unit-torus"], catalog_surfaces["cube"]
+    with pytest.raises(ValueError):
+        GLUING_ID_CASES[case](torus, cube)

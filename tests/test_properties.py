@@ -10,7 +10,8 @@ double or of a star double, patched with regular polygons.  Events and
 traces are drawn from random directions on the catalog's
 two-direction-class surfaces, and the earliest-only event search also
 runs on random polylines; the density band is checked on random chords
-against the dense test.  The runs are derandomized, so
+against the dense test.  Flat tori come from random lattices, some of
+them near-collinear.  The runs are derandomized, so
 the suite sees the same examples every time.
 """
 import functools
@@ -19,7 +20,7 @@ import math
 from bisect import bisect_right
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_sources_diameter, dense_near_chords, incenter_point
@@ -31,13 +32,14 @@ from flatgeo.builders import (
     cut_and_glue,
     double_of_polygon,
     example2_candidates,
+    flat_torus,
     random_rectilinear_polygon,
     random_star_polygon,
     square_identification_surface,
 )
 from flatgeo.geometry import TWO_PI, angle_distance_mod, polygon_area
-from flatgeo.holonomy import holonomy_generators, loop_holonomy, vertex_holonomy
-from flatgeo.errors import FlatgeoError, UnmatchedEdge
+from flatgeo.holonomy import holonomy_generators, is_parallel, loop_holonomy, vertex_holonomy
+from flatgeo.errors import DegenerateLattice, FlatgeoError, UnmatchedEdge
 from flatgeo.jsonio import surface_from_json, surface_to_json, trace_from_json, trace_to_json
 from flatgeo.surface import diameter_estimate, gauss_bonnet_check
 from flatgeo.tracer import (
@@ -104,6 +106,31 @@ def test_generators_and_witness_replay(s):
 @given(surfaces)
 def test_pruned_diameter_is_the_all_sources_diameter(s):
     assert diameter_estimate(s) == all_sources_diameter(s)
+
+
+coords = st.floats(-10.0, 10.0)
+vectors = st.tuples(coords, coords)
+# v = s u + e u^perp: the lattice area e |u|^2 lies within 2e-6 of zero.
+near_collinear = st.builds(
+    lambda u, s, e: (u, (s * u[0] - e * u[1], s * u[1] + e * u[0])),
+    vectors,
+    st.floats(-0.99, 0.99),
+    st.floats(-1e-8, 1e-8),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(vectors, vectors), near_collinear))
+@example(((1.0, 0.0), (0.3, 1.5e-9)))  # triangles of half the lattice area, at most METRIC_TOL
+@example(((0.0, 4.0), (1e-7, 1e-7)))  # thin: u + v rounds, so transitions were not translations
+def test_flat_torus_is_a_flat_torus_or_a_degenerate_lattice(lattice):
+    try:
+        s = flat_torus(*lattice)
+    except DegenerateLattice:
+        return
+    assert (s.euler_characteristic, s.orientable, is_parallel(s).parallel) == (0, True, True)
+    assert len(s.vertex_classes) == 1 and s.cone_points() == []
+    assert gauss_bonnet_check(s) <= 1e-9
 
 
 @walk_settings
