@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from collections import Counter
 from itertools import combinations
@@ -539,3 +540,27 @@ def test_scan_csv_matches_golden_digest(catalog_surfaces, name):
     n, diameters, digest = GOLDEN_SCAN_DIGESTS[name]
     res = direction_scan(s, incenter_point(s), n, diameters * diameter_estimate(s), 0.05, seed=424242)
     assert hashlib.sha256(res.to_csv().encode()).hexdigest() == digest
+
+
+# sha256 of the `scan --rows` file, `json.dumps({"rows": to_json_rows()})`
+# plus a newline, for the scans of GOLDEN_SCAN_DIGESTS.  Recorded before the
+# two row formatters shared one set of values per row.
+GOLDEN_ROWS_DIGESTS = {
+    "regular-tetrahedron": "300304e4ab6d4ded1e8ed974d9b717aeb1f22581cd788262739f5902bcd1b3cb",
+    "isosceles-tetrahedron": "1491d572024a3a424ad3096fd44c86dde386c7058a7e1f1bdfd8dd5a3b352d21",
+    "unit-torus": "400b4161fe776af45abedb467266d3d59067406b26767b197f0a54708cb28223",
+    "sheared-torus": "3c93adb63601f7829a2dcd36700b6399d2031b0da0700b27bda54e0a1e4e5ac0",
+    "square-double": "400b4161fe776af45abedb467266d3d59067406b26767b197f0a54708cb28223",
+    "l-double": "fc04835a075f8b089db44243e24f5cbf756d4b7c160ba26cda0bc74c2d1b46ce",
+    "cube": "4d6fbf8953a3b4f1706d9551448694cbb2b3e4ba95a7aad407f8068e8c1f1de5",
+    "klein-bottle": "ff90a61df14e7764cdb49288400b96f3e8c1b6c9ca3c01792dcc19f60a8fe27e",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_ROWS_DIGESTS)
+def test_scan_rows_json_matches_golden_digest(catalog_surfaces, name):
+    s = catalog_surfaces[name]
+    n, diameters, _ = GOLDEN_SCAN_DIGESTS[name]
+    res = direction_scan(s, incenter_point(s), n, diameters * diameter_estimate(s), 0.05, seed=424242)
+    text = json.dumps({"rows": res.to_json_rows()}) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ROWS_DIGESTS[name]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -5,7 +6,7 @@ import time
 
 import pytest
 
-from flatgeo.builders import isosceles_tetrahedron
+from flatgeo.builders import CATALOG_PARALLEL, isosceles_tetrahedron
 from flatgeo.cli import main
 from flatgeo.errors import MalformedSurface, MalformedTrace
 from flatgeo.jsonio import surface_from_json, surface_to_json, trace_from_json
@@ -395,3 +396,77 @@ def test_out_of_range_input_exit_2_within_1s(catalog_dir, tmp_path, capsys, args
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == error
     assert elapsed < 1.0
+
+
+# sha256 of the stdout of `validate`, `classify` and `trace --angle
+# atan2(1, 2) --length 20` (from the default start, with its
+# closed_period) on each catalog file, at the default tolerance.
+GOLDEN_CLI_DIGESTS = {
+    "cube": (
+        "f4bdf65ec7db6e2d520cb70994381e34ac2c9a7a82b701323bef4200895ed084",
+        "421515e8ed06ac716eac681da4dcedff23ce1382ae8639b5668205b66aadcda5",
+        "076498ace61236cf789685c3ba365ce1c7dcf645c00429c3aa172df1f94f2aaf",
+    ),
+    "example1": (
+        "92c37af41ad4d096e0d2df10f843a62c5340ca4cb89a3704cfa9ea095d41256d",
+        "47b7ed0b2b773f3dacae37c57bb3215cc6175768cbf2bbe338ac4c08c8598916",
+        "57e0a118132b1298ff25e9552db0493ae6440070130f41fe5c2d6d7251fa5ee8",
+    ),
+    "isosceles-tetrahedron": (
+        "79ec9ecdd0791f4a80a0381eb5f0c7d115521c182346a0ab79e48ed63889ee42",
+        "c36c0e1add69f6432aa06cf27f6cc16b45151aec27e0a82ae9fcb139a41feeec",
+        "a82e65d0401348ca41ff7d8a1074cab38d10c672b5d15bf16a248413f05a14ea",
+    ),
+    "klein-bottle": (
+        "c83f8072974b4bc2bb61fdba16b58ea72918c751ea9e8bc39a28540445c6e513",
+        "c60f4ae4c3653144552875fce0c520664f7d2db71f964ac906b4d95b31981316",
+        "573e9fbdd5e97ac441938a1403383247438f8c1c71e44ce75a94a41686a90c03",
+    ),
+    "l-double": (
+        "633f1e2b09ce3da335ec51f120dc65684d8c3a1d54c832b075764060e76d1d14",
+        "15d76b24ce886153a8238400dc4b1da20112fcc76cdd028e1214f7940a2f9632",
+        "070a02f6cd3a80d2678b3cd42aac843f561a874383cf7a391a563d68fca17808",
+    ),
+    "regular-tetrahedron": (
+        "95e15819142f72bc644e4115dcd2d6c5eac6246f02fb3eee667c481dd00afc7c",
+        "c36c0e1add69f6432aa06cf27f6cc16b45151aec27e0a82ae9fcb139a41feeec",
+        "38fefaf14c0231fa2a8b7d0167bfdbf2c28cb38babb78af49d5a5d379c998dc2",
+    ),
+    "ring-double": (
+        "ad0d746e83a25f3095a342b36c66af351b1081a1d9d6ed28e9cf36508743b5d9",
+        "41a6690866557291cd9de1ca679b009bc3349214ea19d7a462bebeb2044607cc",
+        "99bb2d262bd7a4d30918cb57cc3a7f3f5e8cca9a81aa1a1e283c5a87c431a9ff",
+    ),
+    "sheared-torus": (
+        "77e91372ea200440dd4405515950cfc60fda8a50f0350ca5233f1ae1e281aacc",
+        "80507a0d5a4068be334904804a451a67850065c4ab9508cf160c4e7a9414005d",
+        "e51eb6406cdbbb35707642987e6991e7cfea6ce693b86e36aef875dcc6f9856a",
+    ),
+    "square-double": (
+        "6dfbbc67df59b16a5da72b84adefb8e663d5f9a9adb0e52b4577b4c18555679e",
+        "c36c0e1add69f6432aa06cf27f6cc16b45151aec27e0a82ae9fcb139a41feeec",
+        "2cec32d65ab1ea791e683f09a79c8c21d941824a0e4813c59af1bbfb0676ce15",
+    ),
+    "unit-torus": (
+        "77e91372ea200440dd4405515950cfc60fda8a50f0350ca5233f1ae1e281aacc",
+        "80507a0d5a4068be334904804a451a67850065c4ab9508cf160c4e7a9414005d",
+        "eaa0c4614e8234c9315ffff52242fa66434167fd35f1d7940b7b78d7184cf32d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CLI_DIGESTS))
+def test_cli_stdout_matches_golden_digest(catalog_dir, capsys, monkeypatch, name):
+    monkeypatch.delenv("FLATGEO_TOLERANCE", raising=False)
+    path = str(catalog_dir / f"{name}.json")
+    got = []
+    for argv in (
+        ["validate", path],
+        ["classify", path],
+        ["trace", path, "--angle", str(math.atan2(1.0, 2.0)), "--length", "20"],
+    ):
+        code = main(argv)
+        got.append((code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()))
+    parallel = CATALOG_PARALLEL[name]
+    assert [c for c, _ in got] == [0, 0 if parallel else 1, 0]
+    assert tuple(d for _, d in got) == GOLDEN_CLI_DIGESTS[name]
