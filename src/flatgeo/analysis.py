@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -479,36 +480,28 @@ class DirectionVerdict:
 @dataclass(frozen=True)
 class ScanResult:
     rows: tuple[DirectionVerdict, ...]
+    # The table's columns, in CSV and ``--rows`` JSON alike.
+    COLUMNS = ("index", "angle", "verdict", "first_event_t1", "first_event_t2", "covered_fraction")
 
     def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
+        return dict(Counter(r.kind for r in self.rows))
+
+    def _values(self):
+        """Each row's COLUMNS values, None where a row has none."""
         for r in self.rows:
-            out[r.kind] = out.get(r.kind, 0) + 1
-        return out
+            e, d = r.first_event, r.density
+            t1, t2 = (e.t1, e.t2) if e else (None, None)
+            yield r.index, r.angle, r.kind, t1, t2, d.covered_fraction if d else None
 
     def to_csv(self) -> str:
-        lines = ["index,angle,verdict,first_event_t1,first_event_t2,covered_fraction"]
-        for r in self.rows:
-            t1 = f"{r.first_event.t1:.17g}" if r.first_event else ""
-            t2 = f"{r.first_event.t2:.17g}" if r.first_event else ""
-            cf = f"{r.density.covered_fraction:.17g}" if r.density else ""
-            lines.append(f"{r.index},{r.angle:.17g},{r.kind},{t1},{t2},{cf}")
+        lines = [",".join(self.COLUMNS)]
+        for index, angle, kind, *floats in self._values():
+            cells = ("" if x is None else f"{x:.17g}" for x in floats)
+            lines.append(f"{index},{angle:.17g},{kind}," + ",".join(cells))
         return "\n".join(lines) + "\n"
 
     def to_json_rows(self) -> list[dict]:
-        out = []
-        for r in self.rows:
-            out.append(
-                {
-                    "index": r.index,
-                    "angle": r.angle,
-                    "verdict": r.kind,
-                    "first_event_t1": r.first_event.t1 if r.first_event else None,
-                    "first_event_t2": r.first_event.t2 if r.first_event else None,
-                    "covered_fraction": r.density.covered_fraction if r.density else None,
-                }
-            )
-        return out
+        return [dict(zip(self.COLUMNS, values)) for values in self._values()]
 
 
 def direction_scan(

@@ -821,9 +821,9 @@ def random_star_polygon(rng: np.random.Generator, n_min: int = 4, n_max: int = 9
     return PolygonSpec(pts)
 
 
-def random_rectilinear_polygon(rng: np.random.Generator, max_cols: int = 6) -> PolygonSpec:
-    """Random axis-aligned histogram polygon; all corners are right angles."""
-    k = int(rng.integers(2, max_cols + 1))
+def random_rectilinear_polygon(rng: np.random.Generator) -> PolygonSpec:
+    """Random axis-aligned histogram polygon, 2 to 6 columns; all corners are right angles."""
+    k = int(rng.integers(2, 7))
     heights = [int(rng.integers(1, 6))]
     while len(heights) < k:
         h = int(rng.integers(1, 6))

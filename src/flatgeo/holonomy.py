@@ -4,7 +4,7 @@ The punctured surface deformation-retracts onto the dual 1-skeleton
 (each triangle minus its corners retracts to a central tripod), so the
 loops defined by a dual spanning tree plus one non-tree gluing generate
 the holonomy group.  The tree and each chart's isometry into the root
-chart are built once with the surface (``FlatSurface.tree_gluing`` and
+chart are built once with the surface (``FlatSurface.tree_parent`` and
 ``FlatSurface.chart_to_root``).  A surface is *parallel* when every
 generator's linear part is a rotation by a multiple of pi.
 """
@@ -112,15 +112,14 @@ def holonomy_generators(
 ) -> list[tuple[tuple[int, ...], HolonomyElement]]:
     """One generator per non-tree gluing: (dual loop as gluing ids, element)."""
     to_root = surface.chart_to_root
-    tree = set(surface.tree_gluing.values())
+    tree = {gi for gi, _parent in surface.tree_parent.values()}
     out = []
     for gi, g in enumerate(surface.gluings):
         if gi in tree:
             continue
         # Loop based at the root: tree to a-side, cross gi, tree back.
-        hol = to_root[g.b.tri].compose(surface.transitions[gi]).compose(
-            to_root[g.a.tri].inverse()
-        )
+        hol = to_root[g.b.tri].compose(surface.crossings[g.a][1])
+        hol = hol.compose(to_root[g.a.tri].inverse())
         loop = tuple(surface.tree_path(g.a.tri) + [gi] + surface.tree_path(g.b.tri)[::-1])
         out.append((loop, HolonomyElement.from_isometry(hol)))
     return out
@@ -161,18 +160,33 @@ def vertex_holonomy(surface: FlatSurface, v: VertexClass) -> HolonomyElement:
     return HolonomyElement.from_isometry(iso)
 
 
+def _chart_resolution(surface: FlatSurface, loop: tuple[int, ...]) -> float:
+    """How far rounded charts can move a dual loop's holonomy angle: per side
+    of each gluing, 2**-50 times the triangle's largest |coordinate| over
+    the edge length, a few float steps of the edge's direction."""
+    total = 0.0
+    for gi in loop:
+        for tri_id, edge in (surface.gluings[gi].a, surface.gluings[gi].b):
+            t = surface.triangle(tri_id)
+            total += 2.0**-50 * max(abs(x) for c in t.corners for x in c) / t.edge_length(edge)
+    return total
+
+
 def is_parallel(surface: FlatSurface) -> ParallelVerdict:
     """Classify the surface by its holonomy generators.
 
     Parallel means every generator lies in {identity, rotation by pi};
-    group closure makes generator membership sufficient.  On success the
-    verdict carries the line field obtained by transporting the root
-    chart's zero direction along the spanning tree; on failure it carries
-    the offending dual loop and its holonomy element.
+    group closure makes generator membership sufficient.  Membership allows
+    ANGLE_TOL plus, only past ANGLE_TOL, the loop's :func:`_chart_resolution`.
+    On success the verdict carries the line field obtained by transporting
+    the root chart's zero direction along the spanning tree; on failure it
+    carries the offending dual loop and its holonomy element.
     """
-    gens = holonomy_generators(surface)
-    for loop, elem in gens:
-        if not elem.is_half_turn_multiple():
+    for loop, elem in holonomy_generators(surface):
+        if elem.is_half_turn_multiple():
+            continue
+        off = angle_distance_mod(elem.angle, 0.0, math.pi)
+        if elem.reflect or off > ANGLE_TOL + _chart_resolution(surface, loop):
             return ParallelVerdict(False, witness_loop=loop, witness=elem)
     angles = {
         tri_id: iso.inverse().apply_line_angle(0.0)
@@ -191,8 +205,8 @@ def line_field_residual(surface: FlatSurface, field: LineField) -> float:
         if not math.isfinite(field.angles.get(t.id, math.nan)):
             raise ValueError(f"line field has no finite angle in triangle {t.id}")
     worst = 0.0
-    for gi, g in enumerate(surface.gluings):
-        mapped = surface.transitions[gi].apply_line_angle(field.angle_in(g.a.tri))
+    for g in surface.gluings:
+        mapped = surface.crossings[g.a][1].apply_line_angle(field.angle_in(g.a.tri))
         worst = max(
             worst, angle_distance_mod(mapped, field.angle_in(g.b.tri), math.pi)
         )

@@ -117,12 +117,12 @@ class FlatSurface:
 
     Construction walks the gluings twice.  A breadth-first search of the
     dual graph (root = lowest triangle id, neighbours in gluing order)
-    gives connectivity, the dual spanning tree (``tree_gluing``: the
-    gluing to each non-root triangle's parent) and each chart's isometry
-    into the root chart (``chart_to_root``).  A triangle's orientation
-    sign is the ``reflect`` bit of its chart-to-root isometry, because
-    every reversed gluing's transition is a reflection.  The corner fans
-    (:meth:`corner_fan`) then give the vertex classes.
+    gives connectivity, the dual spanning tree (``tree_parent``: each
+    non-root triangle's (gluing id, parent triangle)) and each chart's
+    isometry into the root chart (``chart_to_root``).  A triangle's
+    orientation sign is the ``reflect`` bit of its chart-to-root isometry,
+    because every reversed gluing's transition is a reflection.  The
+    corner fans (:meth:`corner_fan`) then give the vertex classes.
 
     Both walks read ``crossings``, one entry per oriented edge: the edge
     it lands on and the isometry from its chart to that edge's chart.
@@ -132,24 +132,20 @@ class FlatSurface:
 
     def __init__(
         self,
-        triangles: tuple[Triangle, ...],
+        by_id: dict[int, Triangle],
         gluings: tuple[Gluing, ...],
-        transitions: tuple[PlaneIsometry, ...],
+        crossings: dict[EdgeRef, tuple[EdgeRef, PlaneIsometry]],
         tolerance: float,
     ):
-        self.triangles = triangles
+        self.triangles = tuple(by_id.values())
         self.gluings = gluings
-        self.transitions = transitions
+        self.crossings = crossings
         self.tolerance = tolerance
-        self.crossings: dict[EdgeRef, tuple[EdgeRef, PlaneIsometry]] = {}
-        for g, iso in zip(gluings, transitions):
-            self.crossings[g.a] = (g.b, iso)
-            self.crossings[g.b] = (g.a, iso.inverse())
         self.patch_triangle_ids: tuple[int, ...] = ()  # set by cut-and-glue builders
-        self._by_id = {t.id: t for t in triangles}
+        self._by_id = by_id
         self._grow_dual_tree()
         self._walk_vertex_classes()
-        self.euler_characteristic = len(self.vertex_classes) - len(gluings) + len(triangles)
+        self.euler_characteristic = len(self.vertex_classes) - len(gluings) + len(self.triangles)
 
     def _grow_dual_tree(self) -> None:
         # Each triangle's glued edges, in gluing order.
@@ -159,7 +155,7 @@ class FlatSurface:
             adj[g.b.tri].append((gi, g.b))
         root = min(adj)
         to_root: dict[int, PlaneIsometry] = {root: PlaneIsometry.identity()}
-        self.tree_gluing: dict[int, int] = {}
+        self.tree_parent: dict[int, tuple[int, int]] = {}
         self.orientation_witness: list[int] | None = None
         queue = deque([root])
         while queue:
@@ -169,7 +165,7 @@ class FlatSurface:
                 if other not in to_root:
                     # step maps chart(cur) -> chart(other); invert to go back.
                     to_root[other] = to_root[cur].compose(step.inverse())
-                    self.tree_gluing[other] = gi
+                    self.tree_parent[other] = (gi, cur)
                     queue.append(other)
                 elif self.orientation_witness is None and (
                     to_root[other].reflect != (to_root[cur].reflect != step.reflect)
@@ -187,11 +183,9 @@ class FlatSurface:
     def tree_path(self, tri_id: int) -> list[int]:
         """Gluing ids along the dual spanning tree from the root triangle to ``tri_id``."""
         path = []
-        while tri_id in self.tree_gluing:
-            gi = self.tree_gluing[tri_id]
+        while tri_id in self.tree_parent:
+            gi, tri_id = self.tree_parent[tri_id]
             path.append(gi)
-            g = self.gluings[gi]
-            tri_id = g.b.tri if g.a.tri == tri_id else g.a.tri
         return path[::-1]
 
     def corner_fan(self, tri_id: int, corner: int):
@@ -267,12 +261,14 @@ class FlatSurface:
         return [v for v in self.vertex_classes if v.is_cone]
 
 
-def _validate_triangles(triangles, tol: float) -> None:
-    seen = set()
+def _validate_triangles(triangles, tol: float) -> dict[int, Triangle]:
+    """The triangles by id, in input order."""
+    by_id: dict[int, Triangle] = {}
     for t in triangles:
-        if t.id in seen:
+        if not isinstance(t, Triangle):
+            raise MalformedSurface(f"{t!r} is not a Triangle")
+        if t.id in by_id:
             raise DegenerateTriangle(f"duplicate triangle id {t.id}")
-        seen.add(t.id)
         # Trace chords hold triangle ids as float64, exact up to 2**53.
         if not abs(t.id) <= 2**53:
             raise MalformedSurface(f"triangle id {t.id} is beyond 2**53")
@@ -286,50 +282,45 @@ def _validate_triangles(triangles, tol: float) -> None:
                 f"triangle {t.id} has signed area {area:.3e}; corners must be "
                 "counterclockwise and non-collinear"
             )
+        by_id[t.id] = t
+    return by_id
 
 
-def _check_edges_glued_once(triangles, gluings) -> None:
-    ids = {t.id for t in triangles}
-    glued: set[tuple[int, int]] = set()
+def _check_edges_glued_once(by_id, gluings) -> dict:
+    """The crossing table's keys in gluing order (side a, then b), valued None."""
+    crossings: dict = {}
     for gi, g in enumerate(gluings):
+        if not isinstance(g, Gluing):
+            raise MalformedSurface(f"{g!r} is not a Gluing")
         for ref in (g.a, g.b):
-            if ref.tri not in ids or not 0 <= ref.edge < 3:
+            if ref.tri not in by_id or not 0 <= ref.edge < 3:
                 raise UnmatchedEdge(f"gluing {gi} references unknown edge {ref}")
-            key = (ref.tri, ref.edge)
-            if key in glued:
-                raise UnmatchedEdge(f"edge {key} glued more than once")
-            glued.add(key)
-    for t in triangles:
+            if ref in crossings:
+                raise UnmatchedEdge(f"edge {tuple(ref)} glued more than once")
+            crossings[ref] = None
+    for tri_id in by_id:
         for e in range(3):
-            if (t.id, e) not in glued:
-                raise UnmatchedEdge(f"edge ({t.id}, {e}) is not glued; surface must be closed")
+            if (tri_id, e) not in crossings:
+                raise UnmatchedEdge(f"edge ({tri_id}, {e}) is not glued; surface must be closed")
+    return crossings
 
 
 def build_surface(triangles, gluings, tol: float = METRIC_TOL) -> FlatSurface:
     """Validate triangles and gluings and derive all global structure.
 
     Raises DegenerateTriangle, UnmatchedEdge, LengthMismatch,
-    Disconnected or MalformedSurface (a triangle id beyond 2**53) on
-    invalid input, and ValueError unless ``tol`` is positive and finite.  The result carries transition isometries,
-    vertex classes, Euler characteristic and orientability.
+    Disconnected or MalformedSurface (an item that is not a Triangle or
+    a Gluing, or a triangle id beyond 2**53) on invalid input, and
+    ValueError unless ``tol`` is positive and finite.  The result carries
+    each oriented edge's crossing, vertex classes, Euler characteristic
+    and orientability.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     if not triangles or not gluings:
         raise UnmatchedEdge("need at least one triangle and one gluing")
-    triangles = tuple(
-        t if isinstance(t, Triangle) else Triangle(t[0], tuple(tuple(map(float, c)) for c in t[1]))
-        for t in triangles
-    )
-    gluings = tuple(
-        g if isinstance(g, Gluing) else Gluing(EdgeRef(*g[0]), EdgeRef(*g[1]), bool(g[2]))
-        for g in gluings
-    )
-    _validate_triangles(triangles, tol)
-    by_id = {t.id: t for t in triangles}
-
-    _check_edges_glued_once(triangles, gluings)
-    transitions = []
+    by_id = _validate_triangles(triangles, tol)
+    crossings = _check_edges_glued_once(by_id, gluings)
     for gi, g in enumerate(gluings):
         ta, tb = by_id[g.a.tri], by_id[g.b.tri]
         la, lb = ta.edge_length(g.a.edge), tb.edge_length(g.b.edge)
@@ -348,9 +339,10 @@ def build_surface(triangles, gluings, tol: float = METRIC_TOL) -> FlatSurface:
             img = iso.apply(src)
             if norm(img[0] - dst[0], img[1] - dst[1]) > 1e-9 + tol:
                 raise LengthMismatch(f"gluing {gi}: transition fails endpoint audit")
-        transitions.append(iso)
+        crossings[g.a] = (g.b, iso)
+        crossings[g.b] = (g.a, iso.inverse())
 
-    surface = FlatSurface(triangles, gluings, tuple(transitions), tol)
+    surface = FlatSurface(by_id, tuple(gluings), crossings, tol)
     residual = gauss_bonnet_check(surface)
     if residual > max(tol, 1e-9):
         raise LengthMismatch(f"curvature audit failed: residual {residual:.3e}")

@@ -404,15 +404,18 @@ def unfold(
 
     Returns per-segment placements (triangle id, chart-to-plane isometry)
     plus the developed endpoints of the trace, which lie on one straight
-    segment.
+    segment.  Raises ValueError if a chord before the last records no
+    exit edge, as in a trace read from JSON.
     """
     placements: list[tuple[int, PlaneIsometry]] = []
     iso = PlaneIsometry.identity()
     rows = trace_.chords.tolist()
-    for row in rows:
+    for k, row in enumerate(rows):
         tri, edge = int(row[0]), int(row[9])
         placements.append((tri, iso))
-        if edge >= 0:
+        if k + 1 < len(rows):
+            if edge < 0:
+                raise ValueError(f"chord {k} records no exit edge, so the trace cannot be unfolded")
             _, step = surface.edge_transition(tri, edge)
             iso = iso.compose(step.inverse())
     if not rows:
@@ -426,7 +429,7 @@ def tangent_representatives(
     surface: FlatSurface,
     point: SurfacePoint,
     vector: Vec,
-    tol: float = 1e-7,
+    tol: float,
 ) -> list[tuple[int, Vec, Vec]]:
     """All chart representations (tri, point, vector) of a surface tangent.
 
@@ -461,24 +464,19 @@ def tangent_representatives(
     return reps
 
 
-def reverse_check(
-    surface: FlatSurface,
-    start: TangentDirection,
-    length: float,
-    vertex_clearance: float = DEFAULT_VERTEX_CLEARANCE,
-) -> float:
+def reverse_check(surface: FlatSurface, start: TangentDirection, length: float) -> float:
     """Round-trip residual: trace forward, trace back, measure the gap.
 
     Raises TraceIncomplete if either leg terminates before ``length``.
     """
-    fwd = trace(surface, start, length, vertex_clearance)
+    fwd = trace(surface, start, length)
     if fwd.termination.kind != LENGTH_REACHED:
         raise TraceIncomplete(f"forward trace ended with {fwd.termination.kind}")
     if not len(fwd.chords):
         return 0.0
     tri, _ex, _ey, ox, oy, dx, dy, _t0, _ln, _edge = fwd.chords[-1].tolist()
     back_start = TangentDirection(SurfacePoint(int(tri), (ox, oy)), (-dx, -dy))
-    bwd = trace(surface, back_start, length, vertex_clearance)
+    bwd = trace(surface, back_start, length)
     if bwd.termination.kind != LENGTH_REACHED:
         raise TraceIncomplete(f"backward trace ended with {bwd.termination.kind}")
     tri, _ex, _ey, ox, oy, dx, dy, _t0, _ln, _edge = bwd.chords[-1].tolist()
@@ -493,7 +491,8 @@ def reverse_check(
 
 def check_trace(surface: FlatSurface, trace_: GeodesicTrace) -> None:
     """Assert segment chaining, direction transport and length bookkeeping,
-    points and lengths to within CHECK_TOL and directions to within 1e-6."""
+    points and lengths to within CHECK_TOL and directions to within 1e-6.
+    Every chord before the last must record the edge it leaves by."""
     total = 0.0
     for i, seg in enumerate(trace_.segments):
         v = (seg.exit[0] - seg.entry[0], seg.exit[1] - seg.entry[1])
@@ -504,7 +503,8 @@ def check_trace(surface: FlatSurface, trace_: GeodesicTrace) -> None:
                 math.hypot(v[0] / ln - seg.direction[0], v[1] / ln - seg.direction[1]) <= 1e-6
             ), "direction disagrees with chord"
         total += seg.length
-        if seg.exit_edge is not None and i + 1 < len(trace_.segments):
+        if i + 1 < len(trace_.segments):
+            assert seg.exit_edge is not None, "chord before the last records no exit edge"
             nxt = trace_.segments[i + 1]
             ref, iso = surface.edge_transition(seg.tri, seg.exit_edge)
             assert ref.tri == nxt.tri, "transition target mismatch"

@@ -7,6 +7,7 @@ import pytest
 from flatgeo.builders import catalog
 from flatgeo.errors import NonSimplePolygon
 from flatgeo.geometry import norm, polygon_area, segments_intersect
+from flatgeo.surface import EdgeRef, Gluing, Triangle, build_surface
 from flatgeo.tracer import SurfacePoint
 
 
@@ -40,6 +41,23 @@ def edge_midpoint_tangent(surface, tri_id, edge, angle_to_edge):
     ex, ey = ex / ln, ey / ln
     c, s = math.cos(angle_to_edge), math.sin(angle_to_edge)
     return mid, (ex * c - ey * s, ex * s + ey * c)
+
+
+def thin_torus():
+    """Two-triangle torus whose short edges sit 4 from the origin: its
+    charts hold the short edges' directions only to about 6e-9 rad, and its
+    generators come out 1.4e-9 from the identity."""
+    u, v = (1e-7, 1e-7), (0.0, 4.0)
+    uv = (u[0] + v[0], u[1] + v[1])
+    o = (0.0, 0.0)
+    return build_surface(
+        [Triangle(0, (o, u, uv)), Triangle(1, (o, uv, v))],
+        [
+            Gluing(EdgeRef(0, 0), EdgeRef(1, 1)),
+            Gluing(EdgeRef(0, 1), EdgeRef(1, 2)),
+            Gluing(EdgeRef(0, 2), EdgeRef(1, 0)),
+        ],
+    )
 
 
 def dense_near_chords(Q, P, D, L, epsilon):

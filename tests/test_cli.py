@@ -6,6 +6,8 @@ import time
 
 import pytest
 
+from conftest import thin_torus
+
 from flatgeo.builders import CATALOG_PARALLEL, isosceles_tetrahedron
 from flatgeo.cli import main
 from flatgeo.errors import MalformedSurface, MalformedTrace
@@ -470,3 +472,10 @@ def test_cli_stdout_matches_golden_digest(catalog_dir, capsys, monkeypatch, name
     parallel = CATALOG_PARALLEL[name]
     assert [c for c, _ in got] == [0, 0 if parallel else 1, 0]
     assert tuple(d for _, d in got) == GOLDEN_CLI_DIGESTS[name]
+
+
+def test_classify_thin_torus_parallel(tmp_path, capsys):
+    path = tmp_path / "thin-torus.json"
+    path.write_text(surface_to_json(thin_torus()))
+    assert main(["classify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["parallel"] is True

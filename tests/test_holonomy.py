@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import thin_torus
+
 from flatgeo.builders import (
     L_SHAPE,
     cube_surface,
@@ -64,7 +66,7 @@ def test_transport_reflected_gluing_angle_oracle():
     # angle t maps to (phi_a + phi_b) - t, where phi_a, phi_b are the two
     # chart edge angles.  Derived from the edge-to-edge identification.
     s = klein_bottle()
-    gi = next(i for i, tr in enumerate(s.transitions) if tr.reflect)
+    gi = next(i for i, g in enumerate(s.gluings) if s.edge_transition(*g.a)[1].reflect)
     g = s.gluings[gi]
     ta, tb = s.triangle(g.a.tri), s.triangle(g.b.tri)
     (ax, ay), (bx, by) = ta.edge_vector(g.a.edge), tb.edge_vector(g.b.edge)
@@ -336,3 +338,11 @@ def test_ids_not_of_the_surface_raise_value_error(catalog_surfaces, case):
     torus, cube = catalog_surfaces["unit-torus"], catalog_surfaces["cube"]
     with pytest.raises(ValueError):
         GLUING_ID_CASES[case](torus, cube)
+
+
+def test_thin_torus_is_parallel_within_its_chart_resolution():
+    s = thin_torus()
+    assert all(not h.is_half_turn_multiple() for _loop, h in holonomy_generators(s))
+    verdict = is_parallel(s)
+    assert verdict.parallel
+    assert line_field_residual(s, verdict.field) < 1e-8

@@ -21,6 +21,7 @@ from flatgeo.errors import (
     DegenerateTriangle,
     Disconnected,
     LengthMismatch,
+    MalformedSurface,
     UnmatchedEdge,
 )
 from flatgeo.jsonio import surface_from_json, surface_to_json
@@ -132,7 +133,7 @@ def test_orientability_witness_on_klein_bottle():
     assert not ok
     assert witness
     # the witness walk must compose to an orientation-reversing map
-    reflections = sum(1 for gi in witness if s.transitions[gi].reflect)
+    reflections = sum(1 for gi in witness if s.edge_transition(*s.gluings[gi].a)[1].reflect)
     assert reflections % 2 == 1
 
 
@@ -175,7 +176,7 @@ def test_every_edge_glued_once(catalog_surfaces):
 
 def test_transition_endpoint_audit(catalog_surfaces):
     for s in catalog_surfaces.values():
-        for gi, g in enumerate(s.gluings):
+        for g in s.gluings:
             ta, tb = s.triangle(g.a.tri), s.triangle(g.b.tri)
             a0, a1 = ta.edge_start(g.a.edge), ta.edge_end(g.a.edge)
             if g.reversed:
@@ -183,7 +184,7 @@ def test_transition_endpoint_audit(catalog_surfaces):
             else:
                 want = (tb.edge_end(g.b.edge), tb.edge_start(g.b.edge))
             for src, dst in zip((a0, a1), want):
-                assert math.dist(s.transitions[gi].apply(src), dst) < 1e-9
+                assert math.dist(s.edge_transition(*g.a)[1].apply(src), dst) < 1e-9
 
 
 def test_build_is_deterministic():
@@ -232,3 +233,12 @@ def test_diameter_matches_all_sources_on_400_triangle_star_double():
     s = double_of_polygon(random_star_polygon(np.random.default_rng(2024), 202, 202))
     assert len(s.triangles) == 400
     assert diameter_estimate(s) == all_sources_diameter(s)
+
+
+def test_items_not_triangles_or_gluings_raise_malformed_surface():
+    as_tuples = [(t.id, t.corners) for t in TORUS_TRIS]
+    with pytest.raises(MalformedSurface, match="is not a Triangle"):
+        build_surface(as_tuples, TORUS_GL)
+    as_tuples = [(tuple(g.a), tuple(g.b), g.reversed) for g in TORUS_GL]
+    with pytest.raises(MalformedSurface, match="is not a Gluing"):
+        build_surface(TORUS_TRIS, as_tuples)

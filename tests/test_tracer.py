@@ -6,9 +6,10 @@ import pytest
 
 from conftest import edge_midpoint_tangent, incenter_point
 
-from flatgeo.builders import PolygonSpec, double_of_polygon, flat_torus, isosceles_tetrahedron
+from flatgeo.builders import PolygonSpec, cube_surface, double_of_polygon, flat_torus, isosceles_tetrahedron
 from flatgeo.errors import ParameterOutOfRange, PointOutsideTriangle, TraceIncomplete
 from flatgeo.geometry import PlaneIsometry
+from flatgeo.jsonio import trace_from_json, trace_to_json
 from flatgeo.render import CONE_COLOR, render_surface
 from flatgeo.surface import Triangle, build_surface
 from flatgeo.tracer import (
@@ -315,3 +316,28 @@ def test_tracer_and_render_use_the_surface_cone_predicate():
     expected = [tuple(s.corner_class[(t.id, k)] in cones for k in range(3)) for t in s.triangles]
     assert _trace_tables(s).cone == expected
     assert render_surface(s).count(CONE_COLOR) == sum(map(sum, expected))
+
+
+def cube_trace_and_its_json_copy():
+    """A 20-long cube trace and the trace read back from its JSON, whose
+    chords all record exit edge -1: JSON carries no exit edges."""
+    cube = cube_surface()
+    tr = trace(cube, TangentDirection(incenter_point(cube), (math.cos(0.3), math.sin(0.3))), 20.0)
+    assert tr.termination.kind == LENGTH_REACHED and len(tr.chords) > 1
+    return cube, tr, trace_from_json(trace_to_json(tr))
+
+
+def test_unfold_rejects_a_trace_read_from_json():
+    # Developing the loaded trace would place every chord in the start
+    # plane and silently end elsewhere.
+    cube, tr, loaded = cube_trace_and_its_json_copy()
+    unfold(cube, tr)
+    with pytest.raises(ValueError, match="chord 0 records no exit edge"):
+        unfold(cube, loaded)
+
+
+def test_check_trace_rejects_a_trace_read_from_json():
+    cube, tr, loaded = cube_trace_and_its_json_copy()
+    check_trace(cube, tr)
+    with pytest.raises(AssertionError, match="records no exit edge"):
+        check_trace(cube, loaded)
