@@ -5,6 +5,7 @@ surfaces, so catalog files and fixtures reproduce byte-for-byte.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import numbers
 from collections.abc import Iterator
@@ -85,43 +86,98 @@ class PolygonSpec:
         )
 
 
-def _point_in_tri_closed(p: Vec, a: Vec, b: Vec, c: Vec, tol: float) -> bool:
-    for u, v in ((a, b), (b, c), (c, a)):
-        if cross(v[0] - u[0], v[1] - u[1], p[0] - u[0], p[1] - u[1]) < -tol:
-            return False
-    return True
+# Ear clipping's collinearity and containment epsilon, relative to the
+# squared coordinate scale.
+EAR_REL_EPS = 1e-12
+# Edge-by-vertex cells of one containment broadcast; bounds its temporaries.
+_EAR_BLOCK = 1 << 16
+_NOT_CONVEX, _EAR, _CLIPPED = -1, -2, -3
+
+
+def _first_blockers(xy, alive, a: list, b: list, c: list, eps) -> list[int]:
+    """For each convex tip ``b[r]`` with neighbours ``a[r]`` and ``c[r]``:
+    the first live vertex other than those three in its ``eps``-closed
+    triangle, or _EAR if there is none.  A point p is outside when
+    ``(v0 - u0) * (p1 - u1) - (v1 - u1) * (p0 - u0) < -eps`` for an edge
+    (u, v): the scalar test's expression, operand for operand, so every
+    boolean equals the scalar one."""
+    n = xy.shape[1]
+    step = max(1, _EAR_BLOCK // (3 * n))
+    first = []
+    for r in range(0, len(b), step):
+        ar, br, cr = a[r : r + step], b[r : r + step], c[r : r + step]
+        k = len(br)
+        ends = np.array(ar + br + cr + br + cr + ar)  # edges ab, bc, ca of each tip
+        uv = xy[:, ends]
+        u = uv[:, : 3 * k]
+        d = (uv[:, 3 * k :] - u)[:, :, None]  # (v0 - u0, v1 - u1)
+        prod = d * (xy[:, None, :] - u[:, :, None])[::-1]  # times (p1 - u1, p0 - u0)
+        out = (prod[0] - prod[1] < -eps).reshape(3, k, n)
+        inside = alive > np.logical_or.reduce(out)
+        inside[np.array(list(range(k)) * 3), ends[: 3 * k]] = False
+        j = inside.argmax(axis=1).tolist()
+        first += [jr if row[jr] else _EAR for row, jr in zip(inside, j)]
+    return first
 
 
 def _ear_clip(pts: tuple[Vec, ...]) -> list[tuple[int, int, int]]:
-    """Deterministic ear clipping: lowest remaining index first."""
+    """Deterministic ear clipping: lowest remaining index first.
+
+    Each vertex keeps a status: not convex (its corner's cross product is
+    at most eps), blocked by a live vertex in its closed triangle, or an
+    ear; the ears wait in a heap.  Clipping tip t changes the triangles of
+    t's two neighbours only and takes t out of every test, so only those
+    neighbours and the vertices t blocked are decided again.  Every other
+    status stands: its triangle and its blocker are unchanged, and an ear
+    stays an ear as the live set shrinks.  So the triangles are those of
+    testing every vertex against every other after every clip.  (In exact
+    arithmetic a vertex's last blocker is reflex, so no clip can unblock
+    it; the eps-closed test breaks that for a convex vertex within eps of
+    the triangle, which is why the vertices a tip blocked are re-tested.)
+    """
     n = len(pts)
     scale = max(max(abs(x), abs(y)) for x, y in pts) or 1.0
-    eps = 1e-12 * scale * scale
-    idx = list(range(n))
-    tris: list[tuple[int, int, int]] = []
-    while len(idx) > 3:
-        clipped = False
-        m = len(idx)
-        for pos in range(m):
-            ip, i, inx = idx[pos - 1], idx[pos], idx[(pos + 1) % m]
-            a, b, c = pts[ip], pts[i], pts[inx]
+    eps = EAR_REL_EPS * scale * scale
+    xy = np.array(pts, dtype=float).T.copy()
+    prev, nxt = [n - 1, *range(n - 1)], [*range(1, n), 0]
+    alive = np.ones(n, dtype=bool)
+    status = [_NOT_CONVEX] * n
+    blocks: list[list[int]] = [[] for _ in range(n)]  # tips whose blocker is j
+    ears: list[int] = []
+
+    def decide(tips) -> None:
+        convex = []
+        for i in tips:
+            a, b, c = pts[prev[i]], pts[i], pts[nxt[i]]
             if cross(b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1]) <= eps:
-                continue
-            ok = True
-            for j in idx:
-                if j in (ip, i, inx):
-                    continue
-                if _point_in_tri_closed(pts[j], a, b, c, eps):
-                    ok = False
-                    break
-            if ok:
-                tris.append((ip, i, inx))
-                del idx[pos]
-                clipped = True
-                break
-        if not clipped:
+                status[i] = _NOT_CONVEX
+            else:
+                convex.append(i)
+        a, c = [prev[i] for i in convex], [nxt[i] for i in convex]
+        for i, s in zip(convex, _first_blockers(xy, alive, a, convex, c, eps)):
+            status[i] = s
+            if s == _EAR:
+                heapq.heappush(ears, i)
+            else:
+                blocks[s].append(i)
+
+    if n > 3:
+        decide(range(n))
+    tris: list[tuple[int, int, int]] = []
+    q = 0  # a live vertex
+    for m in range(n, 3, -1):  # m vertices remain
+        while ears and status[ears[0]] != _EAR:
+            heapq.heappop(ears)
+        if not ears:
             raise NonSimplePolygon("ear clipping failed; polygon may be non-simple")
-    tris.append((idx[0], idx[1], idx[2]))
+        t = heapq.heappop(ears)
+        p, q = prev[t], nxt[t]
+        tris.append((p, t, q))
+        status[t], alive[t] = _CLIPPED, False
+        nxt[p], prev[q] = q, p
+        if m > 4:  # another clip follows
+            decide({p, q, *(i for i in blocks[t] if status[i] == t)})
+    tris.append(tuple(sorted((prev[q], q, nxt[q]))))  # the last three, in index order
     return tris
 
 
@@ -445,6 +501,11 @@ def example2_candidates() -> list[tuple[str, list[tuple[tuple[float, float], tup
 # Cut-and-glue surgery
 
 
+# Floor of cut_and_glue's corner margin and arc-position snap, which
+# otherwise scale with the surface's tolerance.
+CUT_FLOOR = 1e-12
+
+
 def _fan(polygon: list, apex: int) -> list[tuple]:
     """Fan triangulation of a convex polygon from one vertex; the polygon
     and the triangles list vertex names.
@@ -501,7 +562,7 @@ def cut_and_glue(
         raise UnsupportedCut(f"no triangle with id {host_id}")
     host = surface.triangle(host_id)
     scale = max(host.edge_length(k) for k in range(3))
-    margin = max(tol * (1 + scale), 1e-12)
+    margin = max(tol * (1 + scale), CUT_FLOOR)
     ell = norm(q[0] - p[0], q[1] - p[1])
     if ell <= margin:
         raise UnsupportedCut("cut endpoints coincide")
@@ -569,7 +630,7 @@ def cut_and_glue(
         b = pverts[(anchor + j + 1) % np_]
         positions.append(positions[-1] + norm(b[0] - a[0], b[1] - a[1]))
     # positions[j] = arc position of patch vertex (anchor + j); last = perimeter
-    snap = max(tol, 1e-12) * (1 + 2 * ell)
+    snap = max(tol, CUT_FLOOR) * (1 + 2 * ell)
     positions = [ell if abs(s - ell) <= snap else s for s in positions]
 
     def bank_point(s: float) -> Vec:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -286,6 +287,10 @@ def _validate_triangles(triangles, tol: float) -> dict[int, Triangle]:
     return by_id
 
 
+def _is_int(x) -> bool:
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
+
+
 def _check_edges_glued_once(by_id, gluings) -> dict:
     """The crossing table's keys in gluing order (side a, then b), valued None."""
     crossings: dict = {}
@@ -293,6 +298,8 @@ def _check_edges_glued_once(by_id, gluings) -> dict:
         if not isinstance(g, Gluing):
             raise MalformedSurface(f"{g!r} is not a Gluing")
         for ref in (g.a, g.b):
+            if not (isinstance(ref, EdgeRef) and _is_int(ref.tri) and _is_int(ref.edge)):
+                raise MalformedSurface(f"gluing {gi} side {ref!r} is not an EdgeRef of two ints")
             if ref.tri not in by_id or not 0 <= ref.edge < 3:
                 raise UnmatchedEdge(f"gluing {gi} references unknown edge {ref}")
             if ref in crossings:
@@ -310,7 +317,8 @@ def build_surface(triangles, gluings, tol: float = METRIC_TOL) -> FlatSurface:
 
     Raises DegenerateTriangle, UnmatchedEdge, LengthMismatch,
     Disconnected or MalformedSurface (an item that is not a Triangle or
-    a Gluing, or a triangle id beyond 2**53) on invalid input, and
+    a Gluing, a gluing side that is not an EdgeRef of two ints, or a
+    triangle id beyond 2**53) on invalid input, and
     ValueError unless ``tol`` is positive and finite.  The result carries
     each oriented edge's crossing, vertex classes, Euler characteristic
     and orientability.

@@ -36,6 +36,10 @@ MAX_CLASSES = 8
 
 # check_trace's bound on chained entry points, and on lengths relative to 1 + length.
 CHECK_TOL = 1e-7
+# check_trace's bound on chord and transported directions (unit vectors).
+CHECK_DIRECTION_TOL = 1e-6
+# locate accepts arc lengths this far outside [0, length], relative to 1 + length.
+LOCATE_SLACK = 1e-9
 
 LENGTH_REACHED = "LengthReached"
 VERTEX_HIT = "VertexHit"
@@ -366,7 +370,7 @@ def trace(
 
 def locate(trace_: GeodesicTrace, t: float) -> SurfacePoint:
     """Point at arc length t, by linear interpolation in the owning segment."""
-    slack = 1e-9 * (1.0 + trace_.length)
+    slack = LOCATE_SLACK * (1.0 + trace_.length)
     if not -slack <= t <= trace_.length + slack:
         raise ParameterOutOfRange(f"t={t!r} outside [0, {trace_.length!r}]")
     n = len(trace_.chords)
@@ -491,7 +495,8 @@ def reverse_check(surface: FlatSurface, start: TangentDirection, length: float) 
 
 def check_trace(surface: FlatSurface, trace_: GeodesicTrace) -> None:
     """Assert segment chaining, direction transport and length bookkeeping,
-    points and lengths to within CHECK_TOL and directions to within 1e-6.
+    points and lengths to within CHECK_TOL and directions to within
+    CHECK_DIRECTION_TOL.
     Every chord before the last must record the edge it leaves by."""
     total = 0.0
     for i, seg in enumerate(trace_.segments):
@@ -499,9 +504,8 @@ def check_trace(surface: FlatSurface, trace_: GeodesicTrace) -> None:
         ln = math.hypot(v[0], v[1])
         assert abs(ln - seg.length) <= CHECK_TOL * (1 + ln), "segment length mismatch"
         if ln > CHECK_TOL:
-            assert (
-                math.hypot(v[0] / ln - seg.direction[0], v[1] / ln - seg.direction[1]) <= 1e-6
-            ), "direction disagrees with chord"
+            off = math.hypot(v[0] / ln - seg.direction[0], v[1] / ln - seg.direction[1])
+            assert off <= CHECK_DIRECTION_TOL, "direction disagrees with chord"
         total += seg.length
         if i + 1 < len(trace_.segments):
             assert seg.exit_edge is not None, "chord before the last records no exit edge"
@@ -513,7 +517,6 @@ def check_trace(surface: FlatSurface, trace_: GeodesicTrace) -> None:
                 math.hypot(img[0] - nxt.entry[0], img[1] - nxt.entry[1]) <= CHECK_TOL
             ), "chained entry point mismatch"
             dimg = iso.apply_vector(seg.direction)
-            assert (
-                math.hypot(dimg[0] - nxt.direction[0], dimg[1] - nxt.direction[1]) <= 1e-6
-            ), "direction transport mismatch"
+            off = math.hypot(dimg[0] - nxt.direction[0], dimg[1] - nxt.direction[1])
+            assert off <= CHECK_DIRECTION_TOL, "direction transport mismatch"
     assert abs(total - trace_.length) <= CHECK_TOL * (1 + trace_.length), "length sum mismatch"

@@ -6,7 +6,7 @@ import pytest
 
 from flatgeo.builders import catalog
 from flatgeo.errors import NonSimplePolygon
-from flatgeo.geometry import norm, polygon_area, segments_intersect
+from flatgeo.geometry import cross, norm, polygon_area, segments_intersect
 from flatgeo.surface import EdgeRef, Gluing, Triangle, build_surface
 from flatgeo.tracer import SurfacePoint
 
@@ -134,3 +134,45 @@ def pairwise_validate(pts) -> None:
             a2, b2 = pts[j], pts[(j + 1) % n]
             if segments_intersect(a1, b1, a2, b2):
                 raise NonSimplePolygon(f"boundary edges {i} and {j} intersect")
+
+
+def all_vertices_ear_clip(pts) -> list[tuple[int, int, int]]:
+    """Reference for ``builders._ear_clip``: after every clip, test the
+    remaining vertices in index order, each against every other remaining
+    vertex, and clip the first ear."""
+    n = len(pts)
+    scale = max(max(abs(x), abs(y)) for x, y in pts) or 1.0
+    eps = 1e-12 * scale * scale
+
+    def in_closed_triangle(p, a, b, c) -> bool:
+        for u, v in ((a, b), (b, c), (c, a)):
+            if cross(v[0] - u[0], v[1] - u[1], p[0] - u[0], p[1] - u[1]) < -eps:
+                return False
+        return True
+
+    idx = list(range(n))
+    tris: list[tuple[int, int, int]] = []
+    while len(idx) > 3:
+        clipped = False
+        m = len(idx)
+        for pos in range(m):
+            ip, i, inx = idx[pos - 1], idx[pos], idx[(pos + 1) % m]
+            a, b, c = pts[ip], pts[i], pts[inx]
+            if cross(b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1]) <= eps:
+                continue
+            ok = True
+            for j in idx:
+                if j in (ip, i, inx):
+                    continue
+                if in_closed_triangle(pts[j], a, b, c):
+                    ok = False
+                    break
+            if ok:
+                tris.append((ip, i, inx))
+                del idx[pos]
+                clipped = True
+                break
+        if not clipped:
+            raise NonSimplePolygon("ear clipping failed; polygon may be non-simple")
+    tris.append((idx[0], idx[1], idx[2]))
+    return tris

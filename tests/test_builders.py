@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import pairwise_validate
+from conftest import all_vertices_ear_clip, pairwise_validate
 
 from flatgeo.builders import (
     CATALOG_PARALLEL,
@@ -12,6 +12,7 @@ from flatgeo.builders import (
     L_SHAPE,
     SQUARE,
     PolygonSpec,
+    _ear_clip,
     catalog,
     cut_and_glue,
     double_of_polygon,
@@ -230,6 +231,103 @@ def test_validate_matches_all_pairs_oracle(family, seeds):
             assert got == validate_outcome(pairwise_validate, vertices), (seed, kind)
             rejected[kind] += got is not None
     assert all(rejected.values()), rejected
+
+
+# --- ear clipping ---------------------------------------------------------------
+
+
+def clip_outcome(clip, pts):
+    try:
+        return clip(tuple(pts))
+    except NonSimplePolygon as e:
+        return ("NonSimplePolygon", str(e))
+
+
+def spike_polygon(gap):
+    """A C shape whose lower arm sends a spike up to (5, -gap), just below
+    the edge from vertex 0 to vertex 1.  Vertex 0's triangle (10, 0, 1)
+    holds no vertex, but for gap <= eps / 10 = 4e-11 the eps-closed test
+    counts the spike tip (vertex 4) in it.  The tip is then vertex 0's only
+    blocker and the first ear, and clipping it makes vertex 0 an ear."""
+    return [
+        (0.0, 0.0), (10.0, 0.0), (10.0, -10.0), (6.0, -10.0), (5.0, -gap), (4.0, -10.0),
+        (0.0, -10.0), (0.0, -20.0), (12.0, -20.0), (12.0, 10.0), (0.0, 10.0),
+    ]
+
+
+def diagonal_quad(t):
+    """Vertex 2 at (5 + t, 5 + t): on vertex 0's diagonal x + y = 10 for
+    t = 0 and beyond it for t > 0.  With eps = 1e-10 it blocks vertex 0,
+    and is not convex, up to t = 5e-12; beyond that it is a convex ear."""
+    return [(0.0, 0.0), (10.0, 0.0), (5.0 + t, 5.0 + t), (0.0, 10.0)]
+
+
+EAR_CLIP_CASES = {
+    "collinear-square": [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2), (0, 1)],
+    "collinear-l": [(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2), (0, 1.5), (0, 1)],
+    "collinear-skyline": [(0, 0), (3, 0), (3, 1), (2, 1), (2, 2), (1, 2), (0, 2), (0, 1)],
+    "diagonal-inside": diagonal_quad(-1e-11),
+    "diagonal-on": diagonal_quad(0.0),
+    "diagonal-within-eps-beyond": diagonal_quad(4e-12),
+    "diagonal-beyond-eps": diagonal_quad(6e-12),
+    "spike-within-eps": spike_polygon(1e-11),
+    "spike-beyond-eps": spike_polygon(5e-11),
+    "clockwise": [(0, 0), (0, 1), (1, 1), (1, 0)],
+    "figure-eight": [(0, 0), (4, 0), (4, 4), (2, 4), (2, -2), (1, -2), (1, 4), (0, 4)],
+}
+
+
+@pytest.mark.parametrize("name", EAR_CLIP_CASES)
+def test_ear_clip_matches_all_vertices_oracle(name):
+    pts = [(float(x), float(y)) for x, y in EAR_CLIP_CASES[name]]
+    got = clip_outcome(_ear_clip, pts)
+    assert got == clip_outcome(all_vertices_ear_clip, pts)
+    # the non-simple inputs raise, with the same message
+    assert isinstance(got, tuple) == (name in ("clockwise", "figure-eight"))
+
+
+def test_ear_clip_retests_the_vertices_a_clipped_spike_blocked():
+    # Without the re-test, vertex 0 keeps its dead blocker and (5, 6, 7) is clipped second.
+    assert _ear_clip(tuple(spike_polygon(1e-11)))[:2] == [(3, 4, 5), (10, 0, 1)]
+    assert _ear_clip(tuple(spike_polygon(5e-11)))[:2] == [(10, 0, 1), (3, 4, 5)]
+
+
+def test_ear_clip_matches_oracle_on_non_simple_variants():
+    raised = 0
+    for seed in range(20):
+        for family in (random_star_polygon, random_rectilinear_polygon):
+            rng = np.random.default_rng(seed)
+            pts = family(rng).vertices
+            for kind, vertices in non_simple_variants(pts, rng):
+                got = clip_outcome(_ear_clip, vertices)
+                assert got == clip_outcome(all_vertices_ear_clip, vertices), (seed, kind)
+                raised += isinstance(got, tuple)
+    assert raised
+
+
+# sha256 of `surface_to_json` of large star doubles and a rectilinear
+# double, recorded before ear clipping kept each vertex's status: the
+# triangles and their order fix every id and gluing.
+GOLDEN_DOUBLE_DIGESTS = {
+    "star-202": (
+        lambda: random_star_polygon(np.random.default_rng(202), 202, 202),
+        "0c443886bbd78ec16fdb8f134f1a910e652328217b074062c4b38b56b050a126",
+    ),
+    "star-802": (
+        lambda: random_star_polygon(np.random.default_rng(802), 802, 802),
+        "c2ce567f2aef161f4aef8779e73e10a6f64f4670f3d4333a5b7f8c52c2f15d68",
+    ),
+    "rectilinear": (
+        lambda: random_rectilinear_polygon(np.random.default_rng(0)),
+        "f423670c1b387a28aeab9837f7597a474b92209db00c3d588f0b88072a25c1df",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_DOUBLE_DIGESTS)
+def test_large_double_matches_golden_digest(name):
+    polygon, digest = GOLDEN_DOUBLE_DIGESTS[name]
+    assert sha256(surface_to_json(double_of_polygon(polygon()))) == digest
 
 
 # --- cut and glue ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Property tests of the gluing walks, cut-and-glue surgery,
+"""Property tests of the gluing walks, ear clipping, cut-and-glue surgery,
 self-intersection events, the density band, the trace helpers, the
 tracer's round trip, and surface and trace JSON parsing.
 
@@ -11,8 +11,9 @@ traces are drawn from random directions on the catalog's
 two-direction-class surfaces, and the earliest-only event search also
 runs on random polylines; the density band is checked on random chords
 against the dense test.  Flat tori come from random lattices, some of
-them near-collinear.  The runs are derandomized, so
-the suite sees the same examples every time.
+them near-collinear.  Ear clipping is checked against the all-vertices
+oracle on random star (4 to 120 vertices) and rectilinear polygons.  The
+runs are derandomized, so the suite sees the same examples every time.
 """
 import functools
 import json
@@ -23,12 +24,13 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_sources_diameter, dense_near_chords, incenter_point
+from conftest import all_sources_diameter, all_vertices_ear_clip, dense_near_chords, incenter_point
 
 from flatgeo.analysis import EVENT_MERGE_TOL, _merge_mask, _near_chords, self_intersections
 from flatgeo.builders import (
     SQUARE,
     PolygonSpec,
+    _ear_clip,
     cut_and_glue,
     double_of_polygon,
     example2_candidates,
@@ -106,6 +108,18 @@ def test_generators_and_witness_replay(s):
 @given(surfaces)
 def test_pruned_diameter_is_the_all_sources_diameter(s):
     assert diameter_estimate(s) == all_sources_diameter(s)
+
+
+polygons = st.one_of(
+    seeds.map(lambda s: random_star_polygon(np.random.default_rng(s), 4, 120)),
+    seeds.map(lambda s: random_rectilinear_polygon(np.random.default_rng(s))),
+)
+
+
+@walk_settings
+@given(polygons)
+def test_ear_clip_matches_the_all_vertices_oracle(polygon):
+    assert _ear_clip(polygon.vertices) == all_vertices_ear_clip(polygon.vertices)
 
 
 coords = st.floats(-10.0, 10.0)

@@ -242,3 +242,22 @@ def test_items_not_triangles_or_gluings_raise_malformed_surface():
     as_tuples = [(tuple(g.a), tuple(g.b), g.reversed) for g in TORUS_GL]
     with pytest.raises(MalformedSurface, match="is not a Gluing"):
         build_surface(TORUS_TRIS, as_tuples)
+
+
+@pytest.mark.parametrize(
+    "gluing",
+    [
+        Gluing((0, 0), (1, 1)),
+        Gluing(EdgeRef(0, 0.0), EdgeRef(1, 1)),
+        Gluing(EdgeRef(0, True), EdgeRef(1, 1)),
+    ],
+    ids=["plain-tuples", "float-edge", "bool-edge"],
+)
+def test_gluing_sides_that_are_not_int_edge_refs_raise_malformed_surface(gluing):
+    with pytest.raises(MalformedSurface, match="is not an EdgeRef of two ints"):
+        build_surface(TORUS_TRIS, [gluing, *TORUS_GL[1:]])
+
+
+def test_numpy_int_gluing_sides_build():
+    gl = [Gluing(EdgeRef(np.int64(g.a.tri), g.a.edge), g.b, g.reversed) for g in TORUS_GL]
+    assert build_surface(TORUS_TRIS, gl).crossings == build_surface(TORUS_TRIS, TORUS_GL).crossings
