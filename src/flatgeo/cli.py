@@ -19,7 +19,7 @@ import sys
 
 from . import builders
 from .analysis import closed_geodesic_detect, direction_scan
-from .errors import FlatgeoError
+from .errors import FlatgeoError, MalformedSurface
 from .geometry import METRIC_TOL
 from .holonomy import curvature_test, is_parallel
 from .jsonio import manifest_entry, manifest_to_json, surface_from_json, surface_to_json, trace_to_json
@@ -34,8 +34,12 @@ EXIT_IO = 3
 
 
 def _load_surface(args) -> FlatSurface:
-    with open(args.surface) as fh:
-        return surface_from_json(fh.read(), args.tolerance)
+    try:
+        with open(args.surface, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise MalformedSurface(f"surface file is not UTF-8: {e}") from e
+    return surface_from_json(text, args.tolerance)
 
 
 def _error_json(err: Exception) -> str:
@@ -113,7 +117,7 @@ def cmd_trace(args) -> int:
     period = closed_geodesic_detect(surface, tr)
     print(trace_to_json(tr, extra={"closed_period": period}), end="")
     if args.svg:
-        with open(args.svg, "w") as fh:
+        with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(render_unfolded(surface, tr))
     return EXIT_OK
 
@@ -133,10 +137,10 @@ def cmd_scan(args) -> int:
     counts = result.counts()
     print(json.dumps({"n": args.n, "length": args.length, "counts": counts}))
     if args.csv:
-        with open(args.csv, "w") as fh:
+        with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(result.to_csv())
     if args.rows:
-        with open(args.rows, "w") as fh:
+        with open(args.rows, "w", encoding="utf-8") as fh:
             json.dump({"rows": result.to_json_rows()}, fh)
             fh.write("\n")
     return EXIT_OK
@@ -147,10 +151,10 @@ def cmd_catalog(args) -> int:
     entries = []
     for name, surface in builders.catalog():
         filename = f"{name}.json"
-        with open(os.path.join(args.outdir, filename), "w") as fh:
+        with open(os.path.join(args.outdir, filename), "w", encoding="utf-8") as fh:
             fh.write(surface_to_json(surface))
         entries.append(manifest_entry(surface, name, filename, builders.CATALOG_PARALLEL[name]))
-    with open(os.path.join(args.outdir, "MANIFEST.json"), "w") as fh:
+    with open(os.path.join(args.outdir, "MANIFEST.json"), "w", encoding="utf-8") as fh:
         fh.write(manifest_to_json(entries))
     print(json.dumps({"written": len(entries), "outdir": args.outdir}))
     return EXIT_OK
@@ -159,7 +163,7 @@ def cmd_catalog(args) -> int:
 def cmd_render(args) -> int:
     surface = _load_surface(args)
     svg = render_surface(surface)
-    with open(args.out, "w") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     print(json.dumps({"written": args.out}))
     return EXIT_OK

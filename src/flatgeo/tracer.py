@@ -7,6 +7,37 @@ refuses to choose.  A pass within ``vertex_clearance`` of a cone point
 reports VertexHit; an exact corner passage reports VertexHit for any
 vertex class (flat marked points included) because the transition there
 is ill-conditioned.
+
+One step of ``trace`` reads ``_TraceTables``: the candidate exit edges
+for the edge the chord came in by, the chart's cone corners only, the two
+corners of the exit edge, and one tuple per crossing with the transition
+and the target edge to snap onto.
+
+The cone-clearance test of a step clamps ``tau = w . d`` to ``[0, eff]``
+and compares ``|w - tau d|**2`` with ``vertex_clearance**2``, for a cone
+corner c, ``w = c - p`` and the chord's unit direction d.  The step runs
+it only when ``cr = wx * dy - wy * dx`` (from the same ``wx, wy``)
+satisfies ``|cr| < far = vertex_clearance + 1e-12 * (1 + scale)``,
+``scale`` being the longest edge.  A skipped corner would have failed the
+test, so the skip never changes a boolean:
+
+- In exact arithmetic ``|w - tau d| >= |w x d| / |d|`` for every tau: the
+  distance from w to the line through 0 along d.
+- With unit roundoff u = 2**-53: ``|d| = 1`` within 2u, the computed
+  ``cr`` is within 2u|w| of ``w x d``, and the computed ``(rx, ry)`` within
+  3u|w| of ``w - tau d`` for the clamped tau, which lies in
+  ``[0, (1 + 2u)|w|]`` (all to first order in u).  So a skipped corner has
+  ``|(rx, ry)| >= far - 7u|w|``, and ``rx * rx + ry * ry`` rounds to at
+  least ``clearance2`` once ``|(rx, ry)| >= vertex_clearance * (1 + 2u)``.
+  Both hold when ``1e-12 * (1 + scale) >= 3u * vertex_clearance + 7u|w|``.
+- ``|cr| <= (1 + 3u)|w|``, so a skip needs ``vertex_clearance < |w|``, and
+  the condition holds for ``|w| <= 890 * (1 + scale)``.  After the first
+  step p is snapped onto an edge of its chart, so ``|w| <= scale``
+  (within rounding).  The start point lies at most ``10 * tol_pt`` outside
+  each edge line, so ``|w| <= scale * (1 + 10 * tol_pt / r)`` for the
+  chart's inradius r; that stays in bounds unless r is below about
+  ``tolerance * scale / 80``, a chart some 1e-11 as thick as it is long at
+  the default tolerance.
 """
 from __future__ import annotations
 
@@ -157,43 +188,53 @@ class GeodesicTrace:
 
 
 class _TraceTables:
-    """Dense per-triangle data for the hot loop: plain floats, no numpy."""
+    """Per-triangle data for the step loop, as plain floats in tuples.
+
+    Rows are indexed by dense triangle index.  ``exits[i][entry]`` holds
+    the candidate exit edges of a chord that entered triangle i through
+    edge ``entry``: the two other edges, or all three for ``entry`` -1 (a
+    start point; index -1 is the fourth entry).  Each candidate is ``(e,
+    ax, ay, ux, uy, lo, hi)``: the edge's start, unit direction, and the
+    bounds ``-1e-9 * length`` and ``length * (1.0 + 1e-9)`` that the
+    crossing parameter must meet.  ``cones[i]`` holds ``(cx, cy, class)``
+    of the triangle's cone corners only; ``ties[i][e]`` holds that triple
+    for both ends of edge e, cone or flat.  ``crossings[i][e]`` is ``(tgt,
+    tgt_edge, m00, m01, m10, m11, tx, ty, ax, ay, ux, uy, length)``: the
+    triangle and edge that edge e is glued to, the chart-to-chart
+    isometry, and the target edge's start, unit direction and length, to
+    which the crossing point is snapped.
+    """
 
     def __init__(self, surface: FlatSurface):
         tris = surface.triangles
         self.id2dense = {t.id: i for i, t in enumerate(tris)}
         self.dense2id = [t.id for t in tris]
-        self.corners = []
-        self.edges = []  # per tri: 3 x (ax, ay, ux, uy, length)
-        self.trans = []  # per tri: 3 x (tgt_dense, tgt_edge, m00, m01, m10, m11, tx, ty)
-        self.cone = []
-        self.cls = []
-        scale = 0.0
+        self.exits = []
+        self.cones = []
+        self.ties = []
+        snap = []  # per tri: 3 x (ax, ay, ux, uy, length)
         for t in tris:
-            self.corners.append(tuple(t.corners))
-            es = []
+            cands = []
             for k in range(3):
                 a = t.edge_start(k)
                 v = t.edge_vector(k)
                 ln = math.hypot(v[0], v[1])
-                es.append((a[0], a[1], v[0] / ln, v[1] / ln, ln))
-                scale = max(scale, ln)
-            self.edges.append(tuple(es))
-            ts = []
+                snap.append((a[0], a[1], v[0] / ln, v[1] / ln, ln))
+                cands.append((k, *snap[-1][:4], -1e-9 * ln, ln * (1.0 + 1e-9)))
+            c0, c1, c2 = cands
+            self.exits.append(((c1, c2), (c0, c2), (c0, c1), (c0, c1, c2)))
+            k0, k1, k2 = corners = [(*t.corners[k], surface.corner_class[(t.id, k)]) for k in range(3)]
+            self.cones.append(tuple(c for c in corners if surface.vertex_classes[c[2]].is_cone))
+            self.ties.append(((k0, k1), (k1, k2), (k2, k0)))
+        self.crossings = []
+        for t in tris:
+            row = []
             for k in range(3):
                 ref, iso = surface.edge_transition(t.id, k)
-                m = iso.matrix()
-                ts.append((self.id2dense[ref.tri], ref.edge, m[0], m[1], m[2], m[3], m[4], m[5]))
-            self.trans.append(tuple(ts))
-            cone_flags = []
-            cls_idx = []
-            for k in range(3):
-                ci = surface.corner_class[(t.id, k)]
-                cls_idx.append(ci)
-                cone_flags.append(surface.vertex_classes[ci].is_cone)
-            self.cone.append(tuple(cone_flags))
-            self.cls.append(tuple(cls_idx))
-        self.scale = scale
+                tgt = self.id2dense[ref.tri]
+                row.append((tgt, ref.edge, *iso.matrix(), *snap[3 * tgt + ref.edge]))
+            self.crossings.append(tuple(row))
+        self.scale = max(e[4] for e in snap)
         self.min_height = min(
             2.0 * t.signed_area() / max(t.edge_length(k) for k in range(3)) for t in tris
         )
@@ -250,11 +291,11 @@ def trace(
         raise ValueError(f"max_length {max_length!r} needs more than {MAX_STEPS} steps")
     max_steps = int(step_budget) + 10000
 
-    corners = tab.corners
-    edges = tab.edges
-    trans = tab.trans
-    cone = tab.cone
-    cls = tab.cls
+    far = vertex_clearance + 1e-12 * (1.0 + tab.scale)
+    exits = tab.exits
+    cones = tab.cones
+    ties = tab.ties
+    crossings = tab.crossings
     dense2id = tab.dense2id
 
     for _ in range(max_steps):
@@ -262,11 +303,8 @@ def trace(
         # Exit through the nearest forward edge crossing.
         best_t = math.inf
         best_edge = -1
-        tre = edges[dense]
-        for e in range(3):
-            if e == entry_edge:
-                continue
-            ax, ay, ux, uy, elen = tre[e]
+        cands = exits[dense][entry_edge]
+        for e, ax, ay, ux, uy, lo, hi in cands:
             denom = ux * dy - uy * dx
             if -1e-13 < denom < 1e-13:
                 continue
@@ -276,45 +314,46 @@ def trace(
             if t <= t_eps or t >= best_t:
                 continue
             s = (sx * dy - sy * dx) / denom
-            if -1e-9 * elen <= s <= elen * (1.0 + 1e-9):
+            if lo <= s <= hi:
                 best_t = t
                 best_edge = e
         if best_edge < 0:
             # Nothing ahead past t_eps.  A start on an edge pointing out of
             # the triangle crosses that edge at once; any other ray stops.
-            for e in range(3 if entry_edge < 0 else 0):
-                ax, ay, ux, uy, elen = tre[e]
-                denom = ux * dy - uy * dx
-                sx = px - ax
-                sy = py - ay
-                if denom < -1e-13 and abs(sx * uy - sy * ux) <= -denom * t_eps:
-                    if -1e-9 * elen <= (sx * dy - sy * dx) / denom <= elen * (1.0 + 1e-9):
-                        best_t = 0.0
-                        best_edge = e
+            if entry_edge < 0:
+                for e, ax, ay, ux, uy, lo, hi in cands:
+                    denom = ux * dy - uy * dx
+                    sx = px - ax
+                    sy = py - ay
+                    if denom < -1e-13 and abs(sx * uy - sy * ux) <= -denom * t_eps:
+                        if lo <= (sx * dy - sy * dx) / denom <= hi:
+                            best_t = 0.0
+                            best_edge = e
             if best_edge < 0:
                 term = Termination(LEFT_DOMAIN, message="no forward edge crossing found")
                 break
 
         eff = best_t if best_t < remaining else remaining
-        # Cone-point clearance along the chord actually travelled.
+        # Cone-point clearance along the chord actually travelled; a corner
+        # at least ``far`` from the chord's line is skipped (see the module
+        # docstring).
         hit_tau = None
         hit_class = None
-        trc = corners[dense]
-        for k in range(3):
-            if not cone[dense][k]:
-                continue
-            wx = trc[k][0] - px
-            wy = trc[k][1] - py
-            tau = wx * dx + wy * dy
-            if tau < 0.0:
-                tau = 0.0
-            elif tau > eff:
-                tau = eff
-            rx = wx - tau * dx
-            ry = wy - tau * dy
-            if rx * rx + ry * ry < clearance2 and (hit_tau is None or tau < hit_tau):
-                hit_tau = tau
-                hit_class = cls[dense][k]
+        for cx, cy, ci in cones[dense]:
+            wx = cx - px
+            wy = cy - py
+            cr = wx * dy - wy * dx
+            if -far < cr < far:
+                tau = wx * dx + wy * dy
+                if tau < 0.0:
+                    tau = 0.0
+                elif tau > eff:
+                    tau = eff
+                rx = wx - tau * dx
+                ry = wy - tau * dy
+                if rx * rx + ry * ry < clearance2 and (hit_tau is None or tau < hit_tau):
+                    hit_tau = tau
+                    hit_class = ci
         if hit_tau is not None:
             rows += (tri_id, px, py, px + hit_tau * dx, py + hit_tau * dy, dx, dy, acc, hit_tau, -1)
             acc += hit_tau
@@ -331,21 +370,20 @@ def trace(
         # Corner ties resolve as VertexHit regardless of curvature: the
         # transition choice at an exact corner is ambiguous.
         exit_edge = best_edge
-        for k in (best_edge, (best_edge + 1) % 3):
-            cxr, cyr = trc[k]
-            ex2 = qx - cxr
-            ey2 = qy - cyr
+        for cx, cy, ci in ties[dense][best_edge]:
+            ex2 = qx - cx
+            ey2 = qy - cy
             if ex2 * ex2 + ey2 * ey2 < clearance2:
                 exit_edge = -1
                 break
         rows += (tri_id, px, py, qx, qy, dx, dy, acc, best_t, exit_edge)
         acc += best_t
         if exit_edge < 0:
-            term = Termination(VERTEX_HIT, vertex=cls[dense][k], parameter=acc)
+            term = Termination(VERTEX_HIT, vertex=ci, parameter=acc)
             break
         remaining -= best_t
 
-        tgt, tedge, m00, m01, m10, m11, tx, ty = trans[dense][best_edge]
+        dense, entry_edge, m00, m01, m10, m11, tx, ty, ax, ay, ux, uy, elen = crossings[dense][best_edge]
         npx = m00 * qx + m01 * qy + tx
         npy = m10 * qx + m11 * qy + ty
         ndx = m00 * dx + m01 * dy
@@ -353,7 +391,6 @@ def trace(
         n = math.hypot(ndx, ndy)
         dx, dy = ndx / n, ndy / n
         # Snap onto the target edge to kill perpendicular drift.
-        ax, ay, ux, uy, elen = edges[tgt][tedge]
         s = (npx - ax) * ux + (npy - ay) * uy
         if s < 0.0:
             s = 0.0
@@ -361,8 +398,6 @@ def trace(
             s = elen
         px = ax + s * ux
         py = ay + s * uy
-        dense = tgt
-        entry_edge = tedge
     else:
         term = Termination(LEFT_DOMAIN, message="step budget exceeded")
     return GeodesicTrace._from_rows(norm_start, rows, acc, term)

@@ -5,10 +5,20 @@ import numpy as np
 import pytest
 
 from flatgeo.builders import catalog
-from flatgeo.errors import NonSimplePolygon
-from flatgeo.geometry import cross, norm, polygon_area, segments_intersect
-from flatgeo.surface import EdgeRef, Gluing, Triangle, build_surface
-from flatgeo.tracer import SurfacePoint
+from flatgeo.errors import NonSimplePolygon, PointOutsideTriangle
+from flatgeo.geometry import cross, norm, normalize, polygon_area, segments_intersect
+from flatgeo.surface import EdgeRef, FlatSurface, Gluing, Triangle, build_surface
+from flatgeo.tracer import (
+    DEFAULT_VERTEX_CLEARANCE,
+    LENGTH_REACHED,
+    LEFT_DOMAIN,
+    MAX_STEPS,
+    VERTEX_HIT,
+    GeodesicTrace,
+    SurfacePoint,
+    TangentDirection,
+    Termination,
+)
 
 
 @pytest.fixture(scope="session")
@@ -176,3 +186,208 @@ def all_vertices_ear_clip(pts) -> list[tuple[int, int, int]]:
             raise NonSimplePolygon("ear clipping failed; polygon may be non-simple")
     tris.append((idx[0], idx[1], idx[2]))
     return tris
+
+
+class _ReferenceTables:
+    """Per-triangle tables for ``reference_trace``: edges, crossings,
+    corners, cone flags and vertex classes, three of each per triangle."""
+
+    def __init__(self, surface: FlatSurface):
+        tris = surface.triangles
+        self.id2dense = {t.id: i for i, t in enumerate(tris)}
+        self.dense2id = [t.id for t in tris]
+        self.corners = []
+        self.edges = []  # per tri: 3 x (ax, ay, ux, uy, length)
+        self.trans = []  # per tri: 3 x (tgt_dense, tgt_edge, m00, m01, m10, m11, tx, ty)
+        self.cone = []
+        self.cls = []
+        scale = 0.0
+        for t in tris:
+            self.corners.append(tuple(t.corners))
+            es = []
+            for k in range(3):
+                a = t.edge_start(k)
+                v = t.edge_vector(k)
+                ln = math.hypot(v[0], v[1])
+                es.append((a[0], a[1], v[0] / ln, v[1] / ln, ln))
+                scale = max(scale, ln)
+            self.edges.append(tuple(es))
+            ts = []
+            for k in range(3):
+                ref, iso = surface.edge_transition(t.id, k)
+                m = iso.matrix()
+                ts.append((self.id2dense[ref.tri], ref.edge, m[0], m[1], m[2], m[3], m[4], m[5]))
+            self.trans.append(tuple(ts))
+            cone_flags = []
+            cls_idx = []
+            for k in range(3):
+                ci = surface.corner_class[(t.id, k)]
+                cls_idx.append(ci)
+                cone_flags.append(surface.vertex_classes[ci].is_cone)
+            self.cone.append(tuple(cone_flags))
+            self.cls.append(tuple(cls_idx))
+        self.scale = scale
+        self.min_height = min(
+            2.0 * t.signed_area() / max(t.edge_length(k) for k in range(3)) for t in tris
+        )
+
+
+def reference_trace(
+    surface: FlatSurface,
+    start: TangentDirection,
+    max_length: float,
+    vertex_clearance: float = DEFAULT_VERTEX_CLEARANCE,
+) -> GeodesicTrace:
+    """Reference for ``tracer.trace``: the step loop that reads every edge
+    and every corner of each triangle, with the clamped-tau cone test run
+    on every cone corner.  It must give the same chords, termination and
+    length bit for bit.
+
+    Raises ValueError for non-finite input and for a ``max_length`` whose
+    step budget exceeds MAX_STEPS.
+    """
+    if not 0.0 < max_length < math.inf:
+        raise ValueError("max_length must be positive and finite")
+    if not surface.tolerance <= vertex_clearance < math.inf:
+        raise ValueError("vertex_clearance must be finite and at least the surface tolerance")
+    if not all(math.isfinite(x) for x in (*start.at.xy, *start.unit)):
+        raise ValueError("start point and direction must be finite")
+    tab = _ReferenceTables(surface)
+    if start.at.tri not in tab.id2dense:
+        raise PointOutsideTriangle(f"no triangle with id {start.at.tri}")
+    tol_pt = surface.tolerance * (1.0 + tab.scale)
+    tri0 = surface.triangle(start.at.tri)
+    if not tri0.contains(start.at.xy, tol=tol_pt * 10):
+        raise PointOutsideTriangle(f"start point {start.at.xy} outside triangle {start.at.tri}")
+    dx, dy = normalize(start.unit)
+    norm_start = TangentDirection(start.at, (dx, dy))
+
+    dense = tab.id2dense[start.at.tri]
+    px, py = float(start.at.xy[0]), float(start.at.xy[1])
+    entry_edge = -1
+    acc = 0.0
+    remaining = float(max_length)
+    clearance2 = vertex_clearance * vertex_clearance
+    t_eps = 1e-13 * (1.0 + tab.scale)
+    rows: list[float] = []  # chord rows, flattened; see GeodesicTrace
+    step_budget = 50.0 * max_length / max(tab.min_height, 1e-9)
+    if not step_budget <= MAX_STEPS:
+        raise ValueError(f"max_length {max_length!r} needs more than {MAX_STEPS} steps")
+    max_steps = int(step_budget) + 10000
+
+    corners = tab.corners
+    edges = tab.edges
+    trans = tab.trans
+    cone = tab.cone
+    cls = tab.cls
+    dense2id = tab.dense2id
+
+    for _ in range(max_steps):
+        tri_id = dense2id[dense]
+        # Exit through the nearest forward edge crossing.
+        best_t = math.inf
+        best_edge = -1
+        tre = edges[dense]
+        for e in range(3):
+            if e == entry_edge:
+                continue
+            ax, ay, ux, uy, elen = tre[e]
+            denom = ux * dy - uy * dx
+            if -1e-13 < denom < 1e-13:
+                continue
+            sx = px - ax
+            sy = py - ay
+            t = (sx * uy - sy * ux) / denom
+            if t <= t_eps or t >= best_t:
+                continue
+            s = (sx * dy - sy * dx) / denom
+            if -1e-9 * elen <= s <= elen * (1.0 + 1e-9):
+                best_t = t
+                best_edge = e
+        if best_edge < 0:
+            # Nothing ahead past t_eps.  A start on an edge pointing out of
+            # the triangle crosses that edge at once; any other ray stops.
+            for e in range(3 if entry_edge < 0 else 0):
+                ax, ay, ux, uy, elen = tre[e]
+                denom = ux * dy - uy * dx
+                sx = px - ax
+                sy = py - ay
+                if denom < -1e-13 and abs(sx * uy - sy * ux) <= -denom * t_eps:
+                    if -1e-9 * elen <= (sx * dy - sy * dx) / denom <= elen * (1.0 + 1e-9):
+                        best_t = 0.0
+                        best_edge = e
+            if best_edge < 0:
+                term = Termination(LEFT_DOMAIN, message="no forward edge crossing found")
+                break
+
+        eff = best_t if best_t < remaining else remaining
+        # Cone-point clearance along the chord actually travelled.
+        hit_tau = None
+        hit_class = None
+        trc = corners[dense]
+        for k in range(3):
+            if not cone[dense][k]:
+                continue
+            wx = trc[k][0] - px
+            wy = trc[k][1] - py
+            tau = wx * dx + wy * dy
+            if tau < 0.0:
+                tau = 0.0
+            elif tau > eff:
+                tau = eff
+            rx = wx - tau * dx
+            ry = wy - tau * dy
+            if rx * rx + ry * ry < clearance2 and (hit_tau is None or tau < hit_tau):
+                hit_tau = tau
+                hit_class = cls[dense][k]
+        if hit_tau is not None:
+            rows += (tri_id, px, py, px + hit_tau * dx, py + hit_tau * dy, dx, dy, acc, hit_tau, -1)
+            acc += hit_tau
+            term = Termination(VERTEX_HIT, vertex=hit_class, parameter=acc)
+            break
+        if remaining <= best_t:
+            rows += (tri_id, px, py, px + remaining * dx, py + remaining * dy, dx, dy, acc, remaining, -1)
+            acc = max_length
+            term = Termination(LENGTH_REACHED)
+            break
+
+        qx = px + best_t * dx
+        qy = py + best_t * dy
+        # Corner ties resolve as VertexHit regardless of curvature: the
+        # transition choice at an exact corner is ambiguous.
+        exit_edge = best_edge
+        for k in (best_edge, (best_edge + 1) % 3):
+            cxr, cyr = trc[k]
+            ex2 = qx - cxr
+            ey2 = qy - cyr
+            if ex2 * ex2 + ey2 * ey2 < clearance2:
+                exit_edge = -1
+                break
+        rows += (tri_id, px, py, qx, qy, dx, dy, acc, best_t, exit_edge)
+        acc += best_t
+        if exit_edge < 0:
+            term = Termination(VERTEX_HIT, vertex=cls[dense][k], parameter=acc)
+            break
+        remaining -= best_t
+
+        tgt, tedge, m00, m01, m10, m11, tx, ty = trans[dense][best_edge]
+        npx = m00 * qx + m01 * qy + tx
+        npy = m10 * qx + m11 * qy + ty
+        ndx = m00 * dx + m01 * dy
+        ndy = m10 * dx + m11 * dy
+        n = math.hypot(ndx, ndy)
+        dx, dy = ndx / n, ndy / n
+        # Snap onto the target edge to kill perpendicular drift.
+        ax, ay, ux, uy, elen = edges[tgt][tedge]
+        s = (npx - ax) * ux + (npy - ay) * uy
+        if s < 0.0:
+            s = 0.0
+        elif s > elen:
+            s = elen
+        px = ax + s * ux
+        py = ay + s * uy
+        dense = tgt
+        entry_edge = tedge
+    else:
+        term = Termination(LEFT_DOMAIN, message="step budget exceeded")
+    return GeodesicTrace._from_rows(norm_start, rows, acc, term)

@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import thin_torus
 
@@ -104,6 +108,88 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     bad.write_text('{"bad": true}')
     assert main(["validate", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("head", [b"\xff\xfe", b"\x80", b"\xc3("])
+def test_non_utf8_surface_exit_2(catalog_dir, tmp_path, capsys, head):
+    bad = tmp_path / "not-utf8.json"
+    bad.write_bytes(head + (catalog_dir / "unit-torus.json").read_bytes())
+    assert main(["validate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "MalformedSurface"
+    assert err["message"].startswith("surface file is not UTF-8")
+
+
+# Values for the CLI's number options: each is a plausible value or one of
+# the non-finite, signed-zero, huge, tiny and negative ones.  Plausible
+# lengths stop at 20 so that an accepted trace or scan stays short; 1e12
+# and beyond exceed the step budget and are rejected before any step.
+cli_specials = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300, 1e12, -1.0, 5e-324])
+cli_lengths = st.one_of(st.floats(0.01, 20.0), cli_specials)
+cli_ints = st.one_of(st.integers(-3, 3), st.sampled_from([2**40, -(2**63), 2**70]))
+cli_surfaces = st.sampled_from(["unit-torus", "regular-tetrahedron"])
+
+
+def cli_option(values):
+    """An option that is left out, plausible, or one of ``cli_specials``."""
+    return st.one_of(st.none(), values, cli_specials)
+
+
+def run_cli(argv) -> tuple[int, str]:
+    """main's exit code and stderr; any exception it lets out fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_exit_contract(code: int, err: str) -> None:
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert set(json.loads(err)) == {"error", "message"}
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    cli_surfaces,
+    st.one_of(st.none(), cli_ints),
+    st.one_of(st.floats(0.0, 1.0), cli_specials),
+    st.one_of(st.floats(0.0, 1.0), cli_specials),
+    st.one_of(st.floats(-10.0, 10.0), cli_specials),
+    cli_lengths,
+    cli_option(st.floats(1e-9, 0.5)),
+)
+def test_trace_arguments_exit_0_1_or_2(catalog_dir, name, tri, x, y, angle, length, clearance):
+    argv = ["trace", str(catalog_dir / f"{name}.json"), f"--angle={angle!r}", f"--length={length!r}"]
+    if tri is not None:
+        argv += [f"--tri={tri}", f"--x={x!r}", f"--y={y!r}"]
+    if clearance is not None:
+        argv.append(f"--clearance={clearance!r}")
+    assert_exit_contract(*run_cli(argv))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    cli_surfaces,
+    st.sampled_from([1, 2, 3, 0, -1]),
+    cli_lengths,
+    cli_option(st.floats(1e-3, 1.0)),
+    st.one_of(st.none(), st.integers(0, 2**32), cli_ints),
+    cli_option(st.floats(1e-9, 0.5)),
+)
+def test_scan_arguments_exit_0_1_or_2(catalog_dir, name, n, length, epsilon, seed, clearance):
+    argv = ["scan", str(catalog_dir / f"{name}.json"), f"--n={n}", f"--length={length!r}"]
+    if epsilon is not None:
+        argv.append(f"--epsilon={epsilon!r}")
+    if seed is not None:
+        argv.append(f"--seed={seed}")
+    if clearance is not None:
+        argv.append(f"--clearance={clearance!r}")
+    assert_exit_contract(*run_cli(argv))
 
 
 @pytest.mark.parametrize("corner", [[False, "0"], [0.0, "0"], [True, 0.0], [None, 0.0], [0.0]])

@@ -13,7 +13,10 @@ runs on random polylines; the density band is checked on random chords
 against the dense test.  Flat tori come from random lattices, some of
 them near-collinear.  Ear clipping is checked against the all-vertices
 oracle on random star (4 to 120 vertices) and rectilinear polygons.  The
-runs are derandomized, so the suite sees the same examples every time.
+tracer is checked against its reference loop on the catalog and on a cube
+moved about 1e6 from the origin, with random rays and with rays aimed
+past a cone corner at multiples of the vertex clearance.  The runs are
+derandomized, so the suite sees the same examples every time.
 """
 import functools
 import json
@@ -24,13 +27,15 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_sources_diameter, all_vertices_ear_clip, dense_near_chords, incenter_point
+from conftest import all_sources_diameter, all_vertices_ear_clip, dense_near_chords, incenter_point, reference_trace
 
 from flatgeo.analysis import EVENT_MERGE_TOL, _merge_mask, _near_chords, self_intersections
 from flatgeo.builders import (
+    CATALOG_PARALLEL,
     SQUARE,
     PolygonSpec,
     _ear_clip,
+    catalog,
     cut_and_glue,
     double_of_polygon,
     example2_candidates,
@@ -43,9 +48,11 @@ from flatgeo.geometry import TWO_PI, angle_distance_mod, polygon_area
 from flatgeo.holonomy import holonomy_generators, is_parallel, loop_holonomy, vertex_holonomy
 from flatgeo.errors import DegenerateLattice, FlatgeoError, UnmatchedEdge
 from flatgeo.jsonio import surface_from_json, surface_to_json, trace_from_json, trace_to_json
-from flatgeo.surface import diameter_estimate, gauss_bonnet_check
+from flatgeo.surface import Triangle, build_surface, diameter_estimate, gauss_bonnet_check
 from flatgeo.tracer import (
+    DEFAULT_VERTEX_CLEARANCE,
     LENGTH_REACHED,
+    VERTEX_HIT,
     GeodesicTrace,
     SurfacePoint,
     TangentDirection,
@@ -405,3 +412,79 @@ def test_density_band_matches_dense_on_random_chords(seed, n, bases, clustered, 
     near = P[k] + rng.uniform(0.0, 1.0, (200, 1)) * L[k, None] * D[k] + off[:, None] * normal
     Q = np.vstack((rng.uniform(-size, 2.0 * size, (200, 2)), near))
     assert np.array_equal(_near_chords(Q, tr, 0, epsilon), dense_near_chords(Q, P, D, L, epsilon))
+
+
+@functools.cache
+def oracle_surfaces() -> dict:
+    """The catalog, plus the cube with every chart moved about 1e6 from the origin."""
+    out = dict(catalog())
+    cube = out["cube"]
+    moved = [
+        Triangle(t.id, tuple((x + 1.0e6 + 0.25, y - 7.0e5 + 0.125) for x, y in t.corners))
+        for t in cube.triangles
+    ]
+    out["cube-far"] = build_surface(moved, cube.gluings, cube.tolerance)
+    return out
+
+
+oracle_weights = st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0), st.floats(0.01, 1.0))
+
+
+def chart_point(t, weights):
+    """The point of triangle t with the given (unnormalised) barycentric weights."""
+    s = sum(weights)
+    return tuple(sum(w * c[i] for w, c in zip(weights, t.corners)) / s for i in range(2))
+
+
+def assert_same_trace(s, start, length, clearance):
+    got = trace(s, start, length, clearance)
+    ref = reference_trace(s, start, length, clearance)
+    assert np.array_equal(got.chords, ref.chords)
+    assert got.termination == ref.termination
+    assert got.length == ref.length
+    return got
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(CATALOG_PARALLEL) + ["cube-far"]),
+    st.integers(0, 15),
+    oracle_weights,
+    st.floats(0.0, TWO_PI, exclude_max=True),
+    st.floats(0.5, 40.0),
+)
+def test_trace_matches_the_reference_loop(name, k, weights, angle, length):
+    s = oracle_surfaces()[name]
+    t = s.triangles[k % len(s.triangles)]
+    start = TangentDirection(SurfacePoint(t.id, chart_point(t, weights)), (math.cos(angle), math.sin(angle)))
+    assert_same_trace(s, start, length, DEFAULT_VERTEX_CLEARANCE)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(n for n, s in oracle_surfaces().items() if s.cone_points())),
+    st.integers(0, 63),
+    oracle_weights,
+    st.sampled_from([0.5, 0.99, 1.01, 2.0, 3.0]),
+    st.sampled_from([-1.0, 1.0]),
+    st.sampled_from([DEFAULT_VERTEX_CLEARANCE, 1e-4, 1e-2]),
+)
+def test_trace_matches_the_reference_loop_past_a_cone_corner(name, k, weights, multiple, side, clearance):
+    # The ray from a random point of a chart passes one of its cone corners
+    # at a perpendicular offset of multiple * clearance, on either side.
+    s = oracle_surfaces()[name]
+    corners = [
+        (t, t.corners[i])
+        for t in s.triangles
+        for i in range(3)
+        if s.vertex_classes[s.corner_class[(t.id, i)]].is_cone
+    ]
+    t, c = corners[k % len(corners)]
+    p = chart_point(t, weights)
+    vx, vy = c[0] - p[0], c[1] - p[1]
+    ln = math.hypot(vx, vy)
+    off = side * multiple * clearance / ln
+    d = (vx - off * vy, vy + off * vx)
+    got = assert_same_trace(s, TangentDirection(SurfacePoint(t.id, p), d), 3.0 * ln, clearance)
+    if multiple < 1.0:
+        assert got.termination.kind == VERTEX_HIT

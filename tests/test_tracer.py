@@ -313,9 +313,12 @@ def test_tracer_and_render_use_the_surface_cone_predicate():
     s = build_surface(d.triangles, d.gluings, 1e-6)
     cones = {v.index for v in s.cone_points()}
     assert len(cones) == len(s.vertex_classes) - 1
-    expected = [tuple(s.corner_class[(t.id, k)] in cones for k in range(3)) for t in s.triangles]
-    assert _trace_tables(s).cone == expected
-    assert render_surface(s).count(CONE_COLOR) == sum(map(sum, expected))
+    expected = [
+        tuple((*t.corners[k], s.corner_class[(t.id, k)]) for k in range(3) if s.corner_class[(t.id, k)] in cones)
+        for t in s.triangles
+    ]
+    assert _trace_tables(s).cones == expected
+    assert render_surface(s).count(CONE_COLOR) == sum(map(len, expected))
 
 
 def cube_trace_and_its_json_copy():
