@@ -6,14 +6,17 @@ different classes, or in a wide class, can cross; they are tested at once
 with numpy and the events sorted and merged as the columns of an
 ``IntersectionEvents`` sequence, which builds an ``IntersectionEvent``
 only when one is read.  A scan needs only the earliest crossing, found in
-time-ordered windows of the chords.  A density sample is measured only
-against the chords in its band of each class.  This module is the
-performance core.
+time-ordered windows of the chords.  Density joins every chart's classes
+into one sorted key array per trace: each sample is measured against the
+two chords nearest its offset first, and only the samples still
+uncovered against the chords in their band of each class.  This module is
+the performance core.
 """
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -31,6 +34,7 @@ from .tracer import (
     SurfacePoint,
     TangentDirection,
     VERTEX_HIT,
+    _trace_tables,
     tangent_representatives,
     trace,
 )
@@ -286,48 +290,103 @@ def self_intersections(
 
 @functools.lru_cache(maxsize=1)
 def _sample_points(surface: FlatSurface, samples: int, seed: int):
-    """Area-uniform points: tri id -> read-only (k, 2) array, deterministic
-    in seed.  A scan measures every simple direction against the same set,
-    so the last one is kept."""
+    """Area-uniform points, deterministic in seed: read-only ``(tri, x,
+    y)``, each point's dense triangle index and chart coordinates, in the
+    order drawn.  A scan measures every simple direction against the same
+    set, so the last one is kept."""
+    tab = _trace_tables(surface)
     rng = np.random.default_rng(seed)
-    tris = surface.triangles
-    areas = np.array([t.signed_area() for t in tris])
-    choice = rng.choice(len(tris), size=samples, p=areas / areas.sum())
-    u = np.sqrt(rng.uniform(size=samples))[:, None]
-    v = rng.uniform(size=samples)[:, None]
-    a, b, c = np.array([t.corners for t in tris])[choice].transpose(1, 0, 2)
-    pts = a * (1 - u) + b * (u * (1 - v)) + c * (u * v)
-    order = np.argsort(choice, kind="stable")
-    starts = np.flatnonzero(np.diff(choice[order])) + 1
-    out = {tris[choice[g[0]]].id: pts[g] for g in np.split(order, starts)}
-    for P in out.values():
-        P.flags.writeable = False
+    tri = rng.choice(len(tab.area_p), size=samples, p=tab.area_p)
+    u = np.sqrt(rng.uniform(size=samples))
+    v = rng.uniform(size=samples)
+    a, b, c = tab.corner_xy[:, :, tri]
+    out = (tri, *(a * (1 - u) + b * (u * (1 - v)) + c * (u * v)))
+    for col in out:
+        col.flags.writeable = False
     return out
 
 
-def _near_chords(Q: np.ndarray, trace_: GeodesicTrace, tri: int, epsilon: float) -> np.ndarray:
-    """Which points Q lie within epsilon of chart ``tri``'s chords, by band."""
-    P, D, L, _t0 = trace_.charts[tri]
-    _label, normals, spreads, keys, order = trace_.classes[tri]
-    R = math.sqrt(2.0) * (np.abs(Q).max() + np.abs(P).max())
-    width = epsilon + (math.pi / 2) * spreads * R + 1e-9 * (1.0 + R)
-    off = Q[:, :1] * normals[:, 0] + Q[:, 1:] * normals[:, 1]
-    cls = np.arange(len(normals))
-    lo = np.searchsorted(keys, cls + 1j * (off - width)).ravel()
-    count = np.searchsorted(keys, cls + 1j * (off + width), "right").ravel() - lo
-    # One (sample, chord) pair per band member; columns are gathered 1-D.
-    si = np.repeat(np.arange(len(lo)) // len(normals), count)
-    ci = order[np.arange(count.sum()) + np.repeat(lo + count - np.cumsum(count), count)]
-    ux, uy = D[:, 0][ci], D[:, 1][ci]
-    wx, wy = Q[:, 0][si] - P[:, 0][ci], Q[:, 1][si] - P[:, 1][ci]
-    proj = np.clip(wx * ux + wy * uy, 0.0, L[ci])
+class _ChordIndex:
+    """One trace's charts in flat arrays.  Column k of ``chords`` is a
+    chord's ``(px, py, dx, dy, L)``, chart after chart; chart c's classes
+    are ``base[c]`` to ``base[c] + ncls[c] - 1``, and class g's sorted keys,
+    shifted by the base in their real part, are ``keys[start[g]:end[g]]``,
+    of chords ``order[start[g]:end[g]]``.  ``pmax[c]`` is ``max |P|``."""
+
+    def __init__(self, trace_: GeodesicTrace):
+        self.charts = list(trace_.charts)
+        cls = [trace_.classes[t] for t in self.charts]
+        P, D, L = (np.concatenate([v[k] for v in trace_.charts.values()]) for k in range(3))
+        self.chords = np.vstack((P.T, D.T, L))
+        rows = np.cumsum([0] + [len(c[0]) for c in cls])
+        self.ncls = np.array([len(c[1]) for c in cls])
+        self.base = np.cumsum(self.ncls) - self.ncls
+        self.keys = np.concatenate([c[3] for c in cls]) + np.repeat(self.base, np.diff(rows))
+        self.order = np.concatenate([c[4] for c in cls]) + np.repeat(rows[:-1], np.diff(rows))
+        self.normals, self.spreads = (np.concatenate([c[k] for c in cls]) for k in (1, 2))
+        self.start = np.searchsorted(self.keys.real, np.arange(len(self.spreads)))
+        self.end = np.append(self.start[1:], len(self.keys))
+        self.pmax = np.maximum.reduceat(np.abs(P).max(1), rows[:-1])
+
+
+def _hits(ix: _ChordIndex, qs, qc, qx, qy, epsilon: float, size: int, nearest: bool = False) -> np.ndarray:
+    """Which of ``size`` samples lie within epsilon of a chord: query k,
+    sample ``qs[k]`` at ``(qx[k], qy[k])`` in chart ``qc[k]``, is measured
+    in each class of its chart against the chords in its band, or with
+    ``nearest`` against the two next to its offset."""
+    n = ix.ncls[qc]
+    qi = np.repeat(np.arange(len(qc)), n)
+    g = ix.base[qc][qi] + np.arange(len(qi)) - np.repeat(np.cumsum(n) - n, n)
+    x, y = qx[qi], qy[qi]
+    off = x * ix.normals[g, 0] + y * ix.normals[g, 1]
+    if nearest:
+        start, end = ix.start[g], ix.end[g]
+        lo = np.clip(np.searchsorted(ix.keys, g + 1j * off) - 1, start, np.maximum(end - 2, start))
+        count = np.minimum(end - start, 2)
+    else:
+        R = math.sqrt(2.0) * (np.maximum(np.abs(x), np.abs(y)) + ix.pmax[qc[qi]])
+        width = epsilon + (math.pi / 2) * ix.spreads[g] * R + 1e-9 * (1.0 + R)
+        lo = np.searchsorted(ix.keys, g + 1j * (off - width))
+        count = np.searchsorted(ix.keys, g + 1j * (off + width), "right") - lo
+    # One (query, chord) pair per chord measured.
+    ci = ix.order[np.arange(count.sum()) + np.repeat(lo + count - np.cumsum(count), count)]
+    px, py, ux, uy, L = np.take(ix.chords, ci, 1)
+    wx, wy = np.repeat(x, count) - px, np.repeat(y, count) - py
+    proj = np.clip(wx * ux + wy * uy, 0.0, L)
     dx, dy = wx - proj * ux, wy - proj * uy
-    return np.bincount(si[np.sqrt(dx * dx + dy * dy) < epsilon], minlength=len(Q)) > 0
+    hit = np.zeros(size, dtype=bool)
+    hit[np.repeat(qs[qi], count)[np.sqrt(dx * dx + dy * dy) < epsilon]] = True
+    return hit
 
 
-def _check_density_args(epsilon: float, samples: int) -> None:
+def _check_density_args(epsilon: float, samples: int, seed: int) -> None:
     if not 0.0 < epsilon < math.inf or samples <= 0:
         raise ValueError("epsilon must be positive and finite, samples positive")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
+def _covered(surface: FlatSurface, trace_: GeodesicTrace, epsilon: float, samples: int, seed: int) -> np.ndarray:
+    """Whether each point of ``_sample_points``, in its order, lies within
+    epsilon of the trace, as ``density_estimate`` counts it."""
+    tri, x, y = _sample_points(surface, samples, seed)
+    if not trace_.charts:
+        return np.zeros(samples, dtype=bool)
+    ix, tab = _ChordIndex(trace_), _trace_tables(surface)
+    chart_of = np.full(len(tab.area_p), -1)
+    chart_of[[tab.id2dense[t] for t in ix.charts]] = np.arange(len(ix.charts))
+    own = chart_of[tri]
+    s = np.flatnonzero(own >= 0)
+    hit = _hits(ix, s, own[s], x[s], y[s], epsilon, samples, nearest=True)
+    # The points still uncovered, in their own chart and their images.
+    s = np.flatnonzero(~hit)
+    img = chart_of[tab.targets[tri[s]]]
+    k, e = np.nonzero(img >= 0)
+    t, m = s[k], tab.mats[tri[s[k]], e].T
+    s = s[own[s] >= 0]
+    qx = np.concatenate((x[s], m[0] * x[t] + m[1] * y[t] + m[4]))
+    qy = np.concatenate((y[s], m[2] * x[t] + m[3] * y[t] + m[5]))
+    return hit | _hits(ix, np.concatenate((s, t)), np.concatenate((own[s], img[k, e])), qx, qy, epsilon, samples)
 
 
 def density_estimate(
@@ -342,34 +401,19 @@ def density_estimate(
     Distances are measured in the sample's own chart and, through each of
     its gluings, one transition deep; points near the trace only across
     two or more transitions are undercounted, so the estimate is
-    conservative.  A point q is measured against the chords of a direction
-    class (normal n, spread s) only in its band ``|n.q - n.P| <= epsilon +
-    (pi/2) s R + 1e-9 (1 + R)``, where ``R >= |q| + |P| >= |q - P|``: the
-    distance to a chord is at least ``|n_k.(q - P)|`` and ``|n -+ n_k| <=
-    (pi/2) s``, so the verdicts equal those of measuring every chord.
+    conservative.  Each sample is first measured in its own chart against
+    the two chords next to its offset in each direction class; only the
+    samples still uncovered are measured, in all four charts, against the
+    chords in their band ``|n.q - n.P| <= epsilon + (pi/2) s R + 1e-9 (1 +
+    R)`` of each class (normal n, spread s), with ``R = sqrt(2) (max(|qx|,
+    |qy|) + max |P|) >= |q| + |P| >= |q - P|``.  The distance to a chord is
+    at least ``|n_k.(q - P)|`` and ``|n -+ n_k| <= (pi/2) s``, so the band
+    holds every chord within epsilon; each distance is the same expression
+    in either round, so the verdicts equal those of measuring every chord.
     """
-    _check_density_args(epsilon, samples)
-    charts = trace_.charts
-    pts = _sample_points(surface, samples, seed)
-    covered = 0
-    for tri_id, P in pts.items():
-        hit = np.zeros(len(P), dtype=bool)
-        if tri_id in charts:
-            hit |= _near_chords(P, trace_, tri_id, epsilon)
-        for e in range(3):
-            if np.all(hit):
-                break
-            ref, iso = surface.edge_transition(tri_id, e)
-            if ref.tri not in charts:
-                continue
-            m = iso.matrix()
-            Q = np.empty_like(P)
-            Q[:, 0] = m[0] * P[:, 0] + m[1] * P[:, 1] + m[4]
-            Q[:, 1] = m[2] * P[:, 0] + m[3] * P[:, 1] + m[5]
-            todo = ~hit
-            hit[todo] = _near_chords(Q[todo], trace_, ref.tri, epsilon)
-        covered += int(np.count_nonzero(hit))
-    return DensityReport(epsilon, samples, covered / samples)
+    _check_density_args(epsilon, samples, seed)
+    covered = _covered(surface, trace_, epsilon, samples, seed)
+    return DensityReport(epsilon, samples, int(np.count_nonzero(covered)) / samples)
 
 
 def closed_geodesic_detect(surface: FlatSurface, trace_: GeodesicTrace) -> float | None:
@@ -527,7 +571,7 @@ def direction_scan(
     """
     if not 1 <= n <= MAX_DIRECTIONS:
         raise ValueError(f"n must be between 1 and {MAX_DIRECTIONS}, got {n}")
-    _check_density_args(epsilon, density_samples)
+    _check_density_args(epsilon, density_samples, seed)
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, n)
     rows: list[DirectionVerdict] = []

@@ -188,7 +188,8 @@ class GeodesicTrace:
 
 
 class _TraceTables:
-    """Per-triangle data for the step loop, as plain floats in tuples.
+    """Per-triangle data for the step loop, as plain floats in tuples, and
+    for density, as arrays.
 
     Rows are indexed by dense triangle index.  ``exits[i][entry]`` holds
     the candidate exit edges of a chord that entered triangle i through
@@ -202,7 +203,9 @@ class _TraceTables:
     tgt_edge, m00, m01, m10, m11, tx, ty, ax, ay, ux, uy, length)``: the
     triangle and edge that edge e is glued to, the chart-to-chart
     isometry, and the target edge's start, unit direction and length, to
-    which the crossing point is snapped.
+    which the crossing point is snapped.  Density reads the area
+    probabilities ``area_p``, the corners ``corner_xy`` (3, 2, T), and each
+    edge's target triangle ``targets`` (T, 3) and matrix ``mats`` (T, 3, 6).
     """
 
     def __init__(self, surface: FlatSurface):
@@ -234,6 +237,11 @@ class _TraceTables:
                 tgt = self.id2dense[ref.tri]
                 row.append((tgt, ref.edge, *iso.matrix(), *snap[3 * tgt + ref.edge]))
             self.crossings.append(tuple(row))
+        areas = np.array([t.signed_area() for t in tris])
+        self.area_p = areas / areas.sum()
+        self.corner_xy = np.array(snap)[:, :2].reshape(-1, 3, 2).transpose(1, 2, 0).copy()
+        self.targets = np.array([[c[0] for c in row] for row in self.crossings])
+        self.mats = np.array([[c[2:8] for c in row] for row in self.crossings])
         self.scale = max(e[4] for e in snap)
         self.min_height = min(
             2.0 * t.signed_area() / max(t.edge_length(k) for k in range(3)) for t in tris

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from flatgeo import analysis
 from flatgeo.builders import catalog
 from flatgeo.errors import NonSimplePolygon, PointOutsideTriangle
 from flatgeo.geometry import cross, norm, normalize, polygon_area, segments_intersect
@@ -79,6 +80,14 @@ def dense_near_chords(Q, P, D, L, epsilon):
     dx = W[:, :, 0] - proj * D[None, :, 0]
     dy = W[:, :, 1] - proj * D[None, :, 1]
     return np.sqrt(np.min(dx * dx + dy * dy, axis=1)) < epsilon
+
+
+def band_hits(trace_, chart, Q, epsilon, nearest=False):
+    """``analysis._hits`` on one chart's query set: point k of Q is sample
+    k, in chart ``chart`` (a triangle id) of the trace."""
+    ix = analysis._ChordIndex(trace_)
+    n = len(Q)
+    return analysis._hits(ix, np.arange(n), np.full(n, ix.charts.index(chart)), Q[:, 0], Q[:, 1], epsilon, n, nearest)
 
 
 def all_sources_diameter(surface) -> float:
@@ -391,3 +400,68 @@ def reference_trace(
     else:
         term = Termination(LEFT_DOMAIN, message="step budget exceeded")
     return GeodesicTrace._from_rows(norm_start, rows, acc, term)
+
+
+def reference_sample_points(surface: FlatSurface, samples: int, seed: int) -> dict:
+    """Area-uniform points: tri id -> (k, 2) array, as density_estimate
+    draws them (the same rng calls), grouped by triangle."""
+    rng = np.random.default_rng(seed)
+    tris = surface.triangles
+    areas = np.array([t.signed_area() for t in tris])
+    choice = rng.choice(len(tris), size=samples, p=areas / areas.sum())
+    u = np.sqrt(rng.uniform(size=samples))[:, None]
+    v = rng.uniform(size=samples)[:, None]
+    a, b, c = np.array([t.corners for t in tris])[choice].transpose(1, 0, 2)
+    pts = a * (1 - u) + b * (u * (1 - v)) + c * (u * v)
+    order = np.argsort(choice, kind="stable")
+    starts = np.flatnonzero(np.diff(choice[order])) + 1
+    return {tris[choice[g[0]]].id: pts[g] for g in np.split(order, starts)}
+
+
+def reference_near_chords(Q, trace_: GeodesicTrace, tri: int, epsilon: float) -> np.ndarray:
+    """Which points Q lie within epsilon of chart ``tri``'s chords, by band,
+    with one R for all of Q."""
+    P, D, L, _t0 = trace_.charts[tri]
+    _label, normals, spreads, keys, order = trace_.classes[tri]
+    R = math.sqrt(2.0) * (np.abs(Q).max() + np.abs(P).max())
+    width = epsilon + (math.pi / 2) * spreads * R + 1e-9 * (1.0 + R)
+    off = Q[:, :1] * normals[:, 0] + Q[:, 1:] * normals[:, 1]
+    cls = np.arange(len(normals))
+    lo = np.searchsorted(keys, cls + 1j * (off - width)).ravel()
+    count = np.searchsorted(keys, cls + 1j * (off + width), "right").ravel() - lo
+    si = np.repeat(np.arange(len(lo)) // len(normals), count)
+    ci = order[np.arange(count.sum()) + np.repeat(lo + count - np.cumsum(count), count)]
+    ux, uy = D[:, 0][ci], D[:, 1][ci]
+    wx, wy = Q[:, 0][si] - P[:, 0][ci], Q[:, 1][si] - P[:, 1][ci]
+    proj = np.clip(wx * ux + wy * uy, 0.0, L[ci])
+    dx, dy = wx - proj * ux, wy - proj * uy
+    return np.bincount(si[np.sqrt(dx * dx + dy * dy) < epsilon], minlength=len(Q)) > 0
+
+
+def reference_density(surface: FlatSurface, trace_: GeodesicTrace, epsilon: float, samples: int, seed: int):
+    """Reference for ``density_estimate``: each sampled triangle in turn,
+    its samples measured by band in their own chart, then through each
+    gluing in the neighbour's chart while some are uncovered.  Returns the
+    covered fraction and the per-sample verdicts, triangle by triangle in
+    the order ``reference_sample_points`` groups them."""
+    charts = trace_.charts
+    verdicts = []
+    for tri_id, P in reference_sample_points(surface, samples, seed).items():
+        hit = np.zeros(len(P), dtype=bool)
+        if tri_id in charts:
+            hit |= reference_near_chords(P, trace_, tri_id, epsilon)
+        for e in range(3):
+            if np.all(hit):
+                break
+            ref, iso = surface.edge_transition(tri_id, e)
+            if ref.tri not in charts:
+                continue
+            m = iso.matrix()
+            Q = np.empty_like(P)
+            Q[:, 0] = m[0] * P[:, 0] + m[1] * P[:, 1] + m[4]
+            Q[:, 1] = m[2] * P[:, 0] + m[3] * P[:, 1] + m[5]
+            todo = ~hit
+            hit[todo] = reference_near_chords(Q[todo], trace_, ref.tri, epsilon)
+        verdicts.append(hit)
+    verdicts = np.concatenate(verdicts)
+    return int(np.count_nonzero(verdicts)) / samples, verdicts

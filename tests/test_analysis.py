@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import dense_near_chords, edge_midpoint_tangent, incenter_point
+from conftest import band_hits, dense_near_chords, edge_midpoint_tangent, incenter_point
 
 import flatgeo.analysis as analysis
 from flatgeo.analysis import (
@@ -350,7 +350,9 @@ def assert_band_matches_dense(s, tr, epsilon, samples, seed=1):
     sample's own chart and in each neighbour's, as density_estimate
     measures them; returns (samples within epsilon, samples tested)."""
     near = tested = 0
-    for tri, P in analysis._sample_points(s, samples, seed).items():
+    dense_tri, x, y = analysis._sample_points(s, samples, seed)
+    for d in np.unique(dense_tri):
+        tri, P = s.triangles[d].id, np.column_stack((x[dense_tri == d], y[dense_tri == d]))
         frames = [(tri, P)]
         for e in range(3):
             ref, iso = s.edge_transition(tri, e)
@@ -361,7 +363,7 @@ def assert_band_matches_dense(s, tr, epsilon, samples, seed=1):
             if chart not in tr.charts:
                 continue
             cP, cD, cL, _t0 = tr.charts[chart]
-            band = analysis._near_chords(Q, tr, chart, epsilon)
+            band = band_hits(tr, chart, Q, epsilon)
             assert np.array_equal(band, dense_near_chords(Q, cP, cD, cL, epsilon))
             near += int(np.count_nonzero(band))
             tested += len(Q)
@@ -486,6 +488,22 @@ def test_scan_rejects_n_out_of_range_before_tracing(monkeypatch):
     for n in (0, MAX_DIRECTIONS + 1):
         with pytest.raises(ValueError):
             direction_scan(s, SurfacePoint(0, (0.4, 0.25)), n, 1.0, 0.05, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_negative_or_fractional_seed_is_named_before_tracing(monkeypatch, seed):
+    s = flat_torus((1.0, 0.0), (0.0, 1.0))
+    tr = trace(s, TangentDirection(SurfacePoint(0, (0.4, 0.25)), (1.0, 0.0)), 1.0)
+
+    def no_trace(*args):
+        raise AssertionError("traced a direction")
+
+    monkeypatch.setattr(analysis, "trace", no_trace)
+    message = f"seed must be a non-negative integer, got {seed}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        direction_scan(s, SurfacePoint(0, (0.4, 0.25)), 1, 1.0, 0.05, seed=seed)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        density_estimate(s, tr, 0.05, 100, seed)
 
 
 def test_scan_cube_majority_self_intersecting():

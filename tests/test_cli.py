@@ -122,6 +122,14 @@ def test_non_utf8_surface_exit_2(catalog_dir, tmp_path, capsys, head):
     assert err["message"].startswith("surface file is not UTF-8")
 
 
+def test_negative_scan_seed_names_the_seed(catalog_dir, capsys):
+    assert main(["scan", str(catalog_dir / "unit-torus.json"), "--n", "1", "--length", "1.0", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert json.loads(captured.err) == {"error": "ValueError", "message": "seed must be a non-negative integer, got -1"}
+
+
 # Values for the CLI's number options: each is a plausible value or one of
 # the non-finite, signed-zero, huge, tiny and negative ones.  Plausible
 # lengths stop at 20 so that an accepted trace or scan stays short; 1e12

@@ -10,7 +10,8 @@ double or of a star double, patched with regular polygons.  Events and
 traces are drawn from random directions on the catalog's
 two-direction-class surfaces, and the earliest-only event search also
 runs on random polylines; the density band is checked on random chords
-against the dense test.  Flat tori come from random lattices, some of
+against the dense test, and ``density_estimate`` against its per-triangle
+reference loop on the catalog and the far cube.  Flat tori come from random lattices, some of
 them near-collinear.  Ear clipping is checked against the all-vertices
 oracle on random star (4 to 120 vertices) and rectilinear polygons.  The
 tracer is checked against its reference loop on the catalog and on a cube
@@ -27,9 +28,25 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_sources_diameter, all_vertices_ear_clip, dense_near_chords, incenter_point, reference_trace
+from conftest import (
+    all_sources_diameter,
+    all_vertices_ear_clip,
+    band_hits,
+    dense_near_chords,
+    incenter_point,
+    reference_density,
+    reference_sample_points,
+    reference_trace,
+)
 
-from flatgeo.analysis import EVENT_MERGE_TOL, _merge_mask, _near_chords, self_intersections
+from flatgeo.analysis import (
+    EVENT_MERGE_TOL,
+    _covered,
+    _merge_mask,
+    _sample_points,
+    density_estimate,
+    self_intersections,
+)
 from flatgeo.builders import (
     CATALOG_PARALLEL,
     SQUARE,
@@ -411,7 +428,10 @@ def test_density_band_matches_dense_on_random_chords(seed, n, bases, clustered, 
     normal = D[k, ::-1] * (-1.0, 1.0)
     near = P[k] + rng.uniform(0.0, 1.0, (200, 1)) * L[k, None] * D[k] + off[:, None] * normal
     Q = np.vstack((rng.uniform(-size, 2.0 * size, (200, 2)), near))
-    assert np.array_equal(_near_chords(Q, tr, 0, epsilon), dense_near_chords(Q, P, D, L, epsilon))
+    band = band_hits(tr, 0, Q, epsilon)
+    assert np.array_equal(band, dense_near_chords(Q, P, D, L, epsilon))
+    # A nearest-first hit is a hit of the full band.
+    assert not np.any(band_hits(tr, 0, Q, epsilon, nearest=True) & ~band)
 
 
 @functools.cache
@@ -488,3 +508,35 @@ def test_trace_matches_the_reference_loop_past_a_cone_corner(name, k, weights, m
     got = assert_same_trace(s, TangentDirection(SurfacePoint(t.id, p), d), 3.0 * ln, clearance)
     if multiple < 1.0:
         assert got.termination.kind == VERTEX_HIT
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(oracle_surfaces())),
+    st.integers(0, 15),
+    oracle_weights,
+    st.floats(0.0, TWO_PI, exclude_max=True),
+    st.floats(-1.0, 2.0),
+    st.floats(-3.0, 0.0),
+    st.integers(100, 3000),
+    st.integers(0, 2**32),
+)
+@example("unit-torus", 0, (1.0, 1.0, 1.0), 0.3, 0.0, -1.3, 1, 0)
+def test_density_matches_the_reference_loop(name, k, weights, angle, log_diameters, log_epsilon, samples, seed):
+    # Traces of 0.1 to 100 diameters from a random point of a random chart,
+    # epsilon from 1e-3 to 1, 100 to 3000 samples (and one): the same
+    # samples, and the same verdict for every one of them, as the
+    # per-triangle band loop.
+    s = oracle_surfaces()[name]
+    t = s.triangles[k % len(s.triangles)]
+    start = TangentDirection(SurfacePoint(t.id, chart_point(t, weights)), (math.cos(angle), math.sin(angle)))
+    tr = trace(s, start, 10.0**log_diameters * diameter_estimate(s))
+    epsilon = 10.0**log_epsilon
+    fraction, verdicts = reference_density(s, tr, epsilon, samples, seed)
+    assert density_estimate(s, tr, epsilon, samples, seed).covered_fraction == fraction
+    tri, x, y = _sample_points(s, samples, seed)
+    order = np.argsort(tri, kind="stable")  # the reference's grouping by triangle
+    ref = reference_sample_points(s, samples, seed)
+    assert np.array_equal(np.column_stack((x, y))[order], np.concatenate(list(ref.values())))
+    assert [s.triangles[d].id for d in np.unique(tri)] == list(ref)
+    assert np.array_equal(_covered(s, tr, epsilon, samples, seed)[order], verdicts)
