@@ -31,9 +31,38 @@ from .geometry import (
     normalize,
     point_segment_distance,
     polygon_area,
-    segments_intersect,
 )
 from .surface import EdgeRef, FlatSurface, Gluing, Triangle, build_surface
+
+
+# Row-by-edge cells of one block of validate's bounding-box test.
+_PAIR_BLOCK = 1 << 16
+
+
+def _edges_intersect(xy, i, j) -> np.ndarray:
+    """``segments_intersect(pts[i], pts[i + 1], pts[j], pts[(j + 1) % n])``
+    at ``tol = 0`` for index arrays i < n - 1 and j.  Its four orientations
+    and four on-segment tests share their corner triples (a, b, c), so each
+    expression runs once over all four, operand for operand.  ``on_seg`` is
+    ``wx - t * vx == 0 and wy - t * vy == 0``, which is where its hypot is
+    at most 0, with ``t`` clamped as ``max(0.0, min(1.0, ...))`` clamps it
+    (NaN to 1)."""
+    n = len(xy)
+    i1, j1 = i + 1, (j + 1) % n
+    (ax, ay), (bx, by), (cx, cy) = (
+        xy[np.array(k)].transpose(2, 0, 1) for k in ((i, i, j, j), (i1, i1, j1, j1), (j, j1, i, i1))
+    )
+    with np.errstate(all="ignore"):
+        vx, vy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay
+        o = vx * wy - vy * wx
+        pos = o > 0
+        proper = (pos[0] != pos[1]) & (pos[2] != pos[3]) & (o != 0).all(axis=0)
+        denom = vx * vx + vy * vy
+        t = (wx * vx + wy * vy) / denom
+        t = np.where(t < 1.0, t, 1.0)
+        t = np.where((t > 0.0) & (denom != 0.0), t, 0.0)
+        on_seg = (wx - t * vx == 0.0) & (wy - t * vy == 0.0)
+    return proper | on_seg.any(axis=0)
 
 
 @dataclass(frozen=True)
@@ -65,18 +94,24 @@ class PolygonSpec:
             if norm(b[0] - a[0], b[1] - a[1]) == 0.0:
                 raise NonSimplePolygon("zero-length polygon edge")
         # Only edge pairs whose padded bounding boxes overlap can pass the
-        # exact test: the pad is far above its rounding.  Testing those in
-        # (i, j) order finds the first failing pair of the all-pairs loop.
+        # exact test: the pad is far above its rounding.  Each block of rows
+        # tests its candidate pairs at once, in (i, j) order, so the first
+        # failing pair is that of the all-pairs loop.
         ends = np.roll(xy, -1, axis=0)
         pad = 1e-9 * (1.0 + np.abs(xy).max())
         (x0, y0), (x1, y1) = (np.minimum(xy, ends) - pad).T, (np.maximum(xy, ends) + pad).T
-        # Whole rows keep every temporary one size, so numpy's cache of
-        # small blocks keeps a few of them, not a few of every length.
-        for i in range(n - 2):
-            near = (x0 <= x1[i]) & (x1 >= x0[i]) & (y0 <= y1[i]) & (y1 >= y0[i])
-            for j in (np.flatnonzero(near[i + 2 : n - 1 if i == 0 else n]) + i + 2).tolist():
-                if segments_intersect(pts[i], pts[i + 1], pts[j], pts[(j + 1) % n]):
-                    raise NonSimplePolygon(f"boundary edges {i} and {j} intersect")
+        step = max(1, _PAIR_BLOCK // n)
+        for r in range(0, n - 2, step):
+            rows = np.arange(r, min(r + step, n - 2))[:, None]
+            near = (x0 <= x1[rows]) & (x1 >= x0[rows]) & (y0 <= y1[rows]) & (y1 >= y0[rows])
+            near &= np.arange(n) >= rows + 2
+            if r == 0:
+                near[0, n - 1] = False  # edges 0 and n - 1 share vertex 0
+            i, j = np.nonzero(near)
+            i += r
+            hit = np.flatnonzero(_edges_intersect(xy, i, j))
+            if len(hit):
+                raise NonSimplePolygon(f"boundary edges {i[hit[0]]} and {j[hit[0]]} intersect")
 
     def perimeter(self) -> float:
         pts = self.vertices

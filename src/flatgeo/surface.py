@@ -123,7 +123,9 @@ class FlatSurface:
     isometry into the root chart (``chart_to_root``).  A triangle's
     orientation sign is the ``reflect`` bit of its chart-to-root isometry,
     because every reversed gluing's transition is a reflection.  The
-    corner fans (:meth:`corner_fan`) then give the vertex classes.
+    corner fans (:meth:`_fan_steps`) then give the vertex classes.  A fan
+    steps by each crossing's ``reflect`` bit alone; only :meth:`corner_fan`,
+    which holonomy and the tracer read, composes the isometries.
 
     Both walks read ``crossings``, one entry per oriented edge: the edge
     it lands on and the isometry from its chart to that edge's chart.
@@ -189,6 +191,28 @@ class FlatSurface:
             path.append(gi)
         return path[::-1]
 
+    def _fan_steps(self, tri_id: int, corner: int):
+        """Walk once around the vertex at a triangle corner, one gluing per step.
+
+        Yields ``(tri_id, corner, step)`` for each corner reached, with
+        ``step`` the isometry of the gluing just crossed.  The walk ends at
+        the start corner.
+        """
+        # A germ is one end of one edge: (triangle id, edge index, end in {0,1}).
+        # End 0 sits at the edge's start corner, end 1 at its end corner.
+        start = (tri_id, corner, 0)
+        germ = start
+        while True:
+            t, e, end = germ
+            other, step = self.crossings[(t, e)]
+            end = end if step.reflect else 1 - end
+            # Arrived at one end of other.edge; leave by the corner's other edge.
+            k = (other.edge + end) % 3
+            germ = (other.tri, (k - 1) % 3, 1) if end == 0 else (other.tri, k, 0)
+            yield other.tri, k, step
+            if germ == start:
+                return
+
     def corner_fan(self, tri_id: int, corner: int):
         """Walk once around the vertex at a triangle corner, one gluing per step.
 
@@ -197,22 +221,10 @@ class FlatSurface:
         ends at the start corner, so the last ``iso`` is the holonomy of
         the loop around the vertex.
         """
-        # A germ is one end of one edge: (triangle id, edge index, end in {0,1}).
-        # End 0 sits at the edge's start corner, end 1 at its end corner.
-        start = (tri_id, corner, 0)
-        germ = start
         iso = PlaneIsometry.identity()
-        while True:
-            t, e, end = germ
-            other, step = self.crossings[(t, e)]
+        for t, k, step in self._fan_steps(tri_id, corner):
             iso = step.compose(iso)
-            end = end if step.reflect else 1 - end
-            # Arrived at one end of other.edge; leave by the corner's other edge.
-            k = (other.edge + end) % 3
-            germ = (other.tri, (k - 1) % 3, 1) if end == 0 else (other.tri, k, 0)
-            yield other.tri, k, iso
-            if germ == start:
-                return
+            yield t, k, iso
 
     def _walk_vertex_classes(self) -> None:
         classes: list[VertexClass] = []
@@ -221,7 +233,8 @@ class FlatSurface:
             for k in range(3):
                 if (t.id, k) in corner_class:
                     continue
-                fan = [(tri_id, c) for tri_id, c, _iso in self.corner_fan(t.id, k)]
+                # Only the corners are read, so the fan's isometries are not composed.
+                fan = [(tri_id, c) for tri_id, c, _step in self._fan_steps(t.id, k)]
                 cycle = [fan[-1]] + fan[:-1]
                 angle = 0.0
                 for tri_id, c in cycle:
@@ -374,11 +387,18 @@ def gauss_bonnet_check(surface: FlatSurface) -> float:
     return abs(total - TWO_PI * surface.euler_characteristic)
 
 
-def _dijkstra(edges: list[list[tuple[int, float]]], src: int) -> np.ndarray:
-    """Shortest-path distances from ``src`` over an adjacency list."""
+# A centroid folds out of the diameter graph when each of its spoke
+# margins r_a + r_b - e_ab exceeds this times D (see diameter_estimate).
+CENTROID_FOLD_REL = 4 * 2.0**-53
+
+
+def _dijkstra(edges: list[list[tuple[int, float]]], seeds: list[tuple[int, float]]) -> list[float]:
+    """Shortest-path distances from the ``(node, distance)`` seeds."""
     dist = [math.inf] * len(edges)
-    dist[src] = 0.0
-    heap = [(0.0, src)]
+    for u, d in seeds:
+        dist[u] = min(dist[u], d)
+    heap = [(d, u) for u, d in seeds]
+    heapq.heapify(heap)
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
@@ -388,7 +408,51 @@ def _dijkstra(edges: list[list[tuple[int, float]]], src: int) -> np.ndarray:
             if nd < dist[w]:
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
-    return np.array(dist)
+    return dist
+
+
+def _skeleton(surface: FlatSurface):
+    """The diameter graph on the vertex classes and the kept centroids.
+
+    Returns ``(edges, corner, spoke, kept)``: adjacency lists of the
+    vertex classes (nodes ``0..V-1``) and of the kept centroids (node
+    ``V + i`` for triangle ``kept[i]``), and each triangle's corner classes
+    and spokes, both ``(T, 3)``.  Parallel edges merge to their minimum and
+    self-loops drop out.
+    """
+    nv = len(surface.vertex_classes)
+    rows = []
+    for t in surface.triangles:
+        (ax, ay), (bx, by), (qx, qy) = t.corners
+        cx = sum(p[0] for p in t.corners) / 3.0
+        cy = sum(p[1] for p in t.corners) / 3.0
+        rows.append((
+            *(surface.corner_class[(t.id, k)] for k in range(3)),
+            norm(ax - cx, ay - cy), norm(bx - cx, by - cy), norm(qx - cx, qy - cy),
+            norm(bx - ax, by - ay), norm(qx - bx, qy - by), norm(ax - qx, ay - qy),
+        ))
+    table = np.array(rows)
+    corner, spoke, length = table[:, :3].astype(np.intp), table[:, 3:6], table[:, 6:]
+    ahead = np.roll(spoke, -1, axis=1)
+    # D: twice the total weight of the full graph (see diameter_estimate).
+    bound = 2.0 * (float(spoke.sum()) + float(length.sum()))
+    kept = np.flatnonzero(((spoke + ahead) - length <= CENTROID_FOLD_REL * bound).any(axis=1))
+
+    merged: dict[tuple[int, int], float] = {}
+    ends = zip(corner.ravel().tolist(), np.roll(corner, -1, axis=1).ravel().tolist())
+    for (u, w), d in zip(ends, length.ravel().tolist()):
+        if u != w:
+            key = (u, w) if u < w else (w, u)
+            merged[key] = min(merged.get(key, d), d)
+    edges: list[list[tuple[int, float]]] = [[] for _ in range(nv + len(kept))]
+    for (u, w), d in merged.items():
+        edges[u].append((w, d))
+        edges[w].append((u, d))
+    for c, i in enumerate(kept.tolist(), start=nv):
+        for u, d in zip(corner[i].tolist(), spoke[i].tolist()):
+            edges[c].append((u, d))
+            edges[u].append((c, d))
+    return edges, corner, spoke, kept
 
 
 def diameter_estimate(surface: FlatSurface) -> float:
@@ -396,7 +460,10 @@ def diameter_estimate(surface: FlatSurface) -> float:
 
     Shortest paths are measured through triangle corners and centroids
     only, so the value overestimates the true intrinsic diameter but
-    scales with it; used to pick experiment lengths.
+    scales with it; used to pick experiment lengths.  The graph's nodes
+    are the vertex classes and one centroid per triangle; its edges are
+    the triangle edges and the spokes ``r_k`` from each centroid to its
+    corners.
 
     The value is the largest eccentricity over all nodes, but Dijkstra
     runs only from nodes that can still reach it (Takes & Kosters 2011).
@@ -410,23 +477,39 @@ def diameter_estimate(surface: FlatSurface) -> float:
     relative n * 2**-53 of the exact graph distance, far below 1e-9.  So
     the triangle inequality ``ecc(w) <= ecc(v) + d(v, w)`` puts a skipped
     node's own computed eccentricity below ``best``.
-    """
-    # Nodes: the vertex classes, then one centroid per triangle.
-    n = len(surface.vertex_classes) + len(surface.triangles)
-    edges: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for c, t in enumerate(surface.triangles, start=len(surface.vertex_classes)):
-        cx = sum(p[0] for p in t.corners) / 3.0
-        cy = sum(p[1] for p in t.corners) / 3.0
-        for k in range(3):
-            vk = surface.corner_class[(t.id, k)]
-            vk1 = surface.corner_class[(t.id, (k + 1) % 3)]
-            for u, w, d in (
-                (c, vk, norm(t.corners[k][0] - cx, t.corners[k][1] - cy)),
-                (vk, vk1, t.edge_length(k)),
-            ):
-                edges[u].append((w, d))
-                edges[w].append((u, d))
 
+    Each run's Dijkstra visits the vertex classes and only the centroids
+    that could shorten a path (``_skeleton``); the others get
+    ``min_k(d[v_k] + r_k)`` afterwards, and such a centroid as a source
+    seeds its corners with its spokes.  Every distance stays bit-identical:
+
+    - Float addition is monotone (``a <= b`` gives ``fl(a + w) <= fl(b +
+      w)``) and never decreases a sum (``fl(a + w) >= a``), so Dijkstra
+      computes the least fixed point: each node's distance is the least
+      left-to-right float sum over all walks to it.  Merging parallel
+      edges to their minimum and dropping self-loops leaves every least sum.
+    - Let a least walk reach vertex v_a with sum x and go on through
+      centroid c to v_b.  It reaches v_b with ``fl(fl(x + r_a) + r_b) >=
+      S (1 - 2u)``, where ``S = x + r_a + r_b`` and u = 2**-53; the edge
+      gives ``fl(x + e_ab) <= (x + e_ab)(1 + u)``.  So the edge is no
+      longer when ``r_a + r_b - e_ab >= 3uS``, and by monotonicity neither
+      is the rest of the walk: c is not needed.
+    - S is at most ``(1 + u)**2`` times the walk's final sum, and no
+      computed distance exceeds ``(1 + nu)`` times the total edge weight W
+      (the float sum along a simple path), so S < D = 2W.  A centroid folds
+      out only when each computed margin ``m = fl(fl(r_a + r_b) - e_ab)``
+      exceeds 4uD.  Its two roundings leave an exact margin of at least
+      ``m (1 - u) - u (r_a + r_b) > 4uD (1 - u) - uD/2 > 3uD``.
+    - The least sum to a folded-out centroid ends with one spoke,
+      ``min_k fl(d[v_k] + r_k)``; a kept centroid, whose only edges are its
+      spokes, gets the same value from Dijkstra.
+    """
+    edges, corner, spoke, kept = _skeleton(surface)
+    nv = len(surface.vertex_classes)
+    # Node ids: the vertex classes, then one centroid per triangle.
+    node = np.concatenate((np.arange(nv), np.full(len(spoke), -1)))
+    node[nv + kept] = np.arange(nv, nv + len(kept))
+    n = len(node)
     upper = np.full(n, math.inf)
     lower = np.zeros(n)
     live = np.ones(n, dtype=bool)
@@ -434,7 +517,13 @@ def diameter_estimate(surface: FlatSurface) -> float:
     src = 0
     for run in range(n):
         live[src] = False
-        dist = _dijkstra(edges, src)
+        if node[src] >= 0:
+            seeds = [(int(node[src]), 0.0)]
+        else:  # a folded-out centroid
+            seeds = list(zip(corner[src - nv].tolist(), spoke[src - nv].tolist()))
+        d = np.array(_dijkstra(edges, seeds)[:nv])
+        dist = np.concatenate((d, (d[corner] + spoke).min(axis=1)))
+        dist[src] = 0.0
         ecc = dist.max()
         best = max(best, float(ecc))
         np.minimum(upper, ecc + dist, out=upper)

@@ -183,7 +183,8 @@ class GeodesicTrace:
                 spreads.append(cross[mine].max())
             n = np.array(normals)
             keys = label + 1j * (n[label, 0] * P[:, 0] + n[label, 1] * P[:, 1])
-            out[tri] = (label, n, np.array(spreads), np.sort(keys), np.argsort(keys, kind="stable"))
+            order = np.argsort(keys, kind="stable")
+            out[tri] = (label, n, np.array(spreads), keys[order], order)
         return out
 
 

@@ -155,6 +155,15 @@ def pairwise_validate(pts) -> None:
                 raise NonSimplePolygon(f"boundary edges {i} and {j} intersect")
 
 
+def validate_outcome(check, vertices) -> str | None:
+    """The message of the NonSimplePolygon ``check(vertices)`` raises, or None."""
+    try:
+        check(vertices)
+    except NonSimplePolygon as e:
+        return str(e)
+    return None
+
+
 def all_vertices_ear_clip(pts) -> list[tuple[int, int, int]]:
     """Reference for ``builders._ear_clip``: after every clip, test the
     remaining vertices in index order, each against every other remaining

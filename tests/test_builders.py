@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import all_vertices_ear_clip, pairwise_validate
+from conftest import all_vertices_ear_clip, pairwise_validate, validate_outcome
 
 from flatgeo.builders import (
     CATALOG_PARALLEL,
@@ -203,14 +203,6 @@ def non_simple_variants(pts, rng):
     return [("swap", swapped), ("touch", touch), ("overlap", overlap), ("repeat", repeated)]
 
 
-def validate_outcome(check, vertices):
-    try:
-        check(vertices)
-    except NonSimplePolygon as e:
-        return str(e)
-    return None
-
-
 @pytest.mark.parametrize(
     "family,seeds",
     [
@@ -231,6 +223,23 @@ def test_validate_matches_all_pairs_oracle(family, seeds):
             assert got == validate_outcome(pairwise_validate, vertices), (seed, kind)
             rejected[kind] += got is not None
     assert all(rejected.values()), rejected
+
+
+@pytest.mark.parametrize(
+    "vertices,pair",
+    [
+        ([(0, 0), (4, 0), (4, 4), (2, 0), (0, 4)], (0, 2)),
+        ([(0, 0), (4, 0), (4, 3), (2, 3), (2, 0), (1, 3), (0, 3)], (0, 3)),
+        ([(0, 0), (4, 0), (5, -2), (7, -2), (6, 0), (2, 0), (2, 3), (0, 3)], (0, 4)),
+    ],
+    ids=["vertex-on-edge", "t-junction", "collinear-overlap"],
+)
+def test_validate_rejects_lattice_contacts_at_the_first_pair(vertices, pair):
+    # No pair crosses properly: the exact on-segment test decides each one.
+    vertices = [(float(x), float(y)) for x, y in vertices]
+    message = f"boundary edges {pair[0]} and {pair[1]} intersect"
+    assert validate_outcome(lambda v: PolygonSpec(v).validate(), vertices) == message
+    assert validate_outcome(pairwise_validate, vertices) == message
 
 
 # --- ear clipping ---------------------------------------------------------------

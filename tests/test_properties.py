@@ -13,7 +13,10 @@ runs on random polylines; the density band is checked on random chords
 against the dense test, and ``density_estimate`` against its per-triangle
 reference loop on the catalog and the far cube.  Flat tori come from random lattices, some of
 them near-collinear.  Ear clipping is checked against the all-vertices
-oracle on random star (4 to 120 vertices) and rectilinear polygons.  The
+oracle on random star (4 to 120 vertices) and rectilinear polygons, the
+pruned diameter against the all-sources loop on star doubles of 4 to 60
+vertices, rectilinear doubles and the square identifications, and polygon
+validation against the pairwise loop on integer-lattice polygons.  The
 tracer is checked against its reference loop on the catalog and on a cube
 moved about 1e6 from the origin, with random rays and with rays aimed
 past a cone corner at multiples of the vertex clearance.  The runs are
@@ -34,9 +37,11 @@ from conftest import (
     band_hits,
     dense_near_chords,
     incenter_point,
+    pairwise_validate,
     reference_density,
     reference_sample_points,
     reference_trace,
+    validate_outcome,
 )
 
 from flatgeo.analysis import (
@@ -128,10 +133,56 @@ def test_generators_and_witness_replay(s):
         assert loop_holonomy(s, s.orientation_witness, root).reflect
 
 
+# Star doubles of 4 to 60 vertices, rectilinear doubles and the square
+# identifications.
+diameter_surfaces = st.one_of(
+    seeds.map(lambda s: double_of_polygon(random_star_polygon(np.random.default_rng(s), 4, 60))),
+    seeds.map(lambda s: double_of_polygon(random_rectilinear_polygon(np.random.default_rng(s)))),
+    st.sampled_from([pairing for _name, pairing in example2_candidates()]).map(
+        square_identification_surface
+    ),
+)
+
+
 @walk_settings
-@given(surfaces)
+@given(diameter_surfaces)
 def test_pruned_diameter_is_the_all_sources_diameter(s):
     assert diameter_estimate(s) == all_sources_diameter(s)
+
+
+def _lattice_edit(seed, edits):
+    """A rectilinear polygon with vertices moved to, or inserted at, lattice
+    points: this makes collinear overlaps, vertices on edges and
+    T-junctions, where only the exact on-segment test can decide."""
+    pts = list(random_rectilinear_polygon(np.random.default_rng(seed)).vertices)
+    for k, x, y, insert in edits:
+        k %= len(pts)
+        if insert:
+            pts.insert(k + 1, (float(x), float(y)))
+        else:
+            pts[k] = (float(x), float(y))
+    return pts
+
+
+lattice_polygons = st.one_of(
+    st.builds(
+        _lattice_edit,
+        seeds,
+        st.lists(
+            st.tuples(st.integers(0, 20), st.integers(-1, 7), st.integers(-1, 7), st.booleans()),
+            min_size=1,
+            max_size=3,
+        ),
+    ),
+    st.lists(st.tuples(st.integers(0, 4).map(float), st.integers(0, 4).map(float)), min_size=3, max_size=10),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(lattice_polygons)
+def test_validate_matches_the_pairwise_oracle_on_lattice_polygons(pts):
+    got = validate_outcome(lambda v: PolygonSpec(v).validate(), pts)
+    assert got == validate_outcome(pairwise_validate, pts)
 
 
 polygons = st.one_of(

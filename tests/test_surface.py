@@ -8,6 +8,7 @@ from conftest import all_sources_diameter
 from flatgeo.builders import (
     L_SHAPE,
     SQUARE,
+    PolygonSpec,
     cube_surface,
     double_of_polygon,
     example2_candidates,
@@ -24,6 +25,7 @@ from flatgeo.errors import (
     MalformedSurface,
     UnmatchedEdge,
 )
+import flatgeo.surface as surface_mod
 from flatgeo.jsonio import surface_from_json, surface_to_json
 from flatgeo.surface import (
     EdgeRef,
@@ -233,6 +235,25 @@ def test_diameter_matches_all_sources_on_400_triangle_star_double():
     s = double_of_polygon(random_star_polygon(np.random.default_rng(2024), 202, 202))
     assert len(s.triangles) == 400
     assert diameter_estimate(s) == all_sources_diameter(s)
+
+
+def test_diameter_keeps_a_sliver_centroid_that_shortens_a_path(monkeypatch):
+    # The top ear is a sliver 4e-9 high.  Its centroid's spokes exceed its
+    # base by less than rounding, so the centroid stays a graph node; the
+    # float path through it is an ulp shorter than the edge, and folding
+    # it out would move the diameter by that ulp.
+    s = double_of_polygon(PolygonSpec([
+        (0.0, 0.0),
+        (1.9740290523102784, 0.0),
+        (1.9740290523102784, 1.6973880839609412),
+        (0.49023715068125545, 1.6973880880353314),
+        (0.0, 1.6973880839609412),
+    ]))
+    assert len(surface_mod._skeleton(s)[3]) == 2  # one sliver per copy
+    assert diameter_estimate(s) == all_sources_diameter(s)
+    monkeypatch.setattr(surface_mod, "CENTROID_FOLD_REL", -math.inf)
+    assert len(surface_mod._skeleton(s)[3]) == 0
+    assert diameter_estimate(s) != all_sources_diameter(s)
 
 
 def test_items_not_triangles_or_gluings_raise_malformed_surface():
