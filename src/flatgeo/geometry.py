@@ -8,6 +8,7 @@ arithmetic is deliberately not used so tracing stays fast.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 Vec = tuple[float, float]
@@ -15,6 +16,9 @@ Vec = tuple[float, float]
 TWO_PI = 2.0 * math.pi
 
 METRIC_TOL = 1e-9
+
+_SMALLEST_NORMAL = sys.float_info.min
+_LARGEST = sys.float_info.max
 
 
 def cross(ax: float, ay: float, bx: float, by: float) -> float:
@@ -30,10 +34,18 @@ def norm(x: float, y: float) -> float:
 
 
 def normalize(v: Vec) -> Vec:
-    n = math.hypot(v[0], v[1])
+    """The unit vector along v.  A vector whose norm is subnormal or
+    overflows is first scaled by an exact power of two, so the result is a
+    unit vector to rounding; every other vector keeps its bits."""
+    x, y = v
+    n = math.hypot(x, y)
     if n == 0.0:
         raise ValueError("cannot normalize zero vector")
-    return (v[0] / n, v[1] / n)
+    if n < _SMALLEST_NORMAL or n > _LARGEST:
+        k = 2.0**600 if n < 1.0 else 2.0**-600
+        x, y = x * k, y * k
+        n = math.hypot(x, y)
+    return (x / n, y / n)
 
 
 def wrap_angle(a: float) -> float:

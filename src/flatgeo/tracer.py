@@ -8,10 +8,14 @@ reports VertexHit; an exact corner passage reports VertexHit for any
 vertex class (flat marked points included) because the transition there
 is ill-conditioned.
 
-One step of ``trace`` reads ``_TraceTables``: the candidate exit edges
-for the edge the chord came in by, the chart's cone corners only, the two
-corners of the exit edge, and one tuple per crossing with the transition
-and the target edge to snap onto.
+One step of ``trace`` reads ``_TraceTables``: for the edge the chord came
+in by, the opposite corner with the exit candidate on each side of it and
+the candidate loop's edges; the chart's cone corners only; the two corners
+of the exit edge; and one tuple per crossing with the transition and the
+target edge to snap onto.  A step records seven values, ``(dense, px, py,
+dx, dy, length, exit_edge)``; the ``(n, 10)`` rows are built once, at the
+end.  Three skips keep every chord bit-identical to the loop that tests
+every edge and every corner; they are proved below.
 
 The cone-clearance test of a step clamps ``tau = w . d`` to ``[0, eff]``
 and compares ``|w - tau d|**2`` with ``vertex_clearance**2``, for a cone
@@ -38,6 +42,58 @@ test, so the skip never changes a boolean:
   chart's inradius r; that stays in bounds unless r is below about
   ``tolerance * scale / 80``, a chart some 1e-11 as thick as it is long at
   the default tolerance.
+
+The exit edge comes from one corner test.  A chord that entered the
+counterclockwise triangle ABV by edge AB leaves by BV or VA.  The step
+computes ``cr = (vx - px) * dy - (vy - py) * dx``, the cross product of
+``V - p`` with d.  When ``cr < -side`` (V left of the chord) it evaluates
+only X = BV, when ``cr > side`` only X = VA, with the candidate loop's
+``denom``, t and s expressions, and takes X when it passes the loop's
+tests with the stricter parallel guard ``|denom| >= 1e-3``.  Otherwise
+the loop over both candidates runs (the fallback); it also runs for the
+start step and for a step whose entry point was snapped within ``glo``
+of A or ``|AB| - ghi`` of B, whose table entries carry a NaN corner.  The
+loop would return X's t too, because the other candidate Y fails a test.
+With u = 2**-53, S = ``scale``, ``side = 2e-9 * (1 + S)`` and each
+computed cross product within ``3u |w|`` of the exact one for its
+difference vector w (``|d| = 1`` and the unit edge vectors to 2u):
+
+- When d points into the triangle's side of Y's line, Y's crossing lies
+  behind p, and the computed t says so.  The entry point is ``p = A + s * (unit AB)`` rounded, within
+  ``6u (|A| + S)`` of segment AB, with s at least ``g = 2**-40 (|A| + S) /
+  sin(angle at A)`` from A (and likewise from B).  So p lies inside VA
+  and BV by more than ``g sin(angle) - 10u (|A| + S)``, far above the
+  ``3u S`` error of Y's t numerator ``(p - a) x u_Y``, and the computed t
+  has the exact sign: ``t <= 0 < t_eps``.  (Y's ``denom`` has its exact
+  sign too: ``|denom| >= 1e-13`` against an error of 3u.)
+- ``cr < -side``: Y = VA starts at V, so Y's s numerator is exactly
+  ``-cr`` (rounding is odd-symmetric), and ``|s| >= side / (1 + 6u) >
+  1e-9 |VA| >= -lo``.  A negative s fails ``lo <= s``; a positive s has
+  ``denom > 0``, d pointing into the triangle's side of VA, so t fails.
+- ``cr > side``: Y = BV ends at V.  If ``denom > 0``, t fails as above.
+  If ``denom < 0``, ``f(s) = (B + s u_Y - p) x d`` falls from f(0) to
+  ``f(|BV|) >= cr - 6uS``, so Y's s numerator ``-f(0)`` is at most
+  ``-(|BV| |denom| + side - 6uS)`` and its error 3uS, ``denom``'s 3u; the
+  computed s then exceeds ``hi = |BV| (1 + 1e-9)`` as soon as ``side >
+  1e-9 S + 16u S``.
+
+The tie test runs only near the ends of the exit edge.  After the side
+test X gave t and s, the step runs the two-corner tie test only when s
+lies outside ``(tie_lo, |X| - tie_lo)``, with ``tie_lo = vertex_clearance
++ 1e-15 * (vertex_clearance + reach) + 1e-11 * (1 + S)`` and ``reach`` the
+largest corner norm; the fallback always runs it.  For X's start a,
+``w = p - a`` and exact ``denom``, ``t`` and s numerators, ``p + t d = a +
+s u_X`` holds exactly; with the computed ones the two points differ by
+``(w e_D - E) / denom`` (e_D the 3u error of denom, E the ``6u |w|`` errors
+of the numerators), so by at most ``9u S / 1e-3`` in the fast path, where
+the rounding of t, s and of ``|X| u_X`` against the far corner adds under
+``10u S``.  The parallel guard is what bounds it: s's error grows as
+``1 / |denom|``, so a chord nearly parallel to X goes to the fallback.
+The exit point ``q = p + t d`` carries a further
+``2u (reach + 2S)``, and the squared distance test ``< clearance2``
+rounds by ``4u``.  So an s inside the window keeps q more than
+``vertex_clearance (1 + 3u)`` from both ends of X, where the tie test
+cannot fire: ``1e-11 (1 + S) > 9.03e3 u S`` and ``1e-15 > 5u``.
 """
 from __future__ import annotations
 
@@ -192,41 +248,66 @@ class _TraceTables:
     """Per-triangle data for the step loop, as plain floats in tuples, and
     for density, as arrays.
 
-    Rows are indexed by dense triangle index.  ``exits[i][entry]`` holds
-    the candidate exit edges of a chord that entered triangle i through
-    edge ``entry``: the two other edges, or all three for ``entry`` -1 (a
-    start point; index -1 is the fourth entry).  Each candidate is ``(e,
-    ax, ay, ux, uy, lo, hi)``: the edge's start, unit direction, and the
-    bounds ``-1e-9 * length`` and ``length * (1.0 + 1e-9)`` that the
-    crossing parameter must meet.  ``cones[i]`` holds ``(cx, cy, class)``
-    of the triangle's cone corners only; ``ties[i][e]`` holds that triple
-    for both ends of edge e, cone or flat.  ``crossings[i][e]`` is ``(tgt,
-    tgt_edge, m00, m01, m10, m11, tx, ty, ax, ay, ux, uy, length)``: the
-    triangle and edge that edge e is glued to, the chart-to-chart
-    isometry, and the target edge's start, unit direction and length, to
-    which the crossing point is snapped.  Density reads the area
-    probabilities ``area_p``, the corners ``corner_xy`` (3, 2, T), and each
-    edge's target triangle ``targets`` (T, 3) and matrix ``mats`` (T, 3, 6).
+    Rows are indexed by dense triangle index.  ``exits[i][entry]`` is ``(vx,
+    vy, neg, pos, cands)`` for a chord that entered triangle i through edge
+    ``entry``: the corner v opposite that edge, the exit candidate on each
+    side of it (``neg`` is edge ``entry + 1``, taken when v lies left of
+    the chord, ``pos`` edge ``entry + 2``), and the fallback candidates,
+    the two other edges in index order.  Index ``entry + 3`` holds the same
+    candidates behind a NaN corner, for a chord that entered near an end of
+    its edge, and index -1 (the seventh) all three for a start point: a NaN
+    corner fails both side tests, so those steps always run the fallback.
+    Each candidate is ``(e, ax, ay, ux, uy, lo, hi, length)``: the edge's
+    start, unit direction, the bounds ``-1e-9 * length`` and ``length *
+    (1.0 + 1e-9)`` that the crossing parameter must meet, and its length.
+    ``cones[i]`` holds ``(cx, cy, class)`` of the triangle's cone corners
+    only; ``ties[i][e]`` holds that triple for both ends of edge e, cone or
+    flat.  ``crossings[i][e]`` is ``(tgt, tgt_edge, m00, m01, m10, m11, tx,
+    ty, ax, ay, ux, uy, length, glo, ghi)``: the triangle and edge that edge
+    e is glued to, the chart-to-chart isometry, the target edge's start,
+    unit direction and length, to which the crossing point is snapped, and
+    the snap parameters ``(glo, ghi)`` at least ``2**-40 * (|c| + scale) /
+    sin(angle at c)`` from either end c, between which the next step may
+    take the side test.  ``ids`` maps dense index to triangle id.  Density
+    reads the area probabilities ``area_p``, the corners ``corner_xy`` (3,
+    2, T), and each edge's target triangle ``targets`` (T, 3) and matrix
+    ``mats`` (T, 3, 6).
     """
 
     def __init__(self, surface: FlatSurface):
         tris = surface.triangles
         self.id2dense = {t.id: i for i, t in enumerate(tris)}
-        self.dense2id = [t.id for t in tris]
+        self.ids = np.array([t.id for t in tris], dtype=np.float64)
+        lengths = [[t.edge_length(k) for k in range(3)] for t in tris]
+        norms = [[math.hypot(*c) for c in t.corners] for t in tris]
+        self.scale = max(map(max, lengths))
+        self.reach = max(map(max, norms))
         self.exits = []
         self.cones = []
         self.ties = []
-        snap = []  # per tri: 3 x (ax, ay, ux, uy, length)
-        for t in tris:
+        snap = []  # per tri: 3 x (ax, ay, ux, uy, length, glo, ghi)
+        heights = []
+        for t, lns, cn in zip(tris, lengths, norms):
+            # 2**-40 * (|c| + scale) / sin(angle at c); the sine is twice
+            # the area over the product of c's two edge lengths.
+            area2 = 2.0 * t.signed_area()
+            heights.append(area2 / max(lns))
+            guard = [2.0**-40 * (cn[k] + self.scale) * lns[k - 1] * lns[k] / area2 for k in range(3)]
             cands = []
             for k in range(3):
                 a = t.edge_start(k)
                 v = t.edge_vector(k)
-                ln = math.hypot(v[0], v[1])
-                snap.append((a[0], a[1], v[0] / ln, v[1] / ln, ln))
-                cands.append((k, *snap[-1][:4], -1e-9 * ln, ln * (1.0 + 1e-9)))
+                ln = lns[k]
+                snap.append((a[0], a[1], v[0] / ln, v[1] / ln, ln, guard[k], ln - guard[(k + 1) % 3]))
+                cands.append((k, *snap[-1][:4], -1e-9 * ln, ln * (1.0 + 1e-9), ln))
             c0, c1, c2 = cands
-            self.exits.append(((c1, c2), (c0, c2), (c0, c1), (c0, c1, c2)))
+            near = ((c1, c2), (c0, c2), (c0, c1))
+            opposite = [t.corners[(k + 2) % 3] for k in range(3)]
+            self.exits.append(
+                tuple((*opposite[k], cands[(k + 1) % 3], cands[(k + 2) % 3], near[k]) for k in range(3))
+                + tuple((math.nan, math.nan, None, None, near[k]) for k in range(3))
+                + ((math.nan, math.nan, None, None, cands),)
+            )
             k0, k1, k2 = corners = [(*t.corners[k], surface.corner_class[(t.id, k)]) for k in range(3)]
             self.cones.append(tuple(c for c in corners if surface.vertex_classes[c[2]].is_cone))
             self.ties.append(((k0, k1), (k1, k2), (k2, k0)))
@@ -243,10 +324,7 @@ class _TraceTables:
         self.corner_xy = np.array(snap)[:, :2].reshape(-1, 3, 2).transpose(1, 2, 0).copy()
         self.targets = np.array([[c[0] for c in row] for row in self.crossings])
         self.mats = np.array([[c[2:8] for c in row] for row in self.crossings])
-        self.scale = max(e[4] for e in snap)
-        self.min_height = min(
-            2.0 * t.signed_area() / max(t.edge_length(k) for k in range(3)) for t in tris
-        )
+        self.min_height = min(heights)
 
 
 _TABLES: weakref.WeakKeyDictionary[FlatSurface, _TraceTables] = weakref.WeakKeyDictionary()
@@ -290,64 +368,79 @@ def trace(
     dense = tab.id2dense[start.at.tri]
     px, py = float(start.at.xy[0]), float(start.at.xy[1])
     entry_edge = -1
-    acc = 0.0
     remaining = float(max_length)
     clearance2 = vertex_clearance * vertex_clearance
     t_eps = 1e-13 * (1.0 + tab.scale)
-    rows: list[float] = []  # chord rows, flattened; see GeodesicTrace
     step_budget = 50.0 * max_length / max(tab.min_height, 1e-9)
     if not step_budget <= MAX_STEPS:
         raise ValueError(f"max_length {max_length!r} needs more than {MAX_STEPS} steps")
     max_steps = int(step_budget) + 10000
 
     far = vertex_clearance + 1e-12 * (1.0 + tab.scale)
+    # The side test's and the tie window's margins (see the module docstring).
+    side = 2e-9 * (1.0 + tab.scale)
+    nside = -side
+    tie_lo = vertex_clearance + 1e-15 * (vertex_clearance + tab.reach) + 1e-11 * (1.0 + tab.scale)
     exits = tab.exits
     cones = tab.cones
     ties = tab.ties
     crossings = tab.crossings
-    dense2id = tab.dense2id
+    steps: list[float] = []  # seven values per chord, flattened; see _chord_rows
+    vertex = None
 
     for _ in range(max_steps):
-        tri_id = dense2id[dense]
-        # Exit through the nearest forward edge crossing.
-        best_t = math.inf
+        # Exit through the candidate on the far side of the opposite corner
+        # v; the fallback loop takes the nearest forward edge crossing.
+        vx, vy, neg, pos, cands = exits[dense][entry_edge]
+        cr = (vx - px) * dy - (vy - py) * dx
         best_edge = -1
-        cands = exits[dense][entry_edge]
-        for e, ax, ay, ux, uy, lo, hi in cands:
+        if cr > side or cr < nside:
+            e, ax, ay, ux, uy, lo, hi, ln = pos if cr > 0.0 else neg
             denom = ux * dy - uy * dx
-            if -1e-13 < denom < 1e-13:
-                continue
-            sx = px - ax
-            sy = py - ay
-            t = (sx * uy - sy * ux) / denom
-            if t <= t_eps or t >= best_t:
-                continue
-            s = (sx * dy - sy * dx) / denom
-            if lo <= s <= hi:
-                best_t = t
-                best_edge = e
+            if not -1e-3 < denom < 1e-3:
+                sx = px - ax
+                sy = py - ay
+                best_t = (sx * uy - sy * ux) / denom
+                best_s = (sx * dy - sy * dx) / denom
+                if best_t > t_eps and lo <= best_s <= hi:
+                    best_edge = e
         if best_edge < 0:
-            # Nothing ahead past t_eps.  A start on an edge pointing out of
-            # the triangle crosses that edge at once; any other ray stops.
-            if entry_edge < 0:
-                for e, ax, ay, ux, uy, lo, hi in cands:
-                    denom = ux * dy - uy * dx
-                    sx = px - ax
-                    sy = py - ay
-                    if denom < -1e-13 and abs(sx * uy - sy * ux) <= -denom * t_eps:
-                        if lo <= (sx * dy - sy * dx) / denom <= hi:
-                            best_t = 0.0
-                            best_edge = e
+            best_t = math.inf
+            best_s = -1.0  # outside every tie window: the tie test runs
+            for e, ax, ay, ux, uy, lo, hi, _ln in cands:
+                denom = ux * dy - uy * dx
+                if -1e-13 < denom < 1e-13:
+                    continue
+                sx = px - ax
+                sy = py - ay
+                t = (sx * uy - sy * ux) / denom
+                if t <= t_eps or t >= best_t:
+                    continue
+                s = (sx * dy - sy * dx) / denom
+                if lo <= s <= hi:
+                    best_t = t
+                    best_edge = e
             if best_edge < 0:
-                term = Termination(LEFT_DOMAIN, message="no forward edge crossing found")
-                break
+                # Nothing ahead past t_eps.  A start on an edge pointing out of
+                # the triangle crosses that edge at once; any other ray stops.
+                if entry_edge < 0:
+                    for e, ax, ay, ux, uy, lo, hi, _ln in cands:
+                        denom = ux * dy - uy * dx
+                        sx = px - ax
+                        sy = py - ay
+                        if denom < -1e-13 and abs(sx * uy - sy * ux) <= -denom * t_eps:
+                            if lo <= (sx * dy - sy * dx) / denom <= hi:
+                                best_t = 0.0
+                                best_edge = e
+                if best_edge < 0:
+                    term = Termination(LEFT_DOMAIN, message="no forward edge crossing found")
+                    break
 
         eff = best_t if best_t < remaining else remaining
         # Cone-point clearance along the chord actually travelled; a corner
         # at least ``far`` from the chord's line is skipped (see the module
         # docstring).
         hit_tau = None
-        hit_class = None
         for cx, cy, ci in cones[dense]:
             wx = cx - px
             wy = cy - py
@@ -362,54 +455,78 @@ def trace(
                 ry = wy - tau * dy
                 if rx * rx + ry * ry < clearance2 and (hit_tau is None or tau < hit_tau):
                     hit_tau = tau
-                    hit_class = ci
+                    vertex = ci
         if hit_tau is not None:
-            rows += (tri_id, px, py, px + hit_tau * dx, py + hit_tau * dy, dx, dy, acc, hit_tau, -1)
-            acc += hit_tau
-            term = Termination(VERTEX_HIT, vertex=hit_class, parameter=acc)
+            steps += (dense, px, py, dx, dy, hit_tau, -1)
             break
         if remaining <= best_t:
-            rows += (tri_id, px, py, px + remaining * dx, py + remaining * dy, dx, dy, acc, remaining, -1)
-            acc = max_length
+            steps += (dense, px, py, dx, dy, remaining, -1)
             term = Termination(LENGTH_REACHED)
             break
 
+        steps += (dense, px, py, dx, dy, best_t, best_edge)
         qx = px + best_t * dx
         qy = py + best_t * dy
-        # Corner ties resolve as VertexHit regardless of curvature: the
-        # transition choice at an exact corner is ambiguous.
-        exit_edge = best_edge
-        for cx, cy, ci in ties[dense][best_edge]:
-            ex2 = qx - cx
-            ey2 = qy - cy
-            if ex2 * ex2 + ey2 * ey2 < clearance2:
-                exit_edge = -1
+        if not tie_lo < best_s < ln - tie_lo:
+            # Corner ties resolve as VertexHit regardless of curvature: the
+            # transition choice at an exact corner is ambiguous.  Only an
+            # exit near an end of its edge can tie (see the module docstring).
+            for cx, cy, ci in ties[dense][best_edge]:
+                ex2 = qx - cx
+                ey2 = qy - cy
+                if ex2 * ex2 + ey2 * ey2 < clearance2:
+                    vertex = ci
+                    break
+            if vertex is not None:
+                steps[-1] = -1  # the chord ends at the corner
                 break
-        rows += (tri_id, px, py, qx, qy, dx, dy, acc, best_t, exit_edge)
-        acc += best_t
-        if exit_edge < 0:
-            term = Termination(VERTEX_HIT, vertex=ci, parameter=acc)
-            break
         remaining -= best_t
 
-        dense, entry_edge, m00, m01, m10, m11, tx, ty, ax, ay, ux, uy, elen = crossings[dense][best_edge]
+        dense, entry_edge, m00, m01, m10, m11, tx, ty, ax, ay, ux, uy, elen, glo, ghi = crossings[dense][best_edge]
         npx = m00 * qx + m01 * qy + tx
         npy = m10 * qx + m11 * qy + ty
         ndx = m00 * dx + m01 * dy
         ndy = m10 * dx + m11 * dy
         n = math.hypot(ndx, ndy)
         dx, dy = ndx / n, ndy / n
-        # Snap onto the target edge to kill perpendicular drift.
+        # Snap onto the target edge to kill perpendicular drift.  An entry
+        # point near an end of its edge sends the next step to the fallback.
         s = (npx - ax) * ux + (npy - ay) * uy
-        if s < 0.0:
-            s = 0.0
-        elif s > elen:
-            s = elen
+        if not glo < s < ghi:
+            if s < 0.0:
+                s = 0.0
+            elif s > elen:
+                s = elen
+            entry_edge += 3
         px = ax + s * ux
         py = ay + s * uy
     else:
         term = Termination(LEFT_DOMAIN, message="step budget exceeded")
-    return GeodesicTrace._from_rows(norm_start, rows, acc, term)
+    chords = _chord_rows(steps, tab.ids)
+    acc = float(chords[-1, 7] + chords[-1, 8]) if len(chords) else 0.0
+    if vertex is not None:
+        term = Termination(VERTEX_HIT, vertex=vertex, parameter=acc)
+    elif term.kind == LENGTH_REACHED:
+        acc = max_length
+    return GeodesicTrace(norm_start, chords, acc, term)
+
+
+def _chord_rows(steps: list[float], ids: np.ndarray) -> np.ndarray:
+    """The read-only ``(n, 10)`` chord rows of a trace from its steps'
+    ``(dense, px, py, dx, dy, length, exit_edge)``: the exit point is
+    ``p + length * d`` and t0 the running sum of lengths, both rounded as
+    the step loop would round them (``np.cumsum`` adds left to right)."""
+    st = np.array(steps, dtype=np.float64).reshape(-1, 7)
+    rows = np.empty((len(st), 10))
+    rows[:, 0] = ids.take(st[:, 0].astype(np.intp))
+    rows[:, 1:3] = st[:, 1:3]
+    rows[:, 3:5] = st[:, 1:3] + st[:, 5:6] * st[:, 3:5]
+    rows[:, 5:7] = st[:, 3:5]
+    rows[:1, 7] = 0.0
+    np.cumsum(st[:-1, 5], out=rows[1:, 7])
+    rows[:, 8:] = st[:, 5:]
+    rows.flags.writeable = False
+    return rows
 
 
 def locate(trace_: GeodesicTrace, t: float) -> SurfacePoint:

@@ -582,3 +582,81 @@ def test_scan_rows_json_matches_golden_digest(catalog_surfaces, name):
     res = direction_scan(s, incenter_point(s), n, diameters * diameter_estimate(s), 0.05, seed=424242)
     text = json.dumps({"rows": res.to_json_rows()}) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ROWS_DIGESTS[name]
+
+
+def first_ray_hit(surface, tr, point, rays, length):
+    """The shortest arc length, over ``rays`` evenly spread geodesic rays of
+    ``length`` from ``point``, at which a ray meets a chord of ``tr`` in a
+    common chart; inf when none does."""
+    charts = tr.charts
+    best = math.inf
+    for j in range(rays):
+        a = 0.1 + 2.0 * math.pi * j / rays
+        ray = trace(surface, TangentDirection(point, (math.cos(a), math.sin(a))), length)
+        for tri, ex, ey, _ox, _oy, dx, dy, t0, ln, _edge in ray.chords.tolist():
+            if int(tri) not in charts:
+                continue
+            P, D, L, _T0 = charts[int(tri)]
+            den = dx * D[:, 1] - dy * D[:, 0]
+            wx, wy = P[:, 0] - ex, P[:, 1] - ey
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tau = (wx * D[:, 1] - wy * D[:, 0]) / den
+                sig = (wx * dy - wy * dx) / den
+            ok = (den != 0.0) & (tau >= 0.0) & (tau <= ln) & (sig >= 0.0) & (sig <= L)
+            if ok.any():
+                best = min(best, t0 + tau[ok].min())
+    return best
+
+
+@pytest.mark.parametrize("name, epsilon, length", [("unit-torus", 0.05, 7.0), ("square-double", 0.05, 14.0)])
+def test_density_verdicts_match_a_ray_shooting_oracle(catalog_surfaces, name, epsilon, length):
+    # A sample lies within epsilon of the trace when some geodesic segment
+    # of length below epsilon from it meets the trace.  K rays of length
+    # epsilon' = epsilon / cos(pi / K) sandwich that: a ray that meets the
+    # trace before epsilon means covered, and a trace point at distance
+    # delta < epsilon lies within pi / K of some ray's direction, which
+    # meets the trace's line by delta / cos(pi / K) < epsilon'.
+    #
+    # The estimator looks one transition deep: a sample against the chords
+    # of its own chart and of its three neighbours.  That is the surface
+    # distance for a sample farther than r = epsilon' (1 + 1 / sin(beta))
+    # from each corner of its chart, beta the smallest corner angle: a
+    # segment of length epsilon' that crosses two edges (or the line of an
+    # edge beyond its end) cuts the corner c where they meet, so by the
+    # sine rule it passes within epsilon' / sin(beta) of c, and its start
+    # within r.  The sandwich also needs the trace to run on past the
+    # foot of the perpendicular, so samples within epsilon' of its two
+    # ends are left out too.
+    s = catalog_surfaces[name]
+    samples, seed, rays = 300, 11, 32
+    reach = epsilon / math.cos(math.pi / rays)
+    beta = min(t.angle_at(k) for t in s.triangles for k in range(3))
+    r = reach * (1.0 + 1.0 / math.sin(beta))
+    tr = trace(s, TangentDirection(incenter_point(s), (math.cos(0.7), math.sin(0.7))), length)
+    ends = [(tr.start.at.tri, tr.start.at.xy), (int(tr.chords[-1, 0]), tuple(tr.chords[-1, 3:5]))]
+    covered = analysis._covered(s, tr, epsilon, samples, seed)
+    dense_tri, x, y = analysis._sample_points(s, samples, seed)
+    compared = n_covered = 0
+    for i in range(samples):
+        t = s.triangles[int(dense_tri[i])]
+        q = (float(x[i]), float(y[i]))
+        if min(math.dist(q, c) for c in t.corners) <= r:
+            continue
+        near_end = False
+        for tri, xy in ends:
+            if tri == t.id:
+                near_end |= math.dist(q, xy) <= reach
+            for e in range(3):
+                ref, iso = s.edge_transition(t.id, e)
+                near_end |= ref.tri == tri and math.dist(iso.apply(q), xy) <= reach
+        if near_end:
+            continue
+        hit = first_ray_hit(s, tr, SurfacePoint(t.id, q), rays, reach)
+        if hit < epsilon * (1.0 - 1e-9):
+            assert covered[i], (i, hit)
+        if covered[i]:
+            assert hit <= reach * (1.0 + 1e-9), (i, hit)
+        compared += 1
+        n_covered += bool(covered[i])
+    assert compared >= 0.6 * samples
+    assert 0.2 * compared < n_covered < 0.8 * compared

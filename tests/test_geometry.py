@@ -7,6 +7,7 @@ from flatgeo.geometry import (
     PlaneIsometry,
     angle_distance_mod,
     fold_to_half_turn,
+    normalize,
     point_segment_distance,
     segments_intersect,
     unsigned_angle,
@@ -97,3 +98,25 @@ def test_segment_primitives():
     assert not segments_intersect((0, 0), (1, 0), (0, 1), (1, 1))
     # collinear overlap counts as intersecting
     assert segments_intersect((0, 0), (2, 0), (1, 0), (3, 0))
+
+
+@pytest.mark.parametrize(
+    "v", [(1e-320, 1e-320), (5e-324, 5e-324), (-5e-324, 0.0), (3e-310, -1e-311), (1.7e308, 1.7e308), (-1e308, 1.5e308)]
+)
+def test_normalize_returns_a_unit_vector_for_subnormal_and_overflowing_norms(v):
+    # Before the rescale, (1e-320, 1e-320) gave (0.70720, 0.70720) and
+    # (5e-324, 5e-324) gave (1.0, 1.0); (1.7e308, 1.7e308) gave (0.0, 0.0).
+    u = normalize(v)
+    assert abs(math.hypot(*u) - 1.0) <= 2 ** -52
+    k = 2.0**600 if abs(v[0]) < 1.0 else 2.0**-600
+    assert normalize((v[0] * k, v[1] * k)) == u  # the same bits as the rescaled vector
+
+
+def test_normalize_keeps_the_bits_of_every_other_vector():
+    rng = np.random.default_rng(5)
+    for x, y in rng.normal(size=(200, 2)) * 10.0 ** rng.uniform(-300, 300, size=(200, 1)):
+        n = math.hypot(x, y)
+        assert normalize((x, y)) == (x / n, y / n)
+    assert normalize((2.2250738585072014e-308, 0.0)) == (1.0, 0.0)  # the smallest normal norm
+    with pytest.raises(ValueError):
+        normalize((0.0, -0.0))

@@ -18,9 +18,12 @@ pruned diameter against the all-sources loop on star doubles of 4 to 60
 vertices, rectilinear doubles and the square identifications, and polygon
 validation against the pairwise loop on integer-lattice polygons.  The
 tracer is checked against its reference loop on the catalog and on a cube
-moved about 1e6 from the origin, with random rays and with rays aimed
-past a cone corner at multiples of the vertex clearance.  The runs are
-derandomized, so the suite sees the same examples every time.
+moved about 1e6 from the origin, with random and long rays, with rays
+aimed past a cone corner at multiples of the vertex clearance, and with
+rays that enter a chart and then pass its opposite corner at the side
+test's margin, cross an exit edge at the edge of the tie window, or run
+nearly parallel to an edge.  The runs are derandomized, so the suite sees
+the same examples every time.
 """
 import functools
 import json
@@ -28,6 +31,7 @@ import math
 from bisect import bisect_right
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -71,6 +75,7 @@ from flatgeo.holonomy import holonomy_generators, is_parallel, loop_holonomy, ve
 from flatgeo.errors import DegenerateLattice, FlatgeoError, UnmatchedEdge
 from flatgeo.jsonio import surface_from_json, surface_to_json, trace_from_json, trace_to_json
 from flatgeo.surface import Triangle, build_surface, diameter_estimate, gauss_bonnet_check
+import flatgeo.tracer as tracer
 from flatgeo.tracer import (
     DEFAULT_VERTEX_CLEARANCE,
     LENGTH_REACHED,
@@ -559,6 +564,161 @@ def test_trace_matches_the_reference_loop_past_a_cone_corner(name, k, weights, m
     got = assert_same_trace(s, TangentDirection(SurfacePoint(t.id, p), d), 3.0 * ln, clearance)
     if multiple < 1.0:
         assert got.termination.kind == VERTEX_HIT
+
+
+def entering_start(s, t, e, f, d):
+    """A start in the chart across edge e of triangle t whose first step
+    crosses into t at fraction f of edge e, heading along d (t's chart);
+    None when the backed-off start falls outside that chart."""
+    a, b = t.corners[e], t.corners[(e + 1) % 3]
+    p = (a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]))
+    n = math.hypot(*d)
+    ref, iso = s.edge_transition(t.id, e)
+    for back in (0.3, 0.1, 0.03, 0.01, 1e-3, 1e-4):
+        x = iso.apply((p[0] - back * d[0] / n, p[1] - back * d[1] / n))
+        if s.triangle(ref.tri).contains(x):
+            return TangentDirection(SurfacePoint(ref.tri, x), iso.apply_vector(d))
+    return None
+
+
+def assert_same_entering_trace(s, t, e, f, d, length, clearance):
+    start = entering_start(s, t, e, f, d)
+    assume(start is not None)
+    got = assert_same_trace(s, start, length, clearance)
+    assume(got.chords[0, 9] == s.edge_transition(t.id, e)[0].edge)  # the ray did enter t by edge e
+    return got
+
+
+def side_margin(s):
+    return 2e-9 * (1.0 + max(t.edge_length(k) for t in s.triangles for k in range(3)))
+
+
+def tie_margin(s, clearance):
+    scale = max(t.edge_length(k) for t in s.triangles for k in range(3))
+    reach = max(math.hypot(*c) for t in s.triangles for c in t.corners)
+    return 1e-15 * (clearance + reach) + 1e-11 * (1.0 + scale)
+
+
+clearances = st.sampled_from([DEFAULT_VERTEX_CLEARANCE, 1e-9, 1e-4])
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    st.sampled_from(sorted(oracle_surfaces())),
+    st.integers(0, 63),
+    st.integers(0, 2),
+    st.floats(0.05, 0.95),
+    st.sampled_from(["ulp", "side"]),
+    st.sampled_from([0.0, 1.0, -1.0, 1.0 - 1e-3, -1.0 + 1e-3, 1.0 + 1e-3, -1.0 - 1e-3]),
+    clearances,
+)
+def test_trace_matches_the_reference_loop_through_the_opposite_corner(name, k, e, f, unit, multiple, clearance):
+    # The ray enters a chart by edge e and passes the opposite corner v at a
+    # perpendicular offset of 0, one ulp, or (1 +- 1e-3) times the side
+    # test's margin, on either side; then it travels one more unit.
+    s = oracle_surfaces()[name]
+    t = s.triangles[k % len(s.triangles)]
+    a, b, v = t.corners[e], t.corners[(e + 1) % 3], t.corners[(e + 2) % 3]
+    p = (a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]))
+    wx, wy = v[0] - p[0], v[1] - p[1]
+    ln = math.hypot(wx, wy)
+    off = multiple * (math.ulp(ln) if unit == "ulp" else side_margin(s))
+    d = (wx - off * wy / ln, wy + off * wx / ln)
+    assert_same_entering_trace(s, t, e, f, d, ln + 1.0, max(clearance, s.tolerance))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    st.sampled_from(sorted(oracle_surfaces())),
+    st.integers(0, 63),
+    st.integers(0, 2),
+    st.one_of(st.floats(0.05, 0.95), st.sampled_from([1e-11, 1e-10, 1e-9, 1.0 - 1e-9, 1.0 - 1e-10, 1.0 - 1e-11])),
+    st.integers(1, 2),
+    st.integers(0, 1),
+    st.sampled_from(["ulp", "margin"]),
+    st.sampled_from([0.0, 1.0, -1.0, 1e-3, -1e-3, 3.0, -3.0]),
+    clearances,
+)
+def test_trace_matches_the_reference_loop_at_the_tie_window(name, k, e, f, x, end, unit, multiple, clearance):
+    # The ray enters by edge e and crosses exit edge e + x at
+    # vertex_clearance plus a few ulps or a fraction of the tie window's
+    # margin from one of its ends, either side of the window's edge.  An
+    # entry point just past the entry guard near a corner makes the chord
+    # nearly parallel to an exit edge that ends there.
+    s = oracle_surfaces()[name]
+    t = s.triangles[k % len(s.triangles)]
+    clearance = max(clearance, s.tolerance)
+    a, b = t.corners[e], t.corners[(e + 1) % 3]
+    p = (a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]))
+    ex = (e + x) % 3
+    c, o = t.corners[(ex + end) % 3], t.corners[(ex + 1 - end) % 3]
+    ln = math.dist(c, o)
+    dist = clearance + multiple * (math.ulp(clearance) if unit == "ulp" else tie_margin(s, clearance))
+    z = (c[0] + dist * (o[0] - c[0]) / ln, c[1] + dist * (o[1] - c[1]) / ln)
+    d = (z[0] - p[0], z[1] - p[1])
+    assert_same_entering_trace(s, t, e, f, d, math.hypot(*d) + 1.0, clearance)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    st.sampled_from(sorted(oracle_surfaces())),
+    st.integers(0, 63),
+    st.integers(0, 2),
+    st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 0.3, 0.7, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]),
+    st.integers(1, 2),
+    st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6]
+                    + [m * 1e-3 for m in (1.0, -1.0, 1.001, -1.001, 0.999, -0.999)]),
+    clearances,
+)
+def test_trace_matches_the_reference_loop_along_an_edge(name, k, e, f, y, angle, clearance):
+    # The ray enters by edge e at fraction f, some of them within a few
+    # ulps of a corner, parallel to another edge of the chart rotated by a
+    # small angle: nearly parallel to the edge it does not leave by, or,
+    # entering near that edge's corner, to the edge it leaves by.  Angles
+    # near 1e-3 straddle the side test's parallel guard.
+    s = oracle_surfaces()[name]
+    t = s.triangles[k % len(s.triangles)]
+    # Edge e + 1 runs from b to v, edge e + 2 from v to a: head along b -> v or a -> v.
+    start = t.corners[(e + 1) % 3] if y == 1 else t.corners[e]
+    v = t.corners[(e + 2) % 3]
+    ux, uy = v[0] - start[0], v[1] - start[1]
+    d = (ux * math.cos(angle) - uy * math.sin(angle), ux * math.sin(angle) + uy * math.cos(angle))
+    assert_same_entering_trace(s, t, e, f, d, 2.0 * math.hypot(ux, uy), max(clearance, s.tolerance))
+
+
+@pytest.mark.parametrize("name", sorted(oracle_surfaces()))
+def test_long_traces_match_the_reference_loop(name):
+    # L = 100 from four points of every catalog surface, parallel or not,
+    # and the far cube.
+    s = oracle_surfaces()[name]
+    rng = np.random.default_rng(19)
+    for _ in range(4):
+        t = s.triangles[int(rng.integers(len(s.triangles)))]
+        angle = rng.uniform(0.0, TWO_PI)
+        start = TangentDirection(SurfacePoint(t.id, chart_point(t, rng.uniform(0.05, 1.0, 3))), (math.cos(angle), math.sin(angle)))
+        assert_same_trace(s, start, 100.0, DEFAULT_VERTEX_CLEARANCE)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_PARALLEL))
+def test_the_side_test_alone_picks_every_exit_away_from_corners(name):
+    # With the fallback's candidates removed for every entered chart, a ray
+    # that never passes within the side margin of a corner still traces
+    # bit for bit: the side test chose every exit after the start step.
+    s = oracle_surfaces()[name]
+    copy = surface_from_json(surface_to_json(s))
+    tab = tracer._TraceTables(copy)
+    tab.exits = [
+        tuple((vx, vy, neg, pos, ()) if k < 3 else entry for k, entry in enumerate(row) for vx, vy, neg, pos, _ in [entry])
+        for row in tab.exits
+    ]
+    tracer._TABLES[copy] = tab
+    t = s.triangles[0]
+    for angle in (0.3, 1.1, 2.0, 4.4):
+        start = TangentDirection(incenter_point(s, t.id), (math.cos(angle), math.sin(angle)))
+        want = trace(s, start, 50.0)
+        got = trace(copy, start, 50.0)
+        assert len(want.chords) > 50
+        assert np.array_equal(got.chords, want.chords) and got.termination == want.termination
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)

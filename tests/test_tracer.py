@@ -344,3 +344,15 @@ def test_check_trace_rejects_a_trace_read_from_json():
     check_trace(cube, tr)
     with pytest.raises(AssertionError, match="records no exit edge"):
         check_trace(cube, loaded)
+
+
+@pytest.mark.parametrize("unit", [(1e-320, 1e-320), (5e-324, 5e-324), (-3e-321, 7e-322)])
+def test_trace_from_a_subnormal_direction_is_the_trace_from_the_rescaled_one(torus, unit):
+    # normalize((1e-320, 1e-320)) was (0.70720, 0.70720), so the first chord
+    # had |d| = 1.00013 and check_trace failed with "segment length mismatch".
+    start = incenter_point(torus)
+    tr = trace(torus, TangentDirection(start, unit), 5.0)
+    check_trace(torus, tr)
+    big = trace(torus, TangentDirection(start, (unit[0] * 2.0**600, unit[1] * 2.0**600)), 5.0)
+    assert np.array_equal(tr.chords, big.chords) and tr.termination == big.termination
+    assert tr.start.unit == big.start.unit
