@@ -1,16 +1,16 @@
 """Self-intersection detection, density estimation, and angle audits.
 
-Both scans read one index per trace, its chords grouped by chart and then
-by projective direction class (``GeodesicTrace.classes``).  Only pairs of
-different classes, or in a wide class, can cross; they are tested at once
-with numpy and the events sorted and merged as the columns of an
-``IntersectionEvents`` sequence, which builds an ``IntersectionEvent``
-only when one is read.  A scan needs only the earliest crossing, found in
-time-ordered windows of the chords.  Density joins every chart's classes
-into one sorted key array per trace: each sample is measured against the
-two chords nearest its offset first, and only the samples still
-uncovered against the chords in their band of each class.  This module is
-the performance core.
+Both scans read one index per trace, ``GeodesicTrace.index`` (a
+``ChordIndex``): the chords chart after chart, each with its projective
+direction class, and the classes' sorted offset keys.  Only pairs of
+different classes, or in a wide class, can cross; each time window of the
+chords is paired in one numpy kernel over every chart at once, and the
+events sorted and merged as the columns of an ``IntersectionEvents``
+sequence, which builds an ``IntersectionEvent`` only when one is read.  A
+scan needs only the earliest crossing, found in doubling time windows.
+Density measures each sample against the two chords nearest its offset
+first, and only the samples still uncovered against the chords in their
+band of each class.  This module is the performance core.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ from .tracer import (
     DEFAULT_VERTEX_CLEARANCE,
     LENGTH_REACHED,
     PROPER_ANGLE_TOL,
+    ChordIndex,
     GeodesicTrace,
     SurfacePoint,
     TangentDirection,
@@ -48,6 +49,10 @@ EVENT_MERGE_TOL = 1e-7
 # below its end less this relative margin, far above the kernel's slack.
 FIRST_WINDOW = 1 / 64
 WINDOW_MARGIN = 1e-9
+# A window's rows are paired about this many candidate pairs at a time,
+# so the kernel's arrays stay a few megabytes even when one window spans
+# every chart of a long trace.
+PAIR_BATCH = 1 << 14
 
 # Most directions one scan may draw; its angle array is sized by n.
 MAX_DIRECTIONS = 10**6
@@ -196,34 +201,48 @@ def _merge_mask(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _row_events(tri, P, D, L, T0, label, wide, lo, hi):
-    """Event columns from rows lo:hi of one chart, in (i, j) order: chord i
-    paired with every later chord j of another class, or of the chart if
-    ``wide``.  Chords run in trace order, so each t1 is at least T0[i] less
-    the 1e-12 slack."""
-    ii, jj = np.nonzero(np.triu((label[lo:hi, None] != label) | wide, lo + 1))
-    ii += lo
-    denom = D[ii, 0] * D[jj, 1] - D[ii, 1] * D[jj, 0]
-    k = np.flatnonzero(np.abs(denom) > 1e-12)
-    ii, jj, denom = ii[k], jj[k], denom[k]
-    ang = np.arccos(np.clip(D[ii, 0] * D[jj, 0] + D[ii, 1] * D[jj, 1], -1.0, 1.0))
-    k = np.flatnonzero((ang > PROPER_ANGLE_TOL) & (ang < math.pi - PROPER_ANGLE_TOL))
-    ii, jj, denom, ang = ii[k], jj[k], denom[k], ang[k]
-    dxi, dyi, dxj, dyj = D[ii, 0], D[ii, 1], D[jj, 0], D[jj, 1]
-    pxi, pyi = P[ii, 0], P[ii, 1]
-    wx, wy = P[jj, 0] - pxi, P[jj, 1] - pyi
-    u = (wx * dyj - wy * dxj) / denom
-    v = (wx * dyi - wy * dxi) / denom
-    slack = 1e-12
-    ok = (u >= -slack) & (u <= L[ii] + slack) & (v >= -slack) & (v <= L[jj] + slack)
-    ta = T0[ii] + u
-    tb = T0[jj] + v
-    t1, t2 = np.minimum(ta, tb), np.maximum(ta, tb)
-    k = np.flatnonzero(ok & (t2 - t1 > EVENT_MERGE_TOL))
-    u = u[k]
-    px = pxi[k] + u * dxi[k]
-    py = pyi[k] + u * dyi[k]
-    return t1[k], t2[k], np.full(len(k), tri), px, py, ang[k]
+def _window_events(ix: ChordIndex, rows: np.ndarray):
+    """Event columns ``(t1, t2, row, px, py, angle)`` of chord rows
+    ``rows`` (ascending, in charts of two or more classes or one wide
+    class), in (i, j) order: row i paired with every later row j of its
+    chart of another class, or of the chart if it is wide.  Rows are taken
+    PAIR_BATCH candidate pairs at a time.  Chords run in trace order, so
+    each t1 is at least t0 of row i less the 1e-12 slack."""
+    px, py, dx, dy, L, T0 = ix.cols
+    count = ix.rows[ix.chart[rows] + 1] - rows - 1  # later rows of the chart
+    cuts = np.searchsorted(np.cumsum(count), np.arange(PAIR_BATCH, count.sum(), PAIR_BATCH))
+    out = []
+    for part, n in zip(np.split(rows, cuts), np.split(count, cuts)):
+        ii = np.repeat(part, n)
+        jj = ii + np.arange(1, len(ii) + 1) - np.repeat(np.cumsum(n) - n, n)
+        k = np.flatnonzero((np.repeat(ix.label[part], n) != ix.label[jj]) | np.repeat(ix.wide[ix.chart[part]], n))
+        ii, jj = ii[k], jj[k]
+        denom = dx[ii] * dy[jj] - dy[ii] * dx[jj]
+        k = np.flatnonzero(np.abs(denom) > 1e-12)
+        ii, jj, denom = ii[k], jj[k], denom[k]
+        ang = np.arccos(np.clip(dx[ii] * dx[jj] + dy[ii] * dy[jj], -1.0, 1.0))
+        k = np.flatnonzero((ang > PROPER_ANGLE_TOL) & (ang < math.pi - PROPER_ANGLE_TOL))
+        ii, jj, denom, ang = ii[k], jj[k], denom[k], ang[k]
+        dxi, dyi, dxj, dyj = dx[ii], dy[ii], dx[jj], dy[jj]
+        pxi, pyi = px[ii], py[ii]
+        wx, wy = px[jj] - pxi, py[jj] - pyi
+        u = (wx * dyj - wy * dxj) / denom
+        v = (wx * dyi - wy * dxi) / denom
+        slack = 1e-12
+        ok = (u >= -slack) & (u <= L[ii] + slack) & (v >= -slack) & (v <= L[jj] + slack)
+        ta = T0[ii] + u
+        tb = T0[jj] + v
+        t1, t2 = np.minimum(ta, tb), np.maximum(ta, tb)
+        k = np.flatnonzero(ok & (t2 - t1 > EVENT_MERGE_TOL))
+        u = u[k]
+        out.append((t1[k], t2[k], ii[k], pxi[k] + u * dxi[k], pyi[k] + u * dyi[k], ang[k]))
+    return [np.concatenate(c) for c in zip(*out)] if len(out) > 1 else out[0]
+
+
+def _events(ix: ChordIndex, cols, keep) -> IntersectionEvents:
+    """IntersectionEvents of rows ``keep`` of ``_window_events`` columns."""
+    t1, t2, row, px, py, angle = (c[keep] for c in cols)
+    return IntersectionEvents(t1, t2, ix.tris[ix.chart[row]], px, py, angle)
 
 
 def self_intersections(
@@ -233,47 +252,44 @@ def self_intersections(
 
     Pairs meeting at the same point with the same line direction (within
     PROPER_ANGLE_TOL, projectively) are periodic retracing and are
-    excluded, so pairs in one direction class (``GeodesicTrace.classes``),
-    unless it is wide, are never tested.  Events seen in two charts are
-    merged: walking in (t1, t2) order, an event within EVENT_MERGE_TOL in
-    both parameters of the last event kept is dropped.  ``surface`` is not
-    read: the chords carry their chart coordinates.
+    excluded, so pairs in one direction class of ``trace_.index``, unless
+    it is wide, are never tested.  Events seen in two charts are merged:
+    walking in (t1, t2) order, an event within EVENT_MERGE_TOL in both
+    parameters of the last event kept is dropped; ties in (t1, t2) are
+    walked in (chart, i, j) order, the index's row order.  ``surface`` is
+    not read: the chords carry their chart coordinates.
 
     With ``earliest_only`` the result is ``[earliest()]`` of the full
-    result, or empty.  The rows (chords) ``T0 < tau`` of each chart are
-    then paired first, tau doubling from FIRST_WINDOW of the trace length;
-    the full call is one window over all rows.  Row i yields only events
-    with ``t1 >= T0[i] - 1e-12``, so once the rows below tau are paired,
-    the events with ``t1 < c = tau - WINDOW_MARGIN (1 + tau)`` are an exact
-    prefix of the full (t1, t2)-sorted list, ties in chart, i, j order as
-    in one window.  The merge decides each event only from those before
-    it, so the prefix keeps what the full list keeps.  Every event past
-    the prefix has ``t2 > t1 >= c``.  Hence if the kept prefix event with
-    the smallest (t2, t1) has ``t2 <= c``, it is the full ``earliest()``,
-    bit for bit; otherwise tau doubles.
+    result, or empty.  The rows (chords) with ``t0 < tau`` of every chart
+    are then paired first, in one window, tau doubling from FIRST_WINDOW
+    of the trace length; the full call is one window over all rows.  Row i
+    yields only events with ``t1 >= t0[i] - 1e-12``, so once the rows below
+    tau are paired, the events with ``t1 < c = tau - WINDOW_MARGIN (1 +
+    tau)`` are an exact prefix of the full (t1, t2)-sorted list, ties in
+    chart, i, j order as in one window.  The merge decides each event only
+    from those before it, so the prefix keeps what the full list keeps.
+    Every event past the prefix has ``t2 > t1 >= c``.  Hence if the kept
+    prefix event with the smallest (t2, t1) has ``t2 <= c``, it is the full
+    ``earliest()``, bit for bit; otherwise tau doubles.
     """
-    charts = []
-    for tri, (P, D, L, T0) in trace_.charts.items():
-        label, _normals, spreads = trace_.classes[tri][:3]
-        wide = spreads[0] == 1.0  # directions do not cluster: every pair
-        if len(spreads) > 1 or wide:
-            charts.append((tri, P, D, L, T0, label, wide))
-    if not charts:
+    ix = trace_.index
+    rows = np.flatnonzero(((np.diff(ix.classes) > 1) | ix.wide)[ix.chart])
+    if not len(rows):
         empty = np.empty(0)
         return IntersectionEvents(empty, empty, empty.astype(np.int64), empty, empty, empty)
-    rows = [0] * len(charts)  # rows paired so far, per chart
-    found = [[] for _ in charts]  # per chart, its windows' columns in row order
-    tau = FIRST_WINDOW * trace_.length if earliest_only and trace_.length > 0 else math.inf
+    t0 = ix.cols[5, rows]
+    t0_max = t0.max()
+    found = []  # each window's columns
+    lo, tau = -math.inf, FIRST_WINDOW * trace_.length if earliest_only and trace_.length > 0 else math.inf
     while True:
-        for k, chart in enumerate(charts):
-            hi = int(np.searchsorted(chart[4], tau))
-            if hi > rows[k]:
-                found[k].append(_row_events(*chart, rows[k], hi))
-                rows[k] = hi
-        done = all(r == len(chart[4]) for r, chart in zip(rows, charts))
-        if any(found):
-            cols = [np.concatenate(c) for c in zip(*(w for ws in found for w in ws))]
-            order = np.lexsort((cols[1], cols[0]))
+        window = rows[(lo <= t0) & (t0 < tau)]
+        if len(window):
+            found.append(_window_events(ix, window))
+        done = t0_max < tau
+        if found:
+            cols = [np.concatenate(c) for c in zip(*found)] if len(found) > 1 else found[0]
+            # (t1, t2), then row: a row's pairs all come from one window.
+            order = np.lexsort((cols[2], cols[1], cols[0]))
             cols = [c[order] for c in cols]
             t1, t2 = cols[:2]
             cut = math.inf if done else tau - WINDOW_MARGIN * (1.0 + tau)
@@ -282,10 +298,10 @@ def self_intersections(
             if earliest_only and len(keep):
                 best = keep[_earliest_index(t1[keep], t2[keep])]
                 if t2[best] <= cut:
-                    return IntersectionEvents(*(c[best : best + 1] for c in cols))
+                    return _events(ix, cols, slice(best, best + 1))
             if done:
-                return IntersectionEvents(*(c[keep] for c in cols))
-        tau *= 2.0
+                return _events(ix, cols, keep)
+        lo, tau = tau, 2.0 * tau
 
 
 @functools.lru_cache(maxsize=1)
@@ -306,41 +322,19 @@ def _sample_points(surface: FlatSurface, samples: int, seed: int):
     return out
 
 
-class _ChordIndex:
-    """One trace's charts in flat arrays.  Column k of ``chords`` is a
-    chord's ``(px, py, dx, dy, L)``, chart after chart; chart c's classes
-    are ``base[c]`` to ``base[c] + ncls[c] - 1``, and class g's sorted keys,
-    shifted by the base in their real part, are ``keys[start[g]:end[g]]``,
-    of chords ``order[start[g]:end[g]]``.  ``pmax[c]`` is ``max |P|``."""
-
-    def __init__(self, trace_: GeodesicTrace):
-        self.charts = list(trace_.charts)
-        cls = [trace_.classes[t] for t in self.charts]
-        P, D, L = (np.concatenate([v[k] for v in trace_.charts.values()]) for k in range(3))
-        self.chords = np.vstack((P.T, D.T, L))
-        rows = np.cumsum([0] + [len(c[0]) for c in cls])
-        self.ncls = np.array([len(c[1]) for c in cls])
-        self.base = np.cumsum(self.ncls) - self.ncls
-        self.keys = np.concatenate([c[3] for c in cls]) + np.repeat(self.base, np.diff(rows))
-        self.order = np.concatenate([c[4] for c in cls]) + np.repeat(rows[:-1], np.diff(rows))
-        self.normals, self.spreads = (np.concatenate([c[k] for c in cls]) for k in (1, 2))
-        self.start = np.searchsorted(self.keys.real, np.arange(len(self.spreads)))
-        self.end = np.append(self.start[1:], len(self.keys))
-        self.pmax = np.maximum.reduceat(np.abs(P).max(1), rows[:-1])
-
-
-def _hits(ix: _ChordIndex, qs, qc, qx, qy, epsilon: float, size: int, nearest: bool = False) -> np.ndarray:
+def _hits(ix: ChordIndex, qs, qc, qx, qy, epsilon: float, size: int, nearest: bool = False) -> np.ndarray:
     """Which of ``size`` samples lie within epsilon of a chord: query k,
     sample ``qs[k]`` at ``(qx[k], qy[k])`` in chart ``qc[k]``, is measured
     in each class of its chart against the chords in its band, or with
     ``nearest`` against the two next to its offset."""
-    n = ix.ncls[qc]
+    first = ix.classes[qc]
+    n = ix.classes[qc + 1] - first
     qi = np.repeat(np.arange(len(qc)), n)
-    g = ix.base[qc][qi] + np.arange(len(qi)) - np.repeat(np.cumsum(n) - n, n)
+    g = first[qi] + np.arange(len(qi)) - np.repeat(np.cumsum(n) - n, n)
     x, y = qx[qi], qy[qi]
     off = x * ix.normals[g, 0] + y * ix.normals[g, 1]
     if nearest:
-        start, end = ix.start[g], ix.end[g]
+        start, end = ix.bounds[g], ix.bounds[g + 1]
         lo = np.clip(np.searchsorted(ix.keys, g + 1j * off) - 1, start, np.maximum(end - 2, start))
         count = np.minimum(end - start, 2)
     else:
@@ -350,7 +344,7 @@ def _hits(ix: _ChordIndex, qs, qc, qx, qy, epsilon: float, size: int, nearest: b
         count = np.searchsorted(ix.keys, g + 1j * (off + width), "right") - lo
     # One (query, chord) pair per chord measured.
     ci = ix.order[np.arange(count.sum()) + np.repeat(lo + count - np.cumsum(count), count)]
-    px, py, ux, uy, L = np.take(ix.chords, ci, 1)
+    px, py, ux, uy, L = np.take(ix.cols[:5], ci, 1)
     wx, wy = np.repeat(x, count) - px, np.repeat(y, count) - py
     proj = np.clip(wx * ux + wy * uy, 0.0, L)
     dx, dy = wx - proj * ux, wy - proj * uy
@@ -359,9 +353,18 @@ def _hits(ix: _ChordIndex, qs, qc, qx, qy, epsilon: float, size: int, nearest: b
     return hit
 
 
-def _check_density_args(epsilon: float, samples: int, seed: int) -> None:
-    if not 0.0 < epsilon < math.inf or samples <= 0:
-        raise ValueError("epsilon must be positive and finite, samples positive")
+def _check_count(name: str, value, top: int | None = None) -> None:
+    """Reject a count that is a bool, not an integer, below 1 or above ``top``."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral or value < 1 or (top is not None and value > top):
+        bound = "a positive integer" if top is None else f"an integer between 1 and {top}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
+def _check_density_args(epsilon: float, samples: int, seed: int, samples_name: str = "samples") -> None:
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    _check_count(samples_name, samples)
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
@@ -370,11 +373,11 @@ def _covered(surface: FlatSurface, trace_: GeodesicTrace, epsilon: float, sample
     """Whether each point of ``_sample_points``, in its order, lies within
     epsilon of the trace, as ``density_estimate`` counts it."""
     tri, x, y = _sample_points(surface, samples, seed)
-    if not trace_.charts:
+    ix, tab = trace_.index, _trace_tables(surface)
+    if not len(ix.tris):
         return np.zeros(samples, dtype=bool)
-    ix, tab = _ChordIndex(trace_), _trace_tables(surface)
     chart_of = np.full(len(tab.area_p), -1)
-    chart_of[[tab.id2dense[t] for t in ix.charts]] = np.arange(len(ix.charts))
+    chart_of[[tab.id2dense[t] for t in ix.tris.tolist()]] = np.arange(len(ix.tris))
     own = chart_of[tri]
     s = np.flatnonzero(own >= 0)
     hit = _hits(ix, s, own[s], x[s], y[s], epsilon, samples, nearest=True)
@@ -410,6 +413,14 @@ def density_estimate(
     at least ``|n_k.(q - P)|`` and ``|n -+ n_k| <= (pi/2) s``, so the band
     holds every chord within epsilon; each distance is the same expression
     in either round, so the verdicts equal those of measuring every chord.
+
+    A verdict is the surface's for a sample farther than ``epsilon (1 + 1 /
+    sin(beta))`` from each corner of its chart, beta the smallest corner
+    angle: a geodesic segment shorter than epsilon that crosses two edges
+    (or the line of an edge beyond its end) cuts the corner where they
+    meet, so it passes within ``epsilon / sin(beta)`` of it.  Nearer a
+    corner a sample may count as uncovered although the trace is within
+    epsilon.  ``samples`` must be an integer (not a bool) of at least 1.
     """
     _check_density_args(epsilon, samples, seed)
     covered = _covered(surface, trace_, epsilon, samples, seed)
@@ -565,13 +576,13 @@ def direction_scan(
     (t2, t1), from ``self_intersections(..., earliest_only=True)``) or
     Simple (with a density report at ``epsilon``).  Deterministic given
     the seed.
-    ``n`` above MAX_DIRECTIONS, and an ``epsilon`` or ``density_samples``
-    that ``density_estimate`` would reject, are rejected before any angle is
+    An ``n`` that is not an integer from 1 to MAX_DIRECTIONS (a bool is
+    not), and an ``epsilon``, ``density_samples`` or ``seed`` that
+    ``density_estimate`` would reject, raise ValueError before any angle is
     drawn.
     """
-    if not 1 <= n <= MAX_DIRECTIONS:
-        raise ValueError(f"n must be between 1 and {MAX_DIRECTIONS}, got {n}")
-    _check_density_args(epsilon, density_samples, seed)
+    _check_count("n", n, MAX_DIRECTIONS)
+    _check_density_args(epsilon, density_samples, seed, "density_samples")
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, n)
     rows: list[DirectionVerdict] = []

@@ -170,8 +170,10 @@ class GeodesicTrace:
 
     Row k of ``chords`` is the k-th chord: triangle id, entry x/y, exit
     x/y, unit direction x/y, arc parameter t0 at entry, length, and the
-    edge crossed at the exit (-1 where the trace stops).  ``segments``,
-    ``charts`` and ``classes`` are views of the rows, built on first read.
+    edge crossed at the exit (-1 where the trace stops).  ``segments``
+    and ``index``, the ChordIndex that both scans of ``flatgeo.analysis``
+    read, are built from the rows on first read; ``charts`` are slices of
+    ``index``.
     """
 
     start: TangentDirection
@@ -196,52 +198,118 @@ class GeodesicTrace:
         )
 
     @cached_property
-    def charts(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """tri -> (entry points, directions, lengths, t0) of its chords.
-
-        Charts come in order of first appearance, chords in trace order.
-        """
-        c = self.chords
-        if not len(c):
-            return {}
-        _ids, first, inverse = np.unique(c[:, 0], return_index=True, return_inverse=True)
-        chart_first = first[inverse]
-        order = np.argsort(chart_first, kind="stable")
-        starts = np.flatnonzero(np.diff(chart_first[order])) + 1
-        return {
-            int(g[0, 0]): (g[:, 1:3], g[:, 5:7], g[:, 8], g[:, 7])
-            for g in np.split(c[order], starts)
-        }
+    def index(self) -> ChordIndex:
+        """The chords chart after chart, with their direction classes."""
+        return _chord_index(self.chords)
 
     @cached_property
-    def classes(self) -> dict[int, tuple[np.ndarray, ...]]:
-        """tri -> (label, normals, spreads, keys, order): its direction classes.
+    def charts(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """tri -> (entry points, directions, lengths, t0) of its chords:
+        slices of ``index``, charts in order of first appearance, chords
+        in trace order."""
+        ix = self.index
+        P, D, L, T0 = ix.cols[0:2].T, ix.cols[2:4].T, ix.cols[4], ix.cols[5]
+        bounds = zip(ix.tris.tolist(), ix.rows[:-1].tolist(), ix.rows[1:].tolist())
+        return {tri: (P[a:b], D[a:b], L[a:b], T0[a:b]) for tri, a, b in bounds}
 
-        A class is the chords with ``|D_k x d| <= PROPER_ANGLE_TOL / 4``, d
-        its first chord in trace order, with normal ``perp(d)`` and spread
-        the largest such cross product; a chart of more than MAX_CLASSES
-        is one wide class of spread 1.  ``keys[i] = label + 1j * normal.P``
-        of chord ``order[i]``, sorted by class, then offset (numpy orders
-        complex numbers lexicographically)."""
-        out = {}
-        for tri, (P, D, _L, _T0) in self.charts.items():
-            label = np.full(len(P), -1)
-            normals, spreads = [], []
-            while len(free := np.flatnonzero(label < 0)):
-                if len(normals) == MAX_CLASSES:
-                    label[:], normals, spreads = 0, normals[:1], [1.0]
-                    break
-                dx, dy = D[free[0]]
-                cross = np.abs(D[free, 0] * dy - D[free, 1] * dx)
-                mine = cross <= PROPER_ANGLE_TOL / 4
-                label[free[mine]] = len(normals)
-                normals.append((-dy, dx))
-                spreads.append(cross[mine].max())
-            n = np.array(normals)
-            keys = label + 1j * (n[label, 0] * P[:, 0] + n[label, 1] * P[:, 1])
-            order = np.argsort(keys, kind="stable")
-            out[tri] = (label, n, np.array(spreads), keys[order], order)
-        return out
+
+@dataclass(frozen=True, eq=False)
+class ChordIndex:
+    """A trace's chords chart after chart, grouped by direction class.
+
+    Charts come in order of first appearance: chart c is triangle
+    ``tris[c]``, its chords are rows ``rows[c]:rows[c + 1]`` in trace
+    order, and ``chart`` is each row's chart.  ``cols`` holds each row's
+    ``(px, py, dx, dy, L, t0)``.  A class is the chords of one chart with
+    ``|D x d| <= PROPER_ANGLE_TOL / 4``, d the first chord in trace order
+    not in an earlier class, with normal ``perp(d)`` and spread the largest
+    such cross product; a chart of more than MAX_CLASSES is one wide class
+    of spread 1 (``wide[c]``).  Classes are numbered chart after chart,
+    chart c's being ``classes[c]:classes[c + 1]``, and ``label`` is each
+    row's.  ``keys = label + 1j * normal.P``, sorted by class, then offset
+    (numpy orders complex numbers lexicographically), are the keys of rows
+    ``order``; class g's are ``keys[bounds[g]:bounds[g + 1]]``.
+    ``pmax[c]`` is chart c's largest ``|px|`` or ``|py|``.
+    """
+
+    tris: np.ndarray
+    rows: np.ndarray
+    chart: np.ndarray
+    cols: np.ndarray
+    label: np.ndarray
+    classes: np.ndarray
+    wide: np.ndarray
+    pmax: np.ndarray
+    normals: np.ndarray
+    spreads: np.ndarray
+    keys: np.ndarray
+    order: np.ndarray
+    bounds: np.ndarray
+
+
+def _chord_index(c: np.ndarray) -> ChordIndex:
+    """The ChordIndex of chord rows ``c``.  Each round of the class rule
+    seeds a class in every chart that still has chords without one."""
+    n = len(c)
+    # Each triangle's chords in trace order, then the triangles by first chord.
+    by_tri = np.argsort(c[:, 0], kind="stable")
+    heads = np.flatnonzero(np.diff(c[by_tri, 0], prepend=np.nan))
+    seq = np.argsort(by_tri[heads])
+    sizes = np.diff(np.append(heads, n))[seq]
+    rows = np.append(0, np.cumsum(sizes))
+    perm = by_tri[np.arange(n) + np.repeat(heads[seq] - rows[:-1], sizes)]
+    chart = np.repeat(np.arange(len(sizes)), sizes)
+    cols = c[perm].T[[1, 2, 5, 6, 8, 7]]
+    dx, dy = cols[2], cols[3]
+    label = np.full(n, -1)
+    ncls = np.zeros(len(sizes), dtype=np.int64)
+    wide = np.zeros(len(sizes), dtype=bool)
+    rounds = []  # per round: the charts seeding a class, its normals and spreads
+    free = np.arange(n)
+    while len(free):
+        head = np.flatnonzero(np.diff(chart[free], prepend=-1))
+        seed = free[head]
+        owners = chart[seed]
+        if len(rounds) == MAX_CLASSES:
+            wide[owners] = True
+            break
+        reps = np.diff(np.append(head, len(free)))
+        cross = np.abs(dx[free] * np.repeat(dy[seed], reps) - dy[free] * np.repeat(dx[seed], reps))
+        mine = cross <= PROPER_ANGLE_TOL / 4
+        label[free[mine]] = len(rounds)
+        ncls[owners] += 1
+        rounds.append((owners, -dy[seed], dx[seed], np.maximum.reduceat(np.where(mine, cross, 0.0), head)))
+        free = free[~mine]
+    ncls[wide] = 1
+    label[wide[chart]] = 0
+    classes = np.append(0, np.cumsum(ncls))
+    label += classes[chart]
+    normals, spreads = np.empty((classes[-1], 2)), np.empty(classes[-1])
+    for r, (owners, nx, ny, spread) in enumerate(rounds):
+        k = np.flatnonzero(r < ncls[owners])
+        g = classes[owners[k]] + r
+        normals[g, 0], normals[g, 1], spreads[g] = nx[k], ny[k], spread[k]
+    spreads[classes[:-1][wide]] = 1.0
+    keys = label + 1j * (normals[label, 0] * cols[0] + normals[label, 1] * cols[1])
+    order = np.argsort(keys, kind="stable")
+    ix = ChordIndex(
+        tris=c[perm[rows[:-1]], 0].astype(np.int64),
+        rows=rows,
+        chart=chart,
+        cols=cols,
+        label=label,
+        classes=classes,
+        wide=wide,
+        pmax=np.maximum.reduceat(np.maximum(np.abs(cols[0]), np.abs(cols[1])), rows[:-1]),
+        normals=normals,
+        spreads=spreads,
+        keys=keys[order],
+        order=order,
+        bounds=np.append(0, np.cumsum(np.bincount(label, minlength=classes[-1]))),
+    )
+    for field in vars(ix).values():
+        field.flags.writeable = False
+    return ix
 
 
 class _TraceTables:

@@ -1,3 +1,4 @@
+import functools
 import heapq
 import math
 
@@ -13,8 +14,11 @@ from flatgeo.tracer import (
     DEFAULT_VERTEX_CLEARANCE,
     LENGTH_REACHED,
     LEFT_DOMAIN,
+    MAX_CLASSES,
     MAX_STEPS,
+    PROPER_ANGLE_TOL,
     VERTEX_HIT,
+    ChordIndex,
     GeodesicTrace,
     SurfacePoint,
     TangentDirection,
@@ -82,12 +86,139 @@ def dense_near_chords(Q, P, D, L, epsilon):
     return np.sqrt(np.min(dx * dx + dy * dy, axis=1)) < epsilon
 
 
+@functools.lru_cache(maxsize=4)
+def reference_charts(trace_):
+    """tri -> (P, D, L, T0) of its chords in trace order, charts in order
+    of first appearance, grouped one chord at a time."""
+    rows: dict[int, list[int]] = {}
+    for k, tri in enumerate(trace_.chords[:, 0].tolist()):
+        rows.setdefault(int(tri), []).append(k)
+    c = trace_.chords
+    return {tri: (c[ks, 1:3], c[ks, 5:7], c[ks, 8], c[ks, 7]) for tri, ks in rows.items()}
+
+
+def reference_classes(P, D):
+    """One chart's direction classes, found one class at a time: (label,
+    normals, spreads, keys, order, wide), as ``ChordIndex`` describes them
+    but numbered within the chart."""
+    label = np.full(len(P), -1)
+    normals, spreads = [], []
+    wide = False
+    while len(free := np.flatnonzero(label < 0)):
+        if len(normals) == MAX_CLASSES:
+            label[:], normals, spreads, wide = 0, normals[:1], [1.0], True
+            break
+        dx, dy = D[free[0]]
+        cross = np.abs(D[free, 0] * dy - D[free, 1] * dx)
+        mine = cross <= PROPER_ANGLE_TOL / 4
+        label[free[mine]] = len(normals)
+        normals.append((-dy, dx))
+        spreads.append(cross[mine].max())
+    n = np.array(normals)
+    keys = label + 1j * (n[label, 0] * P[:, 0] + n[label, 1] * P[:, 1])
+    order = np.argsort(keys, kind="stable")
+    return label, n, np.array(spreads), keys[order], order, wide
+
+
+@functools.lru_cache(maxsize=4)
+def reference_chart_classes(trace_) -> dict:
+    """tri -> ``reference_classes`` of each chart of the trace."""
+    return {tri: reference_classes(P, D) for tri, (P, D, _L, _T0) in reference_charts(trace_).items()}
+
+
+def reference_index(trace_) -> ChordIndex:
+    """Reference for ``GeodesicTrace.index``: each chart's classes found
+    by its own loop, then the charts joined, their class numbers and rows
+    shifted by the classes and rows before them."""
+    charts = reference_charts(trace_)
+    if not charts:
+        none, zero = np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        return ChordIndex(
+            tris=none, rows=zero, chart=none, cols=np.empty((6, 0)), label=none, classes=zero,
+            wide=np.empty(0, dtype=bool), pmax=np.empty(0), normals=np.empty((0, 2)), spreads=np.empty(0),
+            keys=np.empty(0, dtype=complex), order=none, bounds=zero,
+        )
+    cls = list(reference_chart_classes(trace_).values())
+    P, D, L, T0 = (np.concatenate([v[k] for v in charts.values()]) for k in range(4))
+    rows = np.cumsum([0] + [len(c[0]) for c in cls])
+    sizes = np.diff(rows)
+    ncls = np.array([len(c[1]) for c in cls])
+    base = np.cumsum(ncls) - ncls
+    keys = np.concatenate([c[3] for c in cls]) + np.repeat(base, sizes)
+    n_classes = int(ncls.sum())
+    return ChordIndex(
+        tris=np.array(list(charts), dtype=np.int64),
+        rows=rows,
+        chart=np.repeat(np.arange(len(cls)), sizes),
+        cols=np.vstack((P.T, D.T, L, T0)),
+        label=np.concatenate([c[0] for c in cls]) + np.repeat(base, sizes),
+        classes=np.append(base, n_classes),
+        wide=np.array([c[5] for c in cls]),
+        pmax=np.maximum.reduceat(np.abs(P).max(1), rows[:-1]),
+        normals=np.concatenate([c[1] for c in cls]),
+        spreads=np.concatenate([c[2] for c in cls]),
+        keys=keys,
+        order=np.concatenate([c[4] for c in cls]) + np.repeat(rows[:-1], sizes),
+        bounds=np.append(np.searchsorted(keys.real, np.arange(n_classes)), len(keys)),
+    )
+
+
 def band_hits(trace_, chart, Q, epsilon, nearest=False):
-    """``analysis._hits`` on one chart's query set: point k of Q is sample
-    k, in chart ``chart`` (a triangle id) of the trace."""
-    ix = analysis._ChordIndex(trace_)
+    """``analysis._hits`` on one chart's query set, reading the reference
+    index: point k of Q is sample k, in chart ``chart`` (a triangle id) of
+    the trace."""
+    ix = reference_index(trace_)
     n = len(Q)
-    return analysis._hits(ix, np.arange(n), np.full(n, ix.charts.index(chart)), Q[:, 0], Q[:, 1], epsilon, n, nearest)
+    c = list(ix.tris).index(chart)
+    return analysis._hits(ix, np.arange(n), np.full(n, c), Q[:, 0], Q[:, 1], epsilon, n, nearest)
+
+
+def reference_row_events(tri, P, D, L, T0, label, wide, lo, hi):
+    """Event columns from rows lo:hi of one chart, in (i, j) order: chord i
+    paired with every later chord j of another class, or of the chart if
+    ``wide``."""
+    ii, jj = np.nonzero(np.triu((label[lo:hi, None] != label) | wide, lo + 1))
+    ii += lo
+    denom = D[ii, 0] * D[jj, 1] - D[ii, 1] * D[jj, 0]
+    k = np.flatnonzero(np.abs(denom) > 1e-12)
+    ii, jj, denom = ii[k], jj[k], denom[k]
+    ang = np.arccos(np.clip(D[ii, 0] * D[jj, 0] + D[ii, 1] * D[jj, 1], -1.0, 1.0))
+    k = np.flatnonzero((ang > PROPER_ANGLE_TOL) & (ang < math.pi - PROPER_ANGLE_TOL))
+    ii, jj, denom, ang = ii[k], jj[k], denom[k], ang[k]
+    dxi, dyi, dxj, dyj = D[ii, 0], D[ii, 1], D[jj, 0], D[jj, 1]
+    pxi, pyi = P[ii, 0], P[ii, 1]
+    wx, wy = P[jj, 0] - pxi, P[jj, 1] - pyi
+    u = (wx * dyj - wy * dxj) / denom
+    v = (wx * dyi - wy * dxi) / denom
+    slack = 1e-12
+    ok = (u >= -slack) & (u <= L[ii] + slack) & (v >= -slack) & (v <= L[jj] + slack)
+    ta = T0[ii] + u
+    tb = T0[jj] + v
+    t1, t2 = np.minimum(ta, tb), np.maximum(ta, tb)
+    k = np.flatnonzero(ok & (t2 - t1 > analysis.EVENT_MERGE_TOL))
+    u = u[k]
+    px = pxi[k] + u * dxi[k]
+    py = pyi[k] + u * dyi[k]
+    return t1[k], t2[k], np.full(len(k), tri), px, py, ang[k]
+
+
+def reference_self_intersections(trace_):
+    """Reference for ``self_intersections``' full list: the six event
+    columns (t1, t2, tri, px, py, angle), each chart of two or more classes
+    (or one wide class) paired in one call, the charts' events joined in
+    chart order, sorted stably by (t1, t2) and merged."""
+    found = []
+    classes = reference_chart_classes(trace_)
+    for tri, (P, D, L, T0) in reference_charts(trace_).items():
+        label, normals, _spreads, _keys, _order, wide = classes[tri]
+        if len(normals) > 1 or wide:
+            found.append(reference_row_events(tri, P, D, L, T0, label, wide, 0, len(P)))
+    if not found:
+        empty = np.empty(0)
+        return [empty, empty, empty.astype(np.int64), empty, empty, empty]
+    cols = [np.concatenate(c) for c in zip(*found)]
+    cols = [c[np.lexsort((cols[1], cols[0]))] for c in cols]
+    return [c[analysis._merge_mask(cols[0], cols[1])] for c in cols]
 
 
 def all_sources_diameter(surface) -> float:
@@ -430,8 +561,8 @@ def reference_sample_points(surface: FlatSurface, samples: int, seed: int) -> di
 def reference_near_chords(Q, trace_: GeodesicTrace, tri: int, epsilon: float) -> np.ndarray:
     """Which points Q lie within epsilon of chart ``tri``'s chords, by band,
     with one R for all of Q."""
-    P, D, L, _t0 = trace_.charts[tri]
-    _label, normals, spreads, keys, order = trace_.classes[tri]
+    P, D, L, _t0 = reference_charts(trace_)[tri]
+    _label, normals, spreads, keys, order, _wide = reference_chart_classes(trace_)[tri]
     R = math.sqrt(2.0) * (np.abs(Q).max() + np.abs(P).max())
     width = epsilon + (math.pi / 2) * spreads * R + 1e-9 * (1.0 + R)
     off = Q[:, :1] * normals[:, 0] + Q[:, 1:] * normals[:, 1]
@@ -453,7 +584,7 @@ def reference_density(surface: FlatSurface, trace_: GeodesicTrace, epsilon: floa
     gluing in the neighbour's chart while some are uncovered.  Returns the
     covered fraction and the per-sample verdicts, triangle by triangle in
     the order ``reference_sample_points`` groups them."""
-    charts = trace_.charts
+    charts = reference_charts(trace_)
     verdicts = []
     for tri_id, P in reference_sample_points(surface, samples, seed).items():
         hit = np.zeros(len(P), dtype=bool)

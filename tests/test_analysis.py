@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -38,7 +39,17 @@ from flatgeo.builders import (
 from flatgeo.errors import CoincidentMidpoints, NotConvex
 from flatgeo.geometry import cross, segments_intersect, unsigned_angle
 from flatgeo.surface import diameter_estimate
-from flatgeo.tracer import SurfacePoint, TangentDirection, locate, tangent_representatives, trace, truncate
+from flatgeo.tracer import (
+    LENGTH_REACHED,
+    GeodesicTrace,
+    SurfacePoint,
+    TangentDirection,
+    Termination,
+    locate,
+    tangent_representatives,
+    trace,
+    truncate,
+)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -287,24 +298,50 @@ def test_earliest_only_without_crossings_pairs_every_row_in_windows(catalog_surf
     s = catalog_surfaces["ring-double"]
     tr = trace(s, TangentDirection(incenter_point(s), (math.cos(0.56), math.sin(0.56))), 12.0)
     assert tr.termination.kind == "LengthReached"
-    multi = {tri: len(P) for tri, (P, *_rest) in tr.charts.items() if len(tr.classes[tri][2]) > 1}
+    ix = tr.index
+    multi = np.flatnonzero(np.diff(ix.classes) > 1)
     assert len(multi) >= 2
     windows = []
-    row_events = analysis._row_events
+    window_events = analysis._window_events
 
-    def record(*args):
-        windows.append((args[0], args[-2], args[-1]))
-        return row_events(*args)
+    def record(ix_, rows):
+        windows.append(rows)
+        return window_events(ix_, rows)
 
-    monkeypatch.setattr(analysis, "_row_events", record)
+    monkeypatch.setattr(analysis, "_window_events", record)
     none = self_intersections(s, tr, earliest_only=True)
     assert none == [] and none.tri.dtype == np.int64
-    assert len(windows) > len(multi)  # more than one window ran
-    for tri, n in multi.items():
-        bounds = [(lo, hi) for t, lo, hi in windows if t == tri]
-        assert [lo for lo, _hi in bounds] == [0] + [hi for _lo, hi in bounds[:-1]]
-        assert bounds[-1][1] == n
+    assert len(windows) > 1
+    # Each chart's rows, window after window, are its rows in order.
+    paired = np.concatenate(windows)
+    for c in multi:
+        assert paired[ix.chart[paired] == c].tolist() == list(range(ix.rows[c], ix.rows[c + 1]))
+    assert np.isin(ix.chart[paired], multi).all()
     assert self_intersections(s, tr) == []
+
+
+def test_earliest_only_breaks_ties_across_windows_in_chart_order():
+    # Charts 7 and 3 each see the same crossing at (2, 0), at t = (3.5, 5.5)
+    # bit for bit; the merge keeps chart 7's, which appears first.  Chart
+    # 3's pair is found in the first window (t0 < 1) and chart 7's only in
+    # the third, whose lower end 2 is its row's t0.
+    def row(tri, p, d, length, t0):
+        return (tri, *p, p[0] + length * d[0], p[1] + length * d[1], *d, t0, length, -1)
+
+    east, north = (1.0, 0.0), (0.0, 1.0)
+    rows = [
+        row(7, (0.0, 100.0), east, 0.25, 0.0),
+        row(3, (-1.0, 0.0), east, 4.0, 0.5),
+        row(7, (0.5, 0.0), east, 2.0, 2.0),
+        row(7, (2.0, -1.0), north, 2.0, 4.5),
+        row(3, (2.0, -1.0), north, 2.0, 4.5),
+    ]
+    tr = GeodesicTrace._from_rows(
+        TangentDirection(SurfacePoint(7, (0.0, 100.0)), east), rows, 64.0, Termination(LENGTH_REACHED)
+    )
+    events = self_intersections(None, tr)
+    assert events == [IntersectionEvent(3.5, 5.5, SurfacePoint(7, (2.0, 0.0)), math.pi / 2)]
+    assert self_intersections(None, tr, earliest_only=True) == events
 
 
 # --- density --------------------------------------------------------------------
@@ -379,11 +416,11 @@ BAND_SURFACES = [name for name, _s in catalog()] + ["star-double-3", "star-doubl
 def test_density_band_matches_dense_oracle(catalog_surfaces, name):
     s = _surface(catalog_surfaces, name)
     tr = trace(s, TangentDirection(incenter_point(s), (math.cos(0.3), math.sin(0.3))), 50.0 * diameter_estimate(s))
-    spreads = [c[2] for c in tr.classes.values()]
+    ix = tr.index
     if name.startswith("star"):
-        assert any(sp[0] == 1.0 for sp in spreads)  # a wide class: every chord in the band
+        assert ix.wide.any() and 1.0 in ix.spreads  # a wide class: every chord in the band
     else:
-        assert max(map(len, spreads)) == 1 + (not CATALOG_PARALLEL[name]) and max(map(max, spreads)) < 1e-12
+        assert np.diff(ix.classes).max() == 1 + (not CATALOG_PARALLEL[name]) and ix.spreads.max() < 1e-12
     for epsilon in (0.01, 0.05):
         near, tested = assert_band_matches_dense(s, tr, epsilon, samples=2000)
         assert 0 < near < tested
@@ -504,6 +541,24 @@ def test_negative_or_fractional_seed_is_named_before_tracing(monkeypatch, seed):
         direction_scan(s, SurfacePoint(0, (0.4, 0.25)), 1, 1.0, 0.05, seed=seed)
     with pytest.raises(ValueError, match=f"^{message}$"):
         density_estimate(s, tr, 0.05, 100, seed)
+
+
+@pytest.mark.parametrize("count", [2.5, True])
+def test_fractional_or_bool_counts_are_named_before_tracing(monkeypatch, count):
+    s = flat_torus((1.0, 0.0), (0.0, 1.0))
+    p = SurfacePoint(0, (0.4, 0.25))
+    tr = trace(s, TangentDirection(p, (1.0, 0.0)), 1.0)
+
+    def no_trace(*args):
+        raise AssertionError("traced a direction")
+
+    monkeypatch.setattr(analysis, "trace", no_trace)
+    with pytest.raises(ValueError, match=re.escape(f"samples must be a positive integer, got {count}")):
+        density_estimate(s, tr, 0.05, count, 1)
+    with pytest.raises(ValueError, match=re.escape(f"n must be an integer between 1 and {MAX_DIRECTIONS}, got {count}")):
+        direction_scan(s, p, count, 1.0, 0.05, seed=0)
+    with pytest.raises(ValueError, match=re.escape(f"density_samples must be a positive integer, got {count}")):
+        direction_scan(s, p, 1, 1.0, 0.05, seed=0, density_samples=count)
 
 
 def test_scan_cube_majority_self_intersecting():

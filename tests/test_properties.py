@@ -9,9 +9,12 @@ surfaces.  Cuts are random segments inside one triangle of the square
 double or of a star double, patched with regular polygons.  Events and
 traces are drawn from random directions on the catalog's
 two-direction-class surfaces, and the earliest-only event search also
-runs on random polylines; the density band is checked on random chords
-against the dense test, and ``density_estimate`` against its per-triangle
-reference loop on the catalog and the far cube.  Flat tori come from random lattices, some of
+runs on random polylines over one to eight charts, where the full event
+list must equal the chart-by-chart kernel's and the trace's chord index
+the chart-by-chart class loop's (the index also on catalog traces); the
+density band is checked on random chords against the dense test, and
+``density_estimate`` against its per-triangle reference loop on the
+catalog and the far cube.  Flat tori come from random lattices, some of
 them near-collinear.  Ear clipping is checked against the all-vertices
 oracle on random star (4 to 120 vertices) and rectilinear polygons, the
 pruned diameter against the all-sources loop on star doubles of 4 to 60
@@ -25,10 +28,12 @@ test's margin, cross an exit edge at the edge of the tie window, or run
 nearly parallel to an edge.  The runs are derandomized, so the suite sees
 the same examples every time.
 """
+import dataclasses
 import functools
 import json
 import math
 from bisect import bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,13 +48,17 @@ from conftest import (
     incenter_point,
     pairwise_validate,
     reference_density,
+    reference_index,
     reference_sample_points,
+    reference_self_intersections,
     reference_trace,
     validate_outcome,
 )
 
+import flatgeo.analysis as analysis
 from flatgeo.analysis import (
     EVENT_MERGE_TOL,
+    PAIR_BATCH,
     _covered,
     _merge_mask,
     _sample_points,
@@ -80,6 +89,7 @@ from flatgeo.tracer import (
     DEFAULT_VERTEX_CLEARANCE,
     LENGTH_REACHED,
     VERTEX_HIT,
+    ChordIndex,
     GeodesicTrace,
     SurfacePoint,
     TangentDirection,
@@ -328,13 +338,12 @@ def test_earliest_only_is_the_earliest_of_all_events(catalog_surfaces, name, ang
     assert self_intersections(s, tr, earliest_only=True) == ([events.earliest()] if events else [])
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(seeds, st.integers(2, 80), st.integers(2, 10), st.integers(1, 3), st.floats(0.01, 64.0))
-def test_earliest_only_on_random_polylines(seed, n, classes, charts, stretch):
-    # A random polyline read as a trace over one to three charts, its
-    # directions from a few classes (a wide class past MAX_CLASSES), so
-    # that short loops abound.  The stated length scales the first window
-    # from no row to every row.
+def _polyline_trace(seed, n, classes, charts, stretch=1.0):
+    """A random polyline of n chords read as a trace over ``charts``
+    charts, its directions from ``classes`` lines, either orientation, so
+    that short loops abound; a chart holding more than MAX_CLASSES of them
+    is one wide class.  The stated length is ``stretch`` times the sum of
+    the chord lengths."""
     rng = np.random.default_rng(seed)
     ang = rng.uniform(0.0, math.pi, classes)[rng.integers(0, classes, n)] + math.pi * rng.integers(0, 2, n)
     D = np.column_stack((np.cos(ang), np.sin(ang)))
@@ -342,11 +351,58 @@ def test_earliest_only_on_random_polylines(seed, n, classes, charts, stretch):
     Q = np.cumsum(np.vstack(([0.0, 0.0], L[:, None] * D)), axis=0)
     tri = rng.integers(0, charts, n).astype(float)
     rows = np.column_stack((tri, Q[:-1], Q[1:], D, np.cumsum(L) - L, L, np.full(n, -1.0)))
-    tr = GeodesicTrace._from_rows(
+    return GeodesicTrace._from_rows(
         TangentDirection(SurfacePoint(0, (0.0, 0.0)), (1.0, 0.0)), rows, stretch * L.sum(), Termination(LENGTH_REACHED)
     )
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(seeds, st.integers(2, 80), st.integers(2, 10), st.integers(1, 8), st.floats(0.01, 64.0))
+def test_earliest_only_on_random_polylines(seed, n, classes, charts, stretch):
+    # The stated length scales the first window from no row to every row;
+    # one to eight charts share each window.
+    tr = _polyline_trace(seed, n, classes, charts, stretch)
     events = self_intersections(None, tr)
     assert self_intersections(None, tr, earliest_only=True) == ([events.earliest()] if events else [])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(seeds, st.integers(2, 120), st.integers(2, 12), st.integers(1, 8), st.sampled_from([1, 5, 64, PAIR_BATCH]))
+def test_all_events_match_the_per_chart_kernel_on_random_polylines(seed, n, classes, charts, batch):
+    # All charts are paired in one call, ``batch`` candidate pairs at a
+    # time; the six event columns must equal those of pairing chart by
+    # chart, bit for bit and in order.
+    tr = _polyline_trace(seed, n, classes, charts)
+    with mock.patch.object(analysis, "PAIR_BATCH", batch):
+        events = self_intersections(None, tr)
+    cols = [events.t1, events.t2, events.tri, events.px, events.py, events.angle]
+    for col, ref in zip(cols, reference_self_intersections(tr)):
+        assert col.dtype == ref.dtype and col.tobytes() == ref.tobytes()
+
+
+def assert_index_matches_reference(tr):
+    ix, ref = tr.index, reference_index(tr)
+    for field in dataclasses.fields(ChordIndex):
+        a, b = getattr(ix, field.name), getattr(ref, field.name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b), field.name
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(seeds, st.integers(1, 120), st.integers(1, 12), st.integers(1, 8))
+def test_chord_index_matches_reference_on_random_polylines(seed, n, classes, charts):
+    # Up to twelve lines over one to eight charts: some charts go wide.
+    assert_index_matches_reference(_polyline_trace(seed, n, classes, charts))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.sampled_from([name for name, _s in catalog()]), st.floats(0.0, TWO_PI, exclude_max=True))
+def test_chord_index_matches_reference_on_catalog_traces(catalog_surfaces, name, angle):
+    s = catalog_surfaces[name]
+    tr = trace(s, TangentDirection(incenter_point(s), (math.cos(angle), math.sin(angle))), 50.0 * _diameter(s))
+    assert_index_matches_reference(tr)
+    # A trace with no chords, and one with one.
+    for rows in (tr.chords[:0], tr.chords[:1]):
+        assert_index_matches_reference(GeodesicTrace._from_rows(tr.start, rows, 0.0, Termination(LENGTH_REACHED)))
 
 
 def _locate_oracle(tr, t):
