@@ -42,7 +42,6 @@ from .holonomy import (
 from .analysis import (
     DensityReport,
     IntersectionEvent,
-    IntersectionEvents,
     SegmentPair,
     closed_geodesic_detect,
     coface_angle_spectrum,

@@ -5,9 +5,8 @@ Both scans read one index per trace, ``GeodesicTrace.index`` (a
 direction class, and the classes' sorted offset keys.  Only pairs of
 different classes, or in a wide class, can cross; each time window of the
 chords is paired in one numpy kernel over every chart at once, and the
-events sorted and merged as the columns of an ``IntersectionEvents``
-sequence, which builds an ``IntersectionEvent`` only when one is read.  A
-scan needs only the earliest crossing, found in doubling time windows.
+events sorted and merged as numpy columns, the windows doubling until the
+earliest crossing is certain; it is the one ``IntersectionEvent`` built.
 Density measures each sample against the two chords nearest its offset
 first, and only the samples still uncovered against the chords in their
 band of each class.  This module is the performance core.
@@ -18,7 +17,6 @@ import functools
 import math
 import numbers
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +42,7 @@ from .tracer import (
 # sides of a chart edge.
 EVENT_MERGE_TOL = 1e-7
 
-# An earliest-only search first pairs the chords entering before this
+# The self-intersection search first pairs the chords entering before this
 # fraction of the trace length, then doubles the window; events are certain
 # below its end less this relative margin, far above the kernel's slack.
 FIRST_WINDOW = 1 / 64
@@ -116,62 +114,6 @@ class IntersectionEvent:
     angle: float  # between the two passes, folded to (0, pi)
 
 
-class IntersectionEvents(Sequence):
-    """Read-only sequence of IntersectionEvent backed by numpy columns.
-
-    The columns ``t1``, ``t2``, ``tri``, ``px``, ``py`` and ``angle`` are
-    ordered by (t1, t2); an event object is built only when one is read.
-    Equality is element-wise with any sequence, so ``events == []`` holds
-    for a trace without crossings.
-    """
-
-    __slots__ = ("t1", "t2", "tri", "px", "py", "angle")
-
-    def __init__(self, t1, t2, tri, px, py, angle):
-        for name, col in zip(self.__slots__, (t1, t2, tri, px, py, angle)):
-            col = np.asarray(col).view()
-            col.flags.writeable = False
-            object.__setattr__(self, name, col)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntersectionEvents is read-only")
-
-    def __len__(self) -> int:
-        return len(self.t1)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return IntersectionEvents(*(getattr(self, c)[index] for c in self.__slots__))
-        k = range(len(self))[index]
-        return IntersectionEvent(
-            float(self.t1[k]),
-            float(self.t2[k]),
-            SurfacePoint(int(self.tri[k]), (float(self.px[k]), float(self.py[k]))),
-            float(self.angle[k]),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"<IntersectionEvents: {len(self)} events>"
-
-    def earliest(self) -> IntersectionEvent:
-        """The event with the smallest (t2, t1); the first one on ties."""
-        if not len(self):
-            raise ValueError("no events")
-        return self[_earliest_index(self.t1, self.t2)]
-
-
-def _earliest_index(t1: np.ndarray, t2: np.ndarray) -> int:
-    """Index of the smallest (t2, t1); the first one on ties."""
-    return int(np.lexsort((t1, t2))[0])
-
-
 @dataclass(frozen=True)
 class DensityReport:
     epsilon: float
@@ -239,48 +181,40 @@ def _window_events(ix: ChordIndex, rows: np.ndarray):
     return [np.concatenate(c) for c in zip(*out)] if len(out) > 1 else out[0]
 
 
-def _events(ix: ChordIndex, cols, keep) -> IntersectionEvents:
-    """IntersectionEvents of rows ``keep`` of ``_window_events`` columns."""
-    t1, t2, row, px, py, angle = (c[keep] for c in cols)
-    return IntersectionEvents(t1, t2, ix.tris[ix.chart[row]], px, py, angle)
-
-
-def self_intersections(
-    surface: FlatSurface, trace_: GeodesicTrace, *, earliest_only: bool = False
-) -> IntersectionEvents:
-    """All proper self-intersections of a trace, ordered by (t1, t2).
+def self_intersections(surface: FlatSurface, trace_: GeodesicTrace) -> IntersectionEvent | None:
+    """The earliest proper self-intersection of a trace, the one with the
+    smallest (t2, t1), or None if the trace does not cross itself.
 
     Pairs meeting at the same point with the same line direction (within
     PROPER_ANGLE_TOL, projectively) are periodic retracing and are
     excluded, so pairs in one direction class of ``trace_.index``, unless
     it is wide, are never tested.  Events seen in two charts are merged:
-    walking in (t1, t2) order, an event within EVENT_MERGE_TOL in both
-    parameters of the last event kept is dropped; ties in (t1, t2) are
-    walked in (chart, i, j) order, the index's row order.  ``surface`` is
+    walking every event in (t1, t2) order, ties in (chart, i, j) order, the
+    index's row order, an event within EVENT_MERGE_TOL in both parameters
+    of the last event kept is dropped.  The result is the kept event with
+    the smallest (t2, t1), the first in that walk on ties.  ``surface`` is
     not read: the chords carry their chart coordinates.
 
-    With ``earliest_only`` the result is ``[earliest()]`` of the full
-    result, or empty.  The rows (chords) with ``t0 < tau`` of every chart
-    are then paired first, in one window, tau doubling from FIRST_WINDOW
-    of the trace length; the full call is one window over all rows.  Row i
-    yields only events with ``t1 >= t0[i] - 1e-12``, so once the rows below
-    tau are paired, the events with ``t1 < c = tau - WINDOW_MARGIN (1 +
-    tau)`` are an exact prefix of the full (t1, t2)-sorted list, ties in
-    chart, i, j order as in one window.  The merge decides each event only
-    from those before it, so the prefix keeps what the full list keeps.
-    Every event past the prefix has ``t2 > t1 >= c``.  Hence if the kept
-    prefix event with the smallest (t2, t1) has ``t2 <= c``, it is the full
-    ``earliest()``, bit for bit; otherwise tau doubles.
+    The rows (chords) with ``t0 < tau`` of every chart are paired in one
+    window, tau doubling from FIRST_WINDOW of the trace length (a
+    zero-length trace is one window).  Row i yields only events with ``t1
+    >= t0[i] - 1e-12``, so once the rows below tau are paired, the events
+    with ``t1 < c = tau - WINDOW_MARGIN (1 + tau)`` are an exact prefix of
+    the walk over all events, ties in chart, i, j order as in one window.
+    The merge decides each event only from those before it, so the prefix
+    keeps what the whole walk keeps.  Every event past the prefix has ``t2
+    > t1 >= c``.  Hence if the kept prefix event with the smallest (t2, t1)
+    has ``t2 <= c``, it is the earliest, bit for bit; otherwise tau
+    doubles.  Once every row is paired, c is infinite.
     """
     ix = trace_.index
     rows = np.flatnonzero(((np.diff(ix.classes) > 1) | ix.wide)[ix.chart])
     if not len(rows):
-        empty = np.empty(0)
-        return IntersectionEvents(empty, empty, empty.astype(np.int64), empty, empty, empty)
+        return None
     t0 = ix.cols[5, rows]
     t0_max = t0.max()
     found = []  # each window's columns
-    lo, tau = -math.inf, FIRST_WINDOW * trace_.length if earliest_only and trace_.length > 0 else math.inf
+    lo, tau = -math.inf, FIRST_WINDOW * trace_.length if trace_.length > 0 else math.inf
     while True:
         window = rows[(lo <= t0) & (t0 < tau)]
         if len(window):
@@ -295,12 +229,14 @@ def self_intersections(
             cut = math.inf if done else tau - WINDOW_MARGIN * (1.0 + tau)
             m = int(np.searchsorted(t1, cut))
             keep = np.flatnonzero(_merge_mask(t1[:m], t2[:m]))
-            if earliest_only and len(keep):
-                best = keep[_earliest_index(t1[keep], t2[keep])]
+            if len(keep):
+                best = keep[np.lexsort((t1[keep], t2[keep]))[0]]
                 if t2[best] <= cut:
-                    return _events(ix, cols, slice(best, best + 1))
+                    e1, e2, row, px, py, angle = (c[best].item() for c in cols)
+                    at = SurfacePoint(int(ix.tris[ix.chart[row]]), (px, py))
+                    return IntersectionEvent(e1, e2, at, angle)
             if done:
-                return _events(ix, cols, keep)
+                return None
         lo, tau = tau, 2.0 * tau
 
 
@@ -572,10 +508,9 @@ def direction_scan(
     """Trace ``n`` seeded random directions from one point and classify each.
 
     Every direction is traced to ``length``; the verdict is VertexHit,
-    SelfIntersecting (with the earliest event, the one with the smallest
-    (t2, t1), from ``self_intersections(..., earliest_only=True)``) or
-    Simple (with a density report at ``epsilon``).  Deterministic given
-    the seed.
+    SelfIntersecting (with its earliest crossing, the one with the
+    smallest (t2, t1), from ``self_intersections``) or Simple (with a
+    density report at ``epsilon``).  Deterministic given the seed.
     An ``n`` that is not an integer from 1 to MAX_DIRECTIONS (a bool is
     not), and an ``epsilon``, ``density_samples`` or ``seed`` that
     ``density_estimate`` would reject, raise ValueError before any angle is
@@ -597,9 +532,8 @@ def direction_scan(
         if tr.termination.kind != LENGTH_REACHED:
             rows.append(DirectionVerdict(i, float(ang), "left_domain"))
             continue
-        events = self_intersections(surface, tr, earliest_only=True)
-        if events:
-            first = events.earliest()
+        first = self_intersections(surface, tr)
+        if first is not None:
             rows.append(DirectionVerdict(i, float(ang), "self_intersecting", first_event=first))
         else:
             rep = density_estimate(surface, tr, epsilon, density_samples, seed + 1)

@@ -170,10 +170,11 @@ class GeodesicTrace:
 
     Row k of ``chords`` is the k-th chord: triangle id, entry x/y, exit
     x/y, unit direction x/y, arc parameter t0 at entry, length, and the
-    edge crossed at the exit (-1 where the trace stops).  ``segments``
-    and ``index``, the ChordIndex that both scans of ``flatgeo.analysis``
-    read, are built from the rows on first read; ``charts`` are slices of
-    ``index``.
+    edge crossed at the exit (-1 where the trace stops).  ``index``, the
+    ChordIndex that both scans of ``flatgeo.analysis`` read, is built from
+    the rows on first read; ``charts`` are slices of ``index``.
+    ``segments``, the rows as TraceSegment objects, is built only for
+    callers that read it; nothing in the package does.
     """
 
     start: TangentDirection
@@ -723,29 +724,28 @@ def reverse_check(surface: FlatSurface, start: TangentDirection, length: float) 
 
 
 def check_trace(surface: FlatSurface, trace_: GeodesicTrace) -> None:
-    """Assert segment chaining, direction transport and length bookkeeping,
-    points and lengths to within CHECK_TOL and directions to within
-    CHECK_DIRECTION_TOL.
+    """Assert chord chaining, direction transport and length bookkeeping
+    over the rows of ``trace_.chords``, points and lengths to within
+    CHECK_TOL and directions to within CHECK_DIRECTION_TOL.
     Every chord before the last must record the edge it leaves by."""
+    rows = trace_.chords.tolist()
     total = 0.0
-    for i, seg in enumerate(trace_.segments):
-        v = (seg.exit[0] - seg.entry[0], seg.exit[1] - seg.entry[1])
+    for i, (tri, ex, ey, ox, oy, dx, dy, _t0, length, edge) in enumerate(rows):
+        v = (ox - ex, oy - ey)
         ln = math.hypot(v[0], v[1])
-        assert abs(ln - seg.length) <= CHECK_TOL * (1 + ln), "segment length mismatch"
+        assert abs(ln - length) <= CHECK_TOL * (1 + ln), "segment length mismatch"
         if ln > CHECK_TOL:
-            off = math.hypot(v[0] / ln - seg.direction[0], v[1] / ln - seg.direction[1])
+            off = math.hypot(v[0] / ln - dx, v[1] / ln - dy)
             assert off <= CHECK_DIRECTION_TOL, "direction disagrees with chord"
-        total += seg.length
-        if i + 1 < len(trace_.segments):
-            assert seg.exit_edge is not None, "chord before the last records no exit edge"
-            nxt = trace_.segments[i + 1]
-            ref, iso = surface.edge_transition(seg.tri, seg.exit_edge)
-            assert ref.tri == nxt.tri, "transition target mismatch"
-            img = iso.apply(seg.exit)
-            assert (
-                math.hypot(img[0] - nxt.entry[0], img[1] - nxt.entry[1]) <= CHECK_TOL
-            ), "chained entry point mismatch"
-            dimg = iso.apply_vector(seg.direction)
-            off = math.hypot(dimg[0] - nxt.direction[0], dimg[1] - nxt.direction[1])
+        total += length
+        if i + 1 < len(rows):
+            assert edge >= 0, "chord before the last records no exit edge"
+            ntri, nex, ney, _nox, _noy, ndx, ndy = rows[i + 1][:7]
+            ref, iso = surface.edge_transition(int(tri), int(edge))
+            assert ref.tri == ntri, "transition target mismatch"
+            img = iso.apply((ox, oy))
+            assert math.hypot(img[0] - nex, img[1] - ney) <= CHECK_TOL, "chained entry point mismatch"
+            dimg = iso.apply_vector((dx, dy))
+            off = math.hypot(dimg[0] - ndx, dimg[1] - ndy)
             assert off <= CHECK_DIRECTION_TOL, "direction transport mismatch"
     assert abs(total - trace_.length) <= CHECK_TOL * (1 + trace_.length), "length sum mismatch"

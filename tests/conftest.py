@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from flatgeo import analysis
 from flatgeo.builders import catalog
@@ -84,6 +85,32 @@ def dense_near_chords(Q, P, D, L, epsilon):
     dx = W[:, :, 0] - proj * D[None, :, 0]
     dy = W[:, :, 1] - proj * D[None, :, 1]
     return np.sqrt(np.min(dx * dx + dy * dy, axis=1)) < epsilon
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def mutate_json(doc, data):
+    """Replace one value anywhere in a JSON document by random JSON, or delete its key."""
+    path, node = [], doc
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        path.append(data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node)))))
+        node = node[path[-1]]
+    value = data.draw(json_values)
+    if not path:
+        return value
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    if data.draw(st.booleans()):
+        owner[path[-1]] = value
+    else:
+        del owner[path[-1]]
+    return doc
 
 
 @functools.lru_cache(maxsize=4)
@@ -203,10 +230,11 @@ def reference_row_events(tri, P, D, L, T0, label, wide, lo, hi):
 
 
 def reference_self_intersections(trace_):
-    """Reference for ``self_intersections``' full list: the six event
-    columns (t1, t2, tri, px, py, angle), each chart of two or more classes
-    (or one wide class) paired in one call, the charts' events joined in
-    chart order, sorted stably by (t1, t2) and merged."""
+    """Every proper self-intersection of a trace, the list whose earliest
+    event ``self_intersections`` returns: the six event columns (t1, t2,
+    tri, px, py, angle), each chart of two or more classes (or one wide
+    class) paired in one call, the charts' events joined in chart order,
+    sorted stably by (t1, t2) and merged."""
     found = []
     classes = reference_chart_classes(trace_)
     for tri, (P, D, L, T0) in reference_charts(trace_).items():
@@ -219,6 +247,26 @@ def reference_self_intersections(trace_):
     cols = [np.concatenate(c) for c in zip(*found)]
     cols = [c[np.lexsort((cols[1], cols[0]))] for c in cols]
     return [c[analysis._merge_mask(cols[0], cols[1])] for c in cols]
+
+
+def _event(t1, t2, tri, px, py, angle):
+    return analysis.IntersectionEvent(t1, t2, SurfacePoint(tri, (px, py)), angle)
+
+
+def reference_events(trace_) -> list:
+    """The rows of ``reference_self_intersections`` as IntersectionEvents, in order."""
+    return [_event(*row) for row in zip(*(c.tolist() for c in reference_self_intersections(trace_)))]
+
+
+def reference_first_event(trace_):
+    """Reference for ``self_intersections``: the row of
+    ``reference_self_intersections`` with the smallest (t2, t1), the first
+    on ties, as an IntersectionEvent, or None."""
+    cols = reference_self_intersections(trace_)
+    if not len(cols[0]):
+        return None
+    k = np.lexsort((cols[0], cols[1]))[0]
+    return _event(*(c[k].item() for c in cols))
 
 
 def all_sources_diameter(surface) -> float:

@@ -8,7 +8,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import band_hits, dense_near_chords, edge_midpoint_tangent, incenter_point
+from conftest import (
+    band_hits,
+    dense_near_chords,
+    edge_midpoint_tangent,
+    incenter_point,
+    reference_events,
+    reference_first_event,
+    reference_self_intersections,
+)
 
 import flatgeo.analysis as analysis
 from flatgeo.analysis import (
@@ -144,7 +152,7 @@ def test_torus_traces_never_self_intersect():
         tr = trace(s, TangentDirection(SurfacePoint(0, (0.5, 0.25)), (math.cos(ang), math.sin(ang))), 60.0)
         if tr.termination.kind != "LengthReached":
             continue
-        assert self_intersections(s, tr) == []
+        assert self_intersections(s, tr) is None
 
 
 def test_tetrahedron_strict_traces_simple():
@@ -152,7 +160,7 @@ def test_tetrahedron_strict_traces_simple():
     mid, d = edge_midpoint_tangent(s, 0, 0, math.atan(1.0 / 7.0))
     tr = trace(s, TangentDirection(SurfacePoint(0, mid), d), 200.0)
     assert tr.termination.kind == "LengthReached"
-    assert self_intersections(s, tr) == []
+    assert self_intersections(s, tr) is None
 
 
 CUBE_FIRST_EVENT = (0.6832432841019034, 5.235759602457856, 1.5707963267948966)
@@ -161,9 +169,9 @@ CUBE_FIRST_EVENT = (0.6832432841019034, 5.235759602457856, 1.5707963267948966)
 def test_cube_trace_self_intersects_regression():
     s = cube_surface()
     tr = trace(s, TangentDirection(SurfacePoint(0, (0.5, 0.3)), (math.cos(0.3), math.sin(0.3))), 50.0)
-    events = self_intersections(s, tr)
-    assert len(events) == 101
-    first = min(events, key=lambda e: (e.t2, e.t1))
+    assert len(reference_events(tr)) == 101
+    first = self_intersections(s, tr)
+    assert type(first) is IntersectionEvent and type(first.point.tri) is int
     assert first.t1 == pytest.approx(CUBE_FIRST_EVENT[0], abs=1e-9)
     assert first.t2 == pytest.approx(CUBE_FIRST_EVENT[1], abs=1e-9)
     assert first.angle == pytest.approx(CUBE_FIRST_EVENT[2], abs=1e-9)
@@ -172,7 +180,7 @@ def test_cube_trace_self_intersects_regression():
 def test_events_locate_consistently():
     s = cube_surface()
     tr = trace(s, TangentDirection(SurfacePoint(0, (0.5, 0.3)), (math.cos(0.3), math.sin(0.3))), 50.0)
-    for ev in self_intersections(s, tr):
+    for ev in reference_events(tr):
         assert 1e-6 < ev.angle < math.pi - 1e-6
         p1 = locate(tr, ev.t1)
         p2 = locate(tr, ev.t2)
@@ -183,32 +191,6 @@ def test_events_locate_consistently():
                 default=math.inf,
             )
             assert match < 1e-7
-
-
-def test_intersection_events_sequence_contract():
-    s = cube_surface()
-    tr = trace(s, TangentDirection(SurfacePoint(0, (0.5, 0.3)), (math.cos(0.3), math.sin(0.3))), 50.0)
-    events = self_intersections(s, tr)
-    listed = list(events)
-    assert len(events) == len(listed) == 101 and events
-    assert all(isinstance(e, IntersectionEvent) for e in listed)
-    assert events[0] == listed[0] and events[-1] == listed[-1]
-    assert events[10:20] == listed[10:20] and len(events[10:20]) == 10
-    assert events == listed and listed == events and events != listed[:-1]
-    assert [(e.t1, e.t2) for e in listed] == sorted((e.t1, e.t2) for e in listed)
-    with pytest.raises(IndexError):
-        events[101]
-    assert not events.t1.flags.writeable
-    first = events.earliest()
-    assert first == min(listed, key=lambda e: (e.t2, e.t1))
-    assert (first.t1, first.t2, first.angle) == pytest.approx(CUBE_FIRST_EVENT, abs=1e-9)
-
-    torus = flat_torus((1.0, 0.0), (0.0, 1.0))
-    d = (1.0 / math.hypot(1, GOLDEN), GOLDEN / math.hypot(1, GOLDEN))
-    none = self_intersections(torus, trace(torus, TangentDirection(SurfacePoint(0, (0.5, 0.25)), d), 60.0))
-    assert none == [] and not none and len(none) == 0
-    with pytest.raises(ValueError):
-        none.earliest()
 
 
 def _pairwise_oracle(tr):
@@ -259,13 +241,14 @@ def test_self_intersections_match_pairwise_oracle_on_large_charts(catalog_surfac
     tr = trace(s, start, ORACLE_LENGTHS[name])
     assert tr.termination.kind == "LengthReached"
     assert max(Counter(seg.tri for seg in tr.segments).values()) > 100
-    events = [(e.t1, e.t2) for e in self_intersections(s, tr)]
+    events = [(e.t1, e.t2) for e in reference_events(tr)]
     assert len(events) > 1000 and events == _pairwise_oracle(tr)
 
 
 # sha256 of the six event columns (t1, t2, tri, px, py, angle) on the traces
-# above, as the one-pass kernel gave them before the windowed search; a
-# call without ``earliest_only`` must stay element-wise identical.
+# above, as the one-pass kernel gave them before the windowed search; the
+# reference list must stay element-wise identical, and ``self_intersections``
+# must return its earliest event.
 GOLDEN_EVENT_DIGESTS = {
     "klein-bottle": "657a88f6a1cde6567e5dfa6e1d780c8936fe136ac40af4d208cc6c11355f5732",
     "cube": "739dc5ded4add211c550cc849573d4f16cce3d634f02e4eb650eaac033d6c714",
@@ -279,28 +262,18 @@ GOLDEN_EVENT_DIGESTS = {
 def test_all_events_match_golden_digest(catalog_surfaces, name):
     s = _surface(catalog_surfaces, name)
     tr = trace(s, TangentDirection(incenter_point(s), (math.cos(0.3), math.sin(0.3))), ORACLE_LENGTHS[name])
-    events = self_intersections(s, tr)
+    cols = reference_self_intersections(tr)
     h = hashlib.sha256()
-    for col in (events.t1, events.t2, events.tri, events.px, events.py, events.angle):
+    for col in cols:
         h.update(np.ascontiguousarray(col).tobytes())
-    assert events.tri.dtype == np.int64
+    assert cols[2].dtype == np.int64
     assert h.hexdigest() == GOLDEN_EVENT_DIGESTS[name]
-    first = self_intersections(s, tr, earliest_only=True)
-    assert first == [events.earliest()]
-    k = int(np.flatnonzero((events.t1 == first.t1[0]) & (events.t2 == first.t2[0]))[0])
-    assert all(getattr(first, c)[0] == getattr(events, c)[k] for c in events.__slots__)
+    assert self_intersections(s, tr) == reference_first_event(tr)
 
 
-def test_earliest_only_without_crossings_pairs_every_row_in_windows(catalog_surfaces, monkeypatch):
-    # Two charts of this short ring-double trace hold two direction
-    # classes, but the trace never crosses itself: the doubling windows
-    # must then tile every chart's rows before answering "none".
-    s = catalog_surfaces["ring-double"]
-    tr = trace(s, TangentDirection(incenter_point(s), (math.cos(0.56), math.sin(0.56))), 12.0)
-    assert tr.termination.kind == "LengthReached"
-    ix = tr.index
-    multi = np.flatnonzero(np.diff(ix.classes) > 1)
-    assert len(multi) >= 2
+def record_windows(monkeypatch) -> list:
+    """Patch ``analysis._window_events`` to append each window's rows to
+    the list returned."""
     windows = []
     window_events = analysis._window_events
 
@@ -309,15 +282,45 @@ def test_earliest_only_without_crossings_pairs_every_row_in_windows(catalog_surf
         return window_events(ix_, rows)
 
     monkeypatch.setattr(analysis, "_window_events", record)
-    none = self_intersections(s, tr, earliest_only=True)
-    assert none == [] and none.tri.dtype == np.int64
+    return windows
+
+
+def test_self_intersections_returns_none_without_a_crossing(monkeypatch):
+    windows = record_windows(monkeypatch)
+    # Each chart of a torus trace holds one direction class: the answer
+    # comes before any window is paired.
+    s = flat_torus((1.0, 0.0), (0.0, 1.0))
+    tr = trace(s, TangentDirection(SurfacePoint(0, (0.5, 0.25)), (0.6, 0.8)), 60.0)
+    assert tr.termination.kind == "LengthReached"
+    assert self_intersections(s, tr) is None and windows == []
+    # A zero-length trace, two zero-length chords of two classes in one
+    # chart: tau starts at infinity, so one window pairs both rows.
+    rows = [(5, 0.1, 0.1, 0.1, 0.1, 1.0, 0.0, 0.0, 0.0, 0), (5, 0.1, 0.1, 0.1, 0.1, 0.0, 1.0, 0.0, 0.0, -1)]
+    start = TangentDirection(SurfacePoint(5, (0.1, 0.1)), (1.0, 0.0))
+    tr = GeodesicTrace._from_rows(start, rows, 0.0, Termination(LENGTH_REACHED))
+    assert self_intersections(None, tr) is None
+    assert [w.tolist() for w in windows] == [[0, 1]]
+
+
+def test_earliest_only_without_crossings_pairs_every_row_in_windows(catalog_surfaces, monkeypatch):
+    # Two charts of this short ring-double trace hold two direction
+    # classes, but the trace never crosses itself: the doubling windows
+    # must then tile every chart's rows before answering None.
+    s = catalog_surfaces["ring-double"]
+    tr = trace(s, TangentDirection(incenter_point(s), (math.cos(0.56), math.sin(0.56))), 12.0)
+    assert tr.termination.kind == "LengthReached"
+    ix = tr.index
+    multi = np.flatnonzero(np.diff(ix.classes) > 1)
+    assert len(multi) >= 2
+    windows = record_windows(monkeypatch)
+    assert self_intersections(s, tr) is None
     assert len(windows) > 1
     # Each chart's rows, window after window, are its rows in order.
     paired = np.concatenate(windows)
     for c in multi:
         assert paired[ix.chart[paired] == c].tolist() == list(range(ix.rows[c], ix.rows[c + 1]))
     assert np.isin(ix.chart[paired], multi).all()
-    assert self_intersections(s, tr) == []
+    assert reference_events(tr) == []
 
 
 def test_earliest_only_breaks_ties_across_windows_in_chart_order():
@@ -339,9 +342,9 @@ def test_earliest_only_breaks_ties_across_windows_in_chart_order():
     tr = GeodesicTrace._from_rows(
         TangentDirection(SurfacePoint(7, (0.0, 100.0)), east), rows, 64.0, Termination(LENGTH_REACHED)
     )
-    events = self_intersections(None, tr)
-    assert events == [IntersectionEvent(3.5, 5.5, SurfacePoint(7, (2.0, 0.0)), math.pi / 2)]
-    assert self_intersections(None, tr, earliest_only=True) == events
+    first = IntersectionEvent(3.5, 5.5, SurfacePoint(7, (2.0, 0.0)), math.pi / 2)
+    assert reference_events(tr) == [first]
+    assert self_intersections(None, tr) == first
 
 
 # --- density --------------------------------------------------------------------

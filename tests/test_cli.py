@@ -4,15 +4,16 @@ import io
 import json
 import math
 import os
+import tempfile
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import thin_torus
+from conftest import mutate_json, thin_torus
 
-from flatgeo.builders import CATALOG_PARALLEL, isosceles_tetrahedron
+from flatgeo.builders import CATALOG_PARALLEL, catalog, isosceles_tetrahedron
 from flatgeo.cli import main
 from flatgeo.errors import MalformedSurface, MalformedTrace
 from flatgeo.jsonio import surface_from_json, surface_to_json, trace_from_json
@@ -198,6 +199,31 @@ def test_scan_arguments_exit_0_1_or_2(catalog_dir, name, n, length, epsilon, see
     if clearance is not None:
         argv.append(f"--clearance={clearance!r}")
     assert_exit_contract(*run_cli(argv))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.sampled_from([name for name, _s in catalog()]),
+    st.sampled_from(["validate", "classify", "render"]),
+    st.data(),
+)
+def test_mutated_surface_files_exit_0_1_or_2(catalog_dir, name, command, data):
+    # One value anywhere in a catalog file replaced (or its key deleted):
+    # the command prints JSON on stdout, or exits 2 with one JSON error on
+    # stderr; only classify's negative verdict exits 1.
+    doc = json.loads((catalog_dir / f"{name}.json").read_text(encoding="utf-8"))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "mutated.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(mutate_json(doc, data), fh)
+        argv = [command, path] + (["-o", os.path.join(d, "out.svg")] if command == "render" else [])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert_exit_contract(code, err.getvalue())
+    assert code != 1 or command == "classify"
+    if code != 2:
+        json.loads(out.getvalue())
 
 
 @pytest.mark.parametrize("corner", [[False, "0"], [0.0, "0"], [True, 0.0], [None, 0.0], [0.0]])

@@ -8,10 +8,11 @@ identifications of ``example2_candidates``, which include non-orientable
 surfaces.  Cuts are random segments inside one triangle of the square
 double or of a star double, patched with regular polygons.  Events and
 traces are drawn from random directions on the catalog's
-two-direction-class surfaces, and the earliest-only event search also
-runs on random polylines over one to eight charts, where the full event
-list must equal the chart-by-chart kernel's and the trace's chord index
-the chart-by-chart class loop's (the index also on catalog traces); the
+two-direction-class surfaces, and the first-crossing query also runs on
+random polylines over one to eight charts, where the window kernel's
+events over all rows must equal the chart-by-chart kernel's and the
+trace's chord index the chart-by-chart class loop's (the index also on
+catalog traces); the
 density band is checked on random chords against the dense test, and
 ``density_estimate`` against its per-triangle reference loop on the
 catalog and the far cube.  Flat tori come from random lattices, some of
@@ -46,8 +47,10 @@ from conftest import (
     band_hits,
     dense_near_chords,
     incenter_point,
+    mutate_json,
     pairwise_validate,
     reference_density,
+    reference_first_event,
     reference_index,
     reference_sample_points,
     reference_self_intersections,
@@ -290,9 +293,9 @@ def test_earliest_event_is_min_of_materialized_list(catalog_surfaces, name, angl
     s = catalog_surfaces[name]
     tr = trace(s, TangentDirection(incenter_point(s), (math.cos(angle), math.sin(angle))), 80.0)
     assume(tr.termination.kind == "LengthReached")
-    events = self_intersections(s, tr)
-    assume(events)
-    assert events.earliest() == min(list(events), key=lambda e: (e.t2, e.t1))
+    first = reference_first_event(tr)
+    assume(first is not None)
+    assert self_intersections(s, tr) == first
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -334,8 +337,7 @@ def test_earliest_only_is_the_earliest_of_all_events(catalog_surfaces, name, ang
     length = 400.0 * _diameter(s)
     tr = trace(s, TangentDirection(incenter_point(s), (math.cos(angle), math.sin(angle))), length)
     assume(tr.termination.kind == "LengthReached")
-    events = self_intersections(s, tr)
-    assert self_intersections(s, tr, earliest_only=True) == ([events.earliest()] if events else [])
+    assert self_intersections(s, tr) == reference_first_event(tr)
 
 
 def _polyline_trace(seed, n, classes, charts, stretch=1.0):
@@ -362,20 +364,24 @@ def test_earliest_only_on_random_polylines(seed, n, classes, charts, stretch):
     # The stated length scales the first window from no row to every row;
     # one to eight charts share each window.
     tr = _polyline_trace(seed, n, classes, charts, stretch)
-    events = self_intersections(None, tr)
-    assert self_intersections(None, tr, earliest_only=True) == ([events.earliest()] if events else [])
+    assert self_intersections(None, tr) == reference_first_event(tr)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(seeds, st.integers(2, 120), st.integers(2, 12), st.integers(1, 8), st.sampled_from([1, 5, 64, PAIR_BATCH]))
 def test_all_events_match_the_per_chart_kernel_on_random_polylines(seed, n, classes, charts, batch):
-    # All charts are paired in one call, ``batch`` candidate pairs at a
-    # time; the six event columns must equal those of pairing chart by
-    # chart, bit for bit and in order.
+    # Every row of the charts that can cross, paired in one window,
+    # ``batch`` candidate pairs at a time, sorted by (t1, t2, row) and
+    # merged as ``self_intersections`` does: the six event columns must
+    # equal those of pairing chart by chart, bit for bit and in order.
     tr = _polyline_trace(seed, n, classes, charts)
+    ix = tr.index
+    rows = np.flatnonzero(((np.diff(ix.classes) > 1) | ix.wide)[ix.chart])
     with mock.patch.object(analysis, "PAIR_BATCH", batch):
-        events = self_intersections(None, tr)
-    cols = [events.t1, events.t2, events.tri, events.px, events.py, events.angle]
+        t1, t2, row, px, py, angle = analysis._window_events(ix, rows)
+    order = np.lexsort((row, t2, t1))
+    cols = [c[order] for c in (t1, t2, ix.tris[ix.chart[row]], px, py, angle)]
+    cols = [c[_merge_mask(cols[0], cols[1])] for c in cols]
     for col, ref in zip(cols, reference_self_intersections(tr)):
         assert col.dtype == ref.dtype and col.tobytes() == ref.tobytes()
 
@@ -454,32 +460,6 @@ def test_truncate_and_locate_match_segment_oracle(catalog_surfaces, name, angle,
             assert short is tr
 
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=6,
-)
-
-
-def _mutate(doc, data):
-    """Replace one value anywhere in a JSON document by random JSON, or delete its key."""
-    path, node = [], doc
-    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
-        path.append(data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node)))))
-        node = node[path[-1]]
-    value = data.draw(json_values)
-    if not path:
-        return value
-    owner = doc
-    for key in path[:-1]:
-        owner = owner[key]
-    if data.draw(st.booleans()):
-        owner[path[-1]] = value
-    else:
-        del owner[path[-1]]
-    return doc
-
-
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(st.data())
 def test_mutated_surface_json_raises_only_typed_errors(catalog_surfaces, data):
@@ -488,7 +468,7 @@ def test_mutated_surface_json_raises_only_typed_errors(catalog_surfaces, data):
     # the CLI reports with exit 2, never a traceback.
     doc = json.loads(surface_to_json(catalog_surfaces["unit-torus"]))
     try:
-        surface_from_json(json.dumps(_mutate(doc, data)))
+        surface_from_json(json.dumps(mutate_json(doc, data)))
     except FlatgeoError:
         pass
 
@@ -500,7 +480,7 @@ def test_mutated_trace_json_raises_only_typed_errors(catalog_surfaces, data):
     start = TangentDirection(SurfacePoint(0, (0.5, 0.25)), (0.6, 0.8))
     doc = json.loads(trace_to_json(trace(catalog_surfaces["unit-torus"], start, 3.0)))
     try:
-        trace_from_json(json.dumps(_mutate(doc, data)))
+        trace_from_json(json.dumps(mutate_json(doc, data)))
     except FlatgeoError:
         pass
 
