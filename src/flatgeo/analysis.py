@@ -14,14 +14,14 @@ band of each class.  This module is the performance core.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentMidpoints, NotConvex
+from .errors import CoincidentMidpoints, NotConvex, float_arg, int_arg
 from .geometry import PlaneIsometry, Vec, fold_to_half_turn, unsigned_angle
 from .surface import FlatSurface
 from .tracer import (
@@ -289,22 +289,6 @@ def _hits(ix: ChordIndex, qs, qc, qx, qy, epsilon: float, size: int, nearest: bo
     return hit
 
 
-def _check_count(name: str, value, top: int | None = None) -> None:
-    """Reject a count that is a bool, not an integer, below 1 or above ``top``."""
-    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if not integral or value < 1 or (top is not None and value > top):
-        bound = "a positive integer" if top is None else f"an integer between 1 and {top}"
-        raise ValueError(f"{name} must be {bound}, got {value}")
-
-
-def _check_density_args(epsilon: float, samples: int, seed: int, samples_name: str = "samples") -> None:
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    _check_count(samples_name, samples)
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-
-
 def _covered(surface: FlatSurface, trace_: GeodesicTrace, epsilon: float, samples: int, seed: int) -> np.ndarray:
     """Whether each point of ``_sample_points``, in its order, lies within
     epsilon of the trace, as ``density_estimate`` counts it."""
@@ -356,9 +340,10 @@ def density_estimate(
     (or the line of an edge beyond its end) cuts the corner where they
     meet, so it passes within ``epsilon / sin(beta)`` of it.  Nearer a
     corner a sample may count as uncovered although the trace is within
-    epsilon.  ``samples`` must be an integer (not a bool) of at least 1.
+    epsilon.  Raises ValueError unless ``epsilon`` is positive and finite,
+    ``samples`` an integer of at least 1 and ``seed`` one of at least 0.
     """
-    _check_density_args(epsilon, samples, seed)
+    epsilon, samples, seed = float_arg("epsilon", epsilon), int_arg("samples", samples, 1), int_arg("seed", seed, 0)
     covered = _covered(surface, trace_, epsilon, samples, seed)
     return DensityReport(epsilon, samples, int(np.count_nonzero(covered)) / samples)
 
@@ -415,6 +400,8 @@ def coface_angle_spectrum(
     directions; angles are folded to [0, pi] and checked, to within
     SPECTRUM_TOL, against subset sums of the vertex curvatures (folded the
     same way).  Requires a sphere with strictly positive curvatures.
+    Raises ValueError, before any angle is computed, for a face group that
+    names a triangle not on the surface or is not joined by its own gluings.
     """
     if surface.euler_characteristic != 2:
         raise NotConvex("angle spectrum needs a topological sphere")
@@ -423,11 +410,11 @@ def coface_angle_spectrum(
         raise NotConvex("angle spectrum needs strictly positive curvatures")
 
     charts = trace_.charts
-    observed: list[float] = []
+    developed: list[list[Vec]] = []  # each group's chord directions, in the group's plane
     for group in face_partition:
         group_set = set(group)
-        placement: dict[int, PlaneIsometry] = {group[0]: PlaneIsometry.identity()}
-        queue = [group[0]]
+        placement = {group[0]: PlaneIsometry.identity()} if group and surface.has_triangle(group[0]) else {}
+        queue = list(placement)
         while queue:
             cur = queue.pop(0)
             for e in range(3):
@@ -435,17 +422,14 @@ def coface_angle_spectrum(
                 if ref.tri in group_set and ref.tri not in placement:
                     placement[ref.tri] = placement[cur].compose(iso.inverse())
                     queue.append(ref.tri)
-        dirs: list[tuple[float, float]] = []
-        for tri_id in group:
-            if tri_id not in charts:
-                continue
-            _P, D, _L, _T0 = charts[tri_id]
+        loose = [t for t in group if t not in placement]
+        if loose:
+            raise ValueError(f"face group {group}: triangle {loose[0]} is off the surface or not joined to the group")
+        developed.append([])
+        for tri_id in (t for t in group if t in charts):
             m = placement[tri_id].matrix()
-            for d in D:
-                dirs.append((m[0] * d[0] + m[1] * d[1], m[2] * d[0] + m[3] * d[1]))
-        for i in range(len(dirs)):
-            for j in range(i + 1, len(dirs)):
-                observed.append(unsigned_angle(dirs[i], dirs[j]))
+            developed[-1] += [(m[0] * d[0] + m[1] * d[1], m[2] * d[0] + m[3] * d[1]) for d in charts[tri_id][1]]
+    observed = [unsigned_angle(u, v) for dirs in developed for u, v in itertools.combinations(dirs, 2)]
 
     sums = {0.0}
     for v in cones:
@@ -511,13 +495,13 @@ def direction_scan(
     SelfIntersecting (with its earliest crossing, the one with the
     smallest (t2, t1), from ``self_intersections``) or Simple (with a
     density report at ``epsilon``).  Deterministic given the seed.
-    An ``n`` that is not an integer from 1 to MAX_DIRECTIONS (a bool is
-    not), and an ``epsilon``, ``density_samples`` or ``seed`` that
-    ``density_estimate`` would reject, raise ValueError before any angle is
-    drawn.
+    Raises ValueError before any angle is drawn for an ``n`` that is not an
+    integer from 1 to MAX_DIRECTIONS and for any argument that ``trace`` or
+    ``density_estimate`` would reject.
     """
-    _check_count("n", n, MAX_DIRECTIONS)
-    _check_density_args(epsilon, density_samples, seed, "density_samples")
+    n, length, epsilon = int_arg("n", n, 1, MAX_DIRECTIONS), float_arg("length", length), float_arg("epsilon", epsilon)
+    seed, density_samples = int_arg("seed", seed, 0), int_arg("density_samples", density_samples, 1)
+    vertex_clearance = float_arg("vertex_clearance", vertex_clearance, surface.tolerance)
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, n)
     rows: list[DirectionVerdict] = []

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ from .errors import (
     UncoveredBoundary,
     ArcLengthMismatch,
     UnsupportedCut,
+    int_arg,
 )
 from .geometry import (
     METRIC_TOL,
@@ -613,10 +613,10 @@ def cut_and_glue(
         raise PerimeterMismatch(
             f"patch perimeter {patch.perimeter()!r} != twice cut length {2 * ell!r}"
         )
-    if isinstance(anchor, bool) or not isinstance(anchor, numbers.Integral):
-        raise UnsupportedCut(f"anchor {anchor!r} is not an integer")
-    if not 0 <= anchor < len(patch.vertices):
-        raise UnsupportedCut(f"anchor {anchor} out of range")
+    try:
+        anchor = int_arg("anchor", anchor, 0, len(patch.vertices) - 1)
+    except ValueError as err:
+        raise UnsupportedCut(str(err)) from None
 
     w = normalize((q[0] - p[0], q[1] - p[1]))
 

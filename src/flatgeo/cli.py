@@ -19,7 +19,7 @@ import sys
 
 from . import builders
 from .analysis import closed_geodesic_detect, direction_scan
-from .errors import FlatgeoError, MalformedSurface
+from .errors import FlatgeoError, MalformedSurface, float_arg
 from .geometry import METRIC_TOL
 from .holonomy import curvature_test, is_parallel
 from .jsonio import manifest_entry, manifest_to_json, surface_from_json, surface_to_json, trace_to_json
@@ -220,10 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     env_tol = os.environ.get("FLATGEO_TOLERANCE")
     try:
-        tolerance = float(env_tol) if env_tol else METRIC_TOL
+        tolerance = float_arg("FLATGEO_TOLERANCE", float(env_tol) if env_tol else METRIC_TOL)
     except ValueError:
-        tolerance = math.nan
-    if not 0.0 < tolerance < math.inf:
         print(_error_json(ValueError(f"bad FLATGEO_TOLERANCE {env_tol!r}")), file=sys.stderr, end="")
         return EXIT_INPUT
     args = _build_parser().parse_args(argv)

@@ -1,4 +1,31 @@
-"""Exception types raised by surface construction, tracing and analysis."""
+"""Exception types of flatgeo, and the argument checks of its entry points."""
+
+import math
+import numbers
+import sys
+
+
+def int_arg(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as an int if it is an integer (numpy integers too, a bool
+    not) from ``lo`` to ``hi`` where given; else ValueError naming ``name``.
+    Without ``hi``, ``lo`` is None, 0 or 1."""
+    if type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        if (lo is None or value >= lo) and (hi is None or value <= hi):
+            return int(value)
+    bounds = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+    bound = bounds[lo] if hi is None else f"an integer between {lo} and {hi}"
+    raise ValueError(f"{name} must be {bound}, got {value}")
+
+
+def float_arg(name: str, value, least: float | None = None) -> float:
+    """``value`` as a float if it is a finite real (a bool is not one) that is
+    positive, or at least ``least`` where given; else ValueError naming ``name``."""
+    if type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        x = float(value) if not isinstance(value, int) or abs(value) <= sys.float_info.max else math.inf
+        if (0 < x if least is None else least <= x) and x < math.inf:
+            return x
+    bound = "positive" if least is None else f"at least {least}"
+    raise ValueError(f"{name} must be {bound} and finite, got {value}")
 
 
 class FlatgeoError(Exception):

@@ -25,10 +25,6 @@ def cross(ax: float, ay: float, bx: float, by: float) -> float:
     return ax * by - ay * bx
 
 
-def dot(ax: float, ay: float, bx: float, by: float) -> float:
-    return ax * bx + ay * by
-
-
 def norm(x: float, y: float) -> float:
     return math.hypot(x, y)
 
@@ -74,9 +70,7 @@ def fold_to_half_turn(a: float) -> float:
 
 def unsigned_angle(u: Vec, v: Vec) -> float:
     """Angle in [0, pi] between two nonzero vectors."""
-    c = cross(u[0], u[1], v[0], v[1])
-    d = dot(u[0], u[1], v[0], v[1])
-    return math.atan2(abs(c), d)
+    return math.atan2(abs(cross(u[0], u[1], v[0], v[1])), u[0] * v[0] + u[1] * v[1])
 
 
 def point_segment_distance(p: Vec, a: Vec, b: Vec) -> float:

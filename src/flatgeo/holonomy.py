@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import PointNotOnEdge
+from .errors import PointNotOnEdge, int_arg
 from .geometry import (
     PlaneIsometry,
     angle_distance_mod,
@@ -78,10 +78,8 @@ class ParallelVerdict:
 
 
 def _gluing(surface: FlatSurface, gi) -> Gluing:
-    """The gluing with id ``gi``; ValueError unless ``gi`` is an int id of this surface."""
-    if isinstance(gi, bool) or not isinstance(gi, int) or not 0 <= gi < len(surface.gluings):
-        raise ValueError(f"{gi!r} is not a gluing id of this surface")
-    return surface.gluings[gi]
+    """The gluing with id ``gi``; ValueError unless ``gi`` is an integer id of this surface."""
+    return surface.gluings[int_arg("gluing id", gi, 0, len(surface.gluings) - 1)]
 
 
 def transport_across(
@@ -91,7 +89,7 @@ def transport_across(
 
     The base point must lie on the glued edge (either side decides the
     transport direction).  Raises ValueError unless ``gluing`` is a gluing
-    id of the surface.
+    id of the surface, an integer (not a bool) below ``len(surface.gluings)``.
     """
     g = _gluing(surface, gluing)
     pt = direction.at
@@ -128,12 +126,14 @@ def holonomy_generators(
 def loop_holonomy(surface: FlatSurface, loop: list[int], base_tri: int) -> HolonomyElement:
     """Replay a dual loop (gluing ids) from a base triangle.
 
-    Each gluing must be a gluing id of the surface and touch the current
-    triangle (a gluing with both sides there is crossed from side ``a``);
-    the walk must return to the base.  Witness loops from
-    :func:`is_parallel` and orientability witnesses replay to their
-    offending elements this way.
+    Raises ValueError unless the base is a triangle of the surface, each
+    gluing a gluing id of it touching the current triangle (a gluing with
+    both sides there is crossed from side ``a``), and the walk returns to
+    the base.  Witness loops from :func:`is_parallel` and orientability
+    witnesses replay to their offending elements this way.
     """
+    if not surface.has_triangle(int_arg("base_tri", base_tri)):
+        raise ValueError(f"no triangle with id {base_tri}")
     iso = PlaneIsometry.identity()
     cur = base_tri
     for gi in loop:

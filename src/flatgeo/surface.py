@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,6 +26,8 @@ from .errors import (
     LengthMismatch,
     MalformedSurface,
     UnmatchedEdge,
+    float_arg,
+    int_arg,
 )
 from .geometry import (
     METRIC_TOL,
@@ -300,10 +301,6 @@ def _validate_triangles(triangles, tol: float) -> dict[int, Triangle]:
     return by_id
 
 
-def _is_int(x) -> bool:
-    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
-
-
 def _check_edges_glued_once(by_id, gluings) -> dict:
     """The crossing table's keys in gluing order (side a, then b), valued None."""
     crossings: dict = {}
@@ -311,8 +308,10 @@ def _check_edges_glued_once(by_id, gluings) -> dict:
         if not isinstance(g, Gluing):
             raise MalformedSurface(f"{g!r} is not a Gluing")
         for ref in (g.a, g.b):
-            if not (isinstance(ref, EdgeRef) and _is_int(ref.tri) and _is_int(ref.edge)):
-                raise MalformedSurface(f"gluing {gi} side {ref!r} is not an EdgeRef of two ints")
+            try:  # a side that is not an EdgeRef fails the first test
+                int_arg("triangle id", ref.tri if isinstance(ref, EdgeRef) else None), int_arg("edge", ref.edge)
+            except ValueError:
+                raise MalformedSurface(f"gluing {gi} side {ref!r} is not an EdgeRef of two ints") from None
             if ref.tri not in by_id or not 0 <= ref.edge < 3:
                 raise UnmatchedEdge(f"gluing {gi} references unknown edge {ref}")
             if ref in crossings:
@@ -336,8 +335,7 @@ def build_surface(triangles, gluings, tol: float = METRIC_TOL) -> FlatSurface:
     each oriented edge's crossing, vertex classes, Euler characteristic
     and orientability.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    tol = float_arg("tolerance", tol)
     if not triangles or not gluings:
         raise UnmatchedEdge("need at least one triangle and one gluing")
     by_id = _validate_triangles(triangles, tol)

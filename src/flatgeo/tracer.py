@@ -104,7 +104,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterOutOfRange, PointOutsideTriangle, TraceIncomplete
+from .errors import ParameterOutOfRange, PointOutsideTriangle, TraceIncomplete, float_arg, int_arg
 from .geometry import PlaneIsometry, Vec, normalize, point_segment_distance
 from .surface import FlatSurface
 
@@ -415,17 +415,15 @@ def trace(
 ) -> GeodesicTrace:
     """Trace the maximal strict geodesic from ``start`` up to ``max_length``.
 
-    Raises ValueError for non-finite input and for a ``max_length`` whose
-    step budget exceeds MAX_STEPS.
+    Raises ValueError for a bool, non-finite or out-of-range argument and
+    for a ``max_length`` whose step budget exceeds MAX_STEPS.
     """
-    if not 0.0 < max_length < math.inf:
-        raise ValueError("max_length must be positive and finite")
-    if not surface.tolerance <= vertex_clearance < math.inf:
-        raise ValueError("vertex_clearance must be finite and at least the surface tolerance")
+    max_length = float_arg("max_length", max_length)
+    vertex_clearance = float_arg("vertex_clearance", vertex_clearance, surface.tolerance)
     if not all(math.isfinite(x) for x in (*start.at.xy, *start.unit)):
         raise ValueError("start point and direction must be finite")
     tab = _trace_tables(surface)
-    if start.at.tri not in tab.id2dense:
+    if int_arg("start triangle", start.at.tri) not in tab.id2dense:
         raise PointOutsideTriangle(f"no triangle with id {start.at.tri}")
     tol_pt = surface.tolerance * (1.0 + tab.scale)
     tri0 = surface.triangle(start.at.tri)
@@ -437,7 +435,7 @@ def trace(
     dense = tab.id2dense[start.at.tri]
     px, py = float(start.at.xy[0]), float(start.at.xy[1])
     entry_edge = -1
-    remaining = float(max_length)
+    remaining = max_length
     clearance2 = vertex_clearance * vertex_clearance
     t_eps = 1e-13 * (1.0 + tab.scale)
     step_budget = 50.0 * max_length / max(tab.min_height, 1e-9)

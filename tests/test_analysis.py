@@ -506,6 +506,20 @@ def test_spectrum_rejects_non_convex():
         coface_angle_spectrum(l_double, tr, [[t.id for t in l_double.triangles]])
 
 
+@pytest.mark.parametrize("group, tri", [([999], 999), ([0, 4], 4)], ids=["off-surface", "not-joined"])
+def test_spectrum_rejects_a_bad_face_group_before_any_angle(monkeypatch, group, tri):
+    s = cube_surface()
+    tr = trace(s, TangentDirection(SurfacePoint(0, (0.5, 0.3)), (math.cos(0.3), math.sin(0.3))), 100.0)
+    assert 4 in tr.charts
+
+    def no_angle(*args):
+        raise AssertionError("computed an angle")
+
+    monkeypatch.setattr(analysis, "unsigned_angle", no_angle)
+    with pytest.raises(ValueError, match=re.escape(f"face group {group}: triangle {tri} ")):
+        coface_angle_spectrum(s, tr, [*cube_face_partition(), group])
+
+
 # --- direction scan -------------------------------------------------------------
 
 

@@ -324,6 +324,8 @@ GLUING_ID_CASES = {
     "transport-bool-id": lambda t, c: transport_across(t, _torus_tangent(t), True),
     "loop-negative-id": lambda t, c: loop_holonomy(t, [0, -3], 0),
     "loop-float-id": lambda t, c: loop_holonomy(t, [0.0], 0),
+    "loop-base-not-on-surface": lambda t, c: loop_holonomy(t, [], 999),
+    "loop-bool-base": lambda t, c: loop_holonomy(t, [], True),
     "foreign-vertex": lambda t, c: vertex_holonomy(t, c.vertex_classes[5]),
 }
 
@@ -338,6 +340,17 @@ def test_ids_not_of_the_surface_raise_value_error(catalog_surfaces, case):
     torus, cube = catalog_surfaces["unit-torus"], catalog_surfaces["cube"]
     with pytest.raises(ValueError):
         GLUING_ID_CASES[case](torus, cube)
+
+
+def test_numpy_integer_gluing_ids_are_gluing_ids(catalog_surfaces):
+    for name in ("unit-torus", "cube"):
+        s = catalog_surfaces[name]
+        if name == "unit-torus":
+            d = _torus_tangent(s)
+            assert transport_across(s, d, np.int64(0)) == transport_across(s, d, 0)
+        for loop, h in holonomy_generators(s):
+            assert loop_holonomy(s, [np.int64(gi) for gi in loop], np.int64(0)) == h
+            assert loop_holonomy(s, [np.uint16(gi) for gi in loop], 0) == h
 
 
 def test_thin_torus_is_parallel_within_its_chart_resolution():
