@@ -13,10 +13,8 @@ from .surface import (
     Triangle,
     VertexClass,
     build_surface,
-    curvature,
     diameter_estimate,
     gauss_bonnet_check,
-    orientability,
 )
 from .tracer import (
     GeodesicTrace,
@@ -30,7 +28,6 @@ from .tracer import (
 )
 from .holonomy import (
     HolonomyElement,
-    LineField,
     ParallelVerdict,
     curvature_test,
     holonomy_generators,

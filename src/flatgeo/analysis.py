@@ -32,7 +32,6 @@ from .tracer import (
     GeodesicTrace,
     SurfacePoint,
     TangentDirection,
-    VERTEX_HIT,
     _trace_tables,
     tangent_representatives,
     trace,
@@ -409,7 +408,9 @@ def coface_angle_spectrum(
     if any(v.curvature <= 0 for v in cones):
         raise NotConvex("angle spectrum needs strictly positive curvatures")
 
-    charts = trace_.charts
+    ix = trace_.index
+    spans = dict(zip(ix.tris.tolist(), zip(ix.rows[:-1].tolist(), ix.rows[1:].tolist())))
+    D = ix.cols[2:4].T
     developed: list[list[Vec]] = []  # each group's chord directions, in the group's plane
     for group in face_partition:
         group_set = set(group)
@@ -426,9 +427,10 @@ def coface_angle_spectrum(
         if loose:
             raise ValueError(f"face group {group}: triangle {loose[0]} is off the surface or not joined to the group")
         developed.append([])
-        for tri_id in (t for t in group if t in charts):
+        for tri_id in (t for t in group if t in spans):
             m = placement[tri_id].matrix()
-            developed[-1] += [(m[0] * d[0] + m[1] * d[1], m[2] * d[0] + m[3] * d[1]) for d in charts[tri_id][1]]
+            a, b = spans[tri_id]
+            developed[-1] += [(m[0] * d[0] + m[1] * d[1], m[2] * d[0] + m[3] * d[1]) for d in D[a:b]]
     observed = [unsigned_angle(u, v) for dirs in developed for u, v in itertools.combinations(dirs, 2)]
 
     sums = {0.0}
@@ -491,10 +493,12 @@ def direction_scan(
 ) -> ScanResult:
     """Trace ``n`` seeded random directions from one point and classify each.
 
-    Every direction is traced to ``length``; the verdict is VertexHit,
-    SelfIntersecting (with its earliest crossing, the one with the
-    smallest (t2, t1), from ``self_intersections``) or Simple (with a
-    density report at ``epsilon``).  Deterministic given the seed.
+    Every direction is traced to ``length``; the verdict is the trace's
+    termination kind if it stops early (``vertex_hit`` with its hit
+    parameter, or ``left_domain``), else ``self_intersecting`` (with its
+    earliest crossing, the one with the smallest (t2, t1), from
+    ``self_intersections``) or ``simple`` (with a density report at
+    ``epsilon``).  Deterministic given the seed.
     Raises ValueError before any angle is drawn for an ``n`` that is not an
     integer from 1 to MAX_DIRECTIONS and for any argument that ``trace`` or
     ``density_estimate`` would reject.
@@ -508,13 +512,9 @@ def direction_scan(
     for i, ang in enumerate(angles):
         d = (math.cos(ang), math.sin(ang))
         tr = trace(surface, TangentDirection(p, d), length, vertex_clearance)
-        if tr.termination.kind == VERTEX_HIT:
-            rows.append(
-                DirectionVerdict(i, float(ang), "vertex_hit", hit_parameter=tr.termination.parameter)
-            )
-            continue
-        if tr.termination.kind != LENGTH_REACHED:
-            rows.append(DirectionVerdict(i, float(ang), "left_domain"))
+        term = tr.termination
+        if term.kind != LENGTH_REACHED:
+            rows.append(DirectionVerdict(i, float(ang), term.kind, hit_parameter=term.parameter))
             continue
         first = self_intersections(surface, tr)
         if first is not None:

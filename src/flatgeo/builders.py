@@ -27,7 +27,6 @@ from .geometry import (
     METRIC_TOL,
     Vec,
     cross,
-    norm,
     normalize,
     point_segment_distance,
     polygon_area,
@@ -91,7 +90,7 @@ class PolygonSpec:
             raise NonSimplePolygon("polygon must be counterclockwise with positive area")
         for i in range(n):
             a, b = pts[i], pts[(i + 1) % n]
-            if norm(b[0] - a[0], b[1] - a[1]) == 0.0:
+            if math.hypot(b[0] - a[0], b[1] - a[1]) == 0.0:
                 raise NonSimplePolygon("zero-length polygon edge")
         # Only edge pairs whose padded bounding boxes overlap can pass the
         # exact test: the pad is far above its rounding.  Each block of rows
@@ -116,7 +115,7 @@ class PolygonSpec:
     def perimeter(self) -> float:
         pts = self.vertices
         return sum(
-            norm(pts[(i + 1) % len(pts)][0] - p[0], pts[(i + 1) % len(pts)][1] - p[1])
+            math.hypot(pts[(i + 1) % len(pts)][0] - p[0], pts[(i + 1) % len(pts)][1] - p[1])
             for i, p in enumerate(pts)
         )
 
@@ -593,19 +592,23 @@ def cut_and_glue(
     host_id, p, q = cut[0], (float(cut[1][0]), float(cut[1][1])), (float(cut[2][0]), float(cut[2][1]))
     if not all(math.isfinite(x) for x in (*p, *q)):
         raise UnsupportedCut(f"cut endpoints {p} and {q} must be finite")
+    try:
+        host_id = int_arg("cut triangle id", host_id)
+    except ValueError as err:
+        raise UnsupportedCut(str(err)) from None
     if not surface.has_triangle(host_id):
         raise UnsupportedCut(f"no triangle with id {host_id}")
     host = surface.triangle(host_id)
     scale = max(host.edge_length(k) for k in range(3))
     margin = max(tol * (1 + scale), CUT_FLOOR)
-    ell = norm(q[0] - p[0], q[1] - p[1])
+    ell = math.hypot(q[0] - p[0], q[1] - p[1])
     if ell <= margin:
         raise UnsupportedCut("cut endpoints coincide")
     for pt in (p, q):
         if not host.contains(pt, tol=0.0):
             raise UnsupportedCut(f"cut endpoint {pt} outside triangle {host_id}")
     for k in range(3):
-        if point_segment_distance(host.corner(k), p, q) <= margin:
+        if point_segment_distance(host.corners[k], p, q) <= margin:
             raise CutThroughVertex(f"cut passes through corner {k} of triangle {host_id}")
 
     patch.validate()
@@ -641,14 +644,12 @@ def cut_and_glue(
         raise UnsupportedCut("cut line does not cross the triangle boundary twice")
     crossings.sort(key=lambda c: c[1])
     (eP, tP, P0), (eQ, tQ, Q0) = crossings
-    if eP == eQ:
-        raise UnsupportedCut("cut line crosses one edge twice")
     if tP >= -margin or tQ <= ell + margin:
         raise UnsupportedCut("cut endpoints must be strictly inside the triangle")
 
     side_of = []
     for k in range(3):
-        c = host.corner(k)
+        c = host.corners[k]
         s = cross(w[0], w[1], c[0] - p[0], c[1] - p[1])
         if abs(s) <= margin:
             raise CutThroughVertex("a corner lies on the supporting line of the cut")
@@ -663,7 +664,7 @@ def cut_and_glue(
     for j in range(np_):
         a = pverts[(anchor + j) % np_]
         b = pverts[(anchor + j + 1) % np_]
-        positions.append(positions[-1] + norm(b[0] - a[0], b[1] - a[1]))
+        positions.append(positions[-1] + math.hypot(b[0] - a[0], b[1] - a[1]))
     # positions[j] = arc position of patch vertex (anchor + j); last = perimeter
     snap = max(tol, CUT_FLOOR) * (1 + 2 * ell)
     positions = [ell if abs(s - ell) <= snap else s for s in positions]
@@ -822,22 +823,22 @@ L_SHAPE = PolygonSpec([(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0
 EXAMPLE1_PARAM = math.sqrt(2.0) / 2.0
 
 
-def example1_surface(a: float = EXAMPLE1_PARAM):
-    """Square double cut along {a} x [1/3, 2/3] with a side-1/6 square patch.
+def example1_surface():
+    """Square double cut along {a} x [1/3, 2/3] with a side-1/6 square patch,
+    for a = EXAMPLE1_PARAM.
 
     Returns (surface, info) where info holds the patch triangle ids and a
     start tangent on the upper face at (a, 0) for the closed-geodesic
-    experiments.  Requires a in (2/3, 1) so the cut stays inside one
-    chart triangle.
+    experiments.  As a lies in (2/3, 1), the cut stays inside one chart
+    triangle.
     """
+    a = EXAMPLE1_PARAM
     base = double_of_polygon(SQUARE)
-    host = None
-    for t in base.triangles:
-        if t.contains((a, 1.0 / 3.0), tol=-1e-9) and t.contains((a, 2.0 / 3.0), tol=-1e-9):
-            host = t.id
-            break
-    if host is None:
-        raise UnsupportedCut(f"cut {a} x [1/3, 2/3] spans several chart triangles")
+    host = next(
+        t.id
+        for t in base.triangles
+        if t.contains((a, 1.0 / 3.0), tol=-1e-9) and t.contains((a, 2.0 / 3.0), tol=-1e-9)
+    )
     side = 1.0 / 6.0
     patch = PolygonSpec([(0.0, 0.0), (side, 0.0), (side, side), (0.0, side)])
     surf = cut_and_glue(base, (host, (a, 1.0 / 3.0), (a, 2.0 / 3.0)), patch, anchor=0)

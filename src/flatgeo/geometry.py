@@ -25,10 +25,6 @@ def cross(ax: float, ay: float, bx: float, by: float) -> float:
     return ax * by - ay * bx
 
 
-def norm(x: float, y: float) -> float:
-    return math.hypot(x, y)
-
-
 def normalize(v: Vec) -> Vec:
     """The unit vector along v.  A vector whose norm is subnormal or
     overflows is first scaled by an exact power of two, so the result is a

@@ -47,19 +47,9 @@ class HolonomyElement:
 
 
 @dataclass(frozen=True)
-class LineField:
-    """Per-triangle unoriented direction, as an angle modulo pi."""
-
-    angles: dict[int, float]
-
-    def angle_in(self, tri_id: int) -> float:
-        return self.angles[tri_id]
-
-
-@dataclass(frozen=True)
 class ParallelVerdict:
     parallel: bool
-    field: LineField | None = None
+    field: dict[int, float] | None = None  # per-triangle line angle, mod pi
     witness_loop: tuple[int, ...] | None = None  # gluing ids of the offending dual loop
     witness: HolonomyElement | None = None
 
@@ -70,7 +60,7 @@ class ParallelVerdict:
             "witness_angle": self.witness.angle if self.witness is not None else None,
             "witness_reflect": self.witness.reflect if self.witness is not None else None,
             "line_field": (
-                {str(k): v for k, v in sorted(self.field.angles.items())}
+                {str(k): v for k, v in sorted(self.field.items())}
                 if self.field is not None
                 else None
             ),
@@ -192,24 +182,22 @@ def is_parallel(surface: FlatSurface) -> ParallelVerdict:
         tri_id: iso.inverse().apply_line_angle(0.0)
         for tri_id, iso in surface.chart_to_root.items()
     }
-    return ParallelVerdict(True, field=LineField(angles))
+    return ParallelVerdict(True, field=angles)
 
 
-def line_field_residual(surface: FlatSurface, field: LineField) -> float:
+def line_field_residual(surface: FlatSurface, field: dict[int, float]) -> float:
     """Worst gluing-compatibility error of a line field, in radians mod pi.
 
     Raises ValueError if the field misses a triangle or has a non-finite
     angle, since such a field cannot be checked.
     """
     for t in surface.triangles:
-        if not math.isfinite(field.angles.get(t.id, math.nan)):
+        if not math.isfinite(field.get(t.id, math.nan)):
             raise ValueError(f"line field has no finite angle in triangle {t.id}")
     worst = 0.0
     for g in surface.gluings:
-        mapped = surface.crossings[g.a][1].apply_line_angle(field.angle_in(g.a.tri))
-        worst = max(
-            worst, angle_distance_mod(mapped, field.angle_in(g.b.tri), math.pi)
-        )
+        mapped = surface.crossings[g.a][1].apply_line_angle(field[g.a.tri])
+        worst = max(worst, angle_distance_mod(mapped, field[g.b.tri], math.pi))
     return worst
 
 

@@ -58,19 +58,14 @@ def _typed(value, kind: type, what: str):
     return kind(value)
 
 
-def _edge_ref(ref) -> EdgeRef:
-    tri, edge = ref
-    return EdgeRef(_typed(tri, int, "gluing triangle"), _typed(edge, int, "gluing edge"))
-
-
 def surface_from_json(text: str, tol: float = METRIC_TOL) -> FlatSurface:
     """Parse a surface file and build it.
 
     Raises MalformedSurface when the text is not JSON of the surface
     shape: missing keys, wrong types, a triangle without three corners of
-    two numbers, ids or edges that are not integers, a ``reversed`` flag
-    that is not a boolean, or nesting too deep to parse.  Geometric faults
-    raise the errors of ``build_surface``.
+    two numbers, a gluing side that is not a pair, a ``reversed`` flag that
+    is not a boolean, or nesting too deep to parse.  Ids and edges that are
+    not integers, and geometric faults, raise the errors of ``build_surface``.
     """
     try:
         data = json.loads(text)
@@ -78,13 +73,9 @@ def surface_from_json(text: str, tol: float = METRIC_TOL) -> FlatSurface:
         for t in data["triangles"]:
             a, b, c = t["corners"]
             corners = tuple((_typed(x, float, "corner"), _typed(y, float, "corner")) for x, y in (a, b, c))
-            triangles.append(Triangle(_typed(t["id"], int, "triangle id"), corners))
+            triangles.append(Triangle(t["id"], corners))
         gluings = [
-            Gluing(
-                _edge_ref(g["a"]),
-                _edge_ref(g["b"]),
-                _typed(g.get("reversed", False), bool, "reversed"),
-            )
+            Gluing(EdgeRef(*g["a"]), EdgeRef(*g["b"]), _typed(g.get("reversed", False), bool, "reversed"))
             for g in data["gluings"]
         ]
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError) as e:
@@ -93,24 +84,26 @@ def surface_from_json(text: str, tol: float = METRIC_TOL) -> FlatSurface:
 
 
 def _termination_str(term: Termination) -> str:
-    if term.kind == LENGTH_REACHED:
-        return "length_reached"
+    """The kind, then a vertex hit's vertex and parameter or a left-domain message."""
     if term.kind == VERTEX_HIT:
-        return f"vertex_hit:{term.vertex}:{_num(term.parameter)}"
-    return f"left_domain:{term.message or ''}"
+        return f"{term.kind}:{term.vertex}:{_num(term.parameter)}"
+    if term.kind == LEFT_DOMAIN:
+        return f"{term.kind}:{term.message or ''}"
+    return term.kind
 
 
 def _termination_parse(s: str) -> Termination:
-    if s == "length_reached":
+    kind, colon, rest = s.partition(":")
+    if s == LENGTH_REACHED:
         return Termination(LENGTH_REACHED)
-    if s.startswith("vertex_hit:"):
-        _, vc, par = s.split(":", 2)
+    if colon and kind == VERTEX_HIT:
+        vc, par = rest.split(":", 1)
         parameter = float(par)
         if not math.isfinite(parameter):
             raise ValueError(f"non-finite hit parameter {par!r}")
         return Termination(VERTEX_HIT, vertex=int(vc), parameter=parameter)
-    if s.startswith("left_domain:"):
-        return Termination(LEFT_DOMAIN, message=s.split(":", 1)[1])
+    if colon and kind == LEFT_DOMAIN:
+        return Termination(LEFT_DOMAIN, message=rest)
     raise ValueError(f"unknown termination {s!r}")
 
 

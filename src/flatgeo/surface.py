@@ -35,7 +35,6 @@ from .geometry import (
     PlaneIsometry,
     Vec,
     cross,
-    norm,
 )
 
 
@@ -45,9 +44,6 @@ class Triangle:
 
     id: int
     corners: tuple[Vec, Vec, Vec]
-
-    def corner(self, k: int) -> Vec:
-        return self.corners[k % 3]
 
     def edge_start(self, k: int) -> Vec:
         return self.corners[k % 3]
@@ -62,7 +58,7 @@ class Triangle:
 
     def edge_length(self, k: int) -> float:
         v = self.edge_vector(k)
-        return norm(v[0], v[1])
+        return math.hypot(v[0], v[1])
 
     def signed_area(self) -> float:
         a, b, c = self.corners
@@ -83,7 +79,7 @@ class Triangle:
             b = self.corners[(k + 1) % 3]
             ex, ey = b[0] - a[0], b[1] - a[1]
             side = cross(ex, ey, p[0] - a[0], p[1] - a[1])
-            if side < -tol * norm(ex, ey):
+            if side < -tol * math.hypot(ex, ey):
                 return False
         return True
 
@@ -282,11 +278,12 @@ def _validate_triangles(triangles, tol: float) -> dict[int, Triangle]:
     for t in triangles:
         if not isinstance(t, Triangle):
             raise MalformedSurface(f"{t!r} is not a Triangle")
+        try:  # trace chords hold triangle ids as float64, exact up to 2**53
+            int_arg("triangle id", t.id, -(2**53), 2**53)
+        except ValueError as err:
+            raise MalformedSurface(str(err)) from None
         if t.id in by_id:
             raise DegenerateTriangle(f"duplicate triangle id {t.id}")
-        # Trace chords hold triangle ids as float64, exact up to 2**53.
-        if not abs(t.id) <= 2**53:
-            raise MalformedSurface(f"triangle id {t.id} is beyond 2**53")
         if not all(math.isfinite(x) for c in t.corners for x in c):
             raise DegenerateTriangle(f"triangle {t.id} has a non-finite corner")
         area = t.signed_area()
@@ -330,7 +327,7 @@ def build_surface(triangles, gluings, tol: float = METRIC_TOL) -> FlatSurface:
     Raises DegenerateTriangle, UnmatchedEdge, LengthMismatch,
     Disconnected or MalformedSurface (an item that is not a Triangle or
     a Gluing, a gluing side that is not an EdgeRef of two ints, or a
-    triangle id beyond 2**53) on invalid input, and
+    triangle id that is not an integer within 2**53) on invalid input, and
     ValueError unless ``tol`` is positive and finite.  The result carries
     each oriented edge's crossing, vertex classes, Euler characteristic
     and orientability.
@@ -356,7 +353,7 @@ def build_surface(triangles, gluings, tol: float = METRIC_TOL) -> FlatSurface:
         # Audit: the isometry must map edge a endpoint-to-endpoint onto b.
         for src, dst in ((a0, b0), (a1, b1)):
             img = iso.apply(src)
-            if norm(img[0] - dst[0], img[1] - dst[1]) > 1e-9 + tol:
+            if math.hypot(img[0] - dst[0], img[1] - dst[1]) > 1e-9 + tol:
                 raise LengthMismatch(f"gluing {gi}: transition fails endpoint audit")
         crossings[g.a] = (g.b, iso)
         crossings[g.b] = (g.a, iso.inverse())
@@ -366,17 +363,6 @@ def build_surface(triangles, gluings, tol: float = METRIC_TOL) -> FlatSurface:
     if residual > max(tol, 1e-9):
         raise LengthMismatch(f"curvature audit failed: residual {residual:.3e}")
     return surface
-
-
-def curvature(surface: FlatSurface, v: VertexClass) -> float:
-    """Singular curvature of a vertex: 2*pi minus its cone angle."""
-    surface.check_vertex(v)
-    return v.curvature
-
-
-def orientability(surface: FlatSurface) -> tuple[bool, list[int] | None]:
-    """Orientability flag plus, when False, a reversing dual loop (gluing ids)."""
-    return surface.orientable, surface.orientation_witness
 
 
 def gauss_bonnet_check(surface: FlatSurface) -> float:
@@ -426,8 +412,8 @@ def _skeleton(surface: FlatSurface):
         cy = sum(p[1] for p in t.corners) / 3.0
         rows.append((
             *(surface.corner_class[(t.id, k)] for k in range(3)),
-            norm(ax - cx, ay - cy), norm(bx - cx, by - cy), norm(qx - cx, qy - cy),
-            norm(bx - ax, by - ay), norm(qx - bx, qy - by), norm(ax - qx, ay - qy),
+            math.hypot(ax - cx, ay - cy), math.hypot(bx - cx, by - cy), math.hypot(qx - cx, qy - cy),
+            math.hypot(bx - ax, by - ay), math.hypot(qx - bx, qy - by), math.hypot(ax - qx, ay - qy),
         ))
     table = np.array(rows)
     corner, spoke, length = table[:, :3].astype(np.intp), table[:, 3:6], table[:, 6:]

@@ -4,7 +4,7 @@ A trace advances a straight line through the current chart, applies the
 gluing transition at the boundary, and repeats.  Cone points terminate
 the trace: continuations through a conical point branch, so the tracer
 refuses to choose.  A pass within ``vertex_clearance`` of a cone point
-reports VertexHit; an exact corner passage reports VertexHit for any
+reports a vertex hit; an exact corner passage reports one for any
 vertex class (flat marked points included) because the transition there
 is ill-conditioned.
 
@@ -128,9 +128,9 @@ CHECK_DIRECTION_TOL = 1e-6
 # locate accepts arc lengths this far outside [0, length], relative to 1 + length.
 LOCATE_SLACK = 1e-9
 
-LENGTH_REACHED = "LengthReached"
-VERTEX_HIT = "VertexHit"
-LEFT_DOMAIN = "LeftDomain"
+LENGTH_REACHED = "length_reached"
+VERTEX_HIT = "vertex_hit"
+LEFT_DOMAIN = "left_domain"
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ class TraceSegment:
 @dataclass(frozen=True)
 class Termination:
     kind: str
-    vertex: int | None = None  # vertex class index for VertexHit
+    vertex: int | None = None  # vertex class index for VERTEX_HIT
     parameter: float | None = None
     message: str | None = None
 
@@ -171,8 +171,8 @@ class GeodesicTrace:
     Row k of ``chords`` is the k-th chord: triangle id, entry x/y, exit
     x/y, unit direction x/y, arc parameter t0 at entry, length, and the
     edge crossed at the exit (-1 where the trace stops).  ``index``, the
-    ChordIndex that both scans of ``flatgeo.analysis`` read, is built from
-    the rows on first read; ``charts`` are slices of ``index``.
+    ChordIndex that ``flatgeo.analysis`` reads, is built from the rows on
+    first read.
     ``segments``, the rows as TraceSegment objects, is built only for
     callers that read it; nothing in the package does.
     """
@@ -202,16 +202,6 @@ class GeodesicTrace:
     def index(self) -> ChordIndex:
         """The chords chart after chart, with their direction classes."""
         return _chord_index(self.chords)
-
-    @cached_property
-    def charts(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """tri -> (entry points, directions, lengths, t0) of its chords:
-        slices of ``index``, charts in order of first appearance, chords
-        in trace order."""
-        ix = self.index
-        P, D, L, T0 = ix.cols[0:2].T, ix.cols[2:4].T, ix.cols[4], ix.cols[5]
-        bounds = zip(ix.tris.tolist(), ix.rows[:-1].tolist(), ix.rows[1:].tolist())
-        return {tri: (P[a:b], D[a:b], L[a:b], T0[a:b]) for tri, a, b in bounds}
 
 
 @dataclass(frozen=True, eq=False)
@@ -535,7 +525,7 @@ def trace(
         qx = px + best_t * dx
         qy = py + best_t * dy
         if not tie_lo < best_s < ln - tie_lo:
-            # Corner ties resolve as VertexHit regardless of curvature: the
+            # Corner ties resolve as vertex hits regardless of curvature: the
             # transition choice at an exact corner is ambiguous.  Only an
             # exit near an end of its edge can tie (see the module docstring).
             for cx, cy, ci in ties[dense][best_edge]:
@@ -688,7 +678,7 @@ def tangent_representatives(
             add(ref.tri, iso.apply(point.xy), iso.apply_vector(vector))
 
     for k in range(3):
-        c = tri.corner(k)
+        c = tri.corners[k]
         if math.hypot(point.xy[0] - c[0], point.xy[1] - c[1]) <= tol:
             # The fan's last chart is the start chart again, already listed.
             for tri_id, _corner, iso in list(surface.corner_fan(point.tri, k))[:-1]:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from flatgeo import analysis
 from flatgeo.builders import catalog
 from flatgeo.errors import NonSimplePolygon, PointOutsideTriangle
-from flatgeo.geometry import cross, norm, normalize, polygon_area, segments_intersect
+from flatgeo.geometry import cross, normalize, polygon_area, segments_intersect
 from flatgeo.surface import EdgeRef, FlatSurface, Gluing, Triangle, build_surface
 from flatgeo.tracer import (
     DEFAULT_VERTEX_CLEARANCE,
@@ -289,7 +289,7 @@ def all_sources_diameter(surface) -> float:
         cy = sum(c[1] for c in t.corners) / 3.0
         for k in range(3):
             vk = surface.corner_class[(t.id, k)]
-            connect(("c", t.id), ("v", vk), norm(t.corners[k][0] - cx, t.corners[k][1] - cy))
+            connect(("c", t.id), ("v", vk), math.hypot(t.corners[k][0] - cx, t.corners[k][1] - cy))
             vk1 = surface.corner_class[(t.id, (k + 1) % 3)]
             connect(("v", vk), ("v", vk1), t.edge_length(k))
 
@@ -322,7 +322,7 @@ def pairwise_validate(pts) -> None:
         raise NonSimplePolygon("polygon must be counterclockwise with positive area")
     for i in range(n):
         a, b = pts[i], pts[(i + 1) % n]
-        if norm(b[0] - a[0], b[1] - a[1]) == 0.0:
+        if math.hypot(b[0] - a[0], b[1] - a[1]) == 0.0:
             raise NonSimplePolygon("zero-length polygon edge")
     for i in range(n):
         a1, b1 = pts[i], pts[(i + 1) % n]
@@ -550,7 +550,7 @@ def reference_trace(
 
         qx = px + best_t * dx
         qy = py + best_t * dy
-        # Corner ties resolve as VertexHit regardless of curvature: the
+        # Corner ties resolve as vertex hits regardless of curvature: the
         # transition choice at an exact corner is ambiguous.
         exit_edge = best_edge
         for k in (best_edge, (best_edge + 1) % 3):

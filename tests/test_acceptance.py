@@ -31,7 +31,7 @@ from flatgeo.geometry import TWO_PI, angle_distance_mod
 from flatgeo.holonomy import is_parallel, vertex_holonomy
 from flatgeo.jsonio import surface_to_json, trace_from_json
 from flatgeo.surface import diameter_estimate, gauss_bonnet_check
-from flatgeo.tracer import SurfacePoint, TangentDirection, reverse_check, trace, truncate
+from flatgeo.tracer import LENGTH_REACHED, SurfacePoint, TangentDirection, reverse_check, trace, truncate
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -195,7 +195,7 @@ def test_criterion_07_density(catalog_surfaces, capsys):
     tet = catalog_surfaces["regular-tetrahedron"]
     mid, d = edge_midpoint_tangent(tet, 0, 0, math.atan(1.0 / 7.0))
     tr = trace(tet, TangentDirection(SurfacePoint(0, mid), d), 400.0)
-    assert tr.termination.kind == "LengthReached"
+    assert tr.termination.kind == LENGTH_REACHED
     fractions = [
         density_estimate(tet, truncate(tr, L), 0.05, 2000, seed=7).covered_fraction
         for L in (50.0, 100.0, 200.0, 400.0)

@@ -13,6 +13,7 @@ from conftest import (
     dense_near_chords,
     edge_midpoint_tangent,
     incenter_point,
+    reference_charts,
     reference_events,
     reference_first_event,
     reference_self_intersections,
@@ -150,7 +151,7 @@ def test_torus_traces_never_self_intersect():
     for _ in range(5):
         ang = float(rng.uniform(0, 2 * math.pi))
         tr = trace(s, TangentDirection(SurfacePoint(0, (0.5, 0.25)), (math.cos(ang), math.sin(ang))), 60.0)
-        if tr.termination.kind != "LengthReached":
+        if tr.termination.kind != LENGTH_REACHED:
             continue
         assert self_intersections(s, tr) is None
 
@@ -159,7 +160,7 @@ def test_tetrahedron_strict_traces_simple():
     s = isosceles_tetrahedron((1.0, 1.0, 1.0))
     mid, d = edge_midpoint_tangent(s, 0, 0, math.atan(1.0 / 7.0))
     tr = trace(s, TangentDirection(SurfacePoint(0, mid), d), 200.0)
-    assert tr.termination.kind == "LengthReached"
+    assert tr.termination.kind == LENGTH_REACHED
     assert self_intersections(s, tr) is None
 
 
@@ -239,7 +240,7 @@ def test_self_intersections_match_pairwise_oracle_on_large_charts(catalog_surfac
     s = _surface(catalog_surfaces, name)
     start = TangentDirection(incenter_point(s), (math.cos(0.3), math.sin(0.3)))
     tr = trace(s, start, ORACLE_LENGTHS[name])
-    assert tr.termination.kind == "LengthReached"
+    assert tr.termination.kind == LENGTH_REACHED
     assert max(Counter(seg.tri for seg in tr.segments).values()) > 100
     events = [(e.t1, e.t2) for e in reference_events(tr)]
     assert len(events) > 1000 and events == _pairwise_oracle(tr)
@@ -291,7 +292,7 @@ def test_self_intersections_returns_none_without_a_crossing(monkeypatch):
     # comes before any window is paired.
     s = flat_torus((1.0, 0.0), (0.0, 1.0))
     tr = trace(s, TangentDirection(SurfacePoint(0, (0.5, 0.25)), (0.6, 0.8)), 60.0)
-    assert tr.termination.kind == "LengthReached"
+    assert tr.termination.kind == LENGTH_REACHED
     assert self_intersections(s, tr) is None and windows == []
     # A zero-length trace, two zero-length chords of two classes in one
     # chart: tau starts at infinity, so one window pairs both rows.
@@ -302,13 +303,13 @@ def test_self_intersections_returns_none_without_a_crossing(monkeypatch):
     assert [w.tolist() for w in windows] == [[0, 1]]
 
 
-def test_earliest_only_without_crossings_pairs_every_row_in_windows(catalog_surfaces, monkeypatch):
+def test_self_intersections_without_crossings_pairs_every_row_in_windows(catalog_surfaces, monkeypatch):
     # Two charts of this short ring-double trace hold two direction
     # classes, but the trace never crosses itself: the doubling windows
     # must then tile every chart's rows before answering None.
     s = catalog_surfaces["ring-double"]
     tr = trace(s, TangentDirection(incenter_point(s), (math.cos(0.56), math.sin(0.56))), 12.0)
-    assert tr.termination.kind == "LengthReached"
+    assert tr.termination.kind == LENGTH_REACHED
     ix = tr.index
     multi = np.flatnonzero(np.diff(ix.classes) > 1)
     assert len(multi) >= 2
@@ -323,7 +324,7 @@ def test_earliest_only_without_crossings_pairs_every_row_in_windows(catalog_surf
     assert reference_events(tr) == []
 
 
-def test_earliest_only_breaks_ties_across_windows_in_chart_order():
+def test_self_intersections_breaks_ties_across_windows_in_chart_order():
     # Charts 7 and 3 each see the same crossing at (2, 0), at t = (3.5, 5.5)
     # bit for bit; the merge keeps chart 7's, which appears first.  Chart
     # 3's pair is found in the first window (t0 < 1) and chart 7's only in
@@ -390,6 +391,7 @@ def assert_band_matches_dense(s, tr, epsilon, samples, seed=1):
     sample's own chart and in each neighbour's, as density_estimate
     measures them; returns (samples within epsilon, samples tested)."""
     near = tested = 0
+    charts = reference_charts(tr)
     dense_tri, x, y = analysis._sample_points(s, samples, seed)
     for d in np.unique(dense_tri):
         tri, P = s.triangles[d].id, np.column_stack((x[dense_tri == d], y[dense_tri == d]))
@@ -400,9 +402,9 @@ def assert_band_matches_dense(s, tr, epsilon, samples, seed=1):
             Q = np.column_stack((m[0] * P[:, 0] + m[1] * P[:, 1] + m[4], m[2] * P[:, 0] + m[3] * P[:, 1] + m[5]))
             frames.append((ref.tri, Q))
         for chart, Q in frames:
-            if chart not in tr.charts:
+            if chart not in charts:
                 continue
-            cP, cD, cL, _t0 = tr.charts[chart]
+            cP, cD, cL, _t0 = charts[chart]
             band = band_hits(tr, chart, Q, epsilon)
             assert np.array_equal(band, dense_near_chords(Q, cP, cD, cL, epsilon))
             near += int(np.count_nonzero(band))
@@ -510,7 +512,7 @@ def test_spectrum_rejects_non_convex():
 def test_spectrum_rejects_a_bad_face_group_before_any_angle(monkeypatch, group, tri):
     s = cube_surface()
     tr = trace(s, TangentDirection(SurfacePoint(0, (0.5, 0.3)), (math.cos(0.3), math.sin(0.3))), 100.0)
-    assert 4 in tr.charts
+    assert 4 in reference_charts(tr)
 
     def no_angle(*args):
         raise AssertionError("computed an angle")
@@ -660,7 +662,7 @@ def first_ray_hit(surface, tr, point, rays, length):
     """The shortest arc length, over ``rays`` evenly spread geodesic rays of
     ``length`` from ``point``, at which a ray meets a chord of ``tr`` in a
     common chart; inf when none does."""
-    charts = tr.charts
+    charts = reference_charts(tr)
     best = math.inf
     for j in range(rays):
         a = 0.1 + 2.0 * math.pi * j / rays

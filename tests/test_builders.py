@@ -42,7 +42,7 @@ from flatgeo.geometry import polygon_area
 from flatgeo.holonomy import curvature_test, is_parallel
 from flatgeo.jsonio import surface_to_json
 from flatgeo.surface import build_surface, gauss_bonnet_check
-from flatgeo.tracer import SurfacePoint, TangentDirection, trace
+from flatgeo.tracer import LENGTH_REACHED, SurfacePoint, TangentDirection, trace
 from flatgeo.analysis import closed_geodesic_detect
 from flatgeo.cli import main
 
@@ -362,7 +362,7 @@ def test_example1_closed_geodesics_avoid_patch():
         d = (1.0 / n, 1.0)
         ln = math.hypot(*d)
         tr = trace(s, TangentDirection(start, (d[0] / ln, d[1] / ln)), 15.0)
-        assert tr.termination.kind == "LengthReached"
+        assert tr.termination.kind == LENGTH_REACHED
         assert not any(seg.tri in info["patch_ids"] for seg in tr.segments)
         period = closed_geodesic_detect(s, tr)
         assert period == pytest.approx(2 * n * math.sqrt(1 + 1 / n**2), abs=1e-9)
@@ -443,6 +443,15 @@ def test_cut_anchor_must_be_an_index(anchor):
         square_double_cut(0.75, 0.3, 0.5, SMALL_SQUARE, anchor)
 
 
+@pytest.mark.parametrize("host", [True, 1.0])
+def test_cut_host_must_be_an_integer_id(host):
+    # Triangle 1 holds the cut, and True == 1.0 == 1 as dict keys.
+    base = double_of_polygon(SQUARE)
+    assert find_triangle_with_germ(base, (0.75, 0.4), (1.0, 0.0)) == 1
+    with pytest.raises(UnsupportedCut, match="cut triangle id"):
+        cut_and_glue(base, (host, (0.75, 0.3), (0.75, 0.5)), SMALL_SQUARE)
+
+
 def test_cut_accepts_a_numpy_integer_anchor():
     plain = surface_to_json(square_double_cut(0.75, 0.3, 0.5, SMALL_SQUARE, 2))
     assert surface_to_json(square_double_cut(0.75, 0.3, 0.5, SMALL_SQUARE, np.int64(2))) == plain
@@ -452,7 +461,7 @@ def test_cut_through_vertex():
     base = double_of_polygon(SQUARE)
     host = find_triangle_with_germ(base, (0.9, 0.5), (1.0, 0.0))
     tri = base.triangle(host)
-    corner = tri.corner(1)
+    corner = tri.corners[1]
     inside = (0.8 * corner[0] + 0.2 * 0.85, 0.8 * corner[1] + 0.2 * 0.55)
     patch = PolygonSpec([(0.0, 0.0), (0.1, 0.0), (0.1, 0.1), (0.0, 0.1)])
     with pytest.raises(CutThroughVertex):

@@ -20,7 +20,6 @@ from flatgeo.builders import (
 from flatgeo.errors import PointNotOnEdge
 from flatgeo.geometry import TWO_PI, angle_distance_mod
 from flatgeo.holonomy import (
-    LineField,
     curvature_test,
     holonomy_generators,
     is_parallel,
@@ -235,9 +234,9 @@ def test_loop_composition_group_laws():
 def test_line_field_residual_rejects_uncheckable_field(kind):
     s = double_of_polygon(L_SHAPE)
     if kind == "nan-angle":
-        field = LineField({t.id: math.nan for t in s.triangles})
+        field = {t.id: math.nan for t in s.triangles}
     else:
-        field = LineField({t.id: 0.0 for t in s.triangles[1:]})
+        field = {t.id: 0.0 for t in s.triangles[1:]}
     with pytest.raises(ValueError, match="no finite angle"):
         line_field_residual(s, field)
 

@@ -1,11 +1,15 @@
-"""Project-level checks: the README's example runs as written, and the
-library imports nothing beyond the standard library and numpy."""
+"""Project-level checks: the README's example runs as written, the
+library imports nothing beyond the standard library and numpy, and the
+package's public names are pinned."""
 import ast
 import contextlib
 import io
 import re
 import sys
+import types
 from pathlib import Path
+
+import flatgeo
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,3 +35,23 @@ def test_library_imports_only_stdlib_and_numpy():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+# Removing or adding a public name must be a deliberate edit of this list.
+PUBLIC_NAMES = [
+    "DensityReport", "EdgeRef", "FlatSurface", "GeodesicTrace", "Gluing", "HolonomyElement",
+    "IntersectionEvent", "ParallelVerdict", "PlaneIsometry", "SegmentPair", "SurfacePoint",
+    "TangentDirection", "Triangle", "VertexClass", "build_surface", "closed_geodesic_detect",
+    "coface_angle_spectrum", "curvature_test", "density_estimate", "diameter_estimate",
+    "direction_scan", "gauss_bonnet_check", "holonomy_generators", "is_parallel", "lap_criterion",
+    "locate", "loop_holonomy", "reverse_check", "self_intersections", "trace", "transport_across",
+    "truncate", "unfold", "vertex_holonomy",
+]
+
+
+def test_public_api_names():
+    # Submodules are attributes once imported anywhere, so they are left out.
+    names = sorted(
+        n for n, v in vars(flatgeo).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES

@@ -289,10 +289,10 @@ def test_reverse_check_returns_to_the_start_on_random_doubles(polygon, seed, ang
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(st.sampled_from(["cube", "ring-double"]), st.floats(0.0, TWO_PI, exclude_max=True))
-def test_earliest_event_is_min_of_materialized_list(catalog_surfaces, name, angle):
+def test_self_intersections_matches_reference_on_short_traces(catalog_surfaces, name, angle):
     s = catalog_surfaces[name]
     tr = trace(s, TangentDirection(incenter_point(s), (math.cos(angle), math.sin(angle))), 80.0)
-    assume(tr.termination.kind == "LengthReached")
+    assume(tr.termination.kind == LENGTH_REACHED)
     first = reference_first_event(tr)
     assume(first is not None)
     assert self_intersections(s, tr) == first
@@ -332,11 +332,11 @@ _diameter = functools.lru_cache(maxsize=None)(diameter_estimate)
     st.sampled_from(["cube", "example1", "klein-bottle", "ring-double"]),
     st.floats(0.0, TWO_PI, exclude_max=True),
 )
-def test_earliest_only_is_the_earliest_of_all_events(catalog_surfaces, name, angle):
+def test_self_intersections_matches_reference_on_400_diameter_traces(catalog_surfaces, name, angle):
     s = catalog_surfaces[name]
     length = 400.0 * _diameter(s)
     tr = trace(s, TangentDirection(incenter_point(s), (math.cos(angle), math.sin(angle))), length)
-    assume(tr.termination.kind == "LengthReached")
+    assume(tr.termination.kind == LENGTH_REACHED)
     assert self_intersections(s, tr) == reference_first_event(tr)
 
 
@@ -360,7 +360,7 @@ def _polyline_trace(seed, n, classes, charts, stretch=1.0):
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(seeds, st.integers(2, 80), st.integers(2, 10), st.integers(1, 8), st.floats(0.01, 64.0))
-def test_earliest_only_on_random_polylines(seed, n, classes, charts, stretch):
+def test_self_intersections_matches_reference_on_random_polylines(seed, n, classes, charts, stretch):
     # The stated length scales the first window from no row to every row;
     # one to eight charts share each window.
     tr = _polyline_trace(seed, n, classes, charts, stretch)
@@ -455,7 +455,7 @@ def test_truncate_and_locate_match_segment_oracle(catalog_surfaces, name, angle,
         short = truncate(tr, t)
         if t < tr.length:
             assert short.segments == _truncate_oracle(tr, t)
-            assert (short.length, short.termination.kind) == (t, "LengthReached")
+            assert (short.length, short.termination.kind) == (t, LENGTH_REACHED)
         else:
             assert short is tr
 

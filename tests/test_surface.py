@@ -32,10 +32,8 @@ from flatgeo.surface import (
     Gluing,
     Triangle,
     build_surface,
-    curvature,
     diameter_estimate,
     gauss_bonnet_check,
-    orientability,
 )
 
 TORUS_TRIS = [
@@ -56,7 +54,7 @@ def test_flat_torus_by_hand():
     assert len(s.vertex_classes) == 1
     v = s.vertex_classes[0]
     assert v.cone_angle == pytest.approx(2 * math.pi)
-    assert curvature(s, v) == pytest.approx(0.0)
+    assert v.curvature == pytest.approx(0.0)
     assert not v.is_cone
 
 
@@ -65,7 +63,7 @@ def test_regular_tetrahedron_curvatures():
     assert len(s.vertex_classes) == 4
     for v in s.vertex_classes:
         assert v.cone_angle == pytest.approx(math.pi, abs=1e-12)
-        assert curvature(s, v) == pytest.approx(math.pi, abs=1e-12)
+        assert v.curvature == pytest.approx(math.pi, abs=1e-12)
     assert s.euler_characteristic == 2
 
 
@@ -131,8 +129,8 @@ def test_disconnected_raises():
 
 def test_orientability_witness_on_klein_bottle():
     s = klein_bottle()
-    ok, witness = orientability(s)
-    assert not ok
+    assert not s.orientable
+    witness = s.orientation_witness
     assert witness
     # the witness walk must compose to an orientation-reversing map
     reflections = sum(1 for gi in witness if s.edge_transition(*s.gluings[gi].a)[1].reflect)
@@ -143,7 +141,7 @@ def test_doubles_are_spheres_and_orientable():
     for spec in (SQUARE, L_SHAPE):
         s = double_of_polygon(spec)
         assert s.euler_characteristic == 2
-        assert orientability(s)[0]
+        assert s.orientable
 
 
 def test_gauss_bonnet_examples(catalog_surfaces):
@@ -205,11 +203,12 @@ def test_json_round_trip_bit_exact(catalog_surfaces):
         assert back.orientable == s.orientable
 
 
-def test_curvature_requires_membership():
+def test_check_vertex_requires_membership():
     a = build_surface(TORUS_TRIS, TORUS_GL)
     b = isosceles_tetrahedron((1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        curvature(a, b.vertex_classes[0])
+    a.check_vertex(a.vertex_classes[0])
+    with pytest.raises(ValueError, match="does not belong"):
+        a.check_vertex(b.vertex_classes[0])
 
 
 def test_marked_points_excluded_from_cone_set():
@@ -277,6 +276,13 @@ def test_items_not_triangles_or_gluings_raise_malformed_surface():
 def test_gluing_sides_that_are_not_int_edge_refs_raise_malformed_surface(gluing):
     with pytest.raises(MalformedSurface, match="is not an EdgeRef of two ints"):
         build_surface(TORUS_TRIS, [gluing, *TORUS_GL[1:]])
+
+
+@pytest.mark.parametrize("tri_id", [True, 0.5], ids=["bool", "float"])
+def test_triangle_ids_that_are_not_ints_raise_malformed_surface(tri_id):
+    tris = [TORUS_TRIS[0], Triangle(tri_id, TORUS_TRIS[1].corners)]
+    with pytest.raises(MalformedSurface, match="triangle id must be an integer"):
+        build_surface(tris, TORUS_GL)
 
 
 def test_numpy_int_gluing_sides_build():

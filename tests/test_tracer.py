@@ -206,7 +206,7 @@ def test_start_outside_triangle_raises(torus):
 
 def test_vertex_hit_symmetric_under_reversal(tetra):
     # aim at a cone point from an interior point
-    target = tetra.triangle(0).corner(0)
+    target = tetra.triangle(0).corners[0]
     start = incenter_point(tetra)
     d = (target[0] - start.xy[0], target[1] - start.xy[1])
     ln = math.hypot(*d)
@@ -290,14 +290,12 @@ def test_charts_group_chords_in_first_appearance_order(torus):
     # Starting in triangle 1 puts chart 1 first, which id order would not.
     tr = trace(torus, TangentDirection(incenter_point(torus, 1), (math.cos(0.3), math.sin(0.3))), 6.0)
     tris = tr.chords[:, 0].astype(int).tolist()
-    assert list(tr.charts) == list(dict.fromkeys(tris)) == [1, 0]
-    for tri, (P, D, L, T0) in tr.charts.items():
+    ix = tr.index
+    assert ix.tris.tolist() == list(dict.fromkeys(tris)) == [1, 0]
+    for tri, a, b in zip(ix.tris.tolist(), ix.rows[:-1].tolist(), ix.rows[1:].tolist()):
         mine = tr.chords[tr.chords[:, 0] == tri]  # this chart's chords in trace order
-        assert np.array_equal(P, mine[:, 1:3])
-        assert np.array_equal(D, mine[:, 5:7])
-        assert np.array_equal(L, mine[:, 8])
-        assert np.array_equal(T0, mine[:, 7])
-    assert tr.charts is tr.charts
+        assert np.array_equal(ix.cols[:, a:b], mine[:, [1, 2, 5, 6, 8, 7]].T)
+    assert tr.index is tr.index
 
 
 def test_trace_requires_positive_budget(torus):
