@@ -247,10 +247,10 @@ def _sample_points(surface: FlatSurface, samples: int, seed: int):
     set, so the last one is kept."""
     tab = _trace_tables(surface)
     rng = np.random.default_rng(seed)
-    tri = rng.choice(len(tab.area_p), size=samples, p=tab.area_p)
+    tri = tab.cdf.searchsorted(rng.random(samples), side="right")  # rng.choice(p=...)'s draw
     u = np.sqrt(rng.uniform(size=samples))
     v = rng.uniform(size=samples)
-    a, b, c = tab.corner_xy[:, :, tri]
+    a, b, c = tab.corner_xy.take(tri, 2)
     out = (tri, *(a * (1 - u) + b * (u * (1 - v)) + c * (u * v)))
     for col in out:
         col.flags.writeable = False
@@ -268,17 +268,18 @@ def _hits(ix: ChordIndex, qs, qc, qx, qy, epsilon: float, size: int, nearest: bo
     g = first[qi] + np.arange(len(qi)) - np.repeat(np.cumsum(n) - n, n)
     x, y = qx[qi], qy[qi]
     off = x * ix.normals[g, 0] + y * ix.normals[g, 1]
+    keys, order, bounds = ix.bands
     if nearest:
-        start, end = ix.bounds[g], ix.bounds[g + 1]
-        lo = np.clip(np.searchsorted(ix.keys, g + 1j * off) - 1, start, np.maximum(end - 2, start))
+        start, end = bounds[g], bounds[g + 1]
+        lo = np.clip(np.searchsorted(keys, g + 1j * off) - 1, start, np.maximum(end - 2, start))
         count = np.minimum(end - start, 2)
     else:
         R = math.sqrt(2.0) * (np.maximum(np.abs(x), np.abs(y)) + ix.pmax[qc[qi]])
         width = epsilon + (math.pi / 2) * ix.spreads[g] * R + 1e-9 * (1.0 + R)
-        lo = np.searchsorted(ix.keys, g + 1j * (off - width))
-        count = np.searchsorted(ix.keys, g + 1j * (off + width), "right") - lo
+        lo = np.searchsorted(keys, g + 1j * (off - width))
+        count = np.searchsorted(keys, g + 1j * (off + width), "right") - lo
     # One (query, chord) pair per chord measured.
-    ci = ix.order[np.arange(count.sum()) + np.repeat(lo + count - np.cumsum(count), count)]
+    ci = order[np.arange(count.sum()) + np.repeat(lo + count - np.cumsum(count), count)]
     px, py, ux, uy, L = np.take(ix.cols[:5], ci, 1)
     wx, wy = np.repeat(x, count) - px, np.repeat(y, count) - py
     proj = np.clip(wx * ux + wy * uy, 0.0, L)
@@ -295,7 +296,7 @@ def _covered(surface: FlatSurface, trace_: GeodesicTrace, epsilon: float, sample
     ix, tab = trace_.index, _trace_tables(surface)
     if not len(ix.tris):
         return np.zeros(samples, dtype=bool)
-    chart_of = np.full(len(tab.area_p), -1)
+    chart_of = np.full(len(tab.ids), -1)
     chart_of[[tab.id2dense[t] for t in ix.tris.tolist()]] = np.arange(len(ix.tris))
     own = chart_of[tri]
     s = np.flatnonzero(own >= 0)

@@ -14,34 +14,8 @@ the candidate loop's edges; the chart's cone corners only; the two corners
 of the exit edge; and one tuple per crossing with the transition and the
 target edge to snap onto.  A step records seven values, ``(dense, px, py,
 dx, dy, length, exit_edge)``; the ``(n, 10)`` rows are built once, at the
-end.  Three skips keep every chord bit-identical to the loop that tests
-every edge and every corner; they are proved below.
-
-The cone-clearance test of a step clamps ``tau = w . d`` to ``[0, eff]``
-and compares ``|w - tau d|**2`` with ``vertex_clearance**2``, for a cone
-corner c, ``w = c - p`` and the chord's unit direction d.  The step runs
-it only when ``cr = wx * dy - wy * dx`` (from the same ``wx, wy``)
-satisfies ``|cr| < far = vertex_clearance + 1e-12 * (1 + scale)``,
-``scale`` being the longest edge.  A skipped corner would have failed the
-test, so the skip never changes a boolean:
-
-- In exact arithmetic ``|w - tau d| >= |w x d| / |d|`` for every tau: the
-  distance from w to the line through 0 along d.
-- With unit roundoff u = 2**-53: ``|d| = 1`` within 2u, the computed
-  ``cr`` is within 2u|w| of ``w x d``, and the computed ``(rx, ry)`` within
-  3u|w| of ``w - tau d`` for the clamped tau, which lies in
-  ``[0, (1 + 2u)|w|]`` (all to first order in u).  So a skipped corner has
-  ``|(rx, ry)| >= far - 7u|w|``, and ``rx * rx + ry * ry`` rounds to at
-  least ``clearance2`` once ``|(rx, ry)| >= vertex_clearance * (1 + 2u)``.
-  Both hold when ``1e-12 * (1 + scale) >= 3u * vertex_clearance + 7u|w|``.
-- ``|cr| <= (1 + 3u)|w|``, so a skip needs ``vertex_clearance < |w|``, and
-  the condition holds for ``|w| <= 890 * (1 + scale)``.  After the first
-  step p is snapped onto an edge of its chart, so ``|w| <= scale``
-  (within rounding).  The start point lies at most ``10 * tol_pt`` outside
-  each edge line, so ``|w| <= scale * (1 + 10 * tol_pt / r)`` for the
-  chart's inradius r; that stays in bounds unless r is below about
-  ``tolerance * scale / 80``, a chart some 1e-11 as thick as it is long at
-  the default tolerance.
+end.  The side test and the corner window keep every chord bit-identical
+to the loop that tests every edge and every corner; both are proved below.
 
 The exit edge comes from one corner test.  A chord that entered the
 counterclockwise triangle ABV by edge AB leaves by BV or VA.  The step
@@ -77,23 +51,63 @@ difference vector w (``|d| = 1`` and the unit edge vectors to 2u):
   computed s then exceeds ``hi = |BV| (1 + 1e-9)`` as soon as ``side >
   1e-9 S + 16u S``.
 
-The tie test runs only near the ends of the exit edge.  After the side
-test X gave t and s, the step runs the two-corner tie test only when s
-lies outside ``(tie_lo, |X| - tie_lo)``, with ``tie_lo = vertex_clearance
-+ 1e-15 * (vertex_clearance + reach) + 1e-11 * (1 + S)`` and ``reach`` the
-largest corner norm; the fallback always runs it.  For X's start a,
-``w = p - a`` and exact ``denom``, ``t`` and s numerators, ``p + t d = a +
-s u_X`` holds exactly; with the computed ones the two points differ by
-``(w e_D - E) / denom`` (e_D the 3u error of denom, E the ``6u |w|`` errors
-of the numerators), so by at most ``9u S / 1e-3`` in the fast path, where
-the rounding of t, s and of ``|X| u_X`` against the far corner adds under
-``10u S``.  The parallel guard is what bounds it: s's error grows as
-``1 / |denom|``, so a chord nearly parallel to X goes to the fallback.
-The exit point ``q = p + t d`` carries a further
-``2u (reach + 2S)``, and the squared distance test ``< clearance2``
-rounds by ``4u``.  So an s inside the window keeps q more than
-``vertex_clearance (1 + 3u)`` from both ends of X, where the tie test
-cannot fire: ``1e-11 (1 + S) > 9.03e3 u S`` and ``1e-15 > 5u``.
+The corner tests run only in the corner window.  The cone test of a step
+clamps ``tau = w . d`` to ``[0, eff]``, for each cone corner c of the
+chart, ``w = c - p`` and ``eff`` the length travelled, and compares ``|w
+- tau d|**2`` with ``clearance2 = vertex_clearance**2``; the tie test
+compares ``|q - c|**2`` with ``clearance2`` for the exit point ``q = p +
+t d`` and both ends c of the exit edge X.  A step runs the two only when
+its exit parameter s or that of the step before lies outside ``(W, |X| -
+W)``, with R the largest corner norm, sin_min the smallest sine of any
+corner angle, ``tie_lo = vertex_clearance + 1e-15 (vertex_clearance + R)
++ 1e-11 (1 + S)`` and ``W = 4 (2 vertex_clearance + tie_lo) / sin_min +
+1e-9 (1 + S)``.  A fallback step records ``s = -1``, so it and the step
+after it always run them.  A skipped test would not have fired:
+
+- Lemma.  Let a chord of triangle ABV run from p on AB to q on BV (on VA,
+  swap A and B), each at least m from both ends of its edge.  It stays at
+  least ``sin_min m / 2`` from every corner.  The distance from B to line
+  pq is ``|Bp| |Bq| sin B / |pq|``, at least ``sin B min(|Bp|, |Bq|) /
+  2`` as ``|pq| <= |Bp| + |Bq|``.  The angle Apq is pi less the angle
+  Bpq, so it exceeds B (the angles of Bpq sum to pi); if it is obtuse, p
+  is the chord's point nearest A, else A lies ``|Ap| sin(Apq) >= m sin
+  B`` from the chord.  V is A's case seen from q.  A chord that stops
+  short, ``eff < t``, is a part of pq.
+- The exit end.  For X's start a, ``w = p - a`` and exact ``denom``, t and
+  s numerators, ``p + t d = a + s u_X`` holds exactly; with the computed
+  ones the two points differ by ``(w e_D - E) / denom`` (e_D the 3u error
+  of denom, E the ``6u |w|`` errors of the numerators), so by at most ``9u
+  S / 1e-3`` in the fast path, where the rounding of t, s and of ``|X|
+  u_X`` against the far corner adds under ``10u S``.  The parallel guard
+  is what bounds it: s's error grows as ``1 / |denom|``, so a chord nearly
+  parallel to X goes to the fallback.  So ``p + t d`` lies within ``e =
+  1.1e-12 S`` of a point of X that is more than W from both its ends.
+- The tie test.  The computed q carries a further ``2u (R + 2S)``, and
+  the squared distance test ``< clearance2`` rounds by ``4u``.  So an s
+  inside ``(tie_lo, |X| - tie_lo)`` keeps q more than ``vertex_clearance
+  (1 + 3u)`` from both ends of X, where the tie test cannot fire:
+  ``1e-11 (1 + S) > 9.03e3 u S`` and ``1e-15 > 5u``.  ``W > tie_lo``, as
+  ``sin_min <= 1``.
+- The entry end.  The step before left by an edge X' of its chart at a
+  computed q within ``e + 2u (R + 2S)`` of a point of X' more than W from
+  its ends.  The surface build checks each gluing's transition to map the
+  ends of the glued edge within ``1e-9 + tolerance`` of those of AB (the
+  stored inverse within ``12u R`` more), and the two lengths differ by at
+  most tolerance, so that point maps within ``1e-9 + tolerance + 12u R``
+  of a point of AB more than ``W - tolerance / 2`` from A and B.  Applying
+  the transition, projecting onto AB and snapping add under ``8u (R +
+  S)``.  So p lies within ``e + 10u (R + S)`` of a point of AB more than
+  ``W - 1.5 tolerance - 1e-9 - 12u R`` from A and B, and ``tolerance <=
+  vertex_clearance``.
+- The cone test.  The chord from p to ``p + t d`` lies within ``e + 10u
+  (R + S)`` of the one between those points of AB and X, so by the lemma
+  every point ``p + tau d`` of it, tau in ``[0, eff]``, lies at least
+  ``sin_min (W - 1.5 vertex_clearance - 1e-9 - 12u R) / 2 - e - 10u (R +
+  S) > 5 vertex_clearance + 1e-11 (1 + S)`` from every corner.  The
+  computed ``(rx, ry)`` is within ``3u |w|`` of ``w - tau d`` for the
+  clamped tau, with ``|w| <= S`` (rounded) for p on an edge of the chart,
+  and ``rx * rx + ry * ry`` rounds to at least ``clearance2`` once ``|(rx,
+  ry)| >= vertex_clearance (1 + 2u)``.
 """
 from __future__ import annotations
 
@@ -217,10 +231,9 @@ class ChordIndex:
     such cross product; a chart of more than MAX_CLASSES is one wide class
     of spread 1 (``wide[c]``).  Classes are numbered chart after chart,
     chart c's being ``classes[c]:classes[c + 1]``, and ``label`` is each
-    row's.  ``keys = label + 1j * normal.P``, sorted by class, then offset
-    (numpy orders complex numbers lexicographically), are the keys of rows
-    ``order``; class g's are ``keys[bounds[g]:bounds[g + 1]]``.
-    ``pmax[c]`` is chart c's largest ``|px|`` or ``|py|``.
+    row's.  ``pmax[c]`` is chart c's largest ``|px|`` or ``|py|``.
+    ``bands``, the sorted offsets that density reads, is built on first
+    read.
     """
 
     tris: np.ndarray
@@ -233,9 +246,20 @@ class ChordIndex:
     pmax: np.ndarray
     normals: np.ndarray
     spreads: np.ndarray
-    keys: np.ndarray
-    order: np.ndarray
-    bounds: np.ndarray
+
+    @cached_property
+    def bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(keys, order, bounds)``: ``keys = label + 1j *
+        normal.P``, sorted by class, then offset (numpy orders complex
+        numbers lexicographically), are the keys of rows ``order``; class
+        g's are ``keys[bounds[g]:bounds[g + 1]]``."""
+        label, normals, cols = self.label, self.normals, self.cols
+        keys = label + 1j * (normals[label, 0] * cols[0] + normals[label, 1] * cols[1])
+        order = np.argsort(keys, kind="stable")
+        out = (keys[order], order, np.append(0, np.cumsum(np.bincount(label, minlength=len(normals)))))
+        for a in out:
+            a.flags.writeable = False
+        return out
 
 
 def _chord_index(c: np.ndarray) -> ChordIndex:
@@ -281,8 +305,6 @@ def _chord_index(c: np.ndarray) -> ChordIndex:
         g = classes[owners[k]] + r
         normals[g, 0], normals[g, 1], spreads[g] = nx[k], ny[k], spread[k]
     spreads[classes[:-1][wide]] = 1.0
-    keys = label + 1j * (normals[label, 0] * cols[0] + normals[label, 1] * cols[1])
-    order = np.argsort(keys, kind="stable")
     ix = ChordIndex(
         tris=c[perm[rows[:-1]], 0].astype(np.int64),
         rows=rows,
@@ -294,9 +316,6 @@ def _chord_index(c: np.ndarray) -> ChordIndex:
         pmax=np.maximum.reduceat(np.maximum(np.abs(cols[0]), np.abs(cols[1])), rows[:-1]),
         normals=normals,
         spreads=spreads,
-        keys=keys[order],
-        order=order,
-        bounds=np.append(0, np.cumsum(np.bincount(label, minlength=classes[-1]))),
     )
     for field in vars(ix).values():
         field.flags.writeable = False
@@ -327,10 +346,11 @@ class _TraceTables:
     unit direction and length, to which the crossing point is snapped, and
     the snap parameters ``(glo, ghi)`` at least ``2**-40 * (|c| + scale) /
     sin(angle at c)`` from either end c, between which the next step may
-    take the side test.  ``ids`` maps dense index to triangle id.  Density
-    reads the area probabilities ``area_p``, the corners ``corner_xy`` (3,
-    2, T), and each edge's target triangle ``targets`` (T, 3) and matrix
-    ``mats`` (T, 3, 6).
+    take the side test.  ``ids`` maps dense index to triangle id, and
+    ``sin_min`` is the smallest sine of any corner angle.  Density reads
+    the cumulative area probabilities ``cdf``, as ``Generator.choice``
+    computes them, the corners ``corner_xy`` (3, 2, T), and each edge's
+    target triangle ``targets`` (T, 3) and matrix ``mats`` (T, 3, 6).
     """
 
     def __init__(self, surface: FlatSurface):
@@ -346,12 +366,15 @@ class _TraceTables:
         self.ties = []
         snap = []  # per tri: 3 x (ax, ay, ux, uy, length, glo, ghi)
         heights = []
+        cosecs = []  # 1 / sin(angle at c) of every corner c
         for t, lns, cn in zip(tris, lengths, norms):
             # 2**-40 * (|c| + scale) / sin(angle at c); the sine is twice
             # the area over the product of c's two edge lengths.
             area2 = 2.0 * t.signed_area()
             heights.append(area2 / max(lns))
-            guard = [2.0**-40 * (cn[k] + self.scale) * lns[k - 1] * lns[k] / area2 for k in range(3)]
+            cosec = [lns[k - 1] * lns[k] / area2 for k in range(3)]
+            cosecs += cosec
+            guard = [2.0**-40 * (cn[k] + self.scale) * cosec[k] for k in range(3)]
             cands = []
             for k in range(3):
                 a = t.edge_start(k)
@@ -379,11 +402,13 @@ class _TraceTables:
                 row.append((tgt, ref.edge, *iso.matrix(), *snap[3 * tgt + ref.edge]))
             self.crossings.append(tuple(row))
         areas = np.array([t.signed_area() for t in tris])
-        self.area_p = areas / areas.sum()
+        self.cdf = (areas / areas.sum()).cumsum()
+        self.cdf /= self.cdf[-1]
         self.corner_xy = np.array(snap)[:, :2].reshape(-1, 3, 2).transpose(1, 2, 0).copy()
         self.targets = np.array([[c[0] for c in row] for row in self.crossings])
         self.mats = np.array([[c[2:8] for c in row] for row in self.crossings])
         self.min_height = min(heights)
+        self.sin_min = 1.0 / max(cosecs)
 
 
 _TABLES: weakref.WeakKeyDictionary[FlatSurface, _TraceTables] = weakref.WeakKeyDictionary()
@@ -433,11 +458,12 @@ def trace(
         raise ValueError(f"max_length {max_length!r} needs more than {MAX_STEPS} steps")
     max_steps = int(step_budget) + 10000
 
-    far = vertex_clearance + 1e-12 * (1.0 + tab.scale)
-    # The side test's and the tie window's margins (see the module docstring).
+    # The side test's margin and the corner window (see the module docstring).
     side = 2e-9 * (1.0 + tab.scale)
     nside = -side
     tie_lo = vertex_clearance + 1e-15 * (vertex_clearance + tab.reach) + 1e-11 * (1.0 + tab.scale)
+    window = 4.0 * (2.0 * vertex_clearance + tie_lo) / tab.sin_min + 1e-9 * (1.0 + tab.scale)
+    was_near = True
     exits = tab.exits
     cones = tab.cones
     ties = tab.ties
@@ -463,7 +489,7 @@ def trace(
                     best_edge = e
         if best_edge < 0:
             best_t = math.inf
-            best_s = -1.0  # outside every tie window: the tie test runs
+            best_s = -1.0  # outside every corner window: the corner tests run
             for e, ax, ay, ux, uy, lo, hi, _ln in cands:
                 denom = ux * dy - uy * dx
                 if -1e-13 < denom < 1e-13:
@@ -493,16 +519,16 @@ def trace(
                     term = Termination(LEFT_DOMAIN, message="no forward edge crossing found")
                     break
 
-        eff = best_t if best_t < remaining else remaining
-        # Cone-point clearance along the chord actually travelled; a corner
-        # at least ``far`` from the chord's line is skipped (see the module
-        # docstring).
-        hit_tau = None
-        for cx, cy, ci in cones[dense]:
-            wx = cx - px
-            wy = cy - py
-            cr = wx * dy - wy * dx
-            if -far < cr < far:
+        near = not window < best_s < ln - window
+        if near or was_near:
+            # Only a chord that starts or ends near a corner can pass one
+            # (see the module docstring).  Cone-point clearance along the
+            # chord actually travelled:
+            eff = best_t if best_t < remaining else remaining
+            hit_tau = None
+            for cx, cy, ci in cones[dense]:
+                wx = cx - px
+                wy = cy - py
                 tau = wx * dx + wy * dy
                 if tau < 0.0:
                     tau = 0.0
@@ -513,9 +539,22 @@ def trace(
                 if rx * rx + ry * ry < clearance2 and (hit_tau is None or tau < hit_tau):
                     hit_tau = tau
                     vertex = ci
-        if hit_tau is not None:
-            steps += (dense, px, py, dx, dy, hit_tau, -1)
-            break
+            if hit_tau is None and best_t < remaining:
+                # Corner ties resolve as vertex hits regardless of curvature:
+                # the transition choice at an exact corner is ambiguous.  The
+                # chord ends at the corner.
+                qx = px + best_t * dx
+                qy = py + best_t * dy
+                for cx, cy, ci in ties[dense][best_edge]:
+                    ex2 = qx - cx
+                    ey2 = qy - cy
+                    if ex2 * ex2 + ey2 * ey2 < clearance2:
+                        hit_tau = best_t
+                        vertex = ci
+                        break
+            if hit_tau is not None:
+                steps += (dense, px, py, dx, dy, hit_tau, -1)
+                break
         if remaining <= best_t:
             steps += (dense, px, py, dx, dy, remaining, -1)
             term = Termination(LENGTH_REACHED)
@@ -524,19 +563,7 @@ def trace(
         steps += (dense, px, py, dx, dy, best_t, best_edge)
         qx = px + best_t * dx
         qy = py + best_t * dy
-        if not tie_lo < best_s < ln - tie_lo:
-            # Corner ties resolve as vertex hits regardless of curvature: the
-            # transition choice at an exact corner is ambiguous.  Only an
-            # exit near an end of its edge can tie (see the module docstring).
-            for cx, cy, ci in ties[dense][best_edge]:
-                ex2 = qx - cx
-                ey2 = qy - cy
-                if ex2 * ex2 + ey2 * ey2 < clearance2:
-                    vertex = ci
-                    break
-            if vertex is not None:
-                steps[-1] = -1  # the chord ends at the corner
-                break
+        was_near = near
         remaining -= best_t
 
         dense, entry_edge, m00, m01, m10, m11, tx, ty, ax, ay, ux, uy, elen, glo, ghi = crossings[dense][best_edge]

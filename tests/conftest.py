@@ -153,6 +153,16 @@ def reference_chart_classes(trace_) -> dict:
     return {tri: reference_classes(P, D) for tri, (P, D, _L, _T0) in reference_charts(trace_).items()}
 
 
+def _joined_classes(trace_):
+    """Each chart's ``reference_classes`` and its rows, class numbers
+    shifted by the classes before it, and its number of classes."""
+    cls = list(reference_chart_classes(trace_).values())
+    rows = np.cumsum([0] + [len(c[0]) for c in cls])
+    sizes = np.diff(rows)
+    ncls = np.array([len(c[1]) for c in cls])
+    return cls, rows, sizes, np.repeat(np.cumsum(ncls) - ncls, sizes), ncls
+
+
 def reference_index(trace_) -> ChordIndex:
     """Reference for ``GeodesicTrace.index``: each chart's classes found
     by its own loop, then the charts joined, their class numbers and rows
@@ -163,31 +173,33 @@ def reference_index(trace_) -> ChordIndex:
         return ChordIndex(
             tris=none, rows=zero, chart=none, cols=np.empty((6, 0)), label=none, classes=zero,
             wide=np.empty(0, dtype=bool), pmax=np.empty(0), normals=np.empty((0, 2)), spreads=np.empty(0),
-            keys=np.empty(0, dtype=complex), order=none, bounds=zero,
         )
-    cls = list(reference_chart_classes(trace_).values())
+    cls, rows, sizes, shift, ncls = _joined_classes(trace_)
     P, D, L, T0 = (np.concatenate([v[k] for v in charts.values()]) for k in range(4))
-    rows = np.cumsum([0] + [len(c[0]) for c in cls])
-    sizes = np.diff(rows)
-    ncls = np.array([len(c[1]) for c in cls])
     base = np.cumsum(ncls) - ncls
-    keys = np.concatenate([c[3] for c in cls]) + np.repeat(base, sizes)
-    n_classes = int(ncls.sum())
     return ChordIndex(
         tris=np.array(list(charts), dtype=np.int64),
         rows=rows,
         chart=np.repeat(np.arange(len(cls)), sizes),
         cols=np.vstack((P.T, D.T, L, T0)),
-        label=np.concatenate([c[0] for c in cls]) + np.repeat(base, sizes),
-        classes=np.append(base, n_classes),
+        label=np.concatenate([c[0] for c in cls]) + shift,
+        classes=np.append(base, ncls.sum()),
         wide=np.array([c[5] for c in cls]),
         pmax=np.maximum.reduceat(np.abs(P).max(1), rows[:-1]),
         normals=np.concatenate([c[1] for c in cls]),
         spreads=np.concatenate([c[2] for c in cls]),
-        keys=keys,
-        order=np.concatenate([c[4] for c in cls]) + np.repeat(rows[:-1], sizes),
-        bounds=np.append(np.searchsorted(keys.real, np.arange(n_classes)), len(keys)),
     )
+
+
+def reference_bands(trace_):
+    """Reference for ``ChordIndex.bands`` of ``GeodesicTrace.index``: each
+    chart's sorted keys and order from its own loop, joined and shifted."""
+    if not reference_charts(trace_):
+        return np.empty(0, dtype=complex), np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    cls, rows, sizes, shift, ncls = _joined_classes(trace_)
+    keys = np.concatenate([c[3] for c in cls]) + shift
+    order = np.concatenate([c[4] for c in cls]) + np.repeat(rows[:-1], sizes)
+    return keys, order, np.append(np.searchsorted(keys.real, np.arange(ncls.sum())), len(keys))
 
 
 def band_hits(trace_, chart, Q, epsilon, nearest=False):

@@ -26,8 +26,9 @@ moved about 1e6 from the origin, with random and long rays, with rays
 aimed past a cone corner at multiples of the vertex clearance, and with
 rays that enter a chart and then pass its opposite corner at the side
 test's margin, cross an exit edge at the edge of the tie window, or run
-nearly parallel to an edge.  The runs are derandomized, so the suite sees
-the same examples every time.
+nearly parallel to an edge, and with rays whose third chord starts or
+ends near a cone corner, at the edge of the corner window.  The runs are
+derandomized, so the suite sees the same examples every time.
 """
 import dataclasses
 import functools
@@ -49,6 +50,7 @@ from conftest import (
     incenter_point,
     mutate_json,
     pairwise_validate,
+    reference_bands,
     reference_density,
     reference_first_event,
     reference_index,
@@ -391,6 +393,9 @@ def assert_index_matches_reference(tr):
     for field in dataclasses.fields(ChordIndex):
         a, b = getattr(ix, field.name), getattr(ref, field.name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b), field.name
+    for name, a, b in zip(("keys", "order", "bounds"), ix.bands, reference_bands(tr)):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b), name
+        assert not a.flags.writeable, name
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -630,9 +635,39 @@ def side_margin(s):
 
 
 def tie_margin(s, clearance):
+    """The tracer's ``tie_lo`` less the clearance: the rounding margin of
+    the tie test, from which the corner window is built."""
     scale = max(t.edge_length(k) for t in s.triangles for k in range(3))
     reach = max(math.hypot(*c) for t in s.triangles for c in t.corners)
     return 1e-15 * (clearance + reach) + 1e-11 * (1.0 + scale)
+
+
+def corner_window(s, clearance):
+    """The tracer's corner window W at this clearance."""
+    scale = max(t.edge_length(k) for t in s.triangles for k in range(3))
+    sin_min = 1.0 / max(
+        t.edge_length((k + 2) % 3) * t.edge_length(k) / (2.0 * t.signed_area()) for t in s.triangles for k in range(3)
+    )
+    return 4.0 * (2.0 * clearance + clearance + tie_margin(s, clearance)) / sin_min + 1e-9 * (1.0 + scale)
+
+
+def line_entry(t, p, d, skip):
+    """``(e, f)``: the edge of triangle t other than ``skip`` that the line
+    through p along d crosses last before p, at fraction f of the edge;
+    None if there is none."""
+    best = None
+    for e in range(3):
+        a, b = t.corners[e], t.corners[(e + 1) % 3]
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        den = ex * d[1] - ey * d[0]
+        if e == skip or den == 0.0:
+            continue
+        wx, wy = p[0] - a[0], p[1] - a[1]
+        f = (wx * d[1] - wy * d[0]) / den
+        back = (ex * wy - ey * wx) / den
+        if back > 0.0 and 0.0 <= f <= 1.0 and (best is None or back < best[0]):
+            best = (back, e, f)
+    return None if best is None else best[1:]
 
 
 clearances = st.sampled_from([DEFAULT_VERTEX_CLEARANCE, 1e-9, 1e-4])
@@ -720,6 +755,58 @@ def test_trace_matches_the_reference_loop_along_an_edge(name, k, e, f, y, angle,
     ux, uy = v[0] - start[0], v[1] - start[1]
     d = (ux * math.cos(angle) - uy * math.sin(angle), ux * math.sin(angle) + uy * math.cos(angle))
     assert_same_entering_trace(s, t, e, f, d, 2.0 * math.hypot(ux, uy), max(clearance, s.tolerance))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    st.sampled_from(sorted(n for n, s in oracle_surfaces().items() if s.cone_points())),
+    st.integers(0, 63),
+    st.integers(0, 1),
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.one_of(st.sampled_from([0.5, 0.99, 1.01, 3.0]), st.floats(0.5, 3.0)),
+    st.sampled_from([-1.0, 1.0]),
+    st.sampled_from([-1.0, 1.0]),
+    st.sampled_from([DEFAULT_VERTEX_CLEARANCE, 1e-4, 1e-2]),
+)
+def test_trace_matches_the_reference_loop_at_the_corner_window(name, k, y, windows, multiple, side, role, clearance):
+    # The ray's third chord, the first that may skip the corner tests,
+    # enters (role 1) or leaves (role -1) its chart by an edge at a cone
+    # corner, 0.5, 1 or 2 corner windows from the corner.  Its line passes
+    # that corner at 0.5 to 3 clearances, heading toward it (side 1) or
+    # away, so the nearest pass falls in the chord, before it or after it.
+    s = oracle_surfaces()[name]
+    clearance = max(clearance, s.tolerance)
+    corners = [(t, i) for t in s.triangles for i in range(3) if s.vertex_classes[s.corner_class[(t.id, i)]].is_cone]
+    t, i = corners[k % len(corners)]
+    e = i if y == 0 else (i + 2) % 3  # edge i starts at corner i, edge i + 2 ends there
+    c, o = t.corners[i], t.corners[(i + 1) % 3 if y == 0 else (i + 2) % 3]
+    ln = math.dist(c, o)
+    dist = windows * corner_window(s, clearance)
+    assume(dist <= 0.5 * ln)
+    ux, uy = (o[0] - c[0]) / ln, (o[1] - c[1]) / ln
+    nx, ny = (-uy, ux) if y == 0 else (uy, -ux)  # into t
+    sin_a = multiple * clearance / dist
+    cos_a = math.sqrt(1.0 - sin_a * sin_a)
+    d = (-side * ux * cos_a + role * nx * sin_a, -side * uy * cos_a + role * ny * sin_a)
+    z = (c[0] + dist * ux, c[1] + dist * uy)
+    # Where the third chord enters t, and where the second enters the chart before.
+    if role > 0:
+        e3, x = e, z
+    else:
+        entry = line_entry(t, z, d, e)
+        assume(entry is not None)
+        e3, f = entry
+        a, b = t.corners[e3], t.corners[(e3 + 1) % 3]
+        x = (a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]))
+    ref, iso = s.edge_transition(t.id, e3)
+    before = s.triangle(ref.tri)
+    d2 = iso.apply_vector(d)
+    entry = line_entry(before, iso.apply(x), d2, ref.edge)
+    assume(entry is not None)
+    start = entering_start(s, before, *entry, d2)
+    assume(start is not None)
+    got = assert_same_trace(s, start, 4.0, clearance)
+    assume(len(got.chords) >= 3 and got.chords[2, 0] == t.id)
 
 
 @pytest.mark.parametrize("name", sorted(oracle_surfaces()))
