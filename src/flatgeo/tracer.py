@@ -13,9 +13,10 @@ in by, the opposite corner with the exit candidate on each side of it and
 the candidate loop's edges; the chart's cone corners only; the two corners
 of the exit edge; and one tuple per crossing with the transition and the
 target edge to snap onto.  A step records seven values, ``(dense, px, py,
-dx, dy, length, exit_edge)``; the ``(n, 10)`` rows are built once, at the
-end.  The side test and the corner window keep every chord bit-identical
-to the loop that tests every edge and every corner; both are proved below.
+dx, dy, length, exit_edge)``; the ``(n, 10)`` rows are built from them on
+first read.  The side test and the corner window keep every chord
+bit-identical to the loop that tests every edge and every corner; both are
+proved below.
 
 The exit edge comes from one corner test.  A chord that entered the
 counterclockwise triangle ABV by edge AB leaves by BV or VA.  The step
@@ -113,7 +114,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -180,28 +181,52 @@ class Termination:
 
 @dataclass(frozen=True, eq=False)
 class GeodesicTrace:
-    """A traced geodesic, stored as one read-only ``(n, 10)`` float64 array.
+    """A traced geodesic, read as one read-only ``(n, 10)`` float64 array.
 
     Row k of ``chords`` is the k-th chord: triangle id, entry x/y, exit
     x/y, unit direction x/y, arc parameter t0 at entry, length, and the
-    edge crossed at the exit (-1 where the trace stops).  ``index``, the
-    ChordIndex that ``flatgeo.analysis`` reads, is built from the rows on
-    first read.
+    edge crossed at the exit (-1 where the trace stops).  ``trace`` hands
+    over its recorded steps and triangle ids as ``_rows`` and ``_ids``, and
+    ``chords`` builds the rows from them on first read and keeps the rows
+    in ``_rows`` in place of the steps; ``_from_rows`` supplies the rows.
+    ``index``, the ChordIndex that ``flatgeo.analysis`` reads, is built
+    from the rows on first read.
     ``segments``, the rows as TraceSegment objects, is built only for
     callers that read it; nothing in the package does.
     """
 
     start: TangentDirection
-    chords: np.ndarray
     length: float
     termination: Termination
+    _rows: np.ndarray | list[float] = field(repr=False)
+    _ids: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def _from_rows(cls, start, rows, length: float, termination: Termination) -> GeodesicTrace:
         """A trace over ``rows``: a flat list of chord values or an array of rows."""
         chords = np.array(rows, dtype=np.float64).reshape(-1, 10)
         chords.flags.writeable = False
-        return cls(start, chords, length, termination)
+        return cls(start, length, termination, chords)
+
+    @property
+    def chords(self) -> np.ndarray:
+        """The chord rows, built from the recorded steps on first read."""
+        rows = self._rows
+        if isinstance(rows, list):
+            rows = _chord_rows(rows, self._ids)
+            object.__setattr__(self, "_rows", rows)
+        return rows
+
+    def _end(self) -> tuple[int, Vec, Vec]:
+        """The last chord's triangle id, exit point and direction, as
+        ``chords[-1]`` holds them, read from the last recorded step while
+        the rows are unbuilt: ``p + length * d`` rounds as ``_chord_rows``
+        rounds it (a product, then a sum)."""
+        if not isinstance(self._rows, list):
+            tri, _ex, _ey, ox, oy, dx, dy, _t0, _ln, _edge = self.chords[-1].tolist()
+            return int(tri), (ox, oy), (dx, dy)
+        dense, px, py, dx, dy, ln, _edge = self._rows[-7:]
+        return int(self._ids[dense]), (px + ln * dx, py + ln * dy), (dx, dy)
 
     @cached_property
     def segments(self) -> tuple[TraceSegment, ...]:
@@ -317,8 +342,8 @@ def _chord_index(c: np.ndarray) -> ChordIndex:
         normals=normals,
         spreads=spreads,
     )
-    for field in vars(ix).values():
-        field.flags.writeable = False
+    for a in vars(ix).values():
+        a.flags.writeable = False
     return ix
 
 
@@ -586,13 +611,15 @@ def trace(
         py = ay + s * uy
     else:
         term = Termination(LEFT_DOMAIN, message="step budget exceeded")
+    if vertex is None and term.kind == LENGTH_REACHED:
+        return GeodesicTrace(norm_start, max_length, term, steps, tab.ids)
+    # An early stop's parameter is where its rows end, so its rows are built
+    # now; such traces are rare.
     chords = _chord_rows(steps, tab.ids)
     acc = float(chords[-1, 7] + chords[-1, 8]) if len(chords) else 0.0
     if vertex is not None:
         term = Termination(VERTEX_HIT, vertex=vertex, parameter=acc)
-    elif term.kind == LENGTH_REACHED:
-        acc = max_length
-    return GeodesicTrace(norm_start, chords, acc, term)
+    return GeodesicTrace(norm_start, acc, term, chords)
 
 
 def _chord_rows(steps: list[float], ids: np.ndarray) -> np.ndarray:
@@ -716,20 +743,21 @@ def tangent_representatives(
 def reverse_check(surface: FlatSurface, start: TangentDirection, length: float) -> float:
     """Round-trip residual: trace forward, trace back, measure the gap.
 
-    Raises TraceIncomplete if either leg terminates before ``length``.
+    Raises TraceIncomplete if either leg terminates before ``length``.  A
+    leg that reaches ``length`` has at least one chord, as ``length`` is
+    positive and the first step records what remains of it; each leg's end
+    is read from its last step, so neither leg builds its chord rows.
     """
     fwd = trace(surface, start, length)
     if fwd.termination.kind != LENGTH_REACHED:
         raise TraceIncomplete(f"forward trace ended with {fwd.termination.kind}")
-    if not len(fwd.chords):
-        return 0.0
-    tri, _ex, _ey, ox, oy, dx, dy, _t0, _ln, _edge = fwd.chords[-1].tolist()
-    back_start = TangentDirection(SurfacePoint(int(tri), (ox, oy)), (-dx, -dy))
+    tri, (ox, oy), (dx, dy) = fwd._end()
+    back_start = TangentDirection(SurfacePoint(tri, (ox, oy)), (-dx, -dy))
     bwd = trace(surface, back_start, length)
     if bwd.termination.kind != LENGTH_REACHED:
         raise TraceIncomplete(f"backward trace ended with {bwd.termination.kind}")
-    tri, _ex, _ey, ox, oy, dx, dy, _t0, _ln, _edge = bwd.chords[-1].tolist()
-    reps = tangent_representatives(surface, SurfacePoint(int(tri), (ox, oy)), (dx, dy), tol=1e-6)
+    tri, end, d = bwd._end()
+    reps = tangent_representatives(surface, SurfacePoint(tri, end), d, tol=1e-6)
     sx, sy = start.at.xy
     best = math.inf
     for tri_id, xy, _v in reps:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from flatgeo import analysis
 from flatgeo.builders import catalog
-from flatgeo.errors import NonSimplePolygon, PointOutsideTriangle
+from flatgeo.errors import NonSimplePolygon, PointOutsideTriangle, TraceIncomplete
 from flatgeo.geometry import cross, normalize, polygon_area, segments_intersect
 from flatgeo.surface import EdgeRef, FlatSurface, Gluing, Triangle, build_surface
 from flatgeo.tracer import (
@@ -24,6 +24,8 @@ from flatgeo.tracer import (
     SurfacePoint,
     TangentDirection,
     Termination,
+    tangent_representatives,
+    trace,
 )
 
 
@@ -600,6 +602,30 @@ def reference_trace(
     else:
         term = Termination(LEFT_DOMAIN, message="step budget exceeded")
     return GeodesicTrace._from_rows(norm_start, rows, acc, term)
+
+
+def reference_reverse_check(surface: FlatSurface, start: TangentDirection, length: float) -> float:
+    """Reference for ``tracer.reverse_check``: each leg's end read from the
+    last row of its full ``chords``.  It must give the same residual bit
+    for bit, and raise TraceIncomplete for the same starts."""
+    fwd = trace(surface, start, length)
+    if fwd.termination.kind != LENGTH_REACHED:
+        raise TraceIncomplete(f"forward trace ended with {fwd.termination.kind}")
+    if not len(fwd.chords):
+        return 0.0
+    tri, _ex, _ey, ox, oy, dx, dy, _t0, _ln, _edge = fwd.chords[-1].tolist()
+    back_start = TangentDirection(SurfacePoint(int(tri), (ox, oy)), (-dx, -dy))
+    bwd = trace(surface, back_start, length)
+    if bwd.termination.kind != LENGTH_REACHED:
+        raise TraceIncomplete(f"backward trace ended with {bwd.termination.kind}")
+    tri, _ex, _ey, ox, oy, dx, dy, _t0, _ln, _edge = bwd.chords[-1].tolist()
+    reps = tangent_representatives(surface, SurfacePoint(int(tri), (ox, oy)), (dx, dy), tol=1e-6)
+    sx, sy = start.at.xy
+    best = math.inf
+    for tri_id, xy, _v in reps:
+        if tri_id == start.at.tri:
+            best = min(best, math.hypot(xy[0] - sx, xy[1] - sy))
+    return best
 
 
 def reference_sample_points(surface: FlatSurface, samples: int, seed: int) -> dict:

@@ -26,9 +26,13 @@ moved about 1e6 from the origin, with random and long rays, with rays
 aimed past a cone corner at multiples of the vertex clearance, and with
 rays that enter a chart and then pass its opposite corner at the side
 test's margin, cross an exit edge at the edge of the tie window, or run
-nearly parallel to an edge, and with rays whose third chord starts or
-ends near a cone corner, at the edge of the corner window.  The runs are
-derandomized, so the suite sees the same examples every time.
+nearly parallel to an edge (each of these rays starts two charts back, so
+that the chord under test is the first that may skip the corner tests),
+and with rays whose third chord starts or ends near a cone corner, at the
+edge of the corner window.  ``reverse_check``, which reads each leg's end
+from its last step, is checked against the reference that reads the last
+row of each leg's chords.  The runs are derandomized, so the suite sees
+the same examples every time.
 """
 import dataclasses
 import functools
@@ -54,6 +58,7 @@ from conftest import (
     reference_density,
     reference_first_event,
     reference_index,
+    reference_reverse_check,
     reference_sample_points,
     reference_self_intersections,
     reference_trace,
@@ -86,7 +91,7 @@ from flatgeo.builders import (
 )
 from flatgeo.geometry import TWO_PI, angle_distance_mod, polygon_area
 from flatgeo.holonomy import holonomy_generators, is_parallel, loop_holonomy, vertex_holonomy
-from flatgeo.errors import DegenerateLattice, FlatgeoError, UnmatchedEdge
+from flatgeo.errors import DegenerateLattice, FlatgeoError, TraceIncomplete, UnmatchedEdge
 from flatgeo.jsonio import surface_from_json, surface_to_json, trace_from_json, trace_to_json
 from flatgeo.surface import Triangle, build_surface, diameter_estimate, gauss_bonnet_check
 import flatgeo.tracer as tracer
@@ -623,10 +628,26 @@ def entering_start(s, t, e, f, d):
 
 
 def assert_same_entering_trace(s, t, e, f, d, length, clearance):
-    start = entering_start(s, t, e, f, d)
+    """Check against the reference loop the trace whose third chord enters
+    t by edge e at fraction f, heading along d, for ``length`` past that
+    entry.  The start step is a fallback step, so it and the step after it
+    always run the corner tests; the third chord is the first that may skip
+    them.  Its start lies two charts back, found as the corner-window
+    property finds it."""
+    a, b = t.corners[e], t.corners[(e + 1) % 3]
+    x = (a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]))
+    ref, iso = s.edge_transition(t.id, e)
+    before = s.triangle(ref.tri)
+    d2 = iso.apply_vector(d)
+    entry = line_entry(before, iso.apply(x), d2, ref.edge)
+    assume(entry is not None)
+    start = entering_start(s, before, *entry, d2)
     assume(start is not None)
-    got = assert_same_trace(s, start, length, clearance)
-    assume(got.chords[0, 9] == s.edge_transition(t.id, e)[0].edge)  # the ray did enter t by edge e
+    # The first two chords take at most 0.3 and the longest edge.
+    lead = 0.3 + max(u.edge_length(k) for u in s.triangles for k in range(3))
+    got = assert_same_trace(s, start, length + lead, clearance)
+    # The ray did enter t by edge e on its third chord.
+    assume(len(got.chords) >= 3 and got.chords[2, 0] == t.id and got.chords[1, 9] == s.edge_transition(t.id, e)[0].edge)
     return got
 
 
@@ -842,6 +863,30 @@ def test_the_side_test_alone_picks_every_exit_away_from_corners(name):
         got = trace(copy, start, 50.0)
         assert len(want.chords) > 50
         assert np.array_equal(got.chords, want.chords) and got.termination == want.termination
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(oracle_surfaces())),
+    st.integers(0, 15),
+    oracle_weights,
+    st.floats(0.0, TWO_PI, exclude_max=True),
+    st.one_of(st.floats(1e-9, 1.0), st.floats(1.0, 60.0)),
+)
+def test_reverse_check_matches_the_full_rows_reference(name, k, weights, angle, length):
+    # Each leg's end read from its last step gives the residual, inf
+    # included, that the last row of its full chords gives, and the same
+    # legs stop at a cone point.
+    s = oracle_surfaces()[name]
+    t = s.triangles[k % len(s.triangles)]
+    start = TangentDirection(SurfacePoint(t.id, chart_point(t, weights)), (math.cos(angle), math.sin(angle)))
+    try:
+        want = reference_reverse_check(s, start, length)
+    except TraceIncomplete as exc:
+        with pytest.raises(TraceIncomplete, match=str(exc)):
+            reverse_check(s, start, length)
+    else:
+        assert reverse_check(s, start, length) == want
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)

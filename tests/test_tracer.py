@@ -12,7 +12,9 @@ from flatgeo.geometry import PlaneIsometry
 from flatgeo.jsonio import trace_from_json, trace_to_json
 from flatgeo.render import CONE_COLOR, render_surface
 from flatgeo.surface import Triangle, build_surface
+import flatgeo.tracer as tracer
 from flatgeo.tracer import (
+    LEFT_DOMAIN,
     LENGTH_REACHED,
     VERTEX_HIT,
     SurfacePoint,
@@ -199,6 +201,49 @@ def test_reverse_check_raises_on_vertex_hit(torus):
         reverse_check(torus, TangentDirection(SurfacePoint(0, (0.5, 0.5)), d), 3.0)
 
 
+def test_reverse_check_builds_no_chord_rows(catalog_surfaces, monkeypatch):
+    # Both legs reach their length, and neither reads its rows.
+    def no_rows(*args):
+        raise AssertionError("chord rows built")
+
+    monkeypatch.setattr(tracer, "_chord_rows", no_rows)
+    for s in catalog_surfaces.values():
+        start = TangentDirection(incenter_point(s), (math.cos(0.7), math.sin(0.7)))
+        assert reverse_check(s, start, 20.0) < 1e-6
+
+
+def test_trace_end_is_the_last_chord_row(catalog_surfaces, torus, monkeypatch):
+    # _end reads the last step while the rows are unbuilt, and the rows
+    # once they are, for every termination kind and for traces made from
+    # rows (read from JSON, truncated).
+    def last_row(tr):
+        tri, _ex, _ey, ox, oy, dx, dy, _t0, _ln, _edge = tr.chords[-1].tolist()
+        return int(tri), (ox, oy), (dx, dy)
+
+    # A torus whose triangle 1 has no exit candidates: a ray that enters it
+    # finds no way out.
+    stuck = flat_torus((1.0, 0.0), (0.0, 1.0))
+    tab = tracer._TraceTables(stuck)
+    dense = tab.id2dense[1]
+    tab.exits[dense] = tuple((math.nan, math.nan, None, None, ()) for _ in tab.exits[dense])
+    monkeypatch.setitem(tracer._TABLES, stuck, tab)
+    traces = [
+        trace(stuck, TangentDirection(incenter_point(stuck, 0), (0.6, 0.8)), 5.0),
+        trace(torus, TangentDirection(SurfacePoint(0, (0.5, 0.5)), (-1.0 / SQRT2, -1.0 / SQRT2)), 3.0),
+    ]
+    for s in catalog_surfaces.values():
+        for angle in (0.4, 2.9):
+            tr = trace(s, TangentDirection(incenter_point(s), (math.cos(angle), math.sin(angle))), 30.0)
+            if tr.termination.kind == LENGTH_REACHED:
+                assert isinstance(tr._rows, list)  # the steps, until the rows are read
+                end = tr._end()
+                assert end == last_row(tr) and tr._rows is tr.chords
+            traces += [tr, trace_from_json(trace_to_json(tr)), truncate(tr, 0.5 * tr.length)]
+    assert {tr.termination.kind for tr in traces} == {LENGTH_REACHED, VERTEX_HIT, LEFT_DOMAIN}
+    for tr in traces:
+        assert tr._end() == last_row(tr)
+
+
 def test_start_outside_triangle_raises(torus):
     with pytest.raises(PointOutsideTriangle):
         trace(torus, TangentDirection(SurfacePoint(0, (0.2, 0.9)), (1.0, 0.0)), 1.0)
@@ -275,6 +320,9 @@ def test_geodesic_trace_contract(torus):
         tr.chords[0, 1] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         tr.length = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tr.chords = tr.chords.copy()
+    assert tr.chords is tr.chords
     # segments is a view of the rows, built once; -1 marks the last chord's exit edge
     assert tr.segments is tr.segments
     rows = [
