@@ -1,15 +1,19 @@
 """Self-intersection detection, density estimation, and angle audits.
 
-Both scans read one index per trace, ``GeodesicTrace.index`` (a
-``ChordIndex``): the chords chart after chart, each with its projective
-direction class, and the classes' sorted offset keys.  Only pairs of
-different classes, or in a wide class, can cross; each time window of the
-chords is paired in one numpy kernel over every chart at once, and the
-events sorted and merged as numpy columns, the windows doubling until the
-earliest crossing is certain; it is the one ``IntersectionEvent`` built.
-Density measures each sample against the two chords nearest its offset
-first, and only the samples still uncovered against the chords in their
-band of each class.  This module is the performance core.
+Both scans read a ``ChordIndex``, ``GeodesicTrace.index`` for a whole
+trace: the chords chart after chart, each with its projective direction
+class, and the classes' sorted offset keys.  Only pairs of different
+classes, or in a wide class, can cross; each time window of the chords is
+paired with the earlier chords of its chart in one numpy kernel over
+every chart at once, and the events sorted and merged as numpy columns,
+the windows doubling until the earliest crossing is certain; it is the
+one ``IntersectionEvent`` built.  A trace that holds its recorded steps
+is first searched up to an eighth of its length on an index of those
+chords alone, which decides most crossing rays; the whole trace's index
+is built only when that cannot.  Density measures each sample against
+the two chords nearest its offset first, and only the samples still
+uncovered against the chords in their band of each class.  This module is
+the performance core.
 """
 from __future__ import annotations
 
@@ -43,9 +47,13 @@ EVENT_MERGE_TOL = 1e-7
 
 # The self-intersection search first pairs the chords entering before this
 # fraction of the trace length, then doubles the window; events are certain
-# below its end less this relative margin, far above the kernel's slack.
+# below its end less the merge tolerance and this relative margin, far
+# above the kernel's slack.  A trace that holds its steps is first searched
+# up to PREFIX of its length, a power of two times FIRST_WINDOW, on an
+# index of those chords alone.
 FIRST_WINDOW = 1 / 64
 WINDOW_MARGIN = 1e-9
+PREFIX = 1 / 8
 # A window's rows are paired about this many candidate pairs at a time,
 # so the kernel's arrays stay a few megabytes even when one window spans
 # every chart of a long trace.
@@ -145,18 +153,22 @@ def _merge_mask(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
 def _window_events(ix: ChordIndex, rows: np.ndarray):
     """Event columns ``(t1, t2, row, px, py, angle)`` of chord rows
     ``rows`` (ascending, in charts of two or more classes or one wide
-    class), in (i, j) order: row i paired with every later row j of its
-    chart of another class, or of the chart if it is wide.  Rows are taken
-    PAIR_BATCH candidate pairs at a time.  Chords run in trace order, so
-    each t1 is at least t0 of row i less the 1e-12 slack."""
+    class), in (j, i) order: row j paired with every earlier row i of its
+    chart of another class, or of the chart if it is wide.  ``row`` is i
+    and the point is found on chord i, so a pair's event is the same
+    whichever window pairs it, and the events of one row i come in j
+    order.  Rows are taken PAIR_BATCH candidate pairs at a time.  Chords
+    run in trace order, so each t2 is at least t0 of row j less the 1e-12
+    slack."""
     px, py, dx, dy, L, T0 = ix.cols
-    count = ix.rows[ix.chart[rows] + 1] - rows - 1  # later rows of the chart
+    first = ix.rows[ix.chart[rows]]
+    count = rows - first  # earlier rows of the chart
     cuts = np.searchsorted(np.cumsum(count), np.arange(PAIR_BATCH, count.sum(), PAIR_BATCH))
     out = []
-    for part, n in zip(np.split(rows, cuts), np.split(count, cuts)):
-        ii = np.repeat(part, n)
-        jj = ii + np.arange(1, len(ii) + 1) - np.repeat(np.cumsum(n) - n, n)
-        k = np.flatnonzero((np.repeat(ix.label[part], n) != ix.label[jj]) | np.repeat(ix.wide[ix.chart[part]], n))
+    for part, start, n in zip(np.split(rows, cuts), np.split(first, cuts), np.split(count, cuts)):
+        jj = np.repeat(part, n)
+        ii = np.repeat(start, n) + np.arange(len(jj)) - np.repeat(np.cumsum(n) - n, n)
+        k = np.flatnonzero((ix.label[ii] != np.repeat(ix.label[part], n)) | np.repeat(ix.wide[ix.chart[part]], n))
         ii, jj = ii[k], jj[k]
         denom = dx[ii] * dy[jj] - dy[ii] * dx[jj]
         k = np.flatnonzero(np.abs(denom) > 1e-12)
@@ -180,6 +192,68 @@ def _window_events(ix: ChordIndex, rows: np.ndarray):
     return [np.concatenate(c) for c in zip(*out)] if len(out) > 1 else out[0]
 
 
+def _certain(t1: np.ndarray, t2: np.ndarray, reach: float) -> int | None:
+    """The position of the earliest event among the known events ``(t1,
+    t2)``, in walk order, or None if they cannot tell it: every pair of
+    chords entering before ``reach`` (infinite: every pair) is known.
+
+    With ``c = reach - EVENT_MERGE_TOL - WINDOW_MARGIN (1 + reach)``, or
+    infinite, B is the kept event with the smallest (t2, t1) in the walk
+    of the events with ``t1 < c``.  It is returned when c is infinite, or
+    when B's t2 is at most c and no other event walked has a t2 within
+    EVENT_MERGE_TOL of B's (equal keys fail this).
+    """
+    c = math.inf if reach == math.inf else reach - EVENT_MERGE_TOL - WINDOW_MARGIN * (1.0 + reach)
+    m = int(np.searchsorted(t1, c))
+    keep = np.flatnonzero(_merge_mask(t1[:m], t2[:m]))
+    if not len(keep):
+        return None
+    best = int(keep[np.lexsort((t1[keep], t2[keep]))[0]])
+    if c == math.inf or t2[best] <= c and np.count_nonzero(np.abs(t2[:m] - t2[best]) <= EVENT_MERGE_TOL) == 1:
+        return best
+    return None
+
+
+def _earliest(ix: ChordIndex, length: float, end: float) -> IntersectionEvent | None:
+    """The earliest crossing among the chords of ``ix``, which holds every
+    chord of a trace of ``length`` that enters before ``end`` (infinite for
+    the whole trace), or None if there is none or, for a finite ``end``,
+    if it is not certain from those chords.
+
+    Windows of rows, tau doubling from FIRST_WINDOW of the length (one
+    window when that is zero: a zero-length trace, or one so short that
+    the fraction underflows), are paired with every earlier row of their
+    chart.  After window tau every pair of chords entering before
+    ``reach`` is known, tau or, once every row of ``ix`` is paired,
+    ``end``, and ``_certain`` decides.
+    """
+    rows = np.flatnonzero(((np.diff(ix.classes) > 1) | ix.wide)[ix.chart])
+    if not len(rows):
+        return None
+    t0 = ix.cols[5, rows]
+    t0_max = t0.max()
+    found = []  # each window's columns
+    lo, tau = -math.inf, FIRST_WINDOW * length or math.inf
+    while True:
+        window = rows[(lo <= t0) & (t0 < tau)]
+        if len(window):
+            found.append(_window_events(ix, window))
+        reach = end if t0_max < tau else tau
+        if found:
+            cols = [np.concatenate(c) for c in zip(*found)] if len(found) > 1 else found[0]
+            # (t1, t2), then row; one row's events stay in j order.
+            order = np.lexsort((cols[2], cols[1], cols[0]))
+            cols = [c[order] for c in cols]
+            best = _certain(cols[0], cols[1], reach)
+            if best is not None:
+                e1, e2, row, px, py, angle = (c[best].item() for c in cols)
+                at = SurfacePoint(int(ix.tris[ix.chart[row]]), (px, py))
+                return IntersectionEvent(e1, e2, at, angle)
+        if reach == end:
+            return None
+        lo, tau = tau, 2.0 * tau
+
+
 def self_intersections(surface: FlatSurface, trace_: GeodesicTrace) -> IntersectionEvent | None:
     """The earliest proper self-intersection of a trace, the one with the
     smallest (t2, t1), or None if the trace does not cross itself.
@@ -194,49 +268,55 @@ def self_intersections(surface: FlatSurface, trace_: GeodesicTrace) -> Intersect
     the smallest (t2, t1), the first in that walk on ties.  ``surface`` is
     not read: the chords carry their chart coordinates.
 
-    The rows (chords) with ``t0 < tau`` of every chart are paired in one
-    window, tau doubling from FIRST_WINDOW of the trace length (a
-    zero-length trace is one window).  Row i yields only events with ``t1
-    >= t0[i] - 1e-12``, so once the rows below tau are paired, the events
-    with ``t1 < c = tau - WINDOW_MARGIN (1 + tau)`` are an exact prefix of
-    the walk over all events, ties in chart, i, j order as in one window.
-    The merge decides each event only from those before it, so the prefix
-    keeps what the whole walk keeps.  Every event past the prefix has ``t2
-    > t1 >= c``.  Hence if the kept prefix event with the smallest (t2, t1)
-    has ``t2 <= c``, it is the earliest, bit for bit; otherwise tau
-    doubles.  Once every row is paired, c is infinite.
+    While the trace holds its recorded steps, the chords entering before
+    ``end``, PREFIX of its length, are first searched on an index of their
+    own, ``trace_._prefix_index(end)``.  If it has none (no chart of them
+    holds two classes), or that search cannot decide, ``trace_.index`` is
+    searched with ``end`` infinite.  Both searches are ``_earliest``.
+
+    The search is exact.  After each window, every pair of chords entering
+    before ``reach`` is known, with the event the whole trace's pairing
+    gives it, bit for bit: the same kernel expressions on the same
+    columns.  Any other event pairs a chord entering at or after reach, so
+    its ``t2 >= reach - 1e-12 > c + EVENT_MERGE_TOL``, c being
+    ``_certain``'s bound.  The known events walk in the order of all
+    events: rows keep their order from the index of a prefix to that of
+    the trace, and one row's events come in j order.  Let ``_certain``
+    return B, so ``B.t2 <= c``:
+
+    - the whole walk keeps B: the last event it kept before B is either
+      known, with ``t1 <= B.t1 < c``, so more than EVENT_MERGE_TOL from B
+      in t2 by the rule, or unknown, with t2 above ``c + EVENT_MERGE_TOL``;
+    - no event the whole walk keeps comes before B in (t2, t1): such an
+      event E has ``t1 < t2 <= B.t2 <= c``, so it is known and walked.
+      Kept in the known walk, it would tie with B, which the rule
+      excludes.  Dropped there, it was dropped by B, or by an event kept
+      and walked before it, so with ``t2 >= B.t2 >= E.t2`` and within
+      EVENT_MERGE_TOL of E's t2, hence of B's (rounding is monotone),
+      which the rule excludes too;
+    - every event with ``t1 >= c`` has ``t2 > t1 >= c >= B.t2``.
+
+    So B is the answer.  Once every row of the whole trace is paired,
+    reach and c are infinite and the rule is the whole walk.
+
+    The prefix changes no event.  The class rule seeds classes in trace
+    order, so in each chart the prefix's classes are the whole trace's
+    restricted to its chords, and a chart is wide in the prefix only if it
+    is in the whole trace.  A pair the prefix skips and the whole trace
+    pairs is thus in one class of a chart that is wide only in the whole
+    trace, and it is no proper crossing: both chords are within
+    ``PROPER_ANGLE_TOL / 4`` (as a cross product) of the class's first
+    direction, so their projective angle is about ``PROPER_ANGLE_TOL / 2``
+    at most, the kernel's arccos of their dot product is within 3e-8 of
+    it, and the kernel's angle test rejects the pair.
     """
-    ix = trace_.index
-    rows = np.flatnonzero(((np.diff(ix.classes) > 1) | ix.wide)[ix.chart])
-    if not len(rows):
-        return None
-    t0 = ix.cols[5, rows]
-    t0_max = t0.max()
-    found = []  # each window's columns
-    lo, tau = -math.inf, FIRST_WINDOW * trace_.length if trace_.length > 0 else math.inf
-    while True:
-        window = rows[(lo <= t0) & (t0 < tau)]
-        if len(window):
-            found.append(_window_events(ix, window))
-        done = t0_max < tau
-        if found:
-            cols = [np.concatenate(c) for c in zip(*found)] if len(found) > 1 else found[0]
-            # (t1, t2), then row: a row's pairs all come from one window.
-            order = np.lexsort((cols[2], cols[1], cols[0]))
-            cols = [c[order] for c in cols]
-            t1, t2 = cols[:2]
-            cut = math.inf if done else tau - WINDOW_MARGIN * (1.0 + tau)
-            m = int(np.searchsorted(t1, cut))
-            keep = np.flatnonzero(_merge_mask(t1[:m], t2[:m]))
-            if len(keep):
-                best = keep[np.lexsort((t1[keep], t2[keep]))[0]]
-                if t2[best] <= cut:
-                    e1, e2, row, px, py, angle = (c[best].item() for c in cols)
-                    at = SurfacePoint(int(ix.tris[ix.chart[row]]), (px, py))
-                    return IntersectionEvent(e1, e2, at, angle)
-            if done:
-                return None
-        lo, tau = tau, 2.0 * tau
+    end = PREFIX * trace_.length
+    prefix = trace_._prefix_index(end)
+    if prefix is not None:
+        first = _earliest(prefix, trace_.length, end)
+        if first is not None:
+            return first
+    return _earliest(trace_.index, trace_.length, math.inf)
 
 
 @functools.lru_cache(maxsize=1)

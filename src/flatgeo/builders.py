@@ -39,13 +39,15 @@ _PAIR_BLOCK = 1 << 16
 
 
 def _edges_intersect(xy, i, j) -> np.ndarray:
-    """``segments_intersect(pts[i], pts[i + 1], pts[j], pts[(j + 1) % n])``
-    at ``tol = 0`` for index arrays i < n - 1 and j.  Its four orientations
-    and four on-segment tests share their corner triples (a, b, c), so each
-    expression runs once over all four, operand for operand.  ``on_seg`` is
-    ``wx - t * vx == 0 and wy - t * vy == 0``, which is where its hypot is
-    at most 0, with ``t`` clamped as ``max(0.0, min(1.0, ...))`` clamps it
-    (NaN to 1)."""
+    """Whether the closed polygon edges ``(pts[i], pts[i + 1])`` and
+    ``(pts[j], pts[(j + 1) % n])`` meet, for index arrays i < n - 1 and j,
+    by the orientation-sign test of the pairwise oracle
+    ``segments_intersect`` in ``tests/conftest.py`` at ``tol = 0``.  Its
+    four orientations and four on-segment tests share their corner triples
+    (a, b, c), so each expression runs once over all four, operand for
+    operand.  ``on_seg`` is ``wx - t * vx == 0 and wy - t * vy == 0``,
+    which is where its hypot is at most 0, with ``t`` clamped as
+    ``max(0.0, min(1.0, ...))`` clamps it (NaN to 1)."""
     n = len(xy)
     i1, j1 = i + 1, (j + 1) % n
     (ax, ay), (bx, by), (cx, cy) = (

@@ -78,33 +78,6 @@ def point_segment_distance(p: Vec, a: Vec, b: Vec) -> float:
     return math.hypot(wx - t * vx, wy - t * vy)
 
 
-def segments_intersect(p1: Vec, q1: Vec, p2: Vec, q2: Vec, tol: float = 0.0) -> bool:
-    """Closed-segment intersection test via orientation signs.
-
-    ``tol`` widens the test: points within ``tol`` of a segment count as on
-    it.  Handles collinear overlaps.
-    """
-
-    def orient(a: Vec, b: Vec, c: Vec) -> float:
-        return cross(b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1])
-
-    def on_seg(a: Vec, b: Vec, c: Vec) -> bool:
-        return point_segment_distance(c, a, b) <= tol
-
-    o1 = orient(p1, q1, p2)
-    o2 = orient(p1, q1, q2)
-    o3 = orient(p2, q2, p1)
-    o4 = orient(p2, q2, q1)
-    if ((o1 > 0) != (o2 > 0)) and ((o3 > 0) != (o4 > 0)) and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0:
-        return True
-    return (
-        on_seg(p1, q1, p2)
-        or on_seg(p1, q1, q2)
-        or on_seg(p2, q2, p1)
-        or on_seg(p2, q2, q1)
-    )
-
-
 def polygon_area(points: list[Vec]) -> float:
     """Signed area, positive for counterclockwise boundaries."""
     s = 0.0
@@ -183,11 +156,3 @@ class PlaneIsometry:
         inv = PlaneIsometry(self.reflect, wrap_angle(angle), 0.0, 0.0)
         ix, iy = inv.apply_vector((self.tx, self.ty))
         return PlaneIsometry(self.reflect, wrap_angle(angle), -ix, -iy)
-
-    def is_identity(self) -> bool:
-        return (
-            not self.reflect
-            and angle_distance_mod(self.angle, 0.0, TWO_PI) <= METRIC_TOL
-            and abs(self.tx) <= METRIC_TOL
-            and abs(self.ty) <= METRIC_TOL
-        )

@@ -190,7 +190,9 @@ class GeodesicTrace:
     ``chords`` builds the rows from them on first read and keeps the rows
     in ``_rows`` in place of the steps; ``_from_rows`` supplies the rows.
     ``index``, the ChordIndex that ``flatgeo.analysis`` reads, is built
-    from the rows on first read.
+    on first read from the recorded steps, or from the rows once they are
+    built, so reading it builds no rows; ``_prefix_index`` builds the index
+    of a first part of the steps alone.
     ``segments``, the rows as TraceSegment objects, is built only for
     callers that read it; nothing in the package does.
     """
@@ -237,10 +239,37 @@ class GeodesicTrace:
             for tri, ex, ey, ox, oy, dx, dy, t0, ln, edge in self.chords.tolist()
         )
 
+    def _prefix_index(self, end: float) -> ChordIndex | None:
+        """The ChordIndex of the chords entering before ``end``, built
+        from the recorded steps, when some chart of them holds two
+        direction classes (a chord off its chart's first direction by the
+        class rule's own test) and later chords follow; else None, and
+        always None once the rows are built."""
+        steps = self._rows
+        if not isinstance(steps, list):
+            return None
+        tol = PROPER_ANGLE_TOL / 4
+        firsts: dict[int, tuple[float, float]] = {}
+        t0, k, split = 0.0, 0, False
+        it = iter(steps)
+        for dense, _px, _py, dx, dy, ln, _edge in zip(*[it] * 7):
+            if not t0 < end:
+                break
+            fx, fy = firsts.setdefault(dense, (dx, dy))
+            split = split or abs(dx * fy - dy * fx) > tol
+            t0 += ln  # rounded as np.cumsum rounds t0
+            k += 7
+        if not split or k == len(steps):
+            return None
+        return _chord_index(*_step_columns(steps[:k], self._ids)[:2])
+
     @cached_property
     def index(self) -> ChordIndex:
         """The chords chart after chart, with their direction classes."""
-        return _chord_index(self.chords)
+        rows = self._rows
+        if isinstance(rows, list):
+            return _chord_index(*_step_columns(rows, self._ids)[:2])
+        return _chord_index(rows[:, 0], rows.T[[1, 2, 5, 6, 8, 7]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,7 +287,9 @@ class ChordIndex:
     chart c's being ``classes[c]:classes[c + 1]``, and ``label`` is each
     row's.  ``pmax[c]`` is chart c's largest ``|px|`` or ``|py|``.
     ``bands``, the sorted offsets that density reads, is built on first
-    read.
+    read.  ``_chord_index`` builds it from a trace's recorded steps or from
+    its rows, bit for bit the same; the first-crossing search also builds
+    one over the steps of a trace's first part alone.
     """
 
     tris: np.ndarray
@@ -287,19 +318,21 @@ class ChordIndex:
         return out
 
 
-def _chord_index(c: np.ndarray) -> ChordIndex:
-    """The ChordIndex of chord rows ``c``.  Each round of the class rule
-    seeds a class in every chart that still has chords without one."""
-    n = len(c)
+def _chord_index(tri: np.ndarray, cols: np.ndarray) -> ChordIndex:
+    """The ChordIndex of chords in trace order, given by their triangle
+    ids ``tri`` and the ``(6, n)`` columns ``(px, py, dx, dy, L, t0)``.
+    Each round of the class rule seeds a class in every chart that still
+    has chords without one."""
+    n = len(tri)
     # Each triangle's chords in trace order, then the triangles by first chord.
-    by_tri = np.argsort(c[:, 0], kind="stable")
-    heads = np.flatnonzero(np.diff(c[by_tri, 0], prepend=np.nan))
+    by_tri = np.argsort(tri, kind="stable")
+    heads = np.flatnonzero(np.diff(tri[by_tri], prepend=np.nan))
     seq = np.argsort(by_tri[heads])
     sizes = np.diff(np.append(heads, n))[seq]
     rows = np.append(0, np.cumsum(sizes))
     perm = by_tri[np.arange(n) + np.repeat(heads[seq] - rows[:-1], sizes)]
     chart = np.repeat(np.arange(len(sizes)), sizes)
-    cols = c[perm].T[[1, 2, 5, 6, 8, 7]]
+    cols = cols[:, perm]
     dx, dy = cols[2], cols[3]
     label = np.full(n, -1)
     ncls = np.zeros(len(sizes), dtype=np.int64)
@@ -331,7 +364,7 @@ def _chord_index(c: np.ndarray) -> ChordIndex:
         normals[g, 0], normals[g, 1], spreads[g] = nx[k], ny[k], spread[k]
     spreads[classes[:-1][wide]] = 1.0
     ix = ChordIndex(
-        tris=c[perm[rows[:-1]], 0].astype(np.int64),
+        tris=tri[perm[rows[:-1]]].astype(np.int64),
         rows=rows,
         chart=chart,
         cols=cols,
@@ -622,20 +655,26 @@ def trace(
     return GeodesicTrace(norm_start, acc, term, chords)
 
 
+def _step_columns(steps: list[float], ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triangle ids, ``(px, py, dx, dy, L, t0)`` and exit edges of a
+    trace's recorded steps ``(dense, px, py, dx, dy, length, exit_edge)``
+    (a prefix of them gives the same columns for its steps): t0 is the
+    running sum of lengths, rounded as the step loop would round it
+    (``np.cumsum`` adds left to right)."""
+    st = np.array(steps, dtype=np.float64).reshape(-1, 7).T
+    cols = np.empty((6, st.shape[1]))
+    cols[:5] = st[1:6]
+    cols[5, :1] = 0.0
+    np.cumsum(st[5, :-1], out=cols[5, 1:])
+    return ids.take(st[0].astype(np.intp)), cols, st[6]
+
+
 def _chord_rows(steps: list[float], ids: np.ndarray) -> np.ndarray:
-    """The read-only ``(n, 10)`` chord rows of a trace from its steps'
-    ``(dense, px, py, dx, dy, length, exit_edge)``: the exit point is
-    ``p + length * d`` and t0 the running sum of lengths, both rounded as
-    the step loop would round them (``np.cumsum`` adds left to right)."""
-    st = np.array(steps, dtype=np.float64).reshape(-1, 7)
-    rows = np.empty((len(st), 10))
-    rows[:, 0] = ids.take(st[:, 0].astype(np.intp))
-    rows[:, 1:3] = st[:, 1:3]
-    rows[:, 3:5] = st[:, 1:3] + st[:, 5:6] * st[:, 3:5]
-    rows[:, 5:7] = st[:, 3:5]
-    rows[:1, 7] = 0.0
-    np.cumsum(st[:-1, 5], out=rows[1:, 7])
-    rows[:, 8:] = st[:, 5:]
+    """The read-only ``(n, 10)`` chord rows of a trace from its recorded
+    steps: the exit point is ``p + length * d``, rounded as the step loop
+    rounds it, and the rest are ``_step_columns``."""
+    tri, (px, py, dx, dy, ln, t0), edge = _step_columns(steps, ids)
+    rows = np.column_stack((tri, px, py, px + ln * dx, py + ln * dy, dx, dy, t0, ln, edge))
     rows.flags.writeable = False
     return rows
 

@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 from flatgeo import analysis
 from flatgeo.builders import catalog
 from flatgeo.errors import NonSimplePolygon, PointOutsideTriangle, TraceIncomplete
-from flatgeo.geometry import cross, normalize, polygon_area, segments_intersect
+from flatgeo.geometry import (
+    METRIC_TOL,
+    TWO_PI,
+    Vec,
+    angle_distance_mod,
+    cross,
+    normalize,
+    point_segment_distance,
+    polygon_area,
+)
 from flatgeo.surface import EdgeRef, FlatSurface, Gluing, Triangle, build_surface
 from flatgeo.tracer import (
     DEFAULT_VERTEX_CLEARANCE,
@@ -324,6 +333,44 @@ def all_sources_diameter(surface) -> float:
                     heapq.heappush(heap, (nd, w))
         best = max(best, max(x for x in dist if x < math.inf))
     return best
+
+
+def segments_intersect(p1: Vec, q1: Vec, p2: Vec, q2: Vec, tol: float = 0.0) -> bool:
+    """The pairwise oracle: a closed-segment intersection test via
+    orientation signs.
+
+    ``tol`` widens the test: points within ``tol`` of a segment count as on
+    it.  Handles collinear overlaps.
+    """
+
+    def orient(a: Vec, b: Vec, c: Vec) -> float:
+        return cross(b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1])
+
+    def on_seg(a: Vec, b: Vec, c: Vec) -> bool:
+        return point_segment_distance(c, a, b) <= tol
+
+    o1 = orient(p1, q1, p2)
+    o2 = orient(p1, q1, q2)
+    o3 = orient(p2, q2, p1)
+    o4 = orient(p2, q2, q1)
+    if ((o1 > 0) != (o2 > 0)) and ((o3 > 0) != (o4 > 0)) and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0:
+        return True
+    return (
+        on_seg(p1, q1, p2)
+        or on_seg(p1, q1, q2)
+        or on_seg(p2, q2, p1)
+        or on_seg(p2, q2, q1)
+    )
+
+
+def is_identity(iso) -> bool:
+    """Whether a PlaneIsometry is the identity to within METRIC_TOL."""
+    return (
+        not iso.reflect
+        and angle_distance_mod(iso.angle, 0.0, TWO_PI) <= METRIC_TOL
+        and abs(iso.tx) <= METRIC_TOL
+        and abs(iso.ty) <= METRIC_TOL
+    )
 
 
 def pairwise_validate(pts) -> None:

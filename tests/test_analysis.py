@@ -17,6 +17,7 @@ from conftest import (
     reference_events,
     reference_first_event,
     reference_self_intersections,
+    segments_intersect,
 )
 
 import flatgeo.analysis as analysis
@@ -46,8 +47,9 @@ from flatgeo.builders import (
     random_star_polygon,
 )
 from flatgeo.errors import CoincidentMidpoints, NotConvex
-from flatgeo.geometry import cross, segments_intersect, unsigned_angle
+from flatgeo.geometry import cross, unsigned_angle
 from flatgeo.surface import diameter_estimate
+import flatgeo.tracer as tracer
 from flatgeo.tracer import (
     LENGTH_REACHED,
     GeodesicTrace,
@@ -286,14 +288,31 @@ def record_windows(monkeypatch) -> list:
     return windows
 
 
+def spy_index(monkeypatch) -> list:
+    """Patch ``_chord_index`` to append the number of chords of each index
+    built to the list returned."""
+    sizes = []
+    build = tracer._chord_index
+
+    def record(tri, cols):
+        sizes.append(len(tri))
+        return build(tri, cols)
+
+    monkeypatch.setattr(tracer, "_chord_index", record)
+    return sizes
+
+
 def test_self_intersections_returns_none_without_a_crossing(monkeypatch):
     windows = record_windows(monkeypatch)
+    indexed = spy_index(monkeypatch)
     # Each chart of a torus trace holds one direction class: the answer
-    # comes before any window is paired.
+    # comes before any window is paired, and the chords of the first
+    # eighth get no index of their own.
     s = flat_torus((1.0, 0.0), (0.0, 1.0))
     tr = trace(s, TangentDirection(SurfacePoint(0, (0.5, 0.25)), (0.6, 0.8)), 60.0)
     assert tr.termination.kind == LENGTH_REACHED
     assert self_intersections(s, tr) is None and windows == []
+    assert indexed == [len(tr.chords)]
     # A zero-length trace, two zero-length chords of two classes in one
     # chart: tau starts at infinity, so one window pairs both rows.
     rows = [(5, 0.1, 0.1, 0.1, 0.1, 1.0, 0.0, 0.0, 0.0, 0), (5, 0.1, 0.1, 0.1, 0.1, 0.0, 1.0, 0.0, 0.0, -1)]
@@ -301,6 +320,12 @@ def test_self_intersections_returns_none_without_a_crossing(monkeypatch):
     tr = GeodesicTrace._from_rows(start, rows, 0.0, Termination(LENGTH_REACHED))
     assert self_intersections(None, tr) is None
     assert [w.tolist() for w in windows] == [[0, 1]]
+    # A stated length whose first window underflows to zero is one window
+    # too, not a window that never grows.
+    tr = GeodesicTrace._from_rows(start, rows, 5e-324, Termination(LENGTH_REACHED))
+    assert analysis.FIRST_WINDOW * tr.length == 0.0
+    assert self_intersections(None, tr) is None
+    assert [w.tolist() for w in windows] == [[0, 1], [0, 1]]
 
 
 def test_self_intersections_without_crossings_pairs_every_row_in_windows(catalog_surfaces, monkeypatch):
@@ -346,6 +371,53 @@ def test_self_intersections_breaks_ties_across_windows_in_chart_order():
     first = IntersectionEvent(3.5, 5.5, SurfacePoint(7, (2.0, 0.0)), math.pi / 2)
     assert reference_events(tr) == [first]
     assert self_intersections(None, tr) == first
+
+
+def test_self_intersections_of_held_steps_breaks_a_tie_on_the_whole_index(monkeypatch):
+    # A trace holding its steps sees one crossing from charts 7 and 3 at
+    # t = (1, 5) bit for bit, both pairs entering before 1/8 of its
+    # length: at chart 7's (1, 0), where its first chord ends and its
+    # second starts, and at chart 3's (0, 0), where its two chords start.
+    # The first-eighth search cannot certify a tie, so the whole index
+    # decides, and the merge keeps chart 7's event, which appears first.
+    east, north = (1.0, 0.0), (0.0, 1.0)
+    steps = [
+        (0, (0.0, 0.0), east, 1.0),  # chart 7, t0 = 0
+        (1, (0.0, 0.0), east, 1.0),  # chart 3, t0 = 1
+        (2, (0.0, 0.0), east, 1.0),
+        (0, (1.0, -2.0), north, 2.0),  # chart 7, t0 = 3
+        (1, (0.0, 0.0), north, 1.0),  # chart 3, t0 = 5
+        (2, (0.0, 0.0), east, 100.0),
+        (2, (0.0, 0.0), east, 1.0),  # enters at 106, after 107 / 8
+    ]
+    flat = [x for dense, p, d, ln in steps for x in (dense, *p, *d, ln, -1)]
+    start = TangentDirection(SurfacePoint(7, (0.0, 0.0)), east)
+    tr = GeodesicTrace(start, 107.0, Termination(LENGTH_REACHED), flat, np.array([7.0, 3.0, 5.0]))
+    indexed = spy_index(monkeypatch)
+    first = IntersectionEvent(1.0, 5.0, SurfacePoint(7, (1.0, 0.0)), math.pi / 2)
+    assert self_intersections(None, tr) == first
+    assert indexed == [6, 7]  # the first eighth, then the whole trace
+    assert reference_events(tr) == [first]
+
+
+def test_scan_decides_an_early_crossing_on_the_first_eighth(monkeypatch):
+    # Seed 1's direction on the cube, at 400 diameters, crosses itself
+    # within 0.005 of its length: the scan indexes only the chords that
+    # enter before PREFIX of the length, and builds no chord rows.
+    s = cube_surface()
+    p, length = incenter_point(s), 400.0 * diameter_estimate(s)
+    indexed = spy_index(monkeypatch)
+
+    def no_rows(*args):
+        raise AssertionError("chord rows built")
+
+    monkeypatch.setattr(tracer, "_chord_rows", no_rows)
+    (row,) = direction_scan(s, p, 1, length, 0.05, 1).rows
+    monkeypatch.undo()
+    tr = trace(s, TangentDirection(p, (math.cos(row.angle), math.sin(row.angle))), length)
+    assert row.kind == "self_intersecting" and row.first_event == reference_first_event(tr)
+    assert row.first_event.t2 < 0.005 * length
+    assert indexed == [np.count_nonzero(tr.chords[:, 7] < analysis.PREFIX * length)] and indexed[0] < len(tr.chords)
 
 
 # --- density --------------------------------------------------------------------

@@ -8,8 +8,12 @@ identifications of ``example2_candidates``, which include non-orientable
 surfaces.  Cuts are random segments inside one triangle of the square
 double or of a star double, patched with regular polygons.  Events and
 traces are drawn from random directions on the catalog's
-two-direction-class surfaces, and the first-crossing query also runs on
-random polylines over one to eight charts, where the window kernel's
+two-direction-class surfaces (fresh traces, which first search their
+first eighth, also on random star doubles at 20 to 400 diameters, and
+again as rows-only copies); the rule that certifies an earliest event
+from the known ones is checked on random event grids against the walk
+over all events, and the first-crossing query also runs on random
+polylines over one to eight charts, where the window kernel's
 events over all rows must equal the chart-by-chart kernel's and the
 trace's chord index the chart-by-chart class loop's (the index also on
 catalog traces); the
@@ -345,6 +349,68 @@ def test_self_intersections_matches_reference_on_400_diameter_traces(catalog_sur
     tr = trace(s, TangentDirection(incenter_point(s), (math.cos(angle), math.sin(angle))), length)
     assume(tr.termination.kind == LENGTH_REACHED)
     assert self_intersections(s, tr) == reference_first_event(tr)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    st.one_of(st.sampled_from(["cube", "example1", "klein-bottle", "ring-double"]), seeds),
+    st.floats(20.0, 400.0),
+    st.floats(0.0, TWO_PI, exclude_max=True),
+)
+def test_self_intersections_matches_reference_on_fresh_traces(catalog_surfaces, surface, diameters, angle):
+    # A fresh trace holds its steps, so the search first tries the chords
+    # entering before PREFIX of its length on their own index; a copy
+    # holding rows only searches its whole index.  A seed names the double
+    # of a random star polygon, whose charts are wide.
+    if isinstance(surface, str):
+        s = catalog_surfaces[surface]
+    else:
+        s = double_of_polygon(random_star_polygon(np.random.default_rng(surface)))
+    start = TangentDirection(incenter_point(s), (math.cos(angle), math.sin(angle)))
+    tr = trace(s, start, diameters * _diameter(s))
+    assume(tr.termination.kind == LENGTH_REACHED)
+    assert isinstance(tr._rows, list)
+    first = self_intersections(s, tr)
+    assert first == reference_first_event(tr)
+    rows_only = GeodesicTrace._from_rows(tr.start, tr.chords, tr.length, tr.termination)
+    assert self_intersections(s, rows_only) == first
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 8), st.booleans()), min_size=1, max_size=40),
+    st.integers(0, 16),
+)
+# An unknown event drops the known one after it, whose t2 is only 0.6
+# tolerances below tau: the rule must decline.
+@example(drawn=[(1, 2, True), (0, 4, False)], tau_step=6)
+# The known walk keeps (1+s, 1+9s), drops (1+2s, 1+8s) by it and keeps
+# (1+3s, 1+8s); the whole walk keeps the unknown (1, 1+10s), which drops
+# the first, and so keeps the second and drops the third.  The rule must
+# decline the third, whose t2 equals a dropped event's.
+@example(drawn=[(0, 8, False), (1, 6, True), (2, 4, True), (3, 3, True)], tau_step=10)
+def test_certain_declines_or_returns_the_whole_walks_answer(drawn, tau_step):
+    # Events on a grid of 0.6 tolerances, each with t2 - t1 of at least
+    # 1.2 tolerances, as the kernel emits them.  An event drawn unknown
+    # stays known unless its t2 is at least tau: a pair with a chord
+    # entering at or after tau.  The rule, given the known events in walk
+    # order, must decline or name the whole walk's answer.
+    step = 0.6 * EVENT_MERGE_TOL
+    tau = 1.0 + tau_step * step
+    events = sorted((1.0 + a * step, 1.0 + (a + 2 + b) * step, k) for k, (a, b, _known) in enumerate(drawn))
+    known = [e for e in events if drawn[e[2]][2] or e[1] < tau]
+    kept = []
+    for e in events:
+        if not kept or max(abs(kept[-1][0] - e[0]), abs(kept[-1][1] - e[1])) > EVENT_MERGE_TOL:
+            kept.append(e)
+    answer = min(kept, key=lambda e: (e[1], e[0]))  # the first on ties
+    if not known:
+        return
+    best = analysis._certain(np.array([e[0] for e in known]), np.array([e[1] for e in known]), tau)
+    assert best is None or known[best] == answer
+    # With every event known and no cut, the rule is the whole walk.
+    t1, t2 = np.array([e[0] for e in events]), np.array([e[1] for e in events])
+    assert events[analysis._certain(t1, t2, math.inf)] == answer
 
 
 def _polyline_trace(seed, n, classes, charts, stretch=1.0):

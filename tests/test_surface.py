@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import all_sources_diameter
+from conftest import all_sources_diameter, is_identity
 
 from flatgeo.builders import (
     L_SHAPE,
@@ -171,7 +171,7 @@ def test_every_edge_glued_once(catalog_surfaces):
                 there, iso = s.edge_transition(t.id, e)
                 back, inv = s.edge_transition(*there)
                 assert back == (t.id, e)
-                assert inv.compose(iso).is_identity()
+                assert is_identity(inv.compose(iso))
 
 
 def test_transition_endpoint_audit(catalog_surfaces):

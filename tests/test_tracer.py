@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import edge_midpoint_tangent, incenter_point
+from conftest import edge_midpoint_tangent, incenter_point, is_identity
 
 from flatgeo.builders import PolygonSpec, cube_surface, double_of_polygon, flat_torus, isosceles_tetrahedron
 from flatgeo.errors import ParameterOutOfRange, PointOutsideTriangle, TraceIncomplete
@@ -120,7 +120,7 @@ def test_unfold_single_segment(torus):
     tr = trace(torus, TangentDirection(SurfacePoint(0, (0.5, 0.25)), (1.0, 0.0)), 0.2)
     placements, a, b = unfold(torus, tr)
     assert len(placements) == 1
-    assert placements[0][1].is_identity()
+    assert is_identity(placements[0][1])
     assert a == pytest.approx((0.5, 0.25))
     assert b == pytest.approx((0.7, 0.25))
 
