@@ -7,13 +7,13 @@ classes, or in a wide class, can cross; each time window of the chords is
 paired with the earlier chords of its chart in one numpy kernel over
 every chart at once, and the events sorted and merged as numpy columns,
 the windows doubling until the earliest crossing is certain; it is the
-one ``IntersectionEvent`` built.  A trace that holds its recorded steps
-is first searched up to an eighth of its length on an index of those
-chords alone, which decides most crossing rays; the whole trace's index
-is built only when that cannot.  Density measures each sample against
-the two chords nearest its offset first, and only the samples still
-uncovered against the chords in their band of each class.  This module is
-the performance core.
+one ``IntersectionEvent`` built.  A trace whose rows are still a list
+of values is first searched up to an eighth of its length on an index of
+those chords alone, which decides most crossing rays; the whole trace's
+index is built only when that cannot.  Density measures each sample
+against the two chords nearest its offset first, and only the samples
+still uncovered against the chords in their band of each class.  This
+module is the performance core.
 """
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ from .tracer import (
     SurfacePoint,
     TangentDirection,
     _trace_tables,
+    _triangle,
     tangent_representatives,
     trace,
 )
@@ -268,11 +269,11 @@ def self_intersections(surface: FlatSurface, trace_: GeodesicTrace) -> Intersect
     the smallest (t2, t1), the first in that walk on ties.  ``surface`` is
     not read: the chords carry their chart coordinates.
 
-    While the trace holds its recorded steps, the chords entering before
-    ``end``, PREFIX of its length, are first searched on an index of their
-    own, ``trace_._prefix_index(end)``.  If it has none (no chart of them
-    holds two classes), or that search cannot decide, ``trace_.index`` is
-    searched with ``end`` infinite.  Both searches are ``_earliest``.
+    While the trace's rows are still a list of values, the chords entering
+    before ``end``, PREFIX of its length, are first searched on an index of
+    their own, ``trace_._prefix_index(end)``.  If it has none (no chart of
+    them holds two classes), or that search cannot decide, ``trace_.index``
+    is searched with ``end`` infinite.  Both searches are ``_earliest``.
 
     The search is exact.  After each window, every pair of chords entering
     before ``reach`` is known, with the event the whole trace's pairing
@@ -376,8 +377,8 @@ def _covered(surface: FlatSurface, trace_: GeodesicTrace, epsilon: float, sample
     ix, tab = trace_.index, _trace_tables(surface)
     if not len(ix.tris):
         return np.zeros(samples, dtype=bool)
-    chart_of = np.full(len(tab.ids), -1)
-    chart_of[[tab.id2dense[t] for t in ix.tris.tolist()]] = np.arange(len(ix.tris))
+    chart_of = np.full(len(tab.id2dense), -1)
+    chart_of[[tab.id2dense[_triangle(surface, t).id] for t in ix.tris.tolist()]] = np.arange(len(ix.tris))
     own = chart_of[tri]
     s = np.flatnonzero(own >= 0)
     hit = _hits(ix, s, own[s], x[s], y[s], epsilon, samples, nearest=True)

@@ -159,7 +159,7 @@ def trace_from_json(text: str) -> GeodesicTrace:
         if not 0.0 <= length < math.inf:
             raise ValueError(f"trace length {length!r} is negative or not finite")
         start = TangentDirection(SurfacePoint(rows[0], (rows[1], rows[2])), (rows[5], rows[6]))
-        return GeodesicTrace._from_rows(start, rows, length, term)
+        return GeodesicTrace(start, length, term, rows)
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError) as e:
         raise MalformedTrace(f"malformed trace JSON: {e!r}") from e
 

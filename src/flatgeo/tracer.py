@@ -12,11 +12,11 @@ One step of ``trace`` reads ``_TraceTables``: for the edge the chord came
 in by, the opposite corner with the exit candidate on each side of it and
 the candidate loop's edges; the chart's cone corners only; the two corners
 of the exit edge; and one tuple per crossing with the transition and the
-target edge to snap onto.  A step records seven values, ``(dense, px, py,
-dx, dy, length, exit_edge)``; the ``(n, 10)`` rows are built from them on
-first read.  The side test and the corner window keep every chord
-bit-identical to the loop that tests every edge and every corner; both are
-proved below.
+target edge to snap onto.  A step records its chord's row of
+``GeodesicTrace.chords``, ten values: the exit point as the step computed
+it and t0 as the running sum of lengths.  The side test and the corner
+window keep every chord bit-identical to the loop that tests every edge
+and every corner; both are proved below.
 
 The exit edge comes from one corner test.  A chord that entered the
 counterclockwise triangle ABV by edge AB leaves by BV or VA.  The step
@@ -112,6 +112,7 @@ after it always run them.  A skipped test would not have fired:
 """
 from __future__ import annotations
 
+import bisect
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -121,7 +122,7 @@ import numpy as np
 
 from .errors import ParameterOutOfRange, PointOutsideTriangle, TraceIncomplete, float_arg, int_arg
 from .geometry import PlaneIsometry, Vec, normalize, point_segment_distance
-from .surface import FlatSurface
+from .surface import FlatSurface, Triangle
 
 DEFAULT_VERTEX_CLEARANCE = 1e-7
 
@@ -185,50 +186,44 @@ class GeodesicTrace:
 
     Row k of ``chords`` is the k-th chord: triangle id, entry x/y, exit
     x/y, unit direction x/y, arc parameter t0 at entry, length, and the
-    edge crossed at the exit (-1 where the trace stops).  ``trace`` hands
-    over its recorded steps and triangle ids as ``_rows`` and ``_ids``, and
-    ``chords`` builds the rows from them on first read and keeps the rows
-    in ``_rows`` in place of the steps; ``_from_rows`` supplies the rows.
-    ``index``, the ChordIndex that ``flatgeo.analysis`` reads, is built
-    on first read from the recorded steps, or from the rows once they are
-    built, so reading it builds no rows; ``_prefix_index`` builds the index
-    of a first part of the steps alone.
-    ``segments``, the rows as TraceSegment objects, is built only for
-    callers that read it; nothing in the package does.
+    edge crossed at the exit (-1 where the trace stops).  ``_rows`` holds
+    the rows' values in one flat list, ten per chord, as ``trace`` and
+    ``flatgeo.jsonio`` write them, until ``chords`` is first read; it then
+    holds them as a flat read-only array.  ``_from_rows`` makes a trace of
+    ``(n, 10)`` rows.  ``index``, the ChordIndex that ``flatgeo.analysis``
+    reads, is built from the rows on first read; ``_prefix_index`` builds
+    the index of a first part of an unread list alone.  ``segments``, the
+    rows as TraceSegment objects, is built only for callers that read it;
+    nothing in the package does.
     """
 
     start: TangentDirection
     length: float
     termination: Termination
     _rows: np.ndarray | list[float] = field(repr=False)
-    _ids: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def _from_rows(cls, start, rows, length: float, termination: Termination) -> GeodesicTrace:
-        """A trace over ``rows``: a flat list of chord values or an array of rows."""
-        chords = np.array(rows, dtype=np.float64).reshape(-1, 10)
-        chords.flags.writeable = False
-        return cls(start, length, termination, chords)
+        """A trace over ``rows``, an ``(n, 10)`` array or nested list."""
+        flat = np.array(rows, dtype=np.float64).reshape(-1)
+        flat.flags.writeable = False
+        return cls(start, length, termination, flat)
 
-    @property
+    @cached_property
     def chords(self) -> np.ndarray:
-        """The chord rows, built from the recorded steps on first read."""
+        """The chord rows; a list of values becomes an array on first read."""
         rows = self._rows
         if isinstance(rows, list):
-            rows = _chord_rows(rows, self._ids)
+            rows = np.fromiter(rows, np.float64, len(rows))
+            rows.flags.writeable = False
             object.__setattr__(self, "_rows", rows)
-        return rows
+        return rows.reshape(-1, 10)
 
     def _end(self) -> tuple[int, Vec, Vec]:
-        """The last chord's triangle id, exit point and direction, as
-        ``chords[-1]`` holds them, read from the last recorded step while
-        the rows are unbuilt: ``p + length * d`` rounds as ``_chord_rows``
-        rounds it (a product, then a sum)."""
-        if not isinstance(self._rows, list):
-            tri, _ex, _ey, ox, oy, dx, dy, _t0, _ln, _edge = self.chords[-1].tolist()
-            return int(tri), (ox, oy), (dx, dy)
-        dense, px, py, dx, dy, ln, _edge = self._rows[-7:]
-        return int(self._ids[dense]), (px + ln * dx, py + ln * dy), (dx, dy)
+        """The last chord's triangle id, exit point and direction, read
+        from ``_rows`` as it stands, so no array is built."""
+        tri, _ex, _ey, ox, oy, dx, dy = self._rows[-10:-3]
+        return int(tri), (ox, oy), (dx, dy)
 
     @cached_property
     def segments(self) -> tuple[TraceSegment, ...]:
@@ -241,34 +236,29 @@ class GeodesicTrace:
 
     def _prefix_index(self, end: float) -> ChordIndex | None:
         """The ChordIndex of the chords entering before ``end``, built
-        from the recorded steps, when some chart of them holds two
+        from the list of values alone, when some chart of them holds two
         direction classes (a chord off its chart's first direction by the
         class rule's own test) and later chords follow; else None, and
-        always None once the rows are built."""
-        steps = self._rows
-        if not isinstance(steps, list):
+        always None once the array is built."""
+        values = self._rows
+        if not isinstance(values, list):
+            return None
+        k = 10 * bisect.bisect_left(values[7::10], end)
+        if k == len(values):
             return None
         tol = PROPER_ANGLE_TOL / 4
-        firsts: dict[int, tuple[float, float]] = {}
-        t0, k, split = 0.0, 0, False
-        it = iter(steps)
-        for dense, _px, _py, dx, dy, ln, _edge in zip(*[it] * 7):
-            if not t0 < end:
-                break
-            fx, fy = firsts.setdefault(dense, (dx, dy))
-            split = split or abs(dx * fy - dy * fx) > tol
-            t0 += ln  # rounded as np.cumsum rounds t0
-            k += 7
-        if not split or k == len(steps):
-            return None
-        return _chord_index(*_step_columns(steps[:k], self._ids)[:2])
+        firsts: dict[float, tuple[float, float]] = {}
+        for tri, dx, dy in zip(values[0:k:10], values[5:k:10], values[6:k:10]):
+            fx, fy = firsts.setdefault(tri, (dx, dy))
+            if abs(dx * fy - dy * fx) > tol:
+                rows = np.fromiter(values[:k], np.float64, k).reshape(-1, 10)
+                return _chord_index(rows[:, 0], rows.T[[1, 2, 5, 6, 8, 7]])
+        return None
 
     @cached_property
     def index(self) -> ChordIndex:
         """The chords chart after chart, with their direction classes."""
-        rows = self._rows
-        if isinstance(rows, list):
-            return _chord_index(*_step_columns(rows, self._ids)[:2])
+        rows = self.chords
         return _chord_index(rows[:, 0], rows.T[[1, 2, 5, 6, 8, 7]])
 
 
@@ -287,9 +277,9 @@ class ChordIndex:
     chart c's being ``classes[c]:classes[c + 1]``, and ``label`` is each
     row's.  ``pmax[c]`` is chart c's largest ``|px|`` or ``|py|``.
     ``bands``, the sorted offsets that density reads, is built on first
-    read.  ``_chord_index`` builds it from a trace's recorded steps or from
-    its rows, bit for bit the same; the first-crossing search also builds
-    one over the steps of a trace's first part alone.
+    read.  ``_chord_index`` builds it from a trace's rows; the
+    first-crossing search also builds one over the rows of a trace's first
+    part alone.
     """
 
     tris: np.ndarray
@@ -398,23 +388,23 @@ class _TraceTables:
     (1.0 + 1e-9)`` that the crossing parameter must meet, and its length.
     ``cones[i]`` holds ``(cx, cy, class)`` of the triangle's cone corners
     only; ``ties[i][e]`` holds that triple for both ends of edge e, cone or
-    flat.  ``crossings[i][e]`` is ``(tgt, tgt_edge, m00, m01, m10, m11, tx,
-    ty, ax, ay, ux, uy, length, glo, ghi)``: the triangle and edge that edge
-    e is glued to, the chart-to-chart isometry, the target edge's start,
-    unit direction and length, to which the crossing point is snapped, and
-    the snap parameters ``(glo, ghi)`` at least ``2**-40 * (|c| + scale) /
+    flat.  ``crossings[i][e]`` is ``(tgt, tgt_id, tgt_edge, m00, m01, m10,
+    m11, tx, ty, ax, ay, ux, uy, length, glo, ghi)``: the triangle (dense
+    index, and id as the float a chord row holds) and edge that edge e is
+    glued to, the chart-to-chart isometry, the target edge's start, unit
+    direction and length, to which the crossing point is snapped, and the
+    snap parameters ``(glo, ghi)`` at least ``2**-40 * (|c| + scale) /
     sin(angle at c)`` from either end c, between which the next step may
-    take the side test.  ``ids`` maps dense index to triangle id, and
-    ``sin_min`` is the smallest sine of any corner angle.  Density reads
-    the cumulative area probabilities ``cdf``, as ``Generator.choice``
-    computes them, the corners ``corner_xy`` (3, 2, T), and each edge's
-    target triangle ``targets`` (T, 3) and matrix ``mats`` (T, 3, 6).
+    take the side test.  ``sin_min`` is the smallest sine of any corner
+    angle.  Density reads the cumulative area
+    probabilities ``cdf``, as ``Generator.choice`` computes them, the
+    corners ``corner_xy`` (3, 2, T), and each edge's target triangle
+    ``targets`` (T, 3) and isometry matrix ``mats`` (T, 3, 6).
     """
 
     def __init__(self, surface: FlatSurface):
         tris = surface.triangles
         self.id2dense = {t.id: i for i, t in enumerate(tris)}
-        self.ids = np.array([t.id for t in tris], dtype=np.float64)
         lengths = [[t.edge_length(k) for k in range(3)] for t in tris]
         norms = [[math.hypot(*c) for c in t.corners] for t in tris]
         self.scale = max(map(max, lengths))
@@ -457,14 +447,15 @@ class _TraceTables:
             for k in range(3):
                 ref, iso = surface.edge_transition(t.id, k)
                 tgt = self.id2dense[ref.tri]
-                row.append((tgt, ref.edge, *iso.matrix(), *snap[3 * tgt + ref.edge]))
+                row.append((tgt, float(ref.tri), ref.edge, *iso.matrix(), *snap[3 * tgt + ref.edge]))
             self.crossings.append(tuple(row))
         areas = np.array([t.signed_area() for t in tris])
         self.cdf = (areas / areas.sum()).cumsum()
         self.cdf /= self.cdf[-1]
         self.corner_xy = np.array(snap)[:, :2].reshape(-1, 3, 2).transpose(1, 2, 0).copy()
-        self.targets = np.array([[c[0] for c in row] for row in self.crossings])
-        self.mats = np.array([[c[2:8] for c in row] for row in self.crossings])
+        glued = [[surface.edge_transition(t.id, k) for k in range(3)] for t in tris]
+        self.targets = np.array([[self.id2dense[ref.tri] for ref, _iso in row] for row in glued])
+        self.mats = np.array([[iso.matrix() for _ref, iso in row] for row in glued])
         self.min_height = min(heights)
         self.sin_min = 1.0 / max(cosecs)
 
@@ -478,6 +469,13 @@ def _trace_tables(surface: FlatSurface) -> _TraceTables:
     if tab is None:
         tab = _TABLES[surface] = _TraceTables(surface)
     return tab
+
+
+def _triangle(surface: FlatSurface, tri: int) -> Triangle:
+    """``surface.triangle(tri)``; PointOutsideTriangle if there is none."""
+    if not surface.has_triangle(tri):
+        raise PointOutsideTriangle(f"no triangle with id {tri}")
+    return surface.triangle(tri)
 
 
 def trace(
@@ -495,20 +493,19 @@ def trace(
     vertex_clearance = float_arg("vertex_clearance", vertex_clearance, surface.tolerance)
     if not all(math.isfinite(x) for x in (*start.at.xy, *start.unit)):
         raise ValueError("start point and direction must be finite")
+    tri0 = _triangle(surface, int_arg("start triangle", start.at.tri))
     tab = _trace_tables(surface)
-    if int_arg("start triangle", start.at.tri) not in tab.id2dense:
-        raise PointOutsideTriangle(f"no triangle with id {start.at.tri}")
     tol_pt = surface.tolerance * (1.0 + tab.scale)
-    tri0 = surface.triangle(start.at.tri)
     if not tri0.contains(start.at.xy, tol=tol_pt * 10):
         raise PointOutsideTriangle(f"start point {start.at.xy} outside triangle {start.at.tri}")
     dx, dy = normalize(start.unit)
     norm_start = TangentDirection(start.at, (dx, dy))
 
-    dense = tab.id2dense[start.at.tri]
+    dense, tid = tab.id2dense[start.at.tri], float(tri0.id)
     px, py = float(start.at.xy[0]), float(start.at.xy[1])
     entry_edge = -1
     remaining = max_length
+    t0 = 0.0
     clearance2 = vertex_clearance * vertex_clearance
     t_eps = 1e-13 * (1.0 + tab.scale)
     step_budget = 50.0 * max_length / max(tab.min_height, 1e-9)
@@ -526,8 +523,7 @@ def trace(
     cones = tab.cones
     ties = tab.ties
     crossings = tab.crossings
-    steps: list[float] = []  # seven values per chord, flattened; see _chord_rows
-    vertex = None
+    rows: list[float] = []  # ten values per chord, flattened: GeodesicTrace.chords
 
     for _ in range(max_steps):
         # Exit through the candidate on the far side of the opposite corner
@@ -611,20 +607,23 @@ def trace(
                         vertex = ci
                         break
             if hit_tau is not None:
-                steps += (dense, px, py, dx, dy, hit_tau, -1)
+                rows += (tid, px, py, px + hit_tau * dx, py + hit_tau * dy, dx, dy, t0, hit_tau, -1)
+                t0 += hit_tau
+                term = Termination(VERTEX_HIT, vertex=vertex, parameter=t0)
                 break
         if remaining <= best_t:
-            steps += (dense, px, py, dx, dy, remaining, -1)
+            rows += (tid, px, py, px + remaining * dx, py + remaining * dy, dx, dy, t0, remaining, -1)
             term = Termination(LENGTH_REACHED)
             break
 
-        steps += (dense, px, py, dx, dy, best_t, best_edge)
         qx = px + best_t * dx
         qy = py + best_t * dy
+        rows += (tid, px, py, qx, qy, dx, dy, t0, best_t, best_edge)
+        t0 += best_t
         was_near = near
         remaining -= best_t
 
-        dense, entry_edge, m00, m01, m10, m11, tx, ty, ax, ay, ux, uy, elen, glo, ghi = crossings[dense][best_edge]
+        dense, tid, entry_edge, m00, m01, m10, m11, tx, ty, ax, ay, ux, uy, elen, glo, ghi = crossings[dense][best_edge]
         npx = m00 * qx + m01 * qy + tx
         npy = m10 * qx + m11 * qy + ty
         ndx = m00 * dx + m01 * dy
@@ -644,39 +643,8 @@ def trace(
         py = ay + s * uy
     else:
         term = Termination(LEFT_DOMAIN, message="step budget exceeded")
-    if vertex is None and term.kind == LENGTH_REACHED:
-        return GeodesicTrace(norm_start, max_length, term, steps, tab.ids)
-    # An early stop's parameter is where its rows end, so its rows are built
-    # now; such traces are rare.
-    chords = _chord_rows(steps, tab.ids)
-    acc = float(chords[-1, 7] + chords[-1, 8]) if len(chords) else 0.0
-    if vertex is not None:
-        term = Termination(VERTEX_HIT, vertex=vertex, parameter=acc)
-    return GeodesicTrace(norm_start, acc, term, chords)
-
-
-def _step_columns(steps: list[float], ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Triangle ids, ``(px, py, dx, dy, L, t0)`` and exit edges of a
-    trace's recorded steps ``(dense, px, py, dx, dy, length, exit_edge)``
-    (a prefix of them gives the same columns for its steps): t0 is the
-    running sum of lengths, rounded as the step loop would round it
-    (``np.cumsum`` adds left to right)."""
-    st = np.array(steps, dtype=np.float64).reshape(-1, 7).T
-    cols = np.empty((6, st.shape[1]))
-    cols[:5] = st[1:6]
-    cols[5, :1] = 0.0
-    np.cumsum(st[5, :-1], out=cols[5, 1:])
-    return ids.take(st[0].astype(np.intp)), cols, st[6]
-
-
-def _chord_rows(steps: list[float], ids: np.ndarray) -> np.ndarray:
-    """The read-only ``(n, 10)`` chord rows of a trace from its recorded
-    steps: the exit point is ``p + length * d``, rounded as the step loop
-    rounds it, and the rest are ``_step_columns``."""
-    tri, (px, py, dx, dy, ln, t0), edge = _step_columns(steps, ids)
-    rows = np.column_stack((tri, px, py, px + ln * dx, py + ln * dy, dx, dy, t0, ln, edge))
-    rows.flags.writeable = False
-    return rows
+    # An early stop ends where its rows end: t0 is then their length.
+    return GeodesicTrace(norm_start, max_length if term.kind == LENGTH_REACHED else t0, term, rows)
 
 
 def locate(trace_: GeodesicTrace, t: float) -> SurfacePoint:
@@ -720,13 +688,14 @@ def unfold(
     Returns per-segment placements (triangle id, chart-to-plane isometry)
     plus the developed endpoints of the trace, which lie on one straight
     segment.  Raises ValueError if a chord before the last records no
-    exit edge, as in a trace read from JSON.
+    exit edge, as in a trace read from JSON, and PointOutsideTriangle if a
+    chord's triangle is not on the surface.
     """
     placements: list[tuple[int, PlaneIsometry]] = []
     iso = PlaneIsometry.identity()
     rows = trace_.chords.tolist()
     for k, row in enumerate(rows):
-        tri, edge = int(row[0]), int(row[9])
+        tri, edge = _triangle(surface, int(row[0])).id, int(row[9])
         placements.append((tri, iso))
         if k + 1 < len(rows):
             if edge < 0:
@@ -753,7 +722,7 @@ def tangent_representatives(
     ``tol`` of a corner.  Fan directions for cone corners depend on the
     walk path and are only meaningful for flat marked points.
     """
-    tri = surface.triangle(point.tri)
+    tri = _triangle(surface, point.tri)
     reps: list[tuple[int, Vec, Vec]] = [(point.tri, point.xy, vector)]
     seen = {(point.tri, round(point.xy[0], 12), round(point.xy[1], 12))}
 
@@ -785,7 +754,7 @@ def reverse_check(surface: FlatSurface, start: TangentDirection, length: float) 
     Raises TraceIncomplete if either leg terminates before ``length``.  A
     leg that reaches ``length`` has at least one chord, as ``length`` is
     positive and the first step records what remains of it; each leg's end
-    is read from its last step, so neither leg builds its chord rows.
+    is read from its last row's values, so neither leg builds its array.
     """
     fwd = trace(surface, start, length)
     if fwd.termination.kind != LENGTH_REACHED:

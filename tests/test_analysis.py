@@ -374,25 +374,28 @@ def test_self_intersections_breaks_ties_across_windows_in_chart_order():
 
 
 def test_self_intersections_of_held_steps_breaks_a_tie_on_the_whole_index(monkeypatch):
-    # A trace holding its steps sees one crossing from charts 7 and 3 at
-    # t = (1, 5) bit for bit, both pairs entering before 1/8 of its
-    # length: at chart 7's (1, 0), where its first chord ends and its
-    # second starts, and at chart 3's (0, 0), where its two chords start.
+    # A trace holding its rows as a list of values sees one crossing from
+    # charts 7 and 3 at t = (1, 5) bit for bit, both pairs entering before
+    # 1/8 of its length: at chart 7's (1, 0), where its first chord ends and
+    # its second starts, and at chart 3's (0, 0), where its two chords start.
     # The first-eighth search cannot certify a tie, so the whole index
     # decides, and the merge keeps chart 7's event, which appears first.
     east, north = (1.0, 0.0), (0.0, 1.0)
-    steps = [
-        (0, (0.0, 0.0), east, 1.0),  # chart 7, t0 = 0
-        (1, (0.0, 0.0), east, 1.0),  # chart 3, t0 = 1
-        (2, (0.0, 0.0), east, 1.0),
-        (0, (1.0, -2.0), north, 2.0),  # chart 7, t0 = 3
-        (1, (0.0, 0.0), north, 1.0),  # chart 3, t0 = 5
-        (2, (0.0, 0.0), east, 100.0),
-        (2, (0.0, 0.0), east, 1.0),  # enters at 106, after 107 / 8
+    chords = [
+        (7, (0.0, 0.0), east, 1.0),  # chart 7, t0 = 0
+        (3, (0.0, 0.0), east, 1.0),  # chart 3, t0 = 1
+        (5, (0.0, 0.0), east, 1.0),
+        (7, (1.0, -2.0), north, 2.0),  # chart 7, t0 = 3
+        (3, (0.0, 0.0), north, 1.0),  # chart 3, t0 = 5
+        (5, (0.0, 0.0), east, 100.0),
+        (5, (0.0, 0.0), east, 1.0),  # enters at 106, after 107 / 8
     ]
-    flat = [x for dense, p, d, ln in steps for x in (dense, *p, *d, ln, -1)]
+    flat, t0 = [], 0.0
+    for tri, p, d, ln in chords:
+        flat += (tri, *p, p[0] + ln * d[0], p[1] + ln * d[1], *d, t0, ln, -1)
+        t0 += ln
     start = TangentDirection(SurfacePoint(7, (0.0, 0.0)), east)
-    tr = GeodesicTrace(start, 107.0, Termination(LENGTH_REACHED), flat, np.array([7.0, 3.0, 5.0]))
+    tr = GeodesicTrace(start, 107.0, Termination(LENGTH_REACHED), flat)
     indexed = spy_index(monkeypatch)
     first = IntersectionEvent(1.0, 5.0, SurfacePoint(7, (1.0, 0.0)), math.pi / 2)
     assert self_intersections(None, tr) == first
@@ -403,7 +406,7 @@ def test_self_intersections_of_held_steps_breaks_a_tie_on_the_whole_index(monkey
 def test_scan_decides_an_early_crossing_on_the_first_eighth(monkeypatch):
     # Seed 1's direction on the cube, at 400 diameters, crosses itself
     # within 0.005 of its length: the scan indexes only the chords that
-    # enter before PREFIX of the length, and builds no chord rows.
+    # enter before PREFIX of the length, and never reads the whole rows.
     s = cube_surface()
     p, length = incenter_point(s), 400.0 * diameter_estimate(s)
     indexed = spy_index(monkeypatch)
@@ -411,7 +414,7 @@ def test_scan_decides_an_early_crossing_on_the_first_eighth(monkeypatch):
     def no_rows(*args):
         raise AssertionError("chord rows built")
 
-    monkeypatch.setattr(tracer, "_chord_rows", no_rows)
+    monkeypatch.setattr(tracer.GeodesicTrace, "chords", property(no_rows))
     (row,) = direction_scan(s, p, 1, length, 0.05, 1).rows
     monkeypatch.undo()
     tr = trace(s, TangentDirection(p, (math.cos(row.angle), math.sin(row.angle))), length)

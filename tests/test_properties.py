@@ -33,10 +33,14 @@ test's margin, cross an exit edge at the edge of the tie window, or run
 nearly parallel to an edge (each of these rays starts two charts back, so
 that the chord under test is the first that may skip the corner tests),
 and with rays whose third chord starts or ends near a cone corner, at the
-edge of the corner window.  ``reverse_check``, which reads each leg's end
-from its last step, is checked against the reference that reads the last
-row of each leg's chords.  The runs are derandomized, so the suite sees
-the same examples every time.
+edge of the corner window.  The rows a trace records are checked, bit
+for bit, against numpy's rebuild of their exit points and t0 from the
+other columns, with the early-stop length, ids and exit edges, on the
+catalog, the far cube and a torus whose second chart has no way out,
+with random rays and rays aimed at a corner.  ``reverse_check``, which reads each
+leg's end from the values of its last row, is checked against the
+reference that reads the last row of each leg's chords.  The runs are
+derandomized, so the suite sees the same examples every time.
 """
 import dataclasses
 import functools
@@ -101,6 +105,7 @@ from flatgeo.surface import Triangle, build_surface, diameter_estimate, gauss_bo
 import flatgeo.tracer as tracer
 from flatgeo.tracer import (
     DEFAULT_VERTEX_CLEARANCE,
+    LEFT_DOMAIN,
     LENGTH_REACHED,
     VERTEX_HIT,
     ChordIndex,
@@ -678,6 +683,60 @@ def test_trace_matches_the_reference_loop_past_a_cone_corner(name, k, weights, m
         assert got.termination.kind == VERTEX_HIT
 
 
+@functools.cache
+def stuck_torus():
+    """A unit torus whose triangle 1 has no exit candidates: a ray that
+    enters it, or starts in it, finds no way out and leaves the domain."""
+    s = flat_torus((1.0, 0.0), (0.0, 1.0))
+    tab = tracer._TraceTables(s)
+    dense = tab.id2dense[1]
+    tab.exits[dense] = tuple((math.nan, math.nan, None, None, ()) for _ in tab.exits[dense])
+    tracer._TABLES[s] = tab
+    return s
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(oracle_surfaces()) + ["stuck-torus"]),
+    st.integers(0, 63),
+    oracle_weights,
+    st.one_of(st.floats(0.0, TWO_PI, exclude_max=True), st.integers(0, 2)),
+    st.one_of(st.floats(1e-3, 1.0), st.floats(1.0, 60.0)),
+)
+@example("cube", 0, (1.0, 1.0, 1.0), 0, 10.0)  # at a cone corner: a vertex hit
+@example("unit-torus", 1, (1.0, 2.0, 3.0), 2, 10.0)  # at a flat corner: a corner tie
+@example("stuck-torus", 0, (1.0, 1.0, 1.0), 0.9, 5.0)  # enters triangle 1 and stops there
+@example("stuck-torus", 1, (1.0, 1.0, 1.0), 0.9, 5.0)  # starts there: no chord at all
+def test_trace_rows_hold_what_the_step_loop_computed(name, k, weights, aim, length):
+    # The ray starts at a random point of a chart, at a random angle or, for
+    # an integer aim, at that corner of the chart.  Its rows obey, bit for
+    # bit: the exit point is p + length * d (a product, then a sum), t0 the
+    # running sum of lengths (np.cumsum adds left to right), an early
+    # stop's length the last row's t0 + length, the ids are the surface's,
+    # and -1 (no exit edge) is on the last row only.
+    s = stuck_torus() if name == "stuck-torus" else oracle_surfaces()[name]
+    t = s.triangles[k % len(s.triangles)]
+    p = chart_point(t, weights)
+    if isinstance(aim, int):
+        d = (t.corners[aim][0] - p[0], t.corners[aim][1] - p[1])
+    else:
+        d = (math.cos(aim), math.sin(aim))
+    tr = trace(s, TangentDirection(SurfacePoint(t.id, p), d), length)
+    assert isinstance(tr._rows, list)
+    rows = tr.chords
+    assert np.array_equal(rows[:, 3:5], rows[:, 1:3] + rows[:, 8:9] * rows[:, 5:7])
+    assert np.array_equal(rows[:, 7], np.append(0.0, np.cumsum(rows[:-1, 8]))[: len(rows)])
+    if tr.termination.kind == LENGTH_REACHED:
+        assert tr.length == length
+    else:
+        assert tr.length == (rows[-1, 7] + rows[-1, 8] if len(rows) else 0.0)
+    if tr.termination.kind == VERTEX_HIT:
+        assert tr.termination.parameter == tr.length
+    assert set(rows[:, 0].tolist()) <= {u.id for u in s.triangles}
+    assert -1 not in rows[:-1, 9]
+    assert len(rows) == 0 or (rows[-1, 9] == -1) == (tr.termination.kind != LEFT_DOMAIN)
+
+
 def entering_start(s, t, e, f, d):
     """A start in the chart across edge e of triangle t whose first step
     crosses into t at fraction f of edge e, heading along d (t's chart);
@@ -940,7 +999,7 @@ def test_the_side_test_alone_picks_every_exit_away_from_corners(name):
     st.one_of(st.floats(1e-9, 1.0), st.floats(1.0, 60.0)),
 )
 def test_reverse_check_matches_the_full_rows_reference(name, k, weights, angle, length):
-    # Each leg's end read from its last step gives the residual, inf
+    # Each leg's end read from its last row's values gives the residual, inf
     # included, that the last row of its full chords gives, and the same
     # legs stop at a cone point.
     s = oracle_surfaces()[name]

@@ -6,11 +6,12 @@ import pytest
 
 from conftest import edge_midpoint_tangent, incenter_point, is_identity
 
+from flatgeo.analysis import closed_geodesic_detect, density_estimate
 from flatgeo.builders import PolygonSpec, cube_surface, double_of_polygon, flat_torus, isosceles_tetrahedron
 from flatgeo.errors import ParameterOutOfRange, PointOutsideTriangle, TraceIncomplete
 from flatgeo.geometry import PlaneIsometry
 from flatgeo.jsonio import trace_from_json, trace_to_json
-from flatgeo.render import CONE_COLOR, render_surface
+from flatgeo.render import CONE_COLOR, render_surface, render_unfolded
 from flatgeo.surface import Triangle, build_surface
 import flatgeo.tracer as tracer
 from flatgeo.tracer import (
@@ -206,16 +207,16 @@ def test_reverse_check_builds_no_chord_rows(catalog_surfaces, monkeypatch):
     def no_rows(*args):
         raise AssertionError("chord rows built")
 
-    monkeypatch.setattr(tracer, "_chord_rows", no_rows)
+    monkeypatch.setattr(tracer.GeodesicTrace, "chords", property(no_rows))
     for s in catalog_surfaces.values():
         start = TangentDirection(incenter_point(s), (math.cos(0.7), math.sin(0.7)))
         assert reverse_check(s, start, 20.0) < 1e-6
 
 
 def test_trace_end_is_the_last_chord_row(catalog_surfaces, torus, monkeypatch):
-    # _end reads the last step while the rows are unbuilt, and the rows
-    # once they are, for every termination kind and for traces made from
-    # rows (read from JSON, truncated).
+    # _end reads the last row's values from the list, and from the array
+    # once the rows are read, for every termination kind and for traces
+    # read from JSON or truncated.
     def last_row(tr):
         tri, _ex, _ey, ox, oy, dx, dy, _t0, _ln, _edge = tr.chords[-1].tolist()
         return int(tri), (ox, oy), (dx, dy)
@@ -235,13 +236,33 @@ def test_trace_end_is_the_last_chord_row(catalog_surfaces, torus, monkeypatch):
         for angle in (0.4, 2.9):
             tr = trace(s, TangentDirection(incenter_point(s), (math.cos(angle), math.sin(angle))), 30.0)
             if tr.termination.kind == LENGTH_REACHED:
-                assert isinstance(tr._rows, list)  # the steps, until the rows are read
+                assert isinstance(tr._rows, list)  # the values, until the rows are read
                 end = tr._end()
-                assert end == last_row(tr) and tr._rows is tr.chords
+                assert end == last_row(tr) and tr.chords.base is tr._rows
             traces += [tr, trace_from_json(trace_to_json(tr)), truncate(tr, 0.5 * tr.length)]
     assert {tr.termination.kind for tr in traces} == {LENGTH_REACHED, VERTEX_HIT, LEFT_DOMAIN}
     for tr in traces:
         assert tr._end() == last_row(tr)
+
+
+FOREIGN_TRACE_READERS = {
+    "density_estimate": lambda s, tr: density_estimate(s, tr, 0.05, 100, 1),
+    "closed_geodesic_detect": closed_geodesic_detect,
+    "render_unfolded": render_unfolded,
+    "unfold": unfold,
+}
+
+
+@pytest.mark.parametrize("reader", FOREIGN_TRACE_READERS)
+def test_a_trace_on_a_triangle_the_surface_lacks_is_refused(catalog_surfaces, reader):
+    # An example1 trace in its triangle 18, read back from JSON, handed
+    # with the cube, whose triangles are 0 to 11.
+    ex = catalog_surfaces["example1"]
+    a, b, c = ex.triangle(18).corners
+    centroid = ((a[0] + b[0] + c[0]) / 3.0, (a[1] + b[1] + c[1]) / 3.0)
+    tr = trace_from_json(trace_to_json(trace(ex, TangentDirection(SurfacePoint(18, centroid), (1.0, 0.0)), 0.001)))
+    with pytest.raises(PointOutsideTriangle, match="^no triangle with id 18$"):
+        FOREIGN_TRACE_READERS[reader](cube_surface(), tr)
 
 
 def test_start_outside_triangle_raises(torus):
