@@ -7,17 +7,16 @@ classes, or in a wide class, can cross; each time window of the chords is
 paired with the earlier chords of its chart in one numpy kernel over
 every chart at once, and the events sorted and merged as numpy columns,
 the windows doubling until the earliest crossing is certain; it is the
-one ``IntersectionEvent`` built.  A trace whose rows are still a list
-of values is first searched up to an eighth of its length on an index of
-those chords alone, which decides most crossing rays; the whole trace's
-index is built only when that cannot.  Density measures each sample
+one ``IntersectionEvent`` built.  Every trace is first searched up to an
+eighth of its length on an index of those chords alone, whatever was read
+of it before, which decides most crossing rays; the whole trace's index
+is built only when that cannot.  Density measures each sample
 against the two chords nearest its offset first, and only the samples
 still uncovered against the chords in their band of each class.  This
 module is the performance core.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -49,9 +48,9 @@ EVENT_MERGE_TOL = 1e-7
 # The self-intersection search first pairs the chords entering before this
 # fraction of the trace length, then doubles the window; events are certain
 # below its end less the merge tolerance and this relative margin, far
-# above the kernel's slack.  A trace that holds its steps is first searched
-# up to PREFIX of its length, a power of two times FIRST_WINDOW, on an
-# index of those chords alone.
+# above the kernel's slack.  Every trace is first searched up to PREFIX of
+# its length, a power of two times FIRST_WINDOW, on an index of those
+# chords alone.
 FIRST_WINDOW = 1 / 64
 WINDOW_MARGIN = 1e-9
 PREFIX = 1 / 8
@@ -269,11 +268,11 @@ def self_intersections(surface: FlatSurface, trace_: GeodesicTrace) -> Intersect
     the smallest (t2, t1), the first in that walk on ties.  ``surface`` is
     not read: the chords carry their chart coordinates.
 
-    While the trace's rows are still a list of values, the chords entering
-    before ``end``, PREFIX of its length, are first searched on an index of
-    their own, ``trace_._prefix_index(end)``.  If it has none (no chart of
-    them holds two classes), or that search cannot decide, ``trace_.index``
-    is searched with ``end`` infinite.  Both searches are ``_earliest``.
+    The chords entering before ``end``, PREFIX of the length, are first
+    searched on their own index, ``trace_._prefix_index(end)``, whether or
+    not ``chords`` was read.  If it has none (no chart of them holds two
+    classes), or that search cannot decide, ``trace_.index`` is searched
+    with ``end`` infinite.  Both searches are ``_earliest``.
 
     The search is exact.  After each window, every pair of chords entering
     before ``reach`` is known, with the event the whole trace's pairing
@@ -320,13 +319,15 @@ def self_intersections(surface: FlatSurface, trace_: GeodesicTrace) -> Intersect
     return _earliest(trace_.index, trace_.length, math.inf)
 
 
-@functools.lru_cache(maxsize=1)
 def _sample_points(surface: FlatSurface, samples: int, seed: int):
     """Area-uniform points, deterministic in seed: read-only ``(tri, x,
     y)``, each point's dense triangle index and chart coordinates, in the
     order drawn.  A scan measures every simple direction against the same
-    set, so the last one is kept."""
+    set, so the surface's trace tables keep the last draw."""
     tab = _trace_tables(surface)
+    drawn, drawn_seed, points = tab.draw
+    if (drawn, drawn_seed) == (samples, seed):
+        return points
     rng = np.random.default_rng(seed)
     tri = tab.cdf.searchsorted(rng.random(samples), side="right")  # rng.choice(p=...)'s draw
     u = np.sqrt(rng.uniform(size=samples))
@@ -335,6 +336,7 @@ def _sample_points(surface: FlatSurface, samples: int, seed: int):
     out = (tri, *(a * (1 - u) + b * (u * (1 - v)) + c * (u * v)))
     for col in out:
         col.flags.writeable = False
+    tab.draw = (samples, seed, out)
     return out
 
 
@@ -440,7 +442,7 @@ def closed_geodesic_detect(surface: FlatSurface, trace_: GeodesicTrace) -> float
     for tri, xy, v in reps:
         by_tri.setdefault(tri, []).append((xy, v))
     best: float | None = None
-    for tri, ex, ey, _ox, _oy, dx, dy, t0, ln, _edge in trace_.chords.tolist():
+    for tri, ex, ey, _ox, _oy, dx, dy, t0, ln, _edge in trace_._chord_values():
         if best is not None and t0 > best:
             break
         for xy, v in by_tri.get(int(tri), ()):

@@ -108,12 +108,10 @@ def _termination_parse(s: str) -> Termination:
 
 
 def trace_to_json(trace_: GeodesicTrace, extra: dict[str, float | None] | None = None) -> str:
-    segs = []
-    for tri, ex, ey, ox, oy, *_rest in trace_.chords.tolist():
-        segs.append(
-            f'{{"tri": {int(tri)}, "in": [{_num(ex)}, {_num(ey)}], '
-            f'"out": [{_num(ox)}, {_num(oy)}]}}'
-        )
+    segs = [
+        f'{{"tri": {int(tri)}, "in": [{_num(ex)}, {_num(ey)}], "out": [{_num(ox)}, {_num(oy)}]}}'
+        for tri, ex, ey, ox, oy, *_rest in trace_._chord_values()
+    ]
     body = (
         '{"segments": ['
         + ", ".join(segs)

@@ -112,8 +112,10 @@ after it always run them.  A skipped test would not have fired:
 """
 from __future__ import annotations
 
+import array
 import bisect
 import math
+import numbers
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -137,10 +139,6 @@ MAX_STEPS = 10**7
 PROPER_ANGLE_TOL = 1e-6
 MAX_CLASSES = 8
 
-# check_trace's bound on chained entry points, and on lengths relative to 1 + length.
-CHECK_TOL = 1e-7
-# check_trace's bound on chord and transported directions (unit vectors).
-CHECK_DIRECTION_TOL = 1e-6
 # locate accepts arc lengths this far outside [0, length], relative to 1 + length.
 LOCATE_SLACK = 1e-9
 
@@ -182,42 +180,38 @@ class Termination:
 
 @dataclass(frozen=True, eq=False)
 class GeodesicTrace:
-    """A traced geodesic, read as one read-only ``(n, 10)`` float64 array.
+    """A traced geodesic, recorded as ten values per chord.
 
-    Row k of ``chords`` is the k-th chord: triangle id, entry x/y, exit
-    x/y, unit direction x/y, arc parameter t0 at entry, length, and the
-    edge crossed at the exit (-1 where the trace stops).  ``_rows`` holds
-    the rows' values in one flat list, ten per chord, as ``trace`` and
-    ``flatgeo.jsonio`` write them, until ``chords`` is first read; it then
-    holds them as a flat read-only array.  ``_from_rows`` makes a trace of
-    ``(n, 10)`` rows.  ``index``, the ChordIndex that ``flatgeo.analysis``
-    reads, is built from the rows on first read; ``_prefix_index`` builds
-    the index of a first part of an unread list alone.  ``segments``, the
-    rows as TraceSegment objects, is built only for callers that read it;
-    nothing in the package does.
+    Chord k's values are ``_rows[10 * k:10 * k + 10]``: triangle id, entry
+    x/y, exit x/y, unit direction x/y, arc parameter t0 at entry, length,
+    and the edge crossed at the exit (-1 where the trace stops), in one
+    flat list as ``trace`` and ``flatgeo.jsonio`` write them.  Readers walk
+    the record in place; only ``chords``, the rows as one read-only ``(n,
+    10)`` float64 array, changes its container.  ``index``, the ChordIndex
+    that ``flatgeo.analysis`` reads, is built from ``chords`` on first
+    read, and ``_prefix_index`` builds that of a first part of the record.
+    ``segments``, the rows as TraceSegment objects, is built only for
+    callers that read it; nothing in the package does.
     """
 
     start: TangentDirection
     length: float
     termination: Termination
-    _rows: np.ndarray | list[float] = field(repr=False)
-
-    @classmethod
-    def _from_rows(cls, start, rows, length: float, termination: Termination) -> GeodesicTrace:
-        """A trace over ``rows``, an ``(n, 10)`` array or nested list."""
-        flat = np.array(rows, dtype=np.float64).reshape(-1)
-        flat.flags.writeable = False
-        return cls(start, length, termination, flat)
+    _rows: list[float] | array.array = field(repr=False)
 
     @cached_property
     def chords(self) -> np.ndarray:
-        """The chord rows; a list of values becomes an array on first read."""
-        rows = self._rows
-        if isinstance(rows, list):
-            rows = np.fromiter(rows, np.float64, len(rows))
-            rows.flags.writeable = False
-            object.__setattr__(self, "_rows", rows)
-        return rows.reshape(-1, 10)
+        """The rows, a read-only view of the record: a list of values is
+        handed to an ``array("d")``, whose items read back as the same floats."""
+        if isinstance(self._rows, list):
+            record = array.array("d")
+            record.fromlist(self._rows)  # faster than array("d", list), but it over-allocates,
+            object.__setattr__(self, "_rows", record[:])  # so keep an exact copy
+        return np.frombuffer(memoryview(self._rows).toreadonly(), np.float64).reshape(-1, 10)
+
+    def _chord_values(self):
+        """Each chord's ten values, a tuple per chord, read in place."""
+        return zip(*[iter(self._rows)] * 10)
 
     def _end(self) -> tuple[int, Vec, Vec]:
         """The last chord's triangle id, exit point and direction, read
@@ -228,21 +222,16 @@ class GeodesicTrace:
     @cached_property
     def segments(self) -> tuple[TraceSegment, ...]:
         return tuple(
-            TraceSegment(
-                int(tri), (ex, ey), (ox, oy), (dx, dy), t0, ln, None if edge < 0 else int(edge)
-            )
-            for tri, ex, ey, ox, oy, dx, dy, t0, ln, edge in self.chords.tolist()
+            TraceSegment(int(tri), (ex, ey), (ox, oy), (dx, dy), t0, ln, None if edge < 0 else int(edge))
+            for tri, ex, ey, ox, oy, dx, dy, t0, ln, edge in self._chord_values()
         )
 
     def _prefix_index(self, end: float) -> ChordIndex | None:
         """The ChordIndex of the chords entering before ``end``, built
-        from the list of values alone, when some chart of them holds two
-        direction classes (a chord off its chart's first direction by the
-        class rule's own test) and later chords follow; else None, and
-        always None once the array is built."""
+        from the record alone, when some chart of them holds two direction
+        classes (a chord off its chart's first direction by the class
+        rule's own test) and later chords follow; else None."""
         values = self._rows
-        if not isinstance(values, list):
-            return None
         k = 10 * bisect.bisect_left(values[7::10], end)
         if k == len(values):
             return None
@@ -399,7 +388,8 @@ class _TraceTables:
     angle.  Density reads the cumulative area
     probabilities ``cdf``, as ``Generator.choice`` computes them, the
     corners ``corner_xy`` (3, 2, T), and each edge's target triangle
-    ``targets`` (T, 3) and isometry matrix ``mats`` (T, 3, 6).
+    ``targets`` (T, 3) and isometry matrix ``mats`` (T, 3, 6), and keeps
+    its last sample draw in ``draw``, ``(samples, seed, points)``.
     """
 
     def __init__(self, surface: FlatSurface):
@@ -458,6 +448,7 @@ class _TraceTables:
         self.mats = np.array([[iso.matrix() for _ref, iso in row] for row in glued])
         self.min_height = min(heights)
         self.sin_min = 1.0 / max(cosecs)
+        self.draw = (0, 0, None)
 
 
 _TABLES: weakref.WeakKeyDictionary[FlatSurface, _TraceTables] = weakref.WeakKeyDictionary()
@@ -649,35 +640,39 @@ def trace(
 
 def locate(trace_: GeodesicTrace, t: float) -> SurfacePoint:
     """Point at arc length t, by linear interpolation in the owning segment."""
+    if isinstance(t, bool) or not isinstance(t, numbers.Real):
+        raise ParameterOutOfRange(f"t={t!r} is not a real number")
     slack = LOCATE_SLACK * (1.0 + trace_.length)
     if not -slack <= t <= trace_.length + slack:
         raise ParameterOutOfRange(f"t={t!r} outside [0, {trace_.length!r}]")
-    n = len(trace_.chords)
-    if not n:
+    rows = trace_._rows
+    if not rows:
         raise ParameterOutOfRange("empty trace")
-    t = min(max(t, 0.0), trace_.length)
-    i = int(np.searchsorted(trace_.chords[:, 7], t, side="right")) - 1
-    tri, ex, ey, _ox, _oy, dx, dy, t0, ln, _edge = trace_.chords[max(0, min(i, n - 1))].tolist()
+    t = min(max(float(t), 0.0), trace_.length)
+    k = 10 * max(0, bisect.bisect_right(rows[7::10], t) - 1)
+    tri, ex, ey, _ox, _oy, dx, dy, t0, ln, _edge = rows[k : k + 10]
     tau = min(max(t - t0, 0.0), ln)
     return SurfacePoint(int(tri), (ex + tau * dx, ey + tau * dy))
 
 
 def truncate(trace_: GeodesicTrace, length: float) -> GeodesicTrace:
     """Prefix of a trace up to the given arc length."""
+    if isinstance(length, bool) or not isinstance(length, numbers.Real):
+        raise ParameterOutOfRange(f"length {length!r} is not a real number")
     if not length >= 0:
         raise ParameterOutOfRange(f"length {length!r} is negative or NaN")
     if length >= trace_.length:
         return trace_
+    length = float(length)
     # The chords entered before ``length``; only the last can be cut short.
-    rows = trace_.chords[: int(np.searchsorted(trace_.chords[:, 7], length, side="left"))]
-    if len(rows):
-        _tri, ex, ey, _ox, _oy, dx, dy, t0, seg_len, _edge = rows[-1].tolist()
+    rows = trace_._rows
+    cut = rows[: 10 * bisect.bisect_left(rows[7::10], length)]
+    if cut:
+        _tri, ex, ey, _ox, _oy, dx, dy, t0, seg_len, _edge = cut[-10:]
         ln = min(seg_len, length - t0)
         if ln < seg_len:
-            rows = rows.copy()
-            rows[-1, 3:5] = (ex + ln * dx, ey + ln * dy)
-            rows[-1, 8:] = (ln, -1)
-    return GeodesicTrace._from_rows(trace_.start, rows, length, Termination(LENGTH_REACHED))
+            cut[-7], cut[-6], cut[-2], cut[-1] = ex + ln * dx, ey + ln * dy, ln, -1
+    return GeodesicTrace(trace_.start, length, Termination(LENGTH_REACHED), cut)
 
 
 def unfold(
@@ -693,11 +688,11 @@ def unfold(
     """
     placements: list[tuple[int, PlaneIsometry]] = []
     iso = PlaneIsometry.identity()
-    rows = trace_.chords.tolist()
-    for k, row in enumerate(rows):
+    rows = trace_._rows
+    for k, row in enumerate(trace_._chord_values()):
         tri, edge = _triangle(surface, int(row[0])).id, int(row[9])
         placements.append((tri, iso))
-        if k + 1 < len(rows):
+        if 10 * k + 10 < len(rows):
             if edge < 0:
                 raise ValueError(f"chord {k} records no exit edge, so the trace cannot be unfolded")
             _, step = surface.edge_transition(tri, edge)
@@ -705,8 +700,7 @@ def unfold(
     if not rows:
         p = trace_.start.at.xy
         return placements, p, p
-    first, last = rows[0], rows[-1]
-    return placements, (first[1], first[2]), placements[-1][1].apply((last[3], last[4]))
+    return placements, (rows[1], rows[2]), iso.apply((rows[-7], rows[-6]))
 
 
 def tangent_representatives(
@@ -773,30 +767,3 @@ def reverse_check(surface: FlatSurface, start: TangentDirection, length: float) 
             best = min(best, math.hypot(xy[0] - sx, xy[1] - sy))
     return best
 
-
-def check_trace(surface: FlatSurface, trace_: GeodesicTrace) -> None:
-    """Assert chord chaining, direction transport and length bookkeeping
-    over the rows of ``trace_.chords``, points and lengths to within
-    CHECK_TOL and directions to within CHECK_DIRECTION_TOL.
-    Every chord before the last must record the edge it leaves by."""
-    rows = trace_.chords.tolist()
-    total = 0.0
-    for i, (tri, ex, ey, ox, oy, dx, dy, _t0, length, edge) in enumerate(rows):
-        v = (ox - ex, oy - ey)
-        ln = math.hypot(v[0], v[1])
-        assert abs(ln - length) <= CHECK_TOL * (1 + ln), "segment length mismatch"
-        if ln > CHECK_TOL:
-            off = math.hypot(v[0] / ln - dx, v[1] / ln - dy)
-            assert off <= CHECK_DIRECTION_TOL, "direction disagrees with chord"
-        total += length
-        if i + 1 < len(rows):
-            assert edge >= 0, "chord before the last records no exit edge"
-            ntri, nex, ney, _nox, _noy, ndx, ndy = rows[i + 1][:7]
-            ref, iso = surface.edge_transition(int(tri), int(edge))
-            assert ref.tri == ntri, "transition target mismatch"
-            img = iso.apply((ox, oy))
-            assert math.hypot(img[0] - nex, img[1] - ney) <= CHECK_TOL, "chained entry point mismatch"
-            dimg = iso.apply_vector((dx, dy))
-            off = math.hypot(dimg[0] - ndx, dimg[1] - ndy)
-            assert off <= CHECK_DIRECTION_TOL, "direction transport mismatch"
-    assert abs(total - trace_.length) <= CHECK_TOL * (1 + trace_.length), "length sum mismatch"

@@ -58,6 +58,47 @@ def incenter_point(surface, tri_id=None) -> SurfacePoint:
     )
 
 
+def trace_of_rows(start, rows, length: float, termination) -> GeodesicTrace:
+    """A trace whose record is ``rows``, an ``(n, 10)`` array or nested
+    list, or a flat list of ten values per chord, held as ``trace`` holds
+    its record: a flat list of floats."""
+    return GeodesicTrace(start, length, termination, np.asarray(rows, np.float64).reshape(-1).tolist())
+
+
+# check_trace's bound on chained entry points, and on lengths relative to 1 + length.
+CHECK_TOL = 1e-7
+# check_trace's bound on chord and transported directions (unit vectors).
+CHECK_DIRECTION_TOL = 1e-6
+
+
+def check_trace(surface: FlatSurface, trace_: GeodesicTrace) -> None:
+    """Assert chord chaining, direction transport and length bookkeeping
+    over the rows of ``trace_.chords``, points and lengths to within
+    CHECK_TOL and directions to within CHECK_DIRECTION_TOL.
+    Every chord before the last must record the edge it leaves by."""
+    rows = trace_.chords.tolist()
+    total = 0.0
+    for i, (tri, ex, ey, ox, oy, dx, dy, _t0, length, edge) in enumerate(rows):
+        v = (ox - ex, oy - ey)
+        ln = math.hypot(v[0], v[1])
+        assert abs(ln - length) <= CHECK_TOL * (1 + ln), "segment length mismatch"
+        if ln > CHECK_TOL:
+            off = math.hypot(v[0] / ln - dx, v[1] / ln - dy)
+            assert off <= CHECK_DIRECTION_TOL, "direction disagrees with chord"
+        total += length
+        if i + 1 < len(rows):
+            assert edge >= 0, "chord before the last records no exit edge"
+            ntri, nex, ney, _nox, _noy, ndx, ndy = rows[i + 1][:7]
+            ref, iso = surface.edge_transition(int(tri), int(edge))
+            assert ref.tri == ntri, "transition target mismatch"
+            img = iso.apply((ox, oy))
+            assert math.hypot(img[0] - nex, img[1] - ney) <= CHECK_TOL, "chained entry point mismatch"
+            dimg = iso.apply_vector((dx, dy))
+            off = math.hypot(dimg[0] - ndx, dimg[1] - ndy)
+            assert off <= CHECK_DIRECTION_TOL, "direction transport mismatch"
+    assert abs(total - trace_.length) <= CHECK_TOL * (1 + trace_.length), "length sum mismatch"
+
+
 def edge_midpoint_tangent(surface, tri_id, edge, angle_to_edge):
     """Tangent at an edge midpoint, rotated from the edge direction."""
     t = surface.triangle(tri_id)
@@ -648,7 +689,7 @@ def reference_trace(
         entry_edge = tedge
     else:
         term = Termination(LEFT_DOMAIN, message="step budget exceeded")
-    return GeodesicTrace._from_rows(norm_start, rows, acc, term)
+    return trace_of_rows(norm_start, rows, acc, term)
 
 
 def reference_reverse_check(surface: FlatSurface, start: TangentDirection, length: float) -> float:

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import math
 import re
+import weakref
 from collections import Counter
 from itertools import combinations
 
@@ -18,6 +20,7 @@ from conftest import (
     reference_first_event,
     reference_self_intersections,
     segments_intersect,
+    trace_of_rows,
 )
 
 import flatgeo.analysis as analysis
@@ -48,6 +51,7 @@ from flatgeo.builders import (
 )
 from flatgeo.errors import CoincidentMidpoints, NotConvex
 from flatgeo.geometry import cross, unsigned_angle
+from flatgeo.jsonio import trace_to_json
 from flatgeo.surface import diameter_estimate
 import flatgeo.tracer as tracer
 from flatgeo.tracer import (
@@ -317,12 +321,12 @@ def test_self_intersections_returns_none_without_a_crossing(monkeypatch):
     # chart: tau starts at infinity, so one window pairs both rows.
     rows = [(5, 0.1, 0.1, 0.1, 0.1, 1.0, 0.0, 0.0, 0.0, 0), (5, 0.1, 0.1, 0.1, 0.1, 0.0, 1.0, 0.0, 0.0, -1)]
     start = TangentDirection(SurfacePoint(5, (0.1, 0.1)), (1.0, 0.0))
-    tr = GeodesicTrace._from_rows(start, rows, 0.0, Termination(LENGTH_REACHED))
+    tr = trace_of_rows(start, rows, 0.0, Termination(LENGTH_REACHED))
     assert self_intersections(None, tr) is None
     assert [w.tolist() for w in windows] == [[0, 1]]
     # A stated length whose first window underflows to zero is one window
     # too, not a window that never grows.
-    tr = GeodesicTrace._from_rows(start, rows, 5e-324, Termination(LENGTH_REACHED))
+    tr = trace_of_rows(start, rows, 5e-324, Termination(LENGTH_REACHED))
     assert analysis.FIRST_WINDOW * tr.length == 0.0
     assert self_intersections(None, tr) is None
     assert [w.tolist() for w in windows] == [[0, 1], [0, 1]]
@@ -365,7 +369,7 @@ def test_self_intersections_breaks_ties_across_windows_in_chart_order():
         row(7, (2.0, -1.0), north, 2.0, 4.5),
         row(3, (2.0, -1.0), north, 2.0, 4.5),
     ]
-    tr = GeodesicTrace._from_rows(
+    tr = trace_of_rows(
         TangentDirection(SurfacePoint(7, (0.0, 100.0)), east), rows, 64.0, Termination(LENGTH_REACHED)
     )
     first = IntersectionEvent(3.5, 5.5, SurfacePoint(7, (2.0, 0.0)), math.pi / 2)
@@ -423,6 +427,35 @@ def test_scan_decides_an_early_crossing_on_the_first_eighth(monkeypatch):
     assert indexed == [np.count_nonzero(tr.chords[:, 7] < analysis.PREFIX * length)] and indexed[0] < len(tr.chords)
 
 
+FIRST_READS = {
+    "nothing": lambda tr: None,
+    "chords": lambda tr: tr.chords,
+    "segments": lambda tr: tr.segments,
+    "locate": lambda tr: locate(tr, 0.0),
+    "trace_to_json": trace_to_json,
+}
+
+
+@pytest.mark.parametrize("name, angle", [("cube", 0.3), ("example1", 0.3), ("unit-torus", 0.7)])
+def test_the_first_crossing_search_does_not_depend_on_what_was_read_first(catalog_surfaces, monkeypatch, name, angle):
+    # The cube and example1 rays cross themselves within their first eighth
+    # at 400 diameters; the torus ray never does.  Whatever a caller reads
+    # first, the search returns the same event and builds the same indexes.
+    s = catalog_surfaces[name]
+    start, length = TangentDirection(incenter_point(s), (math.cos(angle), math.sin(angle))), 400.0 * diameter_estimate(s)
+    indexed = spy_index(monkeypatch)
+    seen = []
+    for read in FIRST_READS.values():
+        tr = trace(s, start, length)
+        read(tr)
+        seen.append((self_intersections(s, tr), list(indexed)))
+        indexed.clear()
+    first, sizes = seen[0]
+    assert all(got == seen[0] for got in seen)
+    assert (first is None) == (name == "unit-torus") and len(sizes) == 1
+    assert sizes[0] == len(tr.chords) if first is None else sizes[0] < len(tr.chords) / 4
+
+
 # --- density --------------------------------------------------------------------
 
 
@@ -459,6 +492,27 @@ def test_density_monotone_in_length():
         for L in (5.0, 15.0, 40.0, 120.0)
     ]
     assert fracs == sorted(fracs)
+
+
+def test_the_sample_draw_dies_with_its_surface():
+    s = flat_torus((1.0, 0.0), (0.3, 1.0))
+    tr = trace(s, TangentDirection(incenter_point(s), (0.6, 0.8)), 5.0)
+    density_estimate(s, tr, 0.05, 100, 1)
+    alive = weakref.ref(s)
+    del s, tr
+    gc.collect()
+    assert alive() is None
+
+
+def test_a_scan_draws_its_samples_once(monkeypatch):
+    # A fresh parallel surface: every direction is simple, and all twenty
+    # are measured against one draw, at seed + 1.
+    s = flat_torus((1.0, 0.0), (0.3, 1.0))
+    seeds = []
+    make = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or make(seed))
+    res = direction_scan(s, incenter_point(s), 20, 10.0, 0.05, 3)
+    assert res.counts() == {"simple": 20} and seeds == [3, 4]
 
 
 def assert_band_matches_dense(s, tr, epsilon, samples, seed=1):

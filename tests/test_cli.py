@@ -18,6 +18,7 @@ from flatgeo.cli import main
 from flatgeo.errors import MalformedSurface, MalformedTrace
 from flatgeo.jsonio import surface_from_json, surface_to_json, trace_from_json
 from flatgeo.render import render_surface, render_unfolded
+import flatgeo.tracer as tracer
 from flatgeo.tracer import SurfacePoint, TangentDirection, trace
 
 
@@ -297,6 +298,21 @@ def test_trace_reports_closed_period(catalog_dir, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["termination"] == "length_reached"
     assert out["closed_period"] == pytest.approx(math.sqrt(5.0), abs=1e-9)
+
+
+def test_trace_command_reads_no_chord_array(catalog_dir, tmp_path, capsys, monkeypatch):
+    # The JSON, the closed period and the SVG read the trace's record in
+    # place; none of them builds its array.
+    argv = ["trace", str(catalog_dir / "cube.json"), "--angle", "0.3", "--length", "20", "--svg", str(tmp_path / "t.svg")]
+    assert main(argv) == 0
+    want = capsys.readouterr().out, (tmp_path / "t.svg").read_text()
+
+    def no_rows(*args):
+        raise AssertionError("chord rows built")
+
+    monkeypatch.setattr(tracer.GeodesicTrace, "chords", property(no_rows))
+    assert main(argv) == 0
+    assert (capsys.readouterr().out, (tmp_path / "t.svg").read_text()) == want
 
 
 def test_trace_vertex_hit_termination(catalog_dir, capsys):

@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import edge_midpoint_tangent, incenter_point, is_identity
+from conftest import check_trace, edge_midpoint_tangent, incenter_point, is_identity
 
 from flatgeo.analysis import closed_geodesic_detect, density_estimate
 from flatgeo.builders import PolygonSpec, cube_surface, double_of_polygon, flat_torus, isosceles_tetrahedron
@@ -21,7 +22,6 @@ from flatgeo.tracer import (
     SurfacePoint,
     TangentDirection,
     _trace_tables,
-    check_trace,
     locate,
     reverse_check,
     trace,
@@ -85,6 +85,19 @@ def test_nan_parameter_is_out_of_range(torus, cut):
     tr = trace(torus, TangentDirection(SurfacePoint(0, (0.5, 0.5)), (1.0, 0.0)), 2.0)
     with pytest.raises(ParameterOutOfRange):
         cut(tr, math.nan)
+
+
+@pytest.mark.parametrize("value", [True, "1", None])
+@pytest.mark.parametrize("cut", [locate, truncate])
+def test_a_bool_or_non_real_parameter_is_out_of_range(torus, cut, value):
+    # A bool is no arc length, though it compares as one; neither is a
+    # string or None.  The error names the value.  A numpy real is one,
+    # and a truncated trace's length is a float.
+    tr = trace(torus, TangentDirection(SurfacePoint(0, (0.5, 0.5)), (1.0, 0.0)), 2.0)
+    with pytest.raises(ParameterOutOfRange, match=re.escape(repr(value))):
+        cut(tr, value)
+    assert type(truncate(tr, np.float64(1.5)).length) is float
+    assert locate(tr, np.float64(1.25)) == locate(tr, 1.25)
 
 
 def test_locate_local_isometry(torus, tetra):
@@ -238,7 +251,7 @@ def test_trace_end_is_the_last_chord_row(catalog_surfaces, torus, monkeypatch):
             if tr.termination.kind == LENGTH_REACHED:
                 assert isinstance(tr._rows, list)  # the values, until the rows are read
                 end = tr._end()
-                assert end == last_row(tr) and tr.chords.base is tr._rows
+                assert end == last_row(tr) and np.shares_memory(tr.chords, tr._rows)
             traces += [tr, trace_from_json(trace_to_json(tr)), truncate(tr, 0.5 * tr.length)]
     assert {tr.termination.kind for tr in traces} == {LENGTH_REACHED, VERTEX_HIT, LEFT_DOMAIN}
     for tr in traces:
