@@ -36,7 +36,6 @@ from .tracer import (
     SurfacePoint,
     TangentDirection,
     _trace_tables,
-    _triangle,
     tangent_representatives,
     trace,
 )
@@ -61,6 +60,9 @@ PAIR_BATCH = 1 << 14
 
 # Most directions one scan may draw; its angle array is sized by n.
 MAX_DIRECTIONS = 10**6
+# Most density samples one draw may take: the draw allocates several float
+# arrays of this length, 80 MB each at the bound.
+MAX_SAMPLES = 10**7
 
 # A chord within this of the start tangent, in distance and in direction,
 # closes the geodesic.
@@ -99,18 +101,6 @@ def lap_criterion(pair: SegmentPair) -> bool:
     lhs = d * max(abs(math.sin(pair.alpha1)), abs(math.sin(pair.alpha2)))
     rhs = pair.half_length * abs(math.sin(delta))
     return lhs <= rhs
-
-
-def segment_pair_endpoints(pair: SegmentPair) -> tuple[Vec, Vec, Vec, Vec]:
-    """Realize a SegmentPair as explicit planar segments (a1,b1,a2,b2)."""
-    base = math.atan2(pair.m2[1] - pair.m1[1], pair.m2[0] - pair.m1[0])
-    out = []
-    for m, alpha in ((pair.m1, pair.alpha1), (pair.m2, pair.alpha2)):
-        ux, uy = math.cos(base + alpha), math.sin(base + alpha)
-        ln = pair.half_length
-        out.append((m[0] - ln * ux, m[1] - ln * uy))
-        out.append((m[0] + ln * ux, m[1] + ln * uy))
-    return out[0], out[1], out[2], out[3]
 
 
 @dataclass(frozen=True)
@@ -380,7 +370,7 @@ def _covered(surface: FlatSurface, trace_: GeodesicTrace, epsilon: float, sample
     if not len(ix.tris):
         return np.zeros(samples, dtype=bool)
     chart_of = np.full(len(tab.id2dense), -1)
-    chart_of[[tab.id2dense[_triangle(surface, t).id] for t in ix.tris.tolist()]] = np.arange(len(ix.tris))
+    chart_of[[tab.id2dense[surface.triangle(t).id] for t in ix.tris.tolist()]] = np.arange(len(ix.tris))
     own = chart_of[tri]
     s = np.flatnonzero(own >= 0)
     hit = _hits(ix, s, own[s], x[s], y[s], epsilon, samples, nearest=True)
@@ -424,9 +414,11 @@ def density_estimate(
     meet, so it passes within ``epsilon / sin(beta)`` of it.  Nearer a
     corner a sample may count as uncovered although the trace is within
     epsilon.  Raises ValueError unless ``epsilon`` is positive and finite,
-    ``samples`` an integer of at least 1 and ``seed`` one of at least 0.
+    ``samples`` an integer from 1 to MAX_SAMPLES and ``seed`` one of at
+    least 0.
     """
-    epsilon, samples, seed = float_arg("epsilon", epsilon), int_arg("samples", samples, 1), int_arg("seed", seed, 0)
+    epsilon, samples = float_arg("epsilon", epsilon), int_arg("samples", samples, 1, MAX_SAMPLES)
+    seed = int_arg("seed", seed, 0)
     covered = _covered(surface, trace_, epsilon, samples, seed)
     return DensityReport(epsilon, samples, int(np.count_nonzero(covered)) / samples)
 
@@ -588,7 +580,7 @@ def direction_scan(
     ``density_estimate`` would reject.
     """
     n, length, epsilon = int_arg("n", n, 1, MAX_DIRECTIONS), float_arg("length", length), float_arg("epsilon", epsilon)
-    seed, density_samples = int_arg("seed", seed, 0), int_arg("density_samples", density_samples, 1)
+    seed, density_samples = int_arg("seed", seed, 0), int_arg("density_samples", density_samples, 1, MAX_SAMPLES)
     vertex_clearance = float_arg("vertex_clearance", vertex_clearance, surface.tolerance)
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, n)

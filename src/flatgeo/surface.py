@@ -25,6 +25,7 @@ from .errors import (
     Disconnected,
     LengthMismatch,
     MalformedSurface,
+    PointOutsideTriangle,
     UnmatchedEdge,
     float_arg,
     int_arg,
@@ -248,7 +249,11 @@ class FlatSurface:
         self.corner_class = corner_class
 
     def triangle(self, tri_id: int) -> Triangle:
-        return self._by_id[tri_id]
+        """The triangle with id ``tri_id``; PointOutsideTriangle if there is none."""
+        try:
+            return self._by_id[tri_id]
+        except KeyError:
+            raise PointOutsideTriangle(f"no triangle with id {tri_id}") from None
 
     def has_triangle(self, tri_id: int) -> bool:
         return tri_id in self._by_id

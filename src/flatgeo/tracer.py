@@ -112,7 +112,6 @@ after it always run them.  A skipped test would not have fired:
 """
 from __future__ import annotations
 
-import array
 import bisect
 import math
 import numbers
@@ -124,7 +123,7 @@ import numpy as np
 
 from .errors import ParameterOutOfRange, PointOutsideTriangle, TraceIncomplete, float_arg, int_arg
 from .geometry import PlaneIsometry, Vec, normalize, point_segment_distance
-from .surface import FlatSurface, Triangle
+from .surface import FlatSurface
 
 DEFAULT_VERTEX_CLEARANCE = 1e-7
 
@@ -184,12 +183,13 @@ class GeodesicTrace:
 
     Chord k's values are ``_rows[10 * k:10 * k + 10]``: triangle id, entry
     x/y, exit x/y, unit direction x/y, arc parameter t0 at entry, length,
-    and the edge crossed at the exit (-1 where the trace stops), in one
-    flat list as ``trace`` and ``flatgeo.jsonio`` write them.  Readers walk
-    the record in place; only ``chords``, the rows as one read-only ``(n,
-    10)`` float64 array, changes its container.  ``index``, the ChordIndex
-    that ``flatgeo.analysis`` reads, is built from ``chords`` on first
-    read, and ``_prefix_index`` builds that of a first part of the record.
+    and the edge crossed at the exit (-1 where the trace stops), in the one
+    flat list that ``trace``, ``truncate`` or ``flatgeo.jsonio`` wrote,
+    which the trace holds for its whole life.  Readers walk that list in
+    place.  ``chords``, the rows as one read-only ``(n, 10)`` float64
+    array, is a copy built on first read.  ``index``, the ChordIndex that
+    ``flatgeo.analysis`` reads, is built from ``chords`` on first read, and
+    ``_prefix_index`` builds that of a first part of the record.
     ``segments``, the rows as TraceSegment objects, is built only for
     callers that read it; nothing in the package does.
     """
@@ -197,17 +197,14 @@ class GeodesicTrace:
     start: TangentDirection
     length: float
     termination: Termination
-    _rows: list[float] | array.array = field(repr=False)
+    _rows: list[float] = field(repr=False)
 
     @cached_property
     def chords(self) -> np.ndarray:
-        """The rows, a read-only view of the record: a list of values is
-        handed to an ``array("d")``, whose items read back as the same floats."""
-        if isinstance(self._rows, list):
-            record = array.array("d")
-            record.fromlist(self._rows)  # faster than array("d", list), but it over-allocates,
-            object.__setattr__(self, "_rows", record[:])  # so keep an exact copy
-        return np.frombuffer(memoryview(self._rows).toreadonly(), np.float64).reshape(-1, 10)
+        """The rows, a copy of the record over a read-only buffer, so its
+        WRITEABLE flag cannot be set."""
+        values = np.fromiter(self._rows, np.float64, len(self._rows))
+        return np.frombuffer(values.data.toreadonly(), np.float64).reshape(-1, 10)
 
     def _chord_values(self):
         """Each chord's ten values, a tuple per chord, read in place."""
@@ -215,7 +212,7 @@ class GeodesicTrace:
 
     def _end(self) -> tuple[int, Vec, Vec]:
         """The last chord's triangle id, exit point and direction, read
-        from ``_rows`` as it stands, so no array is built."""
+        from ``_rows``, so no array is built."""
         tri, _ex, _ey, ox, oy, dx, dy = self._rows[-10:-3]
         return int(tri), (ox, oy), (dx, dy)
 
@@ -240,15 +237,13 @@ class GeodesicTrace:
         for tri, dx, dy in zip(values[0:k:10], values[5:k:10], values[6:k:10]):
             fx, fy = firsts.setdefault(tri, (dx, dy))
             if abs(dx * fy - dy * fx) > tol:
-                rows = np.fromiter(values[:k], np.float64, k).reshape(-1, 10)
-                return _chord_index(rows[:, 0], rows.T[[1, 2, 5, 6, 8, 7]])
+                return _chord_index(np.fromiter(values[:k], np.float64, k).reshape(-1, 10))
         return None
 
     @cached_property
     def index(self) -> ChordIndex:
         """The chords chart after chart, with their direction classes."""
-        rows = self.chords
-        return _chord_index(rows[:, 0], rows.T[[1, 2, 5, 6, 8, 7]])
+        return _chord_index(self.chords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,11 +292,11 @@ class ChordIndex:
         return out
 
 
-def _chord_index(tri: np.ndarray, cols: np.ndarray) -> ChordIndex:
-    """The ChordIndex of chords in trace order, given by their triangle
-    ids ``tri`` and the ``(6, n)`` columns ``(px, py, dx, dy, L, t0)``.
-    Each round of the class rule seeds a class in every chart that still
-    has chords without one."""
+def _chord_index(rows: np.ndarray) -> ChordIndex:
+    """The ChordIndex of chords in trace order, given by their ``(n, 10)``
+    rows.  Each round of the class rule seeds a class in every chart that
+    still has chords without one."""
+    tri, cols = rows[:, 0], rows.T[[1, 2, 5, 6, 8, 7]]  # (px, py, dx, dy, L, t0)
     n = len(tri)
     # Each triangle's chords in trace order, then the triangles by first chord.
     by_tri = np.argsort(tri, kind="stable")
@@ -385,11 +380,12 @@ class _TraceTables:
     snap parameters ``(glo, ghi)`` at least ``2**-40 * (|c| + scale) /
     sin(angle at c)`` from either end c, between which the next step may
     take the side test.  ``sin_min`` is the smallest sine of any corner
-    angle.  Density reads the cumulative area
-    probabilities ``cdf``, as ``Generator.choice`` computes them, the
-    corners ``corner_xy`` (3, 2, T), and each edge's target triangle
-    ``targets`` (T, 3) and isometry matrix ``mats`` (T, 3, 6), and keeps
-    its last sample draw in ``draw``, ``(samples, seed, points)``.
+    angle.  Density reads the cumulative area probabilities ``cdf``, as
+    ``Generator.choice`` computes them, the corners ``corner_xy`` (3, 2,
+    T), and each edge's target triangle ``targets`` (T, 3) and isometry
+    matrix ``mats`` (T, 3, 6), the same values as its crossing tuple, taken
+    in the one pass that reads each edge's transition once; it keeps its
+    last sample draw in ``draw``, ``(samples, seed, points)``.
     """
 
     def __init__(self, surface: FlatSurface):
@@ -431,21 +427,20 @@ class _TraceTables:
             k0, k1, k2 = corners = [(*t.corners[k], surface.corner_class[(t.id, k)]) for k in range(3)]
             self.cones.append(tuple(c for c in corners if surface.vertex_classes[c[2]].is_cone))
             self.ties.append(((k0, k1), (k1, k2), (k2, k0)))
-        self.crossings = []
-        for t in tris:
-            row = []
-            for k in range(3):
-                ref, iso = surface.edge_transition(t.id, k)
-                tgt = self.id2dense[ref.tri]
-                row.append((tgt, float(ref.tri), ref.edge, *iso.matrix(), *snap[3 * tgt + ref.edge]))
-            self.crossings.append(tuple(row))
+        glued = [surface.edge_transition(t.id, k) for t in tris for k in range(3)]
+        targets = [self.id2dense[ref.tri] for ref, _iso in glued]
+        mats = [iso.matrix() for _ref, iso in glued]
+        crossings = [
+            (tgt, float(ref.tri), ref.edge, *mat, *snap[3 * tgt + ref.edge])
+            for (ref, _iso), tgt, mat in zip(glued, targets, mats)
+        ]
+        self.crossings = list(zip(*[iter(crossings)] * 3))
+        self.targets = np.array(targets).reshape(-1, 3)
+        self.mats = np.array(mats).reshape(-1, 3, 6)
         areas = np.array([t.signed_area() for t in tris])
         self.cdf = (areas / areas.sum()).cumsum()
         self.cdf /= self.cdf[-1]
-        self.corner_xy = np.array(snap)[:, :2].reshape(-1, 3, 2).transpose(1, 2, 0).copy()
-        glued = [[surface.edge_transition(t.id, k) for k in range(3)] for t in tris]
-        self.targets = np.array([[self.id2dense[ref.tri] for ref, _iso in row] for row in glued])
-        self.mats = np.array([[iso.matrix() for _ref, iso in row] for row in glued])
+        self.corner_xy = np.array([t.corners for t in tris], np.float64).transpose(1, 2, 0).copy()
         self.min_height = min(heights)
         self.sin_min = 1.0 / max(cosecs)
         self.draw = (0, 0, None)
@@ -460,13 +455,6 @@ def _trace_tables(surface: FlatSurface) -> _TraceTables:
     if tab is None:
         tab = _TABLES[surface] = _TraceTables(surface)
     return tab
-
-
-def _triangle(surface: FlatSurface, tri: int) -> Triangle:
-    """``surface.triangle(tri)``; PointOutsideTriangle if there is none."""
-    if not surface.has_triangle(tri):
-        raise PointOutsideTriangle(f"no triangle with id {tri}")
-    return surface.triangle(tri)
 
 
 def trace(
@@ -484,7 +472,7 @@ def trace(
     vertex_clearance = float_arg("vertex_clearance", vertex_clearance, surface.tolerance)
     if not all(math.isfinite(x) for x in (*start.at.xy, *start.unit)):
         raise ValueError("start point and direction must be finite")
-    tri0 = _triangle(surface, int_arg("start triangle", start.at.tri))
+    tri0 = surface.triangle(int_arg("start triangle", start.at.tri))
     tab = _trace_tables(surface)
     tol_pt = surface.tolerance * (1.0 + tab.scale)
     if not tri0.contains(start.at.xy, tol=tol_pt * 10):
@@ -690,7 +678,7 @@ def unfold(
     iso = PlaneIsometry.identity()
     rows = trace_._rows
     for k, row in enumerate(trace_._chord_values()):
-        tri, edge = _triangle(surface, int(row[0])).id, int(row[9])
+        tri, edge = surface.triangle(int(row[0])).id, int(row[9])
         placements.append((tri, iso))
         if 10 * k + 10 < len(rows):
             if edge < 0:
@@ -716,7 +704,7 @@ def tangent_representatives(
     ``tol`` of a corner.  Fan directions for cone corners depend on the
     walk path and are only meaningful for flat marked points.
     """
-    tri = _triangle(surface, point.tri)
+    tri = surface.triangle(point.tri)
     reps: list[tuple[int, Vec, Vec]] = [(point.tri, point.xy, vector)]
     seen = {(point.tri, round(point.xy[0], 12), round(point.xy[1], 12))}
 

@@ -1,10 +1,22 @@
+import contextlib
 import functools
 import heapq
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+
+# Hypothesis imports its patch writer to report a failing property.  Where
+# libcst is installed that import warns, and pytest's
+# error::DeprecationWarning filter would turn the report into an
+# INTERNALERROR that names neither the test nor its falsifying example.
+# Imported once here, with that warning ignored, the report names both.
+# Without libcst the plugin skips the patch writer itself.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from flatgeo import analysis
 from flatgeo.builders import catalog
@@ -402,6 +414,19 @@ def segments_intersect(p1: Vec, q1: Vec, p2: Vec, q2: Vec, tol: float = 0.0) -> 
         or on_seg(p2, q2, p1)
         or on_seg(p2, q2, q1)
     )
+
+
+def segment_pair_endpoints(pair) -> tuple[Vec, Vec, Vec, Vec]:
+    """Realize an ``analysis.SegmentPair`` as explicit planar segments
+    (a1, b1, a2, b2), for the pairwise oracle."""
+    base = math.atan2(pair.m2[1] - pair.m1[1], pair.m2[0] - pair.m1[0])
+    out = []
+    for m, alpha in ((pair.m1, pair.alpha1), (pair.m2, pair.alpha2)):
+        ux, uy = math.cos(base + alpha), math.sin(base + alpha)
+        ln = pair.half_length
+        out.append((m[0] - ln * ux, m[1] - ln * uy))
+        out.append((m[0] + ln * ux, m[1] + ln * uy))
+    return out[0], out[1], out[2], out[3]
 
 
 def is_identity(iso) -> bool:

@@ -19,6 +19,7 @@ from conftest import (
     reference_events,
     reference_first_event,
     reference_self_intersections,
+    segment_pair_endpoints,
     segments_intersect,
     trace_of_rows,
 )
@@ -27,6 +28,7 @@ import flatgeo.analysis as analysis
 from flatgeo.analysis import (
     EVENT_MERGE_TOL,
     MAX_DIRECTIONS,
+    MAX_SAMPLES,
     PROPER_ANGLE_TOL,
     IntersectionEvent,
     SegmentPair,
@@ -35,7 +37,6 @@ from flatgeo.analysis import (
     density_estimate,
     direction_scan,
     lap_criterion,
-    segment_pair_endpoints,
     self_intersections,
 )
 from flatgeo.builders import (
@@ -298,9 +299,9 @@ def spy_index(monkeypatch) -> list:
     sizes = []
     build = tracer._chord_index
 
-    def record(tri, cols):
-        sizes.append(len(tri))
-        return build(tri, cols)
+    def record(rows):
+        sizes.append(len(rows))
+        return build(rows)
 
     monkeypatch.setattr(tracer, "_chord_index", record)
     return sizes
@@ -701,11 +702,31 @@ def test_fractional_or_bool_counts_are_named_before_tracing(monkeypatch, count):
         raise AssertionError("traced a direction")
 
     monkeypatch.setattr(analysis, "trace", no_trace)
-    with pytest.raises(ValueError, match=re.escape(f"samples must be a positive integer, got {count}")):
+    with pytest.raises(ValueError, match=re.escape(f"samples must be an integer between 1 and {MAX_SAMPLES}, got {count}")):
         density_estimate(s, tr, 0.05, count, 1)
     with pytest.raises(ValueError, match=re.escape(f"n must be an integer between 1 and {MAX_DIRECTIONS}, got {count}")):
         direction_scan(s, p, count, 1.0, 0.05, seed=0)
-    with pytest.raises(ValueError, match=re.escape(f"density_samples must be a positive integer, got {count}")):
+    message = f"density_samples must be an integer between 1 and {MAX_SAMPLES}, got {count}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        direction_scan(s, p, 1, 1.0, 0.05, seed=0, density_samples=count)
+
+
+@pytest.mark.parametrize("count", [0, 10**12, 2**62])
+def test_sample_counts_out_of_range_are_named_before_drawing(monkeypatch, count):
+    # No draw is attempted: a count past MAX_SAMPLES would allocate arrays
+    # of that length, and numpy's own refusal names no argument.
+    s = flat_torus((1.0, 0.0), (0.0, 1.0))
+    p = SurfacePoint(0, (0.4, 0.25))
+    tr = trace(s, TangentDirection(p, (1.0, 0.0)), 1.0)
+
+    def no_draw(*args):
+        raise AssertionError("drew sample points")
+
+    monkeypatch.setattr(analysis, "_sample_points", no_draw)
+    with pytest.raises(ValueError, match=f"^samples must be an integer between 1 and {MAX_SAMPLES}, got {count}$"):
+        density_estimate(s, tr, 0.05, count, 1)
+    message = f"^density_samples must be an integer between 1 and {MAX_SAMPLES}, got {count}$"
+    with pytest.raises(ValueError, match=message):
         direction_scan(s, p, 1, 1.0, 0.05, seed=0, density_samples=count)
 
 

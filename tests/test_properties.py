@@ -40,7 +40,12 @@ catalog, the far cube and a torus whose second chart has no way out,
 with random rays and rays aimed at a corner.  ``reverse_check``, which reads each
 leg's end from the values of its last row, is checked against the
 reference that reads the last row of each leg's chords.  The runs are
-derandomized, so the suite sees the same examples every time.
+derandomized, but Hypothesis mixes in constants from the local modules
+loaded when it draws, so a property may draw other examples when this
+file runs alone than in the whole suite.  So every strategy draws only
+inputs the library accepts (traces of random doubles stay within the
+step budget), and the cases a property exists for are pinned with
+``@example``.
 """
 import dataclasses
 import functools
@@ -290,15 +295,25 @@ def test_cut_and_glue_adds_the_patch_or_raises_typed(polygon, seed, k, anchor):
     assert math.isclose(sum(tri.signed_area() for tri in patch_tris), patch_area, rel_tol=1e-12)
 
 
+def within_step_budget(s, length) -> bool:
+    """Whether ``trace`` accepts ``length`` on ``s``: a star double's
+    thinnest triangle may give a step budget past MAX_STEPS, which trace
+    refuses (the star double of seed 1783 does at length 30)."""
+    return 50.0 * length / tracer._trace_tables(s).min_height <= tracer.MAX_STEPS
+
+
 @walk_settings
 @given(
     st.sampled_from([random_star_polygon, random_rectilinear_polygon]),
     seeds,
     st.floats(0.0, TWO_PI, exclude_max=True),
 )
+@example(random_star_polygon, 0, 0.7)
+@example(random_rectilinear_polygon, 0, 0.7)
 def test_reverse_check_returns_to_the_start_on_random_doubles(polygon, seed, angle):
     s = double_of_polygon(polygon(np.random.default_rng(seed)))
     start = TangentDirection(incenter_point(s), (math.cos(angle), math.sin(angle)))
+    assume(within_step_budget(s, 30.0))
     assume(trace(s, start, 30.0).termination.kind == LENGTH_REACHED)  # not into a cone point
     assert reverse_check(s, start, 30.0) < 1e-6
 
@@ -362,6 +377,10 @@ def test_self_intersections_matches_reference_on_400_diameter_traces(catalog_sur
     st.floats(20.0, 400.0),
     st.floats(0.0, TWO_PI, exclude_max=True),
 )
+@example(surface="cube", diameters=100.0, angle=0.5)  # the first eighth decides
+@example(surface="klein-bottle", diameters=20.0, angle=0.882)  # it cannot: the whole index decides
+@example(surface="example1", diameters=20.0, angle=1.436)  # no two classes in it, and no crossing
+@example(surface=0, diameters=100.0, angle=0.5)  # a star double, with wide charts
 def test_self_intersections_matches_reference_on_fresh_traces(catalog_surfaces, surface, diameters, angle):
     # The search first tries the chords entering before PREFIX of the
     # length on their own index; searching the whole index alone must give
@@ -373,8 +392,7 @@ def test_self_intersections_matches_reference_on_fresh_traces(catalog_surfaces, 
         s = double_of_polygon(random_star_polygon(np.random.default_rng(surface)))
     start = TangentDirection(incenter_point(s), (math.cos(angle), math.sin(angle)))
     length = diameters * _diameter(s)
-    # A star double's thinnest triangle may give a budget that trace refuses.
-    assume(50.0 * length / tracer._trace_tables(s).min_height <= tracer.MAX_STEPS)
+    assume(within_step_budget(s, length))
     tr = trace(s, start, length)
     assume(tr.termination.kind == LENGTH_REACHED)
     assert isinstance(tr._rows, list)
@@ -544,7 +562,7 @@ def test_truncate_and_locate_match_segment_oracle(catalog_surfaces, name, angle,
                 assert (short.length, short.termination.kind) == (t, LENGTH_REACHED)
             else:
                 assert short is ray
-    assert isinstance(tr._rows, list) and not isinstance(read._rows, list)
+    assert isinstance(tr._rows, list) and isinstance(read._rows, list)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)

@@ -23,6 +23,7 @@ from flatgeo.errors import (
     Disconnected,
     LengthMismatch,
     MalformedSurface,
+    PointOutsideTriangle,
     UnmatchedEdge,
 )
 import flatgeo.surface as surface_mod
@@ -283,6 +284,14 @@ def test_triangle_ids_that_are_not_ints_raise_malformed_surface(tri_id):
     tris = [TORUS_TRIS[0], Triangle(tri_id, TORUS_TRIS[1].corners)]
     with pytest.raises(MalformedSurface, match="triangle id must be an integer"):
         build_surface(tris, TORUS_GL)
+
+
+@pytest.mark.parametrize("tri_id", [2, -1, 10**20])
+def test_an_unknown_triangle_id_raises_point_outside_triangle(tri_id):
+    s = build_surface(TORUS_TRIS, TORUS_GL)
+    assert s.triangle(1) is TORUS_TRIS[1] and not s.has_triangle(tri_id)
+    with pytest.raises(PointOutsideTriangle, match=f"^no triangle with id {tri_id}$"):
+        s.triangle(tri_id)
 
 
 def test_numpy_int_gluing_sides_build():

@@ -227,9 +227,9 @@ def test_reverse_check_builds_no_chord_rows(catalog_surfaces, monkeypatch):
 
 
 def test_trace_end_is_the_last_chord_row(catalog_surfaces, torus, monkeypatch):
-    # _end reads the last row's values from the list, and from the array
-    # once the rows are read, for every termination kind and for traces
-    # read from JSON or truncated.
+    # _end reads the last row's values from the list, before and after the
+    # rows are read, for every termination kind and for traces read from
+    # JSON or truncated.
     def last_row(tr):
         tri, _ex, _ey, ox, oy, dx, dy, _t0, _ln, _edge = tr.chords[-1].tolist()
         return int(tri), (ox, oy), (dx, dy)
@@ -249,13 +249,43 @@ def test_trace_end_is_the_last_chord_row(catalog_surfaces, torus, monkeypatch):
         for angle in (0.4, 2.9):
             tr = trace(s, TangentDirection(incenter_point(s), (math.cos(angle), math.sin(angle))), 30.0)
             if tr.termination.kind == LENGTH_REACHED:
-                assert isinstance(tr._rows, list)  # the values, until the rows are read
+                assert isinstance(tr._rows, list)  # the values, before and after the rows are read
                 end = tr._end()
-                assert end == last_row(tr) and np.shares_memory(tr.chords, tr._rows)
+                assert end == last_row(tr)
             traces += [tr, trace_from_json(trace_to_json(tr)), truncate(tr, 0.5 * tr.length)]
     assert {tr.termination.kind for tr in traces} == {LENGTH_REACHED, VERTEX_HIT, LEFT_DOMAIN}
     for tr in traces:
         assert tr._end() == last_row(tr)
+
+
+RECORD_READERS = {
+    "chords": lambda tr: tr.chords,
+    "index": lambda tr: tr.index,
+    "segments": lambda tr: tr.segments,
+    "locate": lambda tr: locate(tr, 0.5 * tr.length),
+    "truncate": lambda tr: truncate(tr, 0.5 * tr.length),
+}
+
+
+@pytest.mark.parametrize("reader", RECORD_READERS)
+def test_reading_a_trace_keeps_its_record(catalog_surfaces, reader):
+    # The list that trace, truncate or trace_from_json wrote stays the
+    # trace's record, unchanged, whatever is read of it.
+    s = catalog_surfaces["example1"]
+    tr = trace(s, TangentDirection(incenter_point(s), (math.cos(0.7), math.sin(0.7))), 30.0)
+    for ray in (tr, truncate(tr, 0.3 * tr.length), trace_from_json(trace_to_json(tr))):
+        record = ray._rows
+        values = list(record)
+        RECORD_READERS[reader](ray)
+        assert ray._rows is record and record == values
+
+
+def test_chords_cannot_be_made_writeable(torus):
+    tr = trace(torus, TangentDirection(SurfacePoint(0, (0.5, 0.25)), (0.6, 0.8)), 5.0)
+    with pytest.raises(ValueError):
+        tr.chords.flags.writeable = True
+    assert not tr.chords.flags.writeable
+    assert tr.chords.ravel().tolist() == tr._rows
 
 
 FOREIGN_TRACE_READERS = {
