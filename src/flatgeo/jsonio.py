@@ -16,6 +16,7 @@ from .surface import EdgeRef, FlatSurface, Gluing, Triangle, build_surface
 from .tracer import (
     LEFT_DOMAIN,
     LENGTH_REACHED,
+    LOCATE_SLACK,
     VERTEX_HIT,
     GeodesicTrace,
     SurfacePoint,
@@ -98,10 +99,7 @@ def _termination_parse(s: str) -> Termination:
         return Termination(LENGTH_REACHED)
     if colon and kind == VERTEX_HIT:
         vc, par = rest.split(":", 1)
-        parameter = float(par)
-        if not math.isfinite(parameter):
-            raise ValueError(f"non-finite hit parameter {par!r}")
-        return Termination(VERTEX_HIT, vertex=int(vc), parameter=parameter)
+        return Termination(VERTEX_HIT, vertex=int(vc), parameter=float(par))
     if colon and kind == LEFT_DOMAIN:
         return Termination(LEFT_DOMAIN, message=rest)
     raise ValueError(f"unknown termination {s!r}")
@@ -129,7 +127,9 @@ def trace_from_json(text: str) -> GeodesicTrace:
     endpoints; zero-length segments reuse the previous direction.  Raises
     MalformedTrace for text that is not JSON of this shape, a triangle id
     beyond 2**53 (chords hold ids as float64), a chord value that is not
-    finite, a negative or non-finite length, or a non-finite hit parameter.
+    finite, a negative or non-finite length, a hit parameter that is not
+    the length (both are written from one float), or a length more than
+    ``LOCATE_SLACK * (1 + length)`` from the segments' total length.
     """
     try:
         data = json.loads(text)
@@ -156,6 +156,10 @@ def trace_from_json(text: str) -> GeodesicTrace:
             raise ValueError("trace JSON has a chord value that is not finite")
         if not 0.0 <= length < math.inf:
             raise ValueError(f"trace length {length!r} is negative or not finite")
+        if term.kind == VERTEX_HIT and term.parameter != length:
+            raise ValueError(f"hit parameter {term.parameter!r} is not the trace length {length!r}")
+        if not abs(length - t0) <= LOCATE_SLACK * (1.0 + length):
+            raise ValueError(f"trace length {length!r} is not the segments' total length {t0!r}")
         start = TangentDirection(SurfacePoint(rows[0], (rows[1], rows[2])), (rows[5], rows[6]))
         return GeodesicTrace(start, length, term, rows)
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError) as e:

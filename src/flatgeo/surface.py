@@ -303,29 +303,6 @@ def _validate_triangles(triangles, tol: float) -> dict[int, Triangle]:
     return by_id
 
 
-def _check_edges_glued_once(by_id, gluings) -> dict:
-    """The crossing table's keys in gluing order (side a, then b), valued None."""
-    crossings: dict = {}
-    for gi, g in enumerate(gluings):
-        if not isinstance(g, Gluing):
-            raise MalformedSurface(f"{g!r} is not a Gluing")
-        for ref in (g.a, g.b):
-            try:  # a side that is not an EdgeRef fails the first test
-                int_arg("triangle id", ref.tri if isinstance(ref, EdgeRef) else None), int_arg("edge", ref.edge)
-            except ValueError:
-                raise MalformedSurface(f"gluing {gi} side {ref!r} is not an EdgeRef of two ints") from None
-            if ref.tri not in by_id or not 0 <= ref.edge < 3:
-                raise UnmatchedEdge(f"gluing {gi} references unknown edge {ref}")
-            if ref in crossings:
-                raise UnmatchedEdge(f"edge {tuple(ref)} glued more than once")
-            crossings[ref] = None
-    for tri_id in by_id:
-        for e in range(3):
-            if (tri_id, e) not in crossings:
-                raise UnmatchedEdge(f"edge ({tri_id}, {e}) is not glued; surface must be closed")
-    return crossings
-
-
 def build_surface(triangles, gluings, tol: float = METRIC_TOL) -> FlatSurface:
     """Validate triangles and gluings and derive all global structure.
 
@@ -333,16 +310,29 @@ def build_surface(triangles, gluings, tol: float = METRIC_TOL) -> FlatSurface:
     Disconnected or MalformedSurface (an item that is not a Triangle or
     a Gluing, a gluing side that is not an EdgeRef of two ints, or a
     triangle id that is not an integer within 2**53) on invalid input, and
-    ValueError unless ``tol`` is positive and finite.  The result carries
-    each oriented edge's crossing, vertex classes, Euler characteristic
-    and orientability.
+    ValueError unless ``tol`` is positive and finite.  Each gluing is
+    checked in full (sides, lengths, transition audit) before the next, so
+    the first fault in gluing order is the one raised, and an unglued edge
+    only after all pass.  The result carries each oriented edge's crossing,
+    vertex classes, Euler characteristic and orientability.
     """
     tol = float_arg("tolerance", tol)
     if not triangles or not gluings:
         raise UnmatchedEdge("need at least one triangle and one gluing")
     by_id = _validate_triangles(triangles, tol)
-    crossings = _check_edges_glued_once(by_id, gluings)
+    crossings: dict[EdgeRef, tuple[EdgeRef, PlaneIsometry]] = {}
     for gi, g in enumerate(gluings):
+        if not isinstance(g, Gluing):
+            raise MalformedSurface(f"{g!r} is not a Gluing")
+        for side, ref in enumerate((g.a, g.b)):
+            try:  # a side that is not an EdgeRef fails the first test
+                int_arg("triangle id", ref.tri if isinstance(ref, EdgeRef) else None), int_arg("edge", ref.edge)
+            except ValueError:
+                raise MalformedSurface(f"gluing {gi} side {ref!r} is not an EdgeRef of two ints") from None
+            if ref.tri not in by_id or not 0 <= ref.edge < 3:
+                raise UnmatchedEdge(f"gluing {gi} references unknown edge {ref}")
+            if ref in crossings or side and ref == g.a:
+                raise UnmatchedEdge(f"edge {tuple(ref)} glued more than once")
         ta, tb = by_id[g.a.tri], by_id[g.b.tri]
         la, lb = ta.edge_length(g.a.edge), tb.edge_length(g.b.edge)
         if abs(la - lb) > tol:
@@ -362,6 +352,11 @@ def build_surface(triangles, gluings, tol: float = METRIC_TOL) -> FlatSurface:
                 raise LengthMismatch(f"gluing {gi}: transition fails endpoint audit")
         crossings[g.a] = (g.b, iso)
         crossings[g.b] = (g.a, iso.inverse())
+
+    for tri_id in by_id:
+        for e in range(3):
+            if (tri_id, e) not in crossings:
+                raise UnmatchedEdge(f"edge ({tri_id}, {e}) is not glued; surface must be closed")
 
     surface = FlatSurface(by_id, tuple(gluings), crossings, tol)
     residual = gauss_bonnet_check(surface)

@@ -187,11 +187,10 @@ class GeodesicTrace:
     flat list that ``trace``, ``truncate`` or ``flatgeo.jsonio`` wrote,
     which the trace holds for its whole life.  Readers walk that list in
     place.  ``chords``, the rows as one read-only ``(n, 10)`` float64
-    array, is a copy built on first read.  ``index``, the ChordIndex that
-    ``flatgeo.analysis`` reads, is built from ``chords`` on first read, and
-    ``_prefix_index`` builds that of a first part of the record.
-    ``segments``, the rows as TraceSegment objects, is built only for
-    callers that read it; nothing in the package does.
+    array, and ``segments``, the rows as TraceSegment objects, are built
+    on each read and kept only by the caller.  ``index``, the ChordIndex
+    that ``flatgeo.analysis`` reads, is built from the list on first read
+    and kept, and ``_prefix_index`` builds that of a first part of it.
     """
 
     start: TangentDirection
@@ -199,10 +198,10 @@ class GeodesicTrace:
     termination: Termination
     _rows: list[float] = field(repr=False)
 
-    @cached_property
+    @property
     def chords(self) -> np.ndarray:
         """The rows, a copy of the record over a read-only buffer, so its
-        WRITEABLE flag cannot be set."""
+        WRITEABLE flag cannot be set; a new copy on each read."""
         values = np.fromiter(self._rows, np.float64, len(self._rows))
         return np.frombuffer(values.data.toreadonly(), np.float64).reshape(-1, 10)
 
@@ -216,7 +215,7 @@ class GeodesicTrace:
         tri, _ex, _ey, ox, oy, dx, dy = self._rows[-10:-3]
         return int(tri), (ox, oy), (dx, dy)
 
-    @cached_property
+    @property
     def segments(self) -> tuple[TraceSegment, ...]:
         return tuple(
             TraceSegment(int(tri), (ex, ey), (ox, oy), (dx, dy), t0, ln, None if edge < 0 else int(edge))
@@ -237,13 +236,13 @@ class GeodesicTrace:
         for tri, dx, dy in zip(values[0:k:10], values[5:k:10], values[6:k:10]):
             fx, fy = firsts.setdefault(tri, (dx, dy))
             if abs(dx * fy - dy * fx) > tol:
-                return _chord_index(np.fromiter(values[:k], np.float64, k).reshape(-1, 10))
+                return _chord_index(values[:k])
         return None
 
     @cached_property
     def index(self) -> ChordIndex:
         """The chords chart after chart, with their direction classes."""
-        return _chord_index(self.chords)
+        return _chord_index(self._rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,9 +260,9 @@ class ChordIndex:
     chart c's being ``classes[c]:classes[c + 1]``, and ``label`` is each
     row's.  ``pmax[c]`` is chart c's largest ``|px|`` or ``|py|``.
     ``bands``, the sorted offsets that density reads, is built on first
-    read.  ``_chord_index`` builds it from a trace's rows; the
-    first-crossing search also builds one over the rows of a trace's first
-    part alone.
+    read.  ``_chord_index`` builds it from a trace's flat record; the
+    first-crossing search also builds one over the record of a trace's
+    first part alone.
     """
 
     tris: np.ndarray
@@ -292,11 +291,12 @@ class ChordIndex:
         return out
 
 
-def _chord_index(rows: np.ndarray) -> ChordIndex:
-    """The ChordIndex of chords in trace order, given by their ``(n, 10)``
-    rows.  Each round of the class rule seeds a class in every chart that
-    still has chords without one."""
-    tri, cols = rows[:, 0], rows.T[[1, 2, 5, 6, 8, 7]]  # (px, py, dx, dy, L, t0)
+def _chord_index(values: list[float]) -> ChordIndex:
+    """The ChordIndex of chords in trace order, given by their flat record
+    (see GeodesicTrace).  Each round of the class rule seeds a class in
+    every chart that still has chords without one."""
+    chords = np.fromiter(values, np.float64, len(values)).reshape(-1, 10)
+    tri, cols = chords[:, 0], chords.T[[1, 2, 5, 6, 8, 7]]  # (px, py, dx, dy, L, t0)
     n = len(tri)
     # Each triangle's chords in trace order, then the triangles by first chord.
     by_tri = np.argsort(tri, kind="stable")
@@ -537,14 +537,14 @@ def trace(
                     best_t = t
                     best_edge = e
             if best_edge < 0:
-                # Nothing ahead past t_eps.  A start on an edge pointing out of
-                # the triangle crosses that edge at once; any other ray stops.
+                # Nothing ahead past t_eps.  A start within 10 tol_pt of an edge,
+                # heading out across it, crosses it at once; any other ray stops.
                 if entry_edge < 0:
                     for e, ax, ay, ux, uy, lo, hi, _ln in cands:
                         denom = ux * dy - uy * dx
                         sx = px - ax
                         sy = py - ay
-                        if denom < -1e-13 and abs(sx * uy - sy * ux) <= -denom * t_eps:
+                        if denom < -1e-13 and abs(sx * uy - sy * ux) <= tol_pt * 10:
                             if lo <= (sx * dy - sy * dx) / denom <= hi:
                                 best_t = 0.0
                                 best_edge = e

@@ -629,14 +629,14 @@ def reference_trace(
                 best_t = t
                 best_edge = e
         if best_edge < 0:
-            # Nothing ahead past t_eps.  A start on an edge pointing out of
-            # the triangle crosses that edge at once; any other ray stops.
+            # Nothing ahead past t_eps.  A start within 10 tol_pt of an edge,
+            # heading out across it, crosses it at once; any other ray stops.
             for e in range(3 if entry_edge < 0 else 0):
                 ax, ay, ux, uy, elen = tre[e]
                 denom = ux * dy - uy * dx
                 sx = px - ax
                 sy = py - ay
-                if denom < -1e-13 and abs(sx * uy - sy * ux) <= -denom * t_eps:
+                if denom < -1e-13 and abs(sx * uy - sy * ux) <= tol_pt * 10:
                     if -1e-9 * elen <= (sx * dy - sy * dx) / denom <= elen * (1.0 + 1e-9):
                         best_t = 0.0
                         best_edge = e

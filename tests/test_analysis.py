@@ -295,13 +295,13 @@ def record_windows(monkeypatch) -> list:
 
 def spy_index(monkeypatch) -> list:
     """Patch ``_chord_index`` to append the number of chords of each index
-    built to the list returned."""
+    built, ten record values each, to the list returned."""
     sizes = []
     build = tracer._chord_index
 
-    def record(rows):
-        sizes.append(len(rows))
-        return build(rows)
+    def record(values):
+        sizes.append(len(values) // 10)
+        return build(values)
 
     monkeypatch.setattr(tracer, "_chord_index", record)
     return sizes

@@ -250,6 +250,7 @@ def test_integer_corners_load_as_numbers(catalog_dir):
 
 
 GOOD_SEGMENT = {"tri": 0, "in": [0.5, 0.25], "out": [0.75, 0.5]}
+GOOD_LENGTH = math.hypot(0.25, 0.25)  # the segment's length
 
 
 @pytest.mark.parametrize(
@@ -271,16 +272,18 @@ GOOD_SEGMENT = {"tri": 0, "in": [0.5, 0.25], "out": [0.75, 0.5]}
         {"segments": [GOOD_SEGMENT], "length": 1.0, "termination": "vertex_hit:0:nan"},
         {"segments": [{"tri": 0, "in": [1e308, 0.0], "out": [-1e308, 0.0]}], "length": 1.0,
          "termination": "length_reached"},
+        {"segments": [GOOD_SEGMENT], "length": GOOD_LENGTH, "termination": "vertex_hit:0:7.5"},
+        {"segments": [GOOD_SEGMENT], "length": 123.0, "termination": "length_reached"},
     ],
     ids=["missing-key", "not-an-object", "string-coordinate", "unknown-termination",
          "fractional-tri", "boolean-length", "no-segments", "tri-beyond-2**53",
          "infinite-coordinate", "infinite-length", "negative-length", "nan-hit-parameter",
-         "overflowing-chord-length"],
+         "overflowing-chord-length", "hit-parameter-not-length", "length-not-segment-sum"],
 )
 def test_malformed_trace_json_raises_malformed_trace(doc):
     with pytest.raises(MalformedTrace):
         trace_from_json(doc if isinstance(doc, str) else json.dumps(doc))
-    good = {"segments": [GOOD_SEGMENT], "length": 1.0, "termination": "length_reached"}
+    good = {"segments": [GOOD_SEGMENT], "length": GOOD_LENGTH, "termination": "length_reached"}
     assert trace_from_json(json.dumps(good)).chords[0, :5].tolist() == [0.0, 0.5, 0.25, 0.75, 0.5]
 
 
@@ -313,6 +316,17 @@ def test_trace_command_reads_no_chord_array(catalog_dir, tmp_path, capsys, monke
     monkeypatch.setattr(tracer.GeodesicTrace, "chords", property(no_rows))
     assert main(argv) == 0
     assert (capsys.readouterr().out, (tmp_path / "t.svg").read_text()) == want
+
+
+def test_trace_from_just_outside_an_edge_reads_back(catalog_dir, capsys):
+    # A start 5e-9 below edge 0, heading down, crosses that edge first; its
+    # output has segments, so it reads back.
+    argv = ["trace", str(catalog_dir / "unit-torus.json"), "--tri", "0", "--x", "0.5", "--y=-5e-9",
+            "--angle=-1.5707963267948966", "--length", "5"]
+    assert main(argv) == 0
+    tr = trace_from_json(capsys.readouterr().out)
+    assert tr.termination.kind == "length_reached" and tr.length == 5.0
+    assert tr._rows[:5] == [0.0, 0.5, -5e-9, 0.5, -5e-9] and tr._rows[10] == 1.0
 
 
 def test_trace_vertex_hit_termination(catalog_dir, capsys):

@@ -97,6 +97,27 @@ def test_unmatched_edge_raises():
         build_surface(TORUS_TRIS, dup)
 
 
+def test_an_edge_glued_to_itself_raises():
+    # Side b names side a's edge: that edge is glued twice, whether the
+    # two sides are equal refs or one object.
+    same = EdgeRef(0, 0)
+    for g in (Gluing(EdgeRef(0, 0), EdgeRef(0, 0)), Gluing(same, same)):
+        with pytest.raises(UnmatchedEdge, match=r"edge \(0, 0\) glued more than once"):
+            build_surface(TORUS_TRIS, [g] + TORUS_GL[1:])
+
+
+def test_the_first_fault_in_gluing_order_is_raised():
+    # Each gluing is checked in full before the next: a length mismatch in
+    # gluing 0 comes before a later side that is no EdgeRef, a duplicate
+    # edge or an unglued edge.
+    bad = [Gluing(EdgeRef(0, 0), EdgeRef(1, 0))]  # lengths 1 and sqrt(2)
+    for later in ([Gluing((0, 1), EdgeRef(1, 1))], [TORUS_GL[0], TORUS_GL[0]], []):
+        with pytest.raises(LengthMismatch, match="gluing 0"):
+            build_surface(TORUS_TRIS, bad + later)
+    with pytest.raises(MalformedSurface, match="gluing 1"):
+        build_surface(TORUS_TRIS, TORUS_GL[:1] + [Gluing((0, 1), EdgeRef(1, 1))] + bad)
+
+
 def test_degenerate_triangle_raises():
     tris = [Triangle(0, ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)))] + TORUS_TRIS[1:]
     with pytest.raises(DegenerateTriangle):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import check_trace, edge_midpoint_tangent, incenter_point, is_identity
+from conftest import check_trace, edge_midpoint_tangent, incenter_point, is_identity, reference_trace
 
 from flatgeo.analysis import closed_geodesic_detect, density_estimate
 from flatgeo.builders import PolygonSpec, cube_surface, double_of_polygon, flat_torus, isosceles_tetrahedron
@@ -386,9 +386,7 @@ def test_geodesic_trace_contract(torus):
         tr.length = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         tr.chords = tr.chords.copy()
-    assert tr.chords is tr.chords
-    # segments is a view of the rows, built once; -1 marks the last chord's exit edge
-    assert tr.segments is tr.segments
+    # segments is a view of the rows; -1 marks the last chord's exit edge
     rows = [
         (s.tri, *s.entry, *s.exit, *s.direction, s.t0, s.length, -1 if s.exit_edge is None else s.exit_edge)
         for s in tr.segments
@@ -396,6 +394,32 @@ def test_geodesic_trace_contract(torus):
     assert np.array_equal(np.array(rows), tr.chords)
     assert all(type(x) in (int, float) for r in rows for x in r)
     assert [s.exit_edge is None for s in tr.segments] == [False] * (len(rows) - 1) + [True]
+
+
+@pytest.mark.parametrize("y", [-5e-9, -2e-8, 0.0])
+def test_a_start_just_outside_an_edge_crosses_it(torus, y):
+    # The start check accepts a point within 10 * tol_pt of its triangle;
+    # heading out across the edge it lies beyond, the ray crosses that edge
+    # at once (a zero-length first chord) instead of stopping chordless.
+    start = TangentDirection(SurfacePoint(0, (0.5, y)), (0.0, -1.0))
+    tr = trace(torus, start, 5.0)
+    assert tr.termination.kind == LENGTH_REACHED and tr.length == 5.0
+    assert tr._rows[:10] == [0.0, 0.5, y, 0.5, y, 0.0, -1.0, 0.0, 0.0, 0]
+    assert tr._rows == reference_trace(torus, start, 5.0)._rows
+    check_trace(torus, tr)
+    assert reverse_check(torus, start, 5.0) == pytest.approx(abs(y), abs=1e-12)
+
+
+def test_a_read_trace_keeps_only_its_record_and_index(torus):
+    # chords and segments are built on each read and handed to the caller;
+    # the trace keeps the index alone, built from the record.
+    tr = trace(torus, TangentDirection(incenter_point(torus, 1), (math.cos(0.3), math.sin(0.3))), 6.0)
+    rows = list(tr._rows)
+    chords, segments, index = tr.chords, tr.segments, tr.index
+    assert set(vars(tr)) == {"start", "length", "termination", "_rows", "index"}
+    assert tr.chords is not chords and np.array_equal(tr.chords, chords) and not tr.chords.flags.writeable
+    assert tr.segments is not segments and tr.segments == segments
+    assert tr.index is index and tr._rows == rows
 
 
 def test_charts_group_chords_in_first_appearance_order(torus):
